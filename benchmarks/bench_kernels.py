@@ -2,7 +2,9 @@
 
 Run `python benchmarks/bench_kernels.py`; it re-executes itself once per
 backend (CHIDS_PURE_PYTHON=1 forces the fallback) and prints a comparison
-table covering the raw kernel and an end-to-end PART training run.
+table covering the raw kernel and an end-to-end PART training run. When the
+compiled extension is not built, it measures the pure kernel once and prints
+no speedup column.
 """
 
 import json
@@ -48,30 +50,42 @@ def measure() -> dict:
     return results
 
 
+def measure_in_child(pure: bool) -> dict:
+    env = dict(os.environ)
+    env.pop("CHIDS_PURE_PYTHON", None)
+    if pure:
+        env["CHIDS_PURE_PYTHON"] = "1"
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--measure"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def main() -> int:
     if len(sys.argv) > 1 and sys.argv[1] == "--measure":
         print(json.dumps(measure()))
         return 0
 
-    rows = []
-    for pure in (False, True):
-        env = dict(os.environ)
-        env.pop("CHIDS_PURE_PYTHON", None)
-        if pure:
-            env["CHIDS_PURE_PYTHON"] = "1"
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--measure"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        rows.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    rows = [measure_in_child(pure=False)]
+    # Without the compiled extension the default run already used the pure
+    # kernel; a second pure run would only time noise against itself.
+    if rows[0]["backend"] != "pure-python":
+        rows.append(measure_in_child(pure=True))
 
     keys = [k for k in rows[0] if k not in ("backend", "part_rules")]
     name_w = max(len(k) for k in keys) + 2
-    print(f"{'metric':<{name_w}}{rows[0]['backend']:>16}{rows[1]['backend']:>16}{'speedup':>10}")
+    header = f"{'metric':<{name_w}}" + "".join(f"{r['backend']:>16}" for r in rows)
+    print(header + (f"{'speedup':>10}" if len(rows) == 2 else ""))
     for k in keys:
-        a, b = rows[0][k], rows[1][k]
         unit = "us" if k.endswith("_us") else "s"
-        print(f"{k:<{name_w}}{a:>14.2f}{unit:>2}{b:>14.2f}{unit:>2}{b / a:>9.1f}x")
+        line = f"{k:<{name_w}}" + "".join(f"{r[k]:>14.2f}{unit:>2}" for r in rows)
+        if len(rows) == 2:
+            line += f"{rows[1][k] / rows[0][k]:>9.1f}x"
+        print(line)
+    if len(rows) == 1:
+        print(f"(compiled extension not built: pure kernel only, {rows[0]['part_rules']} rules)")
+        return 0
     if rows[0]["part_rules"] != rows[1]["part_rules"]:
         print("WARNING: backends produced different rule counts")
         return 1

@@ -11,10 +11,11 @@ originator); `collision` events are the monitor's own channel observations.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DataError, IoError, UnknownScenario, UnorderedStream
 
@@ -113,6 +114,11 @@ class StreamEngine:
     beyond the horizon are evicted, so state stays bounded by the window
     length times the event rate. Verdicts never depend on future events
     (prefix consistency).
+
+    Timestamps must be finite and non-decreasing. A key is armed only while
+    absent from `_pending`, so the dict's insertion order is (ts, index)
+    order and the expired forwards are always a prefix of it: expiry pops
+    from the front and its cost does not grow with the number armed.
     """
 
     def __init__(self, cfg: RuleConfig | None = None):
@@ -137,6 +143,10 @@ class StreamEngine:
     def process(self, event: AnomalyEvent) -> list[RuleVerdict]:
         self._index += 1
         i = self._index
+        if not math.isfinite(event.ts):
+            raise DataError(f"event {i}: non-finite timestamp {event.ts!r}")
+        if not math.isfinite(event.rssi):
+            raise DataError(f"event {i}: non-finite rssi {event.rssi!r}")
         if event.ts < self._last_ts:
             raise UnorderedStream(
                 f"event {i}: timestamp {event.ts} precedes {self._last_ts}"
@@ -147,14 +157,15 @@ class StreamEngine:
         cfg = self.cfg
         out: list[RuleVerdict] = []
 
-        # Expire armed receptions whose forward deadline has passed.
-        expired = sorted(
-            (ts, idx, key)
-            for key, (ts, idx) in self._pending.items()
-            if event.ts > ts + cfg.retransmission_deadline
-        )
-        for ts, idx, key in expired:
-            del self._pending[key]
+        # Expire armed receptions whose forward deadline has passed, oldest
+        # first (see the class docstring for why they form a prefix).
+        pending = self._pending
+        while pending:
+            key = next(iter(pending))
+            ts, idx = pending[key]
+            if not event.ts > ts + cfg.retransmission_deadline:
+                break
+            del pending[key]
             out.append(_verdict(idx, ts, RULE_RETRANSMISSION, f"{key[0]}:{key[1]}"))
 
         # Garbage-collect idle message state beyond the horizon.
@@ -232,19 +243,6 @@ def evaluate_stream(
     for e in events:
         out.extend(engine.process(e))
     return out
-
-
-def filter_packets(records: Sequence, flagged) -> tuple[list, list]:
-    """Partition records into (normal-pass, abnormal) by flagged index.
-
-    `flagged` is any container of record positions carrying at least one
-    verdict. The partition is exact: order preserved, disjoint, exhaustive.
-    """
-    flagged = set(flagged)
-    normal, abnormal = [], []
-    for i, r in enumerate(records):
-        (abnormal if i in flagged else normal).append(r)
-    return normal, abnormal
 
 
 SCENARIOS = (
@@ -376,11 +374,20 @@ def read_stream(path) -> list[AnomalyEvent]:
     if not lines or lines[0] != STREAM_MAGIC:
         raise DataError(f"{path}: not a chids event stream")
     out = []
-    for ln in lines[2:]:
+    for lineno, ln in enumerate(lines[2:], start=3):
         if not ln.strip():
             continue
-        ts, source, neighbor, kind, msg, digest, rssi = ln.split("\t")
-        out.append(AnomalyEvent(float(ts), source, neighbor, kind, msg, digest, float(rssi)))
+        fields = ln.split("\t")
+        if len(fields) != 7:
+            raise DataError(f"{path}: line {lineno}: expected 7 fields, got {len(fields)}")
+        ts, source, neighbor, kind, msg, digest, rssi = fields
+        try:
+            ts_f, rssi_f = float(ts), float(rssi)
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: ts {ts!r} or rssi {rssi!r} is not a number"
+            ) from None
+        out.append(AnomalyEvent(ts_f, source, neighbor, kind, msg, digest, rssi_f))
     return out
 
 

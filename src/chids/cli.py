@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import anomaly, evaluate as ev, kernels, learner, pipeline, preprocess, ranking
@@ -275,6 +276,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         ds = preprocess.apply_normalizer(ds, stats)
 
     mode = cfg.detect_mode
+    verdict_lines: list[str] = []
     if events_path is not None:
         mode = "stream"
     if mode == "all":
@@ -291,6 +293,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         events = anomaly.read_stream(events_path)
         verdicts = anomaly.evaluate_stream(events, cfg.rule_config())
         flagged = {v.event_index for v in verdicts if v.event_index < len(ds)}
+        per_rule = Counter(v.rule for v in verdicts)
+        verdict_lines = [f"verdicts.{r} = {per_rule[r]}" for r in anomaly.RULE_IDS]
 
     pipe_cfg = cfg.pipeline_config()
     run = pipeline.run_pipeline(ds, flagged, model, pipe_cfg)
@@ -311,6 +315,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         f"alerts = {n_alerts}",
     ]
     summary += [f"outcome.{k} = {v}" for k, v in sorted(outcome_counts.items())]
+    summary += verdict_lines
     (out / "detect_summary.txt").write_text("".join(s + "\n" for s in summary), encoding="ascii")
     _err(f"flagged {len(flagged)}/{len(ds)}; {run.misuse_invocations} misuse invocations; {n_alerts} alerts")
     _out(alerts_path)

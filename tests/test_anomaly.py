@@ -14,13 +14,13 @@ from chids.anomaly import (
     AnomalyEvent,
     RuleConfig,
     StreamEngine,
+    RuleVerdict,
     evaluate_stream,
-    filter_packets,
     generate_stream,
     read_stream,
     write_stream,
 )
-from chids.errors import UnknownScenario, UnorderedStream
+from chids.errors import DataError, UnknownScenario, UnorderedStream
 
 CFG = RuleConfig()
 
@@ -138,6 +138,42 @@ class TestRules:
         with pytest.raises(UnorderedStream):
             evaluate_stream([ev(1.0), ev(0.5, msg="m2")], CFG)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"ts": float("nan")},
+            {"ts": float("inf")},
+            {"rssi": float("nan")},
+            {"rssi": float("-inf")},
+        ],
+    )
+    def test_non_finite_event_rejected(self, bad):
+        event = ev(**{"ts": 2.0, "msg": "m2", **bad})
+        with pytest.raises(DataError):
+            evaluate_stream([ev(1.0), event], CFG)
+
+    def test_verdict_order(self):
+        # Two receptions share a timestamp and expire on the same later
+        # event; their neighbor names sort opposite to their indices. Key
+        # (n3, m3) is disarmed by its forward and re-armed, so only its
+        # second arming may expire. Expiry verdicts precede the event's own.
+        events = [
+            ev(0.0, source="s1", neighbor="nb", msg="m1"),
+            ev(0.0, source="s2", neighbor="na", msg="m2"),
+            ev(0.5, source="s3", neighbor="n3", msg="m3"),
+            ev(0.8, kind=FORWARD, source="s3", neighbor="n3", msg="m3"),
+            ev(1.5, source="s3", neighbor="n3", msg="m3"),
+            ev(2.5, source="s4", neighbor="n4", msg="m4", rssi=-10.0),
+            ev(4.0, kind=COLLISION, source="env", msg="c0"),
+        ]
+        retx, radio = RULE_TAGS["retransmission"], RULE_TAGS["radio_range"]
+        assert evaluate_stream(events, CFG) == [
+            RuleVerdict(0, 0.0, "retransmission", retx, "nb:m1"),
+            RuleVerdict(1, 0.0, "retransmission", retx, "na:m2"),
+            RuleVerdict(5, 2.5, "radio_range", radio, "rssi"),
+            RuleVerdict(4, 1.5, "retransmission", retx, "n3:m3"),
+        ]
+
     def test_rule_ids_and_tags_complete(self):
         assert len(RULE_IDS) == 7
         assert set(RULE_TAGS) == set(RULE_IDS)
@@ -185,30 +221,6 @@ class TestMemoryContract:
         # window 10 s * 10 ev/s = 100 retained sightings plus touch queue,
         # pending and per-source scalars; far below the 2000-event stream
         assert peak < 450
-
-
-class TestFilterPackets:
-    def test_all_normal_passes(self):
-        records = list(range(10))
-        normal, abnormal = filter_packets(records, set())
-        assert normal == records and abnormal == []
-
-    def test_single_violation_forwarded(self):
-        records = list(range(10))
-        normal, abnormal = filter_packets(records, {4})
-        assert abnormal == [4]
-        assert normal == [0, 1, 2, 3, 5, 6, 7, 8, 9]
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_partition_exact(self, seed):
-        rng = random.Random(seed)
-        records = [f"r{i}" for i in range(100)]
-        flagged = {i for i in range(100) if rng.random() < 0.3}
-        normal, abnormal = filter_packets(records, flagged)
-        assert len(normal) + len(abnormal) == 100
-        assert set(normal) | set(abnormal) == set(records)
-        assert not (set(normal) & set(abnormal))
-        assert abnormal == [f"r{i}" for i in sorted(flagged)]
 
 
 class TestScenarios:

@@ -123,12 +123,13 @@ class TestSimulateDetect:
         )
         summary = (workdir / "detect_summary.txt").read_text()
         assert "flagged = 0" in summary and "misuse_invocations = 0" in summary
+        assert "verdicts." not in summary  # per-rule counts are stream-mode only
         assert (workdir / "alerts.log").read_text() == ""
 
     def test_detect_stream_flags_only_verdict_records(self, workdir, synth_corpus_path, capsys):
         # stream whose events align 1:1 with the first 100 records; one
         # hello-flood burst yields a handful of flagged positions
-        from chids.anomaly import AnomalyEvent, RuleConfig, evaluate_stream, write_stream
+        from chids.anomaly import RULE_IDS, AnomalyEvent, RuleConfig, evaluate_stream, write_stream
 
         events = []
         t = 0.0
@@ -137,8 +138,11 @@ class TestSimulateDetect:
             events.append(AnomalyEvent(t, "s1", "n1", "reception", f"m{k}", "d", -60.0))
         stream_path = workdir / "aligned.tsv"
         write_stream(events, stream_path)
-        expect_flagged = {v.event_index for v in evaluate_stream(events, RuleConfig())}
+        verdicts = evaluate_stream(events, RuleConfig())
+        expect_flagged = {v.event_index for v in verdicts}
         assert 0 < len(expect_flagged) < 100
+        per_rule = [sum(v.rule == r for v in verdicts) for r in RULE_IDS]
+        assert per_rule[RULE_IDS.index("interval")] > 0 and 0 in per_rule
 
         sample = workdir / "sample.kdd"
         lines = Path(synth_corpus_path).read_text().splitlines()[:100]
@@ -151,6 +155,65 @@ class TestSimulateDetect:
         summary = (workdir / "detect_summary.txt").read_text()
         assert f"flagged = {len(expect_flagged)}" in summary
         assert f"misuse_invocations = {len(expect_flagged)}" in summary
+        # all seven rules in RULE_IDS order, zeros included, at the end
+        expect_lines = [f"verdicts.{r} = {n}" for r, n in zip(RULE_IDS, per_rule)]
+        assert summary.splitlines()[-len(RULE_IDS):] == expect_lines
+
+    # Seed-0 verdict files pinned byte for byte: expired forwards must keep
+    # their (ts, event index) order, which set-based checks cannot see.
+    SIMULATE_SEED0_SHA256 = {
+        "benign": "adc33e43f605d5affe6e7cdddda06077d896ec7c36989ebbc8d8f95069ad5f8f",
+        "hello-flood": "cb714738e6ec67e5088d785f0318bdeaaab6a46792f0f2a6edfc0c1f3c5cdd19",
+        "selective-forwarding": "b216cb4d92d46123baed47187b7e32c7d30a6233931fe0023b136192243f6050",
+        "sinkhole": "beaeb85aa4277f1707873b4b2f06f9bb918f205f2ea22a725c07478669ead00b",
+        "modification": "b06505335e2d5df84330f1ae13a3cd2b24ee6e9932a5380e72d8d688ce2bbe0c",
+        "replay": "1152bf465feea8c50e801f1a0370fa6b1faf7109925945dfdab46bc6aa6b5c00",
+        "sybil": "6937d52bfa29c96afd74a520e8c606fe66ffe3165f03f5d18d3254a8f82a04f6",
+        "jamming": "4d4537e7a73b7b1e2172c136d8cc7286c5e8cbb8bc8cc69b1dbd9e1d2c4e1bcb",
+    }
+
+    def test_simulate_verdict_bytes_stable(self, tmp_path, capsys):
+        from chids.anomaly import SCENARIOS
+
+        assert set(self.SIMULATE_SEED0_SHA256) == set(SCENARIOS)
+        for scenario, expect in self.SIMULATE_SEED0_SHA256.items():
+            code, _, _ = run_cli(
+                ["simulate", "--scenario", scenario, "--seed", "0", "--out", str(tmp_path)], capsys
+            )
+            assert code == 0
+            got = hashlib.sha256((tmp_path / f"verdicts_{scenario}.tsv").read_bytes()).hexdigest()
+            assert got == expect, scenario
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "nan\ts1\tn1\treception\tm1\td\t-60.0",
+            "3.0\ts1\tn1\treception\tm1\td\tnan",
+            "3.0\ts1\tn1\treception\tm1\td",
+            "3.0\ts1\tn1\treception\tm1\td\t-60.0\textra",
+            "soon\ts1\tn1\treception\tm1\td\t-60.0",
+            "3.0\ts1\tn1\treception\tm1\td\tloud",
+        ],
+        ids=["nan-ts", "nan-rssi", "6-columns", "8-columns", "text-ts", "text-rssi"],
+    )
+    def test_detect_malformed_stream_exit_4(
+        self, workdir, synth_corpus_path, tmp_path, row, capsys
+    ):
+        from chids.anomaly import STREAM_MAGIC
+
+        stream_path = tmp_path / "bad.tsv"
+        stream_path.write_text(
+            f"{STREAM_MAGIC}\nts\tsource\tneighbor\tkind\tmsg_id\tdigest\trssi\n"
+            f"1.0\ts0\tn0\treception\tm0\td\t-60.0\n{row}\n"
+        )
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:10]) + "\n")
+        code, _, err = run_cli(
+            ["detect", "--input", str(sample), "--events", str(stream_path), "--out", str(workdir)],
+            capsys,
+        )
+        assert code == 4
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 class TestReportCommand:
