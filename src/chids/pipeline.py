@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anomaly import filter_packets
 from .errors import SinkUnavailable
 from .kdd import AttackClass, Dataset
 
@@ -66,20 +67,19 @@ def run_pipeline(
     """
     cfg = cfg or PipelineConfig()
     n = len(records)
-    flagged_idx = np.array(sorted(set(int(i) for i in flagged)), dtype=np.int64)
-    if flagged_idx.size and (flagged_idx[0] < 0 or flagged_idx[-1] >= n):
+    flagged = {int(i) for i in flagged}
+    if flagged and (min(flagged) < 0 or max(flagged) >= n):
         raise ValueError("flagged index out of range")
+    passed, flagged_idx = filter_packets(range(n), flagged)
     dispositions: list[Disposition | None] = [None] * n
 
-    flagged_set = set(flagged_idx.tolist())
-    for i in range(n):
-        if i not in flagged_set:
-            dispositions[i] = Disposition(i, PASSED_NORMAL, STAGE_ANOMALY)
+    for i in passed:
+        dispositions[i] = Disposition(i, PASSED_NORMAL, STAGE_ANOMALY)
 
-    if flagged_idx.size:
-        subset = records.take(flagged_idx)
+    if flagged_idx:
+        subset = records.take(np.array(flagged_idx, dtype=np.int64))
         predicted = model.predict_dataset(subset)
-        for j, i in enumerate(flagged_idx.tolist()):
+        for j, i in enumerate(flagged_idx):
             klass = AttackClass(int(predicted[j]))
             if klass != AttackClass.NORMAL:
                 dispositions[i] = Disposition(i, CLASSIFIED_ATTACK, STAGE_MISUSE, klass)
@@ -88,7 +88,7 @@ def run_pipeline(
             else:
                 dispositions[i] = Disposition(i, UNRESOLVED_ALERT, STAGE_DECISION)
 
-    return PipelineRun(tuple(dispositions), int(flagged_idx.size))
+    return PipelineRun(tuple(dispositions), len(flagged_idx))
 
 
 def emit_alerts(dispositions, sink) -> int:

@@ -16,6 +16,7 @@ from chids.anomaly import (
     StreamEngine,
     RuleVerdict,
     evaluate_stream,
+    filter_packets,
     generate_stream,
     read_stream,
     write_stream,
@@ -221,6 +222,30 @@ class TestMemoryContract:
         # window 10 s * 10 ev/s = 100 retained sightings plus touch queue,
         # pending and per-source scalars; far below the 2000-event stream
         assert peak < 450
+
+
+class TestFilterPackets:
+    def test_all_normal_passes(self):
+        records = list(range(10))
+        normal, abnormal = filter_packets(records, set())
+        assert normal == records and abnormal == []
+
+    def test_single_violation_forwarded(self):
+        records = list(range(10))
+        normal, abnormal = filter_packets(records, {4})
+        assert abnormal == [4]
+        assert normal == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_partition_exact(self, seed):
+        rng = random.Random(seed)
+        records = [f"r{i}" for i in range(100)]
+        flagged = {i for i in range(100) if rng.random() < 0.3}
+        normal, abnormal = filter_packets(records, flagged)
+        assert len(normal) + len(abnormal) == 100
+        assert set(normal) | set(abnormal) == set(records)
+        assert not (set(normal) & set(abnormal))
+        assert abnormal == [f"r{i}" for i in sorted(flagged)]
 
 
 class TestScenarios:
