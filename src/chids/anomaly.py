@@ -83,14 +83,12 @@ class RuleConfig:
 
     def __post_init__(self):
         if not (self.interval_lower < self.interval_upper):
-            raise ValueError("interval bounds must satisfy lower < upper")
+            raise ValueError("interval_lower must be below interval_upper")
         if not (self.rssi_min < self.rssi_max):
-            raise ValueError("rssi band must satisfy min < max")
-        for name in ("retransmission_deadline", "delay_window", "window"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("repetition_limit", "collision_limit", "max_sources_per_message"):
-            if getattr(self, name) <= 0:
+            raise ValueError("rssi_min must be below rssi_max")
+        for name in ("retransmission_deadline", "delay_window", "window", "repetition_limit",
+                     "collision_limit", "max_sources_per_message"):
+            if not getattr(self, name) > 0:  # also rejects nan
                 raise ValueError(f"{name} must be positive")
 
 
@@ -362,6 +360,7 @@ def generate_stream(
 
 
 STREAM_MAGIC = "#chids-stream v1"
+STREAM_HEADER = "ts\tsource\tneighbor\tkind\tmsg_id\tdigest\trssi"
 VERDICT_MAGIC = "#chids-verdicts v1"
 
 
@@ -369,7 +368,7 @@ def write_stream(events: Iterable[AnomalyEvent], path) -> None:
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(STREAM_MAGIC + "\n")
-            fh.write("ts\tsource\tneighbor\tkind\tmsg_id\tdigest\trssi\n")
+            fh.write(STREAM_HEADER + "\n")
             for e in events:
                 fh.write(
                     f"{e.ts!r}\t{e.source}\t{e.neighbor}\t{e.kind}\t{e.msg_id}\t{e.digest}\t{e.rssi!r}\n"
@@ -384,8 +383,12 @@ def read_stream(path) -> list[AnomalyEvent]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text: {exc.reason}") from None
     if not lines or lines[0] != STREAM_MAGIC:
         raise DataError(f"{path}: not a chids event stream")
+    if len(lines) < 2 or lines[1] != STREAM_HEADER:
+        raise DataError(f"{path}: line 2: expected the header row {STREAM_HEADER!r}")
     out = []
     for lineno, ln in enumerate(lines[2:], start=3):
         if not ln.strip():

@@ -22,19 +22,7 @@ from pathlib import Path
 from . import anomaly, evaluate as ev, kernels, learner, pipeline, preprocess, ranking
 from .config import RunConfig, apply_setting, load_config, render_config
 from .errors import ChidsError, ConfigError, IoError, MissingArtifact
-from .errors import UnknownLabel
-from .kdd import (
-    AttackClass,
-    Dataset,
-    FeatureSchema,
-    CACHE_MAGIC,
-    KddRecord,
-    classify_label,
-    load_cache,
-    load_dataset,
-    parse_record,
-    save_cache,
-)
+from .kdd import AttackClass, CACHE_MAGIC, Dataset, load_cache, load_dataset, save_cache
 
 TRAIN_FULL = "train_full.cache"
 TEST_FULL = "test_full.cache"
@@ -241,26 +229,14 @@ def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
 
 
 def _load_records_for_detect(path: Path) -> Dataset:
-    """Accept either a dataset cache or raw record lines. Labels are optional
-    on detect input; ones outside the taxonomy are treated as absent."""
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline().rstrip("\n")
-    if first == CACHE_MAGIC:
+    """Accept either a dataset cache or raw record lines, plain or gzip.
+    Labels are optional on raw input; ones outside the taxonomy are treated
+    as absent. The first bad line is fatal."""
+    with open(path, "rb") as fh:
+        first = fh.readline().rstrip(b"\r\n")
+    if first == CACHE_MAGIC.encode("ascii"):
         return load_cache(path)
-    schema = FeatureSchema.default()
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            r = parse_record(line, schema, allow_unlabeled=True)
-            if r.label is not None:
-                try:
-                    classify_label(r.label)
-                except UnknownLabel:
-                    r = KddRecord(r.values, None)
-            records.append(r)
-    return Dataset.from_records(records, schema)
+    return load_dataset(path, error_budget=0, labels_optional=True)
 
 
 def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:

@@ -105,6 +105,11 @@ class RunConfig:
         bad = set(self.split_minority) - known
         if bad:
             raise ConfigError(f"split.minority: unknown classes {sorted(bad)}")
+        for prefix, build in (("rules", self.rule_config), ("part", self.tree_params)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}.{exc}") from None
 
 
 # config-file key -> (dataclass field, coercion)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import gzip
+import itertools
 import json
 import logging
 import math
@@ -351,10 +352,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.numeric.shape[0]
 
-    @property
-    def n(self) -> int:
-        return len(self)
-
     def class_histogram(self) -> dict[AttackClass, int]:
         labeled = self.class_codes[self.class_codes >= 0]
         counts = np.bincount(labeled, minlength=N_CLASSES)
@@ -437,21 +434,9 @@ class Dataset:
         return cls(schema, numeric, nominal, labels, codes, taxonomy)
 
 
-def _first_sighting_codes(values: np.ndarray, existing: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Factorize string values, keeping `existing` symbol order and appending
-    unseen symbols in first-appearance order."""
-    uniq, first_pos, inverse = np.unique(values, return_index=True, return_inverse=True)
-    known = {s: i for i, s in enumerate(existing)}
-    vocab = list(existing)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    new_syms = [(first_pos[k], k) for k, u in enumerate(uniq) if u not in known]
-    for k, u in enumerate(uniq):
-        if u in known:
-            rank[k] = known[u]
-    for pos, k in sorted(new_syms):
-        rank[k] = len(vocab)
-        vocab.append(str(uniq[k]))
-    return rank[inverse], vocab
+# Lines per chunk for the cache writer and the record reader; small chunks
+# keep the split fields in cache and bound the transient memory.
+_CHUNK_ROWS = 256
 
 
 def _open_maybe_gzip(path):
@@ -462,136 +447,165 @@ def _open_maybe_gzip(path):
     return open(path, "rt", encoding="ascii", newline="")
 
 
+def _read_records(
+    fh,
+    schema: FeatureSchema,
+    taxonomy: ClassTaxonomy,
+    *,
+    error_budget: int = 0,
+    fixed_domains: bool = False,
+    labels_optional: bool = False,
+    unknown_unlabeled: bool = False,
+    line_no: int = 0,
+    chunk_lines: int = _CHUNK_ROWS,
+) -> Dataset:
+    """Parse the record lines left in `fh` into a Dataset, one chunk at a time.
+
+    Each line is split once; the chunk is then converted column by column.
+    Fields are whitespace-stripped. Nominal symbols are coded straight into
+    the schema's domains in first-sighting order (growing them unless
+    `fixed_domains`, where an unseen symbol raises UnknownNominalSymbol).
+    With `labels_optional`, lines without the label field are unlabeled
+    records; with `unknown_unlabeled`, so are labels outside the taxonomy.
+    Every other bad line is dropped and kept, once and in line order, on
+    `dataset.parse_errors`; the (error_budget + 1)-th raises
+    DatasetParseError.
+    """
+    n = schema.n_features
+    num_idx = [schema.names.index(name) for name in schema.numeric_names]
+    nom_idx = [schema.names.index(name) for name in schema.nominal_names]
+    numeric_parts: list[np.ndarray] = []
+    nominal_parts: list[np.ndarray] = []
+    labels: list[str | None] = []
+    class_codes: list[int] = []
+    errors: list[tuple[int, str]] = []
+    while True:
+        try:
+            lines = list(itertools.islice(fh, chunk_lines))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"line {line_no + 1} or later is not ASCII text: {exc.reason}") from None
+        if not lines:
+            break
+        rows, nos, bad = [], [], {}
+        for raw in lines:
+            line_no += 1
+            if raw.isspace():
+                continue
+            fields = raw.split(",")
+            if len(fields) != n + 1:
+                if len(fields) == n and labels_optional:
+                    fields.append(None)
+                else:
+                    bad[line_no] = f"expected {n + 1} fields, got {len(fields)}"
+                    continue
+            rows.append(fields)
+            nos.append(line_no)
+        cols = list(zip(*rows)) if rows else [()] * (n + 1)
+
+        num = np.empty((len(rows), len(num_idx)))
+        for j, k in enumerate(num_idx):
+            try:
+                num[:, j] = list(map(float, cols[k]))
+            except ValueError:
+                vals = []
+                for i, raw in enumerate(cols[k]):
+                    try:
+                        vals.append(float(raw))
+                    except ValueError:
+                        bad.setdefault(nos[i], f"feature {k}: not a number: {raw.strip()!r}")
+                        vals.append(math.nan)
+                num[:, j] = vals
+        for i, j in zip(*np.nonzero(~np.isfinite(num))):
+            bad.setdefault(nos[i], f"feature {num_idx[j]}: not finite")
+
+        label_of: dict = {None: None}
+        code_of: dict = {None: -1}
+        for raw in dict.fromkeys(cols[n]):
+            if raw is None:
+                continue
+            lab = raw.strip().lower()
+            if lab.endswith("."):
+                lab = lab[:-1]
+            cls_ = taxonomy.label_class.get(lab)
+            if cls_ is not None:
+                label_of[raw], code_of[raw] = lab, int(cls_)
+            elif unknown_unlabeled:
+                label_of[raw], code_of[raw] = None, -1
+            else:
+                for i, r in enumerate(cols[n]):
+                    if r == raw:
+                        bad.setdefault(nos[i], f"unknown label {lab!r}")
+
+        if bad:
+            errors += sorted(bad.items())
+            if len(errors) > error_budget:
+                raise DatasetParseError(errors[: error_budget + 1])
+            keep = [i for i, no in enumerate(nos) if no not in bad]
+            num = num[keep]
+            cols = [[col[i] for i in keep] for col in cols]
+            nos = [nos[i] for i in keep]
+        nom = np.empty((len(nos), len(nom_idx)), dtype=np.int32)
+        for j, (name, k) in enumerate(zip(schema.nominal_names, nom_idx)):
+            sym_code = {}
+            for raw in dict.fromkeys(cols[k]):
+                c = schema.code(name, raw.strip(), add=not fixed_domains)
+                if c < 0:
+                    no = nos[cols[k].index(raw)]
+                    raise UnknownNominalSymbol(
+                        f"line {no}: feature {name}: unknown symbol {raw.strip()!r}"
+                    )
+                sym_code[raw] = c
+            nom[:, j] = list(map(sym_code.__getitem__, cols[k]))
+        numeric_parts.append(num)
+        nominal_parts.append(nom)
+        labels += map(label_of.__getitem__, cols[n])
+        class_codes += map(code_of.__getitem__, cols[n])
+
+    if not numeric_parts:
+        numeric_parts.append(np.empty((0, len(num_idx))))
+        nominal_parts.append(np.empty((0, len(nom_idx)), dtype=np.int32))
+    ds = Dataset(
+        schema,
+        np.concatenate(numeric_parts),
+        np.concatenate(nominal_parts),
+        np.array(labels, dtype=object),
+        np.array(class_codes, dtype=np.int32),
+        taxonomy,
+    )
+    ds.parse_errors = errors
+    return ds
+
+
 def load_dataset(
     path,
     schema: FeatureSchema | None = None,
     taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY,
     strict: bool = False,
     error_budget: int = 100,
-    chunk_lines: int = 131072,
+    labels_optional: bool = False,
 ) -> Dataset:
     """Load a KDD-format file (plain or gzip) into a columnar Dataset.
 
     Bad lines are collected with their line numbers and skipped; once more
     than `error_budget` accumulate (or immediately, in strict mode) the load
     aborts with DatasetParseError. Surviving errors are kept on
-    `dataset.parse_errors`.
+    `dataset.parse_errors`. Strict mode also keeps the schema's domains
+    fixed. With `labels_optional`, 41-field lines and labels outside the
+    taxonomy load as unlabeled records instead of bad lines.
     """
     schema = schema if schema is not None else FeatureSchema.default()
-    n_feat = schema.n_features
-    num_slots = [schema.slot[f.name][1] if f.kind == NUMERIC else -1 for f in schema.features]
-    errors: list[tuple[int, str]] = []
-
-    def note(line_no, msg):
-        errors.append((line_no, msg))
-        if strict or len(errors) > error_budget:
-            raise DatasetParseError(errors)
-
-    numeric_chunks: list[np.ndarray] = []
-    nominal_raw: list[list[np.ndarray]] = [[] for _ in schema.nominal_names]
-    label_chunks: list[np.ndarray] = []
-    code_chunks: list[np.ndarray] = []
-
     try:
         fh = _open_maybe_gzip(path)
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-
     with fh:
-        line_no = 0
-        while True:
-            lines = fh.readlines(chunk_lines * 64)
-            if not lines:
-                break
-            rows = []
-            for raw in lines:
-                line_no += 1
-                s = raw.rstrip("\r\n")
-                if not s.strip():
-                    continue
-                fields = s.split(",")
-                if len(fields) != n_feat + 1:
-                    note(line_no, f"expected {n_feat + 1} fields, got {len(fields)}")
-                    continue
-                rows.append((line_no, fields))
-            if not rows:
-                continue
-
-            # Numeric columns: vectorized parse, with a per-value rescue pass
-            # to locate offenders when the bulk conversion fails.
-            cols = list(zip(*(flds for _, flds in rows)))
-            keep = np.ones(len(rows), dtype=bool)
-            num_mat = np.zeros((len(rows), schema.n_numeric))
-            for f in schema.features:
-                if f.kind != NUMERIC:
-                    continue
-                col = np.array(cols[f.index])
-                j = num_slots[f.index]
-                try:
-                    vals = col.astype(np.float64)
-                except ValueError:
-                    vals = np.zeros(len(rows))
-                    for i, raw in enumerate(col):
-                        try:
-                            vals[i] = float(raw)
-                        except ValueError:
-                            note(rows[i][0], f"feature {f.index}: not a number: {raw!r}")
-                            keep[i] = False
-                bad = ~np.isfinite(vals)
-                if bad.any():
-                    for i in np.flatnonzero(bad):
-                        if keep[i]:
-                            note(rows[i][0], f"feature {f.index}: not finite")
-                            keep[i] = False
-                num_mat[:, j] = vals
-
-            # Labels: strip trailing period, lower-case, classify.
-            labs = np.array([flds[n_feat].strip() for _, flds in rows], dtype=object)
-            labs = np.array([l[:-1].lower() if l.endswith(".") else l.lower() for l in labs], dtype=object)
-            codes = np.full(len(rows), -1, dtype=np.int32)
-            for i, l in enumerate(labs):
-                cls_ = taxonomy.label_class.get(l)
-                if cls_ is None:
-                    note(rows[i][0], f"unknown label {l!r}")
-                    keep[i] = False
-                else:
-                    codes[i] = int(cls_)
-
-            kept = np.flatnonzero(keep)
-            numeric_chunks.append(num_mat[kept])
-            label_chunks.append(labs[kept])
-            code_chunks.append(codes[kept])
-            for jn, name in enumerate(schema.nominal_names):
-                idx = schema.names.index(name)
-                nominal_raw[jn].append(np.array(cols[idx], dtype="U32")[kept])
-
-    if numeric_chunks:
-        numeric = np.concatenate(numeric_chunks)
-        labels = np.concatenate(label_chunks)
-        class_codes = np.concatenate(code_chunks)
-        n = numeric.shape[0]
-        nominal = np.zeros((n, schema.n_nominal), dtype=np.int32)
-        for jn, name in enumerate(schema.nominal_names):
-            col = np.concatenate(nominal_raw[jn]) if nominal_raw[jn] else np.array([], dtype="U32")
-            if strict:
-                known = set(schema.domains[name])
-                unseen = set(col.tolist()) - known
-                if unseen:
-                    raise UnknownNominalSymbol(f"feature {name}: unknown symbols {sorted(unseen)!r}")
-            codes_col, vocab = _first_sighting_codes(col, schema.domains[name])
-            schema.domains[name][:] = vocab
-            schema._codes[name] = {s: i for i, s in enumerate(vocab)}
-            nominal[:, jn] = codes_col
-    else:
-        numeric = np.zeros((0, schema.n_numeric))
-        nominal = np.zeros((0, schema.n_nominal), dtype=np.int32)
-        labels = np.empty(0, dtype=object)
-        class_codes = np.zeros(0, dtype=np.int32)
-
-    ds = Dataset(schema, numeric, nominal, labels, class_codes, taxonomy)
-    ds.parse_errors = errors
-    if errors:
-        log.warning("%s: skipped %d bad line(s)", path, len(errors))
+        ds = _read_records(
+            fh, schema, taxonomy, error_budget=0 if strict else error_budget,
+            fixed_domains=strict, labels_optional=labels_optional,
+            unknown_unlabeled=labels_optional,
+        )
+    if ds.parse_errors:
+        log.warning("%s: skipped %d bad line(s)", path, len(ds.parse_errors))
     return ds
 
 
@@ -599,18 +613,38 @@ CACHE_MAGIC = "#chids-dataset v1"
 
 
 def save_cache(ds: Dataset, path) -> None:
-    """Write a dataset to the versioned delimited cache format."""
+    """Write a dataset to the versioned delimited cache format.
+
+    Rows are `serialize_record` lines (floats via repr, nominal values as
+    their symbols), built column by column.
+    """
+    schema = ds.schema
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(CACHE_MAGIC + "\n")
-            fh.write("#schema " + json.dumps(ds.schema.to_json_obj(), separators=(",", ":")) + "\n")
-            for r in ds.iter_records():
-                fh.write(serialize_record(r) + "\n")
+            fh.write("#schema " + json.dumps(schema.to_json_obj(), separators=(",", ":")) + "\n")
+            for start in range(0, len(ds), _CHUNK_ROWS):
+                stop = start + _CHUNK_ROWS
+                cols = []
+                for f in schema.features:
+                    kind, j = schema.slot[f.name]
+                    if kind == NUMERIC:
+                        cols.append(map(repr, ds.numeric[start:stop, j].tolist()))
+                    else:
+                        cols.append(map(schema.domains[f.name].__getitem__, ds.nominal[start:stop, j].tolist()))
+                labels = ds.labels[start:stop].tolist()
+                if None in labels:  # unlabeled rows end with their last feature
+                    rows = (r if lab is None else r + (lab,) for r, lab in zip(zip(*cols), labels))
+                else:
+                    rows = zip(*cols, labels)
+                fh.write("".join([",".join(r) + "\n" for r in rows]))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def load_cache(path, taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY) -> Dataset:
+    """Read a cache written by save_cache. Its domains are fixed, unlabeled
+    rows are allowed, and the first bad line raises DatasetParseError."""
     try:
         fh = open(path, "r", encoding="ascii")
     except OSError as exc:
@@ -622,10 +656,9 @@ def load_cache(path, taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY) -> Dataset:
         schema_line = fh.readline().rstrip("\n")
         if not schema_line.startswith("#schema "):
             raise DataError(f"{path}: missing schema header")
-        schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
-        records = []
-        for line in fh:
-            if not line.strip():
-                continue
-            records.append(parse_record(line, schema, strict=True, allow_unlabeled=True))
-    return Dataset.from_records(records, schema, taxonomy)
+        try:
+            schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: bad schema header: {exc}") from None
+        return _read_records(fh, schema, taxonomy, fixed_domains=True, labels_optional=True,
+                             line_no=2)

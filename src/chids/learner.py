@@ -29,6 +29,12 @@ class TreeParams:
     confidence: float = 0.25   # pessimistic-error confidence factor
     prune: bool = True
 
+    def __post_init__(self):
+        if not self.min_leaf >= 1:
+            raise ValueError("min_leaf must be >= 1")
+        if not 0 < self.confidence <= 0.5:
+            raise ValueError("confidence must be in (0, 0.5]")
+
 
 class Leaf:
     __slots__ = ("dist", "klass")
@@ -673,8 +679,20 @@ def load_model(path):
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text: {exc.reason}") from None
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a chids model file")
+    try:
+        return _parse_model(lines)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (IndexError, KeyError, ValueError) as exc:
+        # truncated lines, unknown class tags, non-numeric thresholds or counts
+        raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
+
+
+def _parse_model(lines: list[str]):
     kind = lines[1].split(" ", 1)[1]
     pairs = [p.split(":") for p in lines[2].split(" ", 1)[1].split(",")]
     names = tuple(p[0] for p in pairs)
@@ -690,4 +708,4 @@ def load_model(path):
     if kind == "tree":
         root, _ = _parse_nodes(body, 0, 0)
         return DecisionTree(root, names, kinds)
-    raise DataError(f"{path}: unknown model kind {kind!r}")
+    raise DataError(f"unknown model kind {kind!r}")

@@ -11,6 +11,7 @@ from chids.anomaly import (
     RULE_TAGS,
     SCENARIO_RULE,
     SCENARIOS,
+    STREAM_MAGIC,
     AnomalyEvent,
     RuleConfig,
     StreamEngine,
@@ -283,6 +284,16 @@ class TestStreamIo:
         p = tmp_path / "stream.tsv"
         write_stream(events, p)
         assert read_stream(p) == events
+
+    def test_missing_header_row_rejected(self, tmp_path):
+        # without the check, the first event was taken for the header
+        p = tmp_path / "stream.tsv"
+        p.write_text(
+            f"{STREAM_MAGIC}\n1.0\ts0\tn0\treception\tm0\td\t-60.0\n"
+            "2.0\ts0\tn0\treception\tm1\td\t-60.0\n"
+        )
+        with pytest.raises(DataError, match="line 2"):
+            read_stream(p)
 
 
 class TestRuleConfigValidation:

@@ -1,6 +1,9 @@
+import gzip
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +219,153 @@ class TestSimulateDetect:
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+    def test_detect_stream_without_header_row_exit_4(self, workdir, tmp_path, capsys):
+        from chids.anomaly import STREAM_MAGIC
+
+        stream_path = tmp_path / "headless.tsv"
+        stream_path.write_text(
+            f"{STREAM_MAGIC}\n1.0\ts0\tn0\treception\tm0\td\t-60.0\n"
+            "2.0\ts0\tn0\treception\tm1\td\t-60.0\n"
+        )
+        code, _, err = run_cli(
+            ["detect", "--input", str(workdir / "test.cache"), "--events", str(stream_path),
+             "--out", str(workdir)],
+            capsys,
+        )
+        assert code == 4
+        assert "line 2" in err and len(err.splitlines()) == 1
+
+
+def _detect_dir(workdir: Path, tmp_path: Path) -> Path:
+    """A fresh output directory holding only what detect needs."""
+    out = tmp_path / "det"
+    out.mkdir()
+    for name in ("model.txt", "transform.json"):
+        shutil.copy(workdir / name, out / name)
+    return out
+
+
+def _summary(out: Path) -> dict:
+    lines = (out / "detect_summary.txt").read_text().splitlines()[1:]
+    return {k: int(v) for k, v in (ln.split(" = ") for ln in lines)}
+
+
+class TestDetectInput:
+    def test_gzipped_raw_input(self, workdir, synth_corpus_path, tmp_path, capsys):
+        plain = _detect_dir(workdir, tmp_path)
+        assert main(["detect", "--input", str(synth_corpus_path), "--out", str(plain)]) == 0
+        packed = tmp_path / "synth.kdd.gz"
+        with gzip.open(packed, "wb") as fh:
+            fh.write(Path(synth_corpus_path).read_bytes())
+        zipped = tmp_path / "zipped"
+        shutil.copytree(plain, zipped)
+        code, _, _ = run_cli(["detect", "--input", str(packed), "--out", str(zipped)], capsys)
+        assert code == 0
+        for name in ("detect_summary.txt", "dispositions.tsv", "alerts.log"):
+            assert (zipped / name).read_bytes() == (plain / name).read_bytes(), name
+
+    def test_unlabeled_and_unknown_label_lines(self, workdir, synth_corpus_path, tmp_path, capsys):
+        out = _detect_dir(workdir, tmp_path)
+        lines = Path(synth_corpus_path).read_text().splitlines()[:30]
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("\n".join(lines) + "\n")
+        assert main(["detect", "--input", str(sample), "--out", str(out)]) == 0
+        labeled = (out / "dispositions.tsv").read_bytes()
+        unlabeled = [ln.rsplit(",", 1)[0] for ln in lines[:10]]
+        unknown = [ln.rsplit(",", 1)[0] + ",quantum_worm." for ln in lines[10:20]]
+        sample.write_text("\n".join(unlabeled + unknown + lines[20:]) + "\n")
+        code, _, _ = run_cli(["detect", "--input", str(sample), "--out", str(out)], capsys)
+        assert code == 0
+        assert _summary(out)["records"] == 30
+        # labels play no part in the verdicts
+        assert (out / "dispositions.tsv").read_bytes() == labeled
+        # ... but oracle mode needs them, so these records did load unlabeled
+        code, _, err = run_cli(
+            ["detect", "--input", str(sample), "--out", str(out), "--set", "detect.mode=oracle"],
+            capsys,
+        )
+        assert code == 2 and "labeled" in err
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["0,tcp", "{line},extra", "{numeric}", "{nan}"],
+        ids=["short", "43-fields", "text-number", "nan-number"],
+    )
+    def test_malformed_line_exit_4(self, workdir, synth_corpus_path, tmp_path, bad, capsys):
+        out = _detect_dir(workdir, tmp_path)
+        lines = Path(synth_corpus_path).read_text().splitlines()[:10]
+        fields = lines[0].split(",")
+        bad = bad.format(
+            line=lines[0],
+            numeric=",".join(fields[:4] + ["many"] + fields[5:]),
+            nan=",".join(fields[:4] + ["nan"] + fields[5:]),
+        )
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("\n".join(lines[:5] + [bad] + lines[5:]) + "\n")
+        code, _, err = run_cli(["detect", "--input", str(sample), "--out", str(out)], capsys)
+        assert code == 4
+        assert "line 6" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+class TestPinnedOutputs:
+    # Taken before caches were written column by column and detect input
+    # went through the chunked reader; both must keep these bytes.
+    SHA256 = {
+        "train_full.cache": "a8a12dffd0d156302e1ac51bad5b3329a5a9fb025e6d6ebc2c303389b6dcf972",
+        "test_full.cache": "73a655e8fd0d8f32a2e86d967829c5f86ef983be914d7d8ad2c9b6586a8f77d3",
+        "train.cache": "c76e80f09d7adf7b00edd90b1f7cf6108c1546ae0e0d6e98d7cc8cc1c5251e1c",
+        "test.cache": "43b3654c20ad9a358ad8b28644478fd37dbea7bb9b16cec87bd9837fdb616842",
+        "dispositions.tsv": "c73b343348e591472245fc6a42e416c78e74a84f60e2fcdbac37b36212affff3",
+        "alerts.log": "cc903754924e5e072de5225a066bc513fdd11693739dfaafdce6a7b4f974cb8b",
+    }
+
+    def test_caches_and_detect_outputs(self, workdir, synth_corpus_path, tmp_path, capsys):
+        out = _detect_dir(workdir, tmp_path)
+        assert main(["detect", "--input", str(synth_corpus_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name, expect in self.SHA256.items():
+            path = (out if name in ("dispositions.tsv", "alerts.log") else workdir) / name
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expect, name
+
+
+class TestModelFileHardening:
+    TREE = (
+        "#chids-model v1\nkind tree\nfeatures count:numeric\n"
+        "split numeric count {threshold} majority=0 dist={dist}\n"
+        " leaf normal dist=3,0,0,0,0\n leaf dos dist=0,2,0,0,0\n"
+    )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[:16],
+            lambda text: text[:30],
+            lambda text: text[:60],
+            lambda text: text[:100],
+            lambda text: "".join(text.splitlines(True)[:3]),
+            lambda text: re.sub(r"count (<=|>) \S+", "count <= abc", text, count=1),
+            lambda text: text.replace("THEN dos", "THEN worm", 1),
+            lambda text: TestModelFileHardening.TREE.format(threshold="abc", dist="3,2,0,0,0"),
+            lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,x,0,0,0"),
+            lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,2,0,0,0")
+            .rsplit("\n", 2)[0],
+        ],
+        ids=["cut16", "cut30", "cut60", "cut100", "three-lines", "text-threshold",
+             "unknown-class", "tree-threshold", "tree-dist", "tree-missing-child"],
+    )
+    def test_evaluate_exit_4(self, workdir, tmp_path, corrupt, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        shutil.copy(workdir / "test.cache", out / "test.cache")
+        text = (workdir / "model.txt").read_text()
+        (out / "model.txt").write_text(corrupt(text))
+        code, _, err = run_cli(["evaluate", "--out", str(out)], capsys)
+        assert code == 4
+        assert "model.txt" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 class TestReportCommand:
     def test_report_rerenders(self, workdir, capsys):
         code, _, _ = run_cli(["evaluate", "--out", str(workdir)], capsys)
@@ -238,6 +388,23 @@ class TestConfigCommand:
     def test_bad_set_key(self, capsys):
         code, _, err = run_cli(["config", "--set", "bogus.key=1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["rules.window=-1", "rules.window=nan", "rules.retransmission_deadline=0",
+         "rules.repetition_limit=0", "rules.interval_lower=31", "rules.rssi_max=-100",
+         "part.confidence=0", "part.confidence=0.51", "part.confidence=nan", "part.min_leaf=0"],
+    )
+    def test_out_of_range_value_exit_2(self, setting, capsys):
+        code, out, err = run_cli(["config", "--set", setting], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("chids: " + setting.split(".")[0] + ".")
+
+    def test_range_edges_accepted(self, capsys):
+        code, _, _ = run_cli(
+            ["config", "--set", "part.confidence=0.5", "--set", "part.min_leaf=1"], capsys
+        )
+        assert code == 0
 
     def test_stdout_carries_only_data(self, workdir, capsys):
         code, out, err = run_cli(["evaluate", "--out", str(workdir)], capsys)

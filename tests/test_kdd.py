@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chids.errors import (
+    DataError,
     DatasetParseError,
     FieldCountMismatch,
     IoError,
@@ -253,3 +254,112 @@ class TestStrictLoad:
         line = make_line().rsplit(",", 1)[0]
         r = parse_record(line, s, allow_unlabeled=True)
         assert parse_record(serialize_record(r), s, allow_unlabeled=True) == r
+
+
+class TestColumnarReader:
+    def test_long_nominal_symbols_stay_distinct(self, tmp_path):
+        # equal in their first 32 characters
+        a, b = "svc_" + "x" * 40, "svc_" + "x" * 39 + "y"
+        p = tmp_path / "long.kdd"
+        p.write_text(make_line(service=a) + "\n" + make_line(service=b) + "\n")
+        ds = load_dataset(p)
+        assert ds.schema.domains["service"] == [a, b]
+        assert ds.column("service").tolist() == [0, 1]
+
+    def test_padded_fields_are_stripped(self, tmp_path):
+        p = tmp_path / "padded.kdd"
+        p.write_text(
+            make_line(service=" http ", src_bytes=" 181 ", label=" normal. ") + "\n"
+            + make_line() + "\n"
+        )
+        ds = load_dataset(p)
+        assert ds.schema.domains["service"] == ["http"]
+        assert list(ds.labels) == ["normal", "normal"]
+        assert ds.row_keys()[0] == ds.row_keys()[1]
+
+    def test_one_error_per_bad_line_in_line_order(self, tmp_path):
+        p = tmp_path / "mixed.kdd"
+        two_bad = make_line(src_bytes="oops").replace(",1.00,", ",nan,")
+        p.write_text("\n".join([
+            make_line(),
+            make_line(label="quantum_worm."),
+            two_bad,
+            "x,y",
+            make_line(src_bytes="inf"),
+        ]) + "\n")
+        ds = load_dataset(p)
+        assert len(ds) == 1
+        assert ds.parse_errors == [
+            (2, "unknown label 'quantum_worm'"),
+            (3, "feature 4: not a number: 'oops'"),
+            (4, "expected 42 fields, got 2"),
+            (5, "feature 4: not finite"),
+        ]
+
+    def test_non_ascii_input_is_a_data_error(self, tmp_path):
+        p = tmp_path / "latin.kdd"
+        p.write_bytes((make_line() + "\n" + make_line(service="h\xe9") + "\n").encode("latin-1"))
+        with pytest.raises(DataError, match="not ASCII"):
+            load_dataset(p)
+
+    def test_chunking_does_not_change_the_result(self, tmp_path):
+        from chids.kdd import _read_records
+
+        p = tmp_path / "mix.kdd"
+        services = ["smtp", "http", "x" * 50, "smtp", "ftp", "http", "other"]
+        labels = ["normal.", "smurf.", "nope.", "phf.", "perl.", "normal.", "back."]
+        p.write_text("".join(make_line(service=s, label=l) + "\n" for s, l in zip(services, labels)))
+
+        def read(chunk_lines):
+            with open(p) as fh:
+                return _read_records(fh, FeatureSchema.default(), DEFAULT_TAXONOMY,
+                                     error_budget=1, chunk_lines=chunk_lines)
+
+        whole, chunked = read(100), read(2)
+        assert whole.parse_errors == chunked.parse_errors == [(3, "unknown label 'nope'")]
+        assert whole.schema.domains == chunked.schema.domains
+        assert whole.schema.domains["service"] == ["smtp", "http", "ftp", "other"]
+        assert np.array_equal(whole.numeric, chunked.numeric)
+        assert np.array_equal(whole.nominal, chunked.nominal)
+        assert list(whole.labels) == list(chunked.labels)
+        assert np.array_equal(whole.class_codes, chunked.class_codes)
+
+
+class TestCacheFormat:
+    def mixed_dataset(self):
+        s = FeatureSchema.default()
+        lines = [make_line(), make_line(service="private", src_bytes="0.1", label="neptune.")]
+        records = [parse_record(ln, s) for ln in lines]
+        records.append(parse_record(make_line(src_bytes="1e-7").rsplit(",", 1)[0], s,
+                                    allow_unlabeled=True))
+        return Dataset.from_records(records, s)
+
+    def test_rows_are_serialized_records(self, tmp_path):
+        ds = self.mixed_dataset()
+        cache = tmp_path / "mixed.cache"
+        save_cache(ds, cache)
+        rows = cache.read_text().splitlines()[2:]
+        assert rows == [serialize_record(r) for r in ds.iter_records()]
+        back = load_cache(cache)
+        assert list(back.labels) == ["normal", "neptune", None]
+        assert back.class_codes.tolist() == [0, 1, -1]
+        assert np.array_equal(back.numeric, ds.numeric)
+
+    def test_bad_line_is_fatal_with_its_number(self, tmp_path):
+        cache = tmp_path / "bad.cache"
+        save_cache(self.mixed_dataset(), cache)
+        with open(cache, "a") as fh:
+            fh.write(make_line(src_bytes="oops") + "\n")
+        with pytest.raises(DatasetParseError, match="line 6: feature 4"):
+            load_cache(cache)
+
+    def test_unknown_symbol_and_label_rejected(self, tmp_path):
+        cache = tmp_path / "bad.cache"
+        save_cache(self.mixed_dataset(), cache)
+        good = cache.read_text()
+        cache.write_text(good + make_line(service="gopher") + "\n")
+        with pytest.raises(UnknownNominalSymbol, match="gopher"):
+            load_cache(cache)
+        cache.write_text(good + make_line(label="quantum_worm") + "\n")
+        with pytest.raises(DatasetParseError, match="unknown label"):
+            load_cache(cache)
