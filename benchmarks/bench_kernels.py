@@ -1,15 +1,11 @@
-"""Benchmark: compiled entropy-scan kernel vs the pure-Python fallback.
+"""Benchmark: the entropy-scan kernel and an end-to-end PART training run.
 
-Run `python benchmarks/bench_kernels.py`; it re-executes itself once per
-backend (CHIDS_PURE_PYTHON=1 forces the fallback) and prints a comparison
-table covering the raw kernel and an end-to-end PART training run. When the
-compiled extension is not built, it measures the pure kernel once and prints
-no speedup column.
+Run `PYTHONPATH=src python benchmarks/bench_kernels.py`; it times
+`kernels.best_group_cut` on group-count matrices of growing size and PART
+on an 8000-record synthetic training set, in this process, and prints one
+line per measurement.
 """
 
-import json
-import os
-import subprocess
 import sys
 import time
 
@@ -22,7 +18,7 @@ def measure() -> dict:
     from chids.learner import train_part
 
     rng = np.random.default_rng(1)
-    results = {"backend": kernels.backend_name()}
+    results = {}
 
     # raw kernel: group-count matrices of growing size
     for g in (100, 1000, 10000):
@@ -50,46 +46,14 @@ def measure() -> dict:
     return results
 
 
-def measure_in_child(pure: bool) -> dict:
-    env = dict(os.environ)
-    env.pop("CHIDS_PURE_PYTHON", None)
-    if pure:
-        env["CHIDS_PURE_PYTHON"] = "1"
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--measure"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def main() -> int:
-    if len(sys.argv) > 1 and sys.argv[1] == "--measure":
-        print(json.dumps(measure()))
-        return 0
-
-    rows = [measure_in_child(pure=False)]
-    # Without the compiled extension the default run already used the pure
-    # kernel; a second pure run would only time noise against itself.
-    if rows[0]["backend"] != "pure-python":
-        rows.append(measure_in_child(pure=True))
-
-    keys = [k for k in rows[0] if k not in ("backend", "part_rules")]
-    name_w = max(len(k) for k in keys) + 2
-    header = f"{'metric':<{name_w}}" + "".join(f"{r['backend']:>16}" for r in rows)
-    print(header + (f"{'speedup':>10}" if len(rows) == 2 else ""))
-    for k in keys:
+    results = measure()
+    rules = results.pop("part_rules")
+    name_w = max(len(k) for k in results) + 2
+    for k, v in results.items():
         unit = "us" if k.endswith("_us") else "s"
-        line = f"{k:<{name_w}}" + "".join(f"{r[k]:>14.2f}{unit:>2}" for r in rows)
-        if len(rows) == 2:
-            line += f"{rows[1][k] / rows[0][k]:>9.1f}x"
-        print(line)
-    if len(rows) == 1:
-        print(f"(compiled extension not built: pure kernel only, {rows[0]['part_rules']} rules)")
-        return 0
-    if rows[0]["part_rules"] != rows[1]["part_rules"]:
-        print("WARNING: backends produced different rule counts")
-        return 1
-    print(f"(identical models: {rows[0]['part_rules']} rules from both backends)")
+        print(f"{k:<{name_w}}{v:>14.2f}{unit:>3}")
+    print(f"(PART learned {rules} rules)")
     return 0
 
 

@@ -19,9 +19,9 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from . import anomaly, evaluate as ev, kernels, learner, pipeline, preprocess, ranking
+from . import anomaly, evaluate as ev, learner, pipeline, preprocess, ranking
 from .config import RunConfig, apply_setting, load_config, render_config
-from .errors import ChidsError, ConfigError, IoError, MissingArtifact
+from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact
 from .kdd import AttackClass, CACHE_MAGIC, Dataset, load_cache, load_dataset, save_cache
 
 TRAIN_FULL = "train_full.cache"
@@ -158,7 +158,7 @@ _TRAINERS = {
 def cmd_train(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     train = load_cache(_need(out / TRAIN_CACHE, "chids preprocess"))
-    _err(f"training {cfg.model_kind} on {len(train)} records (backend: {kernels.backend_name()})")
+    _err(f"training {cfg.model_kind} on {len(train)} records")
     t0 = time.perf_counter()
     model = _TRAINERS[cfg.model_kind](train, cfg)
     elapsed = time.perf_counter() - t0
@@ -209,8 +209,14 @@ def _load_rank_scores(path: Path):
     for i, ln in enumerate(path.read_text().splitlines()[1:]):
         if ln.startswith("#") or not ln.strip():
             continue
-        _, feature, method, score = ln.split("\t")
-        scores.append(ranking.FeatureScore(feature, i, float(score), method))
+        try:
+            _, feature, method, score = ln.split("\t")
+            scores.append(ranking.FeatureScore(feature, i, float(score), method))
+        except ValueError:
+            raise DataError(
+                f"{path}: line {i + 2}: want 4 tab-separated fields ending in a numeric score, "
+                f"got {ln!r}"
+            ) from None
     return scores
 
 

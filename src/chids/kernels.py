@@ -1,11 +1,46 @@
-"""Pure-Python fallback for the entropy-scan kernel.
+"""Entropy-scan kernels for numeric split search.
 
-This is a statement-for-statement twin of chids._speedups: both walk the
-candidate cut positions in the same order and evaluate the same IEEE-754
-expression sequence, so cut choices are bit-identical across backends.
+`group_counts` folds a column into per-value class histograms and
+`best_group_cut` scans those histograms for the information-gain-maximal
+binary cut. Both are integer-exact up to the entropy sums, which are
+evaluated in a fixed order, so a given training set always yields the same
+cuts, bit for bit.
 """
 
+from __future__ import annotations
+
 from math import log2
+
+import numpy as np
+
+
+def backend_name() -> str:
+    return "pure-python"
+
+
+def group_counts(values: np.ndarray, classes: np.ndarray, n_classes: int):
+    """Aggregate records into distinct-value groups, sorted ascending.
+
+    Returns (group_values, counts) where counts[i, c] is the number of
+    records with value group_values[i] and class c. Integer-exact.
+    """
+    values = np.asarray(values)
+    classes = np.asarray(classes, dtype=np.int64)
+    # counts are aggregated per distinct value, so sort stability is irrelevant
+    order = np.argsort(values)
+    v = values[order]
+    y = classes[order]
+    n = v.size
+    if n == 0:
+        return v, np.zeros((0, n_classes), dtype=np.int64)
+    is_start = np.empty(n, dtype=bool)
+    is_start[0] = True
+    np.not_equal(v[1:], v[:-1], out=is_start[1:])
+    gidx = np.cumsum(is_start) - 1
+    g = int(gidx[-1]) + 1
+    group_values = v[is_start]
+    counts = np.bincount(gidx * n_classes + y, minlength=g * n_classes).reshape(g, n_classes)
+    return group_values, counts
 
 
 def best_group_cut(counts, min_each_side):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, IoError, SchemaMismatch
-from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, KddRecord, N_CLASSES
+from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, N_CLASSES
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,6 @@ class _ModelBase:
         ) != self.feature_kinds:
             raise SchemaMismatch("dataset schema differs from the model's training schema")
 
-    def _check_record(self, record: KddRecord) -> None:
-        if len(record.values) != len(self.feature_names):
-            raise SchemaMismatch(
-                f"record has {len(record.values)} values, model expects {len(self.feature_names)}"
-            )
-
 
 class MajorityModel(_ModelBase):
     """Predicts the majority training class unconditionally."""
@@ -102,10 +96,6 @@ class MajorityModel(_ModelBase):
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         self._check(ds)
         return np.full(len(ds), int(self.klass), dtype=np.int32)
-
-    def predict_record(self, record: KddRecord) -> AttackClass:
-        self._check_record(record)
-        return self.klass
 
 
 class DecisionTree(_ModelBase):
@@ -146,21 +136,6 @@ class DecisionTree(_ModelBase):
             for ci, child in enumerate(node.children):
                 self._route(child, ds, idx[assign == ci], out)
 
-    def predict_record(self, record: KddRecord) -> AttackClass:
-        self._check_record(record)
-        pos = {n: i for i, n in enumerate(self.feature_names)}
-        node = self.root
-        while isinstance(node, Split):
-            v = record.values[pos[node.feature]]
-            if node.kind == NUMERIC:
-                node = node.children[0] if float(v) <= node.threshold else node.children[1]
-            else:
-                try:
-                    node = node.children[node.symbols.index(str(v))]
-                except ValueError:
-                    node = node.children[node.majority_child]
-        return node.klass
-
 
 class RuleSet(_ModelBase):
     """Ordered decision list; the first matching rule wins, otherwise the
@@ -173,55 +148,17 @@ class RuleSet(_ModelBase):
         self.rules = tuple(rules)
         self.default = default
 
-    def _test_mask(self, ds: Dataset, test: RuleTest) -> np.ndarray:
-        col = ds.column(test.feature)
-        if test.op == "==":
-            return col == ds.schema.code(test.feature, str(test.value))
-        if test.op == "<=":
-            return col <= float(test.value)
-        return col > float(test.value)
-
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         self._check(ds)
         out = np.full(len(ds), int(self.default), dtype=np.int32)
-        unassigned = np.ones(len(ds), dtype=bool)
+        idx = np.arange(len(ds))  # rows no earlier rule matched
         for rule in self.rules:
-            if not unassigned.any():
+            if not idx.size:
                 break
-            m = unassigned.copy()
-            for t in rule.tests:
-                m &= self._test_mask(ds, t)
-                if not m.any():
-                    break
-            out[m] = int(rule.klass)
-            unassigned &= ~m
+            m = _rule_mask(ds, idx, rule)
+            out[idx[m]] = int(rule.klass)
+            idx = idx[~m]
         return out
-
-    def predict_record(self, record: KddRecord) -> AttackClass:
-        self._check_record(record)
-        pos = {n: i for i, n in enumerate(self.feature_names)}
-        for rule in self.rules:
-            ok = True
-            for t in rule.tests:
-                v = record.values[pos[t.feature]]
-                if t.op == "==":
-                    ok = str(v) == str(t.value)
-                elif t.op == "<=":
-                    ok = float(v) <= float(t.value)
-                else:
-                    ok = float(v) > float(t.value)
-                if not ok:
-                    break
-            if ok:
-                return rule.klass
-        return self.default
-
-
-def predict(model, target):
-    """Classify a single KddRecord or a whole Dataset with any model kind."""
-    if isinstance(target, Dataset):
-        return model.predict_dataset(target)
-    return model.predict_record(target)
 
 
 # --- pessimistic error estimate (upper confidence bound on leaf errors) ---
@@ -514,6 +451,7 @@ def build_partial_tree_rule(residual: Dataset, params: TreeParams | None = None)
 
 
 def _rule_mask(ds: Dataset, idx: np.ndarray, rule: Rule) -> np.ndarray:
+    """Which rows of `idx` pass every test of `rule`."""
     m = np.ones(idx.size, dtype=bool)
     for t in rule.tests:
         col = ds.column(t.feature)[idx]
@@ -584,6 +522,13 @@ def _fmt_rule(rule: Rule) -> str:
 
 
 _RULE_RE = re.compile(r"^rule IF (.+) THEN (\w+) cov=(\d+) err=(\d+)$")
+_OPS = {NOMINAL: ("==",), NUMERIC: ("<=", ">")}
+
+
+def _feature_kind(feat: str, kinds: dict[str, str]) -> str:
+    if feat not in kinds:
+        raise DataError(f"feature {feat!r} is not on the features line")
+    return kinds[feat]
 
 
 def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
@@ -595,9 +540,10 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     if cond != "TRUE":
         for part in cond.split(" AND "):
             feat, op, val = part.split(" ", 2)
-            if op not in ("==", "<=", ">"):
-                raise DataError(f"bad operator in rule: {part!r}")
-            value = val if kinds.get(feat) == NOMINAL else float(val)
+            kind = _feature_kind(feat, kinds)
+            if op not in _OPS.get(kind, ()):
+                raise DataError(f"bad operator for {kind} feature in rule: {part!r}")
+            value = val if kind == NOMINAL else float(val)
             tests.append(RuleTest(feat, op, value))
     return Rule(tuple(tests), AttackClass.from_tag(tag), int(cov), int(err))
 
@@ -623,7 +569,7 @@ def _write_node(fh, node, depth: int) -> None:
         _write_node(fh, child, depth + 1)
 
 
-def _parse_nodes(lines: list[str], pos: int, depth: int):
+def _parse_nodes(lines: list[str], pos: int, depth: int, kinds: dict[str, str]):
     line = lines[pos]
     body = line[depth:]
     if line[:depth] != " " * depth or body.startswith(" "):
@@ -633,6 +579,8 @@ def _parse_nodes(lines: list[str], pos: int, depth: int):
     if parts[0] == "leaf":
         return Leaf(dist, AttackClass.from_tag(parts[1])), pos + 1
     _, kind, feature = parts[0], parts[1], parts[2]
+    if _feature_kind(feature, kinds) != kind:
+        raise DataError(f"{kind} split on {kinds[feature]} feature: {line!r}")
     majority = int(parts[-2].split("=", 1)[1])
     if kind == NUMERIC:
         threshold = float(parts[3])
@@ -644,7 +592,7 @@ def _parse_nodes(lines: list[str], pos: int, depth: int):
     children = []
     nxt = pos + 1
     for _ in range(n_children):
-        child, nxt = _parse_nodes(lines, nxt, depth + 1)
+        child, nxt = _parse_nodes(lines, nxt, depth + 1, kinds)
         children.append(child)
     return Split(feature, kind, threshold, symbols, children, majority, dist), nxt
 
@@ -706,6 +654,6 @@ def _parse_model(lines: list[str]):
         rules = [_parse_rule(ln, kind_of) for ln in body[1:]]
         return RuleSet(rules, default, names, kinds)
     if kind == "tree":
-        root, _ = _parse_nodes(body, 0, 0)
+        root, _ = _parse_nodes(body, 0, 0, kind_of)
         return DecisionTree(root, names, kinds)
     raise DataError(f"unknown model kind {kind!r}")

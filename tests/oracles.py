@@ -175,6 +175,25 @@ def first_match_oracle(rules, default, record_values, name_to_pos):
     return default
 
 
+def tree_walk_oracle(root, record_values, name_to_pos):
+    """Walk one record's raw values down a decision tree, node by node.
+
+    A numeric split sends `value <= threshold` to its first child; a nominal
+    split follows the branch of the record's symbol, or its majority child
+    for a symbol it has no branch for. Returns the reached leaf's class.
+    """
+    node = root
+    while hasattr(node, "children"):
+        v = record_values[name_to_pos[node.feature]]
+        if node.kind == "numeric":
+            node = node.children[0] if float(v) <= node.threshold else node.children[1]
+        elif str(v) in node.symbols:
+            node = node.children[node.symbols.index(str(v))]
+        else:
+            node = node.children[node.majority_child]
+    return node.klass
+
+
 def mdl_accepts_oracle(values, classes, thr) -> bool:
     """Direct evaluation of the description-length acceptance test for a
     candidate cut at `thr`."""

@@ -18,7 +18,7 @@ from chids.anomaly import RuleConfig, SCENARIO_RULE, SCENARIOS, evaluate_stream,
 from chids.cli import main as cli_main
 from chids.evaluate import ConfusionMatrix, evaluate, metrics_from_confusion
 from chids.kdd import AttackClass, Dataset, FeatureDef, FeatureSchema, KddRecord, load_dataset
-from chids.learner import TreeParams, _Grower, predict, train_part
+from chids.learner import TreeParams, _Grower, train_part
 from chids.pipeline import CLASSIFIED_ATTACK, PASSED_NORMAL, run_pipeline
 from chids.preprocess import (
     DEFAULT_PRUNE,

@@ -350,9 +350,18 @@ class TestModelFileHardening:
             lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,x,0,0,0"),
             lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,2,0,0,0")
             .rsplit("\n", 2)[0],
+            lambda text: re.sub(r"count (<=|>)", r"nosuch \1", text, count=1),
+            lambda text: re.sub(r"count (<=|>) \S+", "count == 5", text, count=1),
+            lambda text: re.sub(r"service == \S+", "service <= 3", text, count=1),
+            lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,2,0,0,0")
+            .replace("split numeric count", "split numeric nosuch"),
+            lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,2,0,0,0")
+            .replace("count:numeric", "count:nominal"),
         ],
         ids=["cut16", "cut30", "cut60", "cut100", "three-lines", "text-threshold",
-             "unknown-class", "tree-threshold", "tree-dist", "tree-missing-child"],
+             "unknown-class", "tree-threshold", "tree-dist", "tree-missing-child",
+             "unknown-feature", "eq-on-numeric", "le-on-nominal", "tree-unknown-feature",
+             "tree-kind-mismatch"],
     )
     def test_evaluate_exit_4(self, workdir, tmp_path, corrupt, capsys):
         out = tmp_path / "run"
@@ -363,6 +372,25 @@ class TestModelFileHardening:
         code, _, err = run_cli(["evaluate", "--out", str(out)], capsys)
         assert code == 4
         assert "model.txt" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+class TestRankFileHardening:
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize(
+        "row", ["1\tcount", "1\tcount\tigr\tzz"], ids=["two-fields", "text-score"]
+    )
+    def test_bad_row_exit_4(self, workdir, tmp_path, command, row, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("model.txt", "test.cache", "manifest.json"):
+            shutil.copy(workdir / name, out / name)
+        lines = (workdir / "rank_igr_full.tsv").read_text().splitlines(True)
+        lines[2] = row + "\n"
+        (out / "rank_igr_full.tsv").write_text("".join(lines))
+        code, _, err = run_cli([command, "--out", str(out)], capsys)
+        assert code == 4
+        assert "rank_igr_full.tsv" in err and "line 3" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
 

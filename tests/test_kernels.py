@@ -5,43 +5,21 @@ import pytest
 
 from oracles import best_numeric_split_oracle, gain_for_threshold_oracle
 from chids import kernels
-from chids.kernels import _pure
-
-try:
-    from chids import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernel not built"
-)
-
-
-def random_groups(rng, g_max=40, c_dim=5):
-    g = rng.randrange(1, g_max)
-    counts = np.array(
-        [[rng.randrange(0, 6) for _ in range(c_dim)] for _ in range(g)], dtype=np.int64
-    )
-    # no empty value-groups: every distinct value has at least one record
-    for row in counts:
-        if row.sum() == 0:
-            row[rng.randrange(c_dim)] = 1
-    return counts
 
 
 class TestPureKernel:
     def test_no_candidate_on_single_group(self):
-        assert _pure.best_group_cut(np.array([[3, 2]], dtype=np.int64), 1) is None
+        assert kernels.best_group_cut(np.array([[3, 2]], dtype=np.int64), 1) is None
 
     def test_pure_same_class_boundary_skipped(self):
         # both groups pure in class 0: the only boundary is not a candidate
         counts = np.array([[3, 0], [2, 0]], dtype=np.int64)
-        assert _pure.best_group_cut(counts, 1) is None
+        assert kernels.best_group_cut(counts, 1) is None
 
     def test_min_each_side_respected(self):
         counts = np.array([[1, 0], [0, 9]], dtype=np.int64)
-        assert _pure.best_group_cut(counts, 2) is None
-        assert _pure.best_group_cut(counts, 1) is not None
+        assert kernels.best_group_cut(counts, 2) is None
+        assert kernels.best_group_cut(counts, 1) is not None
 
     def test_best_cut_matches_exhaustive_oracle(self):
         rng = random.Random(0)
@@ -52,7 +30,7 @@ class TestPureKernel:
             gv, counts = kernels.group_counts(
                 np.array(values), np.array(classes), 3
             )
-            res = _pure.best_group_cut(counts, 1)
+            res = kernels.best_group_cut(counts, 1)
             want = best_numeric_split_oracle(values, classes)
             if want is None:
                 assert res is None or res[1] <= 1e-12
@@ -67,27 +45,6 @@ class TestPureKernel:
             # the boundary-point shortcut must not lose the optimum
             got_direct = gain_for_threshold_oracle(values, classes, thr)
             assert got_direct == pytest.approx(want_gain, abs=1e-9)
-
-
-@needs_compiled
-class TestBackendEquivalence:
-    def test_bit_identical_results(self):
-        rng = random.Random(42)
-        for trial in range(500):
-            counts = random_groups(rng)
-            min_side = rng.choice((1, 1, 1, 2, 3))
-            a = _pure.best_group_cut(counts, min_side)
-            b = _speedups.best_group_cut(counts, min_side)
-            if a is None or b is None:
-                assert a == b
-                continue
-            # same candidate chosen, identical IEEE-754 float results
-            assert a[0] == b[0] and a[2] == b[2]
-            assert a[1] == b[1]
-            assert a[3] == b[3] and a[4] == b[4] and a[5] == b[5]
-
-    def test_dispatch_prefers_compiled(self):
-        assert kernels.backend_name() in ("compiled", "pure-python")
 
 
 class TestGroupCounts:

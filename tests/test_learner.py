@@ -8,6 +8,7 @@ from oracles import (
     first_match_oracle,
     gain_for_threshold_oracle,
     info_gain_oracle,
+    tree_walk_oracle,
 )
 from chids.errors import SchemaMismatch
 from chids.kdd import AttackClass, Dataset, FeatureDef, FeatureSchema, KddRecord
@@ -22,7 +23,6 @@ from chids.learner import (
     build_partial_tree_rule,
     build_tree,
     load_model,
-    predict,
     save_model,
     train_majority_baseline,
     train_part,
@@ -80,7 +80,7 @@ def depth2_best_accuracy_oracle(points, classes):
 
 
 def accuracy(model, ds) -> float:
-    return float((predict(model, ds) == ds.class_codes).mean())
+    return float((model.predict_dataset(ds) == ds.class_codes).mean())
 
 
 class TestBuildTree:
@@ -176,17 +176,17 @@ class TestBuildTree:
         points = [(0.0, 0.0)] * 11
         ds = xy_dataset(points, classes, nominal_col=syms)
         tree = build_tree(ds, TreeParams(min_leaf=1, prune=False))
-        rec = KddRecord((0.0, 0.0, "zzz"), None)
-        assert tree.predict_record(rec) is AttackClass.NORMAL  # majority branch is 'a'
+        # the new dataset codes "b" as 0 and "zzz" as 1; "zzz" has no branch
+        # and takes the majority branch, 'a'
+        new = xy_dataset([(0.0, 0.0)] * 2, [0, 0], nominal_col=["b", "zzz"])
+        assert tree.predict_dataset(new).tolist() == [int(AttackClass.DOS), int(AttackClass.NORMAL)]
 
     def test_schema_mismatch_raises(self):
         ds = xy_dataset([(0, 0), (1, 1), (2, 2), (3, 3)], [0, 0, 1, 1])
         tree = build_tree(ds)
         other = xy_dataset([(0, 0)], [0], nominal_col=["a"])
         with pytest.raises(SchemaMismatch):
-            predict(tree, other)
-        with pytest.raises(SchemaMismatch):
-            tree.predict_record(KddRecord((1.0,), None))
+            tree.predict_dataset(other)
 
 
 class TestPartialTreeRule:
@@ -289,10 +289,14 @@ class TestPredict:
             Rule((RuleTest("y", "<=", 100.0),), AttackClass.PROBE, 3, 0),
         )
         model = RuleSet(rules, AttackClass.NORMAL, ("x", "y"), ("numeric", "numeric"))
+
+        def one(x, y):
+            return AttackClass(int(model.predict_dataset(xy_dataset([(x, y)], [0]))[0]))
+
         # record matches rule 1 AND rule 2 -> rule 1 wins
-        assert model.predict_record(KddRecord((1.0, 1.0), None)) is AttackClass.DOS
+        assert one(1.0, 1.0) is AttackClass.DOS
         # record matching nothing -> default
-        assert model.predict_record(KddRecord((9.0, 200.0), None)) is AttackClass.NORMAL
+        assert one(9.0, 200.0) is AttackClass.NORMAL
 
     def test_against_naive_first_match_oracle(self):
         rng = random.Random(29)
@@ -305,7 +309,7 @@ class TestPredict:
             ([(t.feature, t.op, t.value) for t in r.tests], int(r.klass)) for r in model.rules
         ]
         name_to_pos = {n_: i for i, n_ in enumerate(model.feature_names)}
-        got = predict(model, ds)
+        got = model.predict_dataset(ds)
         for i in range(n):
             want = first_match_oracle(
                 plain_rules, int(model.default), ds.record(i).values, name_to_pos
@@ -319,10 +323,22 @@ class TestPredict:
         syms = [rng.choice("ab") for _ in range(n)]
         classes = [rng.randrange(3) for _ in range(n)]
         ds = xy_dataset(points, classes, nominal_col=syms)
-        for model in (train_part(ds), build_tree(ds), train_majority_baseline(ds)):
-            batch = predict(model, ds)
+        part, tree, majority = train_part(ds), build_tree(ds), train_majority_baseline(ds)
+        name_to_pos = {name: i for i, name in enumerate(ds.schema.names)}
+        plain_rules = [
+            ([(t.feature, t.op, t.value) for t in r.tests], int(r.klass)) for r in part.rules
+        ]
+        references = {
+            part: lambda values: first_match_oracle(
+                plain_rules, int(part.default), values, name_to_pos
+            ),
+            tree: lambda values: tree_walk_oracle(tree.root, values, name_to_pos),
+            majority: lambda values: majority.klass,
+        }
+        for model, reference in references.items():
+            batch = model.predict_dataset(ds)
             for i in range(n):
-                assert int(batch[i]) == int(model.predict_record(ds.record(i)))
+                assert int(batch[i]) == int(reference(ds.record(i).values))
 
 
 class TestMajorityBaseline:
@@ -330,13 +346,13 @@ class TestMajorityBaseline:
         ds = xy_dataset([(i, 0) for i in range(10)], [0] * 6 + [1] * 4)
         model = train_majority_baseline(ds)
         assert model.klass is AttackClass.NORMAL
-        assert set(predict(model, ds).tolist()) == {0}
+        assert set(model.predict_dataset(ds).tolist()) == {0}
 
     def test_never_detects_attacks(self):
         ds = xy_dataset([(i, 0) for i in range(10)], [0] * 6 + [1] * 4)
         model = train_majority_baseline(ds)
         attacks = xy_dataset([(0, 0)], [2])
-        assert predict(model, attacks).tolist() == [0]
+        assert model.predict_dataset(attacks).tolist() == [0]
 
 
 class TestSerialization:
@@ -344,7 +360,7 @@ class TestSerialization:
         p = tmp_path / "model.txt"
         save_model(model, p)
         loaded = load_model(p)
-        assert np.array_equal(predict(loaded, ds), predict(model, ds))
+        assert np.array_equal(loaded.predict_dataset(ds), model.predict_dataset(ds))
         p2 = tmp_path / "model2.txt"
         save_model(loaded, p2)
         assert p.read_bytes() == p2.read_bytes()
