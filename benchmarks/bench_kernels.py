@@ -1,9 +1,12 @@
 """Benchmark: the entropy-scan kernel and an end-to-end PART training run.
 
 Run `PYTHONPATH=src python benchmarks/bench_kernels.py`; it times
-`kernels.best_group_cut` on group-count matrices of growing size and PART
-on an 8000-record synthetic training set, in this process, and prints one
-line per measurement.
+`kernels.best_group_cut` on group-count matrices of growing size, the
+split search of one 2000-record node with 30 numeric columns (the block
+kernel `best_numeric_cuts` that PART calls, next to the per-column
+`group_counts` + `best_group_cut` loop that `ranking` uses), and PART on an
+8000-record synthetic training set, in this process, and prints one line
+per measurement.
 """
 
 import sys
@@ -29,6 +32,21 @@ def measure() -> dict:
         for _ in range(n_iter):
             kernels.best_group_cut(counts, 2)
         results[f"kernel_g{g}_us"] = (time.perf_counter() - t0) / n_iter * 1e6
+
+    # one node's split search: every numeric column at once, and column by column
+    block = rng.lognormal(3.0, 2.0, size=(2000, 30)).round(0)
+    classes = rng.integers(0, 5, size=2000).astype(np.int8)
+    n_iter = 20
+    t0 = time.perf_counter()
+    for _ in range(n_iter):
+        kernels.best_numeric_cuts(block, classes, 5, 2)
+    results["node_2000x30_block_us"] = (time.perf_counter() - t0) / n_iter * 1e6
+    t0 = time.perf_counter()
+    for _ in range(n_iter):
+        for j in range(block.shape[1]):
+            _, counts = kernels.group_counts(block[:, j], classes, 5)
+            kernels.best_group_cut(counts, 2)
+    results["node_2000x30_per_column_us"] = (time.perf_counter() - t0) / n_iter * 1e6
 
     # end-to-end: PART on a 4-feature synthetic training set
     n = 8000

@@ -314,22 +314,10 @@ def cmd_report(cfg: RunConfig) -> int:
     confusion = None
     confusion_file = out / "report" / "confusion.tsv"
     if confusion_file.exists():
-        confusion = ev.ConfusionMatrix.from_tsv(confusion_file.read_text())
+        confusion = _parse_report_file(confusion_file, ev.ConfusionMatrix.from_tsv)
     metrics_file = out / "report" / "metrics.json"
     if metrics_file.exists():
-        obj = json.loads(metrics_file.read_text())
-        report = ev.MetricsReport(
-            detection_rate=obj["detection_rate_pct"],
-            false_alarm_rate=obj["false_alarm_rate_pct"],
-            multiclass_accuracy=obj["multiclass_accuracy_pct"],
-            n_records=obj["n_records"],
-            n_attacks=obj["n_attacks"],
-            n_normals=obj["n_normals"],
-            n_detected_attacks=obj["n_detected_attacks"],
-            n_false_alarms=obj["n_false_alarms"],
-            per_class_recall=obj["per_class_recall_pct"],
-            per_class_precision=obj["per_class_precision_pct"],
-        )
+        report = _parse_report_file(metrics_file, ev.MetricsReport.from_json)
     written = ev.emit_report(
         out / "report",
         report=report,
@@ -340,6 +328,15 @@ def cmd_report(cfg: RunConfig) -> int:
     for p in written:
         _out(p)
     return 0
+
+
+def _parse_report_file(path: Path, parse):
+    try:
+        return parse(path.read_text(encoding="ascii"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text: {exc.reason}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_config(cfg: RunConfig) -> int:

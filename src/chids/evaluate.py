@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTestSet, IoError
+from .errors import DataError, EmptyTestSet, IoError
 from .kdd import AttackClass, Dataset, N_CLASSES
 
 CLASS_TAGS = tuple(c.tag for c in AttackClass)
@@ -55,11 +55,35 @@ class ConfusionMatrix:
 
     @classmethod
     def from_tsv(cls, text: str) -> "ConfusionMatrix":
+        """Parse `to_tsv` output: a header line, then one row per class of
+        a label and N_CLASSES integer counts."""
         rows = []
-        for ln in text.splitlines()[1:]:
-            parts = ln.split("\t")
-            rows.append([int(v) for v in parts[1:]])
+        for lineno, ln in enumerate(text.splitlines()[1:], 2):
+            cells = ln.split("\t")[1:]
+            if len(cells) != N_CLASSES:
+                raise DataError(f"line {lineno}: want a label and {N_CLASSES} counts, got {ln!r}")
+            try:
+                rows.append([int(v) for v in cells])
+            except ValueError:
+                raise DataError(f"line {lineno}: non-integer count in {ln!r}") from None
+        if len(rows) != N_CLASSES:
+            raise DataError(f"want {N_CLASSES} rows of counts, got {len(rows)}")
         return cls(np.array(rows, dtype=np.int64))
+
+
+# MetricsReport field -> metrics.json key; the timings stay out of the file
+_METRICS_KEYS = {
+    "detection_rate": "detection_rate_pct",
+    "false_alarm_rate": "false_alarm_rate_pct",
+    "multiclass_accuracy": "multiclass_accuracy_pct",
+    "n_records": "n_records",
+    "n_attacks": "n_attacks",
+    "n_normals": "n_normals",
+    "n_detected_attacks": "n_detected_attacks",
+    "n_false_alarms": "n_false_alarms",
+    "per_class_recall": "per_class_recall_pct",
+    "per_class_precision": "per_class_precision_pct",
+}
 
 
 @dataclass
@@ -85,19 +109,33 @@ class MetricsReport:
     test_time_s: float | None = None
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "detection_rate_pct": self.detection_rate,
-            "false_alarm_rate_pct": self.false_alarm_rate,
-            "multiclass_accuracy_pct": self.multiclass_accuracy,
-            "n_records": self.n_records,
-            "n_attacks": self.n_attacks,
-            "n_normals": self.n_normals,
-            "n_detected_attacks": self.n_detected_attacks,
-            "n_false_alarms": self.n_false_alarms,
-            "per_class_recall_pct": self.per_class_recall,
-            "per_class_precision_pct": self.per_class_precision,
-        }
-        return obj
+        return {key: getattr(self, name) for name, key in _METRICS_KEYS.items()}
+
+    @classmethod
+    def from_json(cls, text: str) -> "MetricsReport":
+        """Parse the metrics.json that `emit_report` writes."""
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise DataError(f"not valid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataError("not a JSON object")
+        values = {}
+        for name, key in _METRICS_KEYS.items():
+            if key not in obj:
+                raise DataError(f"missing key {key!r}")
+            value = obj[key]
+            if name.startswith("per_class_"):
+                if not (isinstance(value, dict) and all(_is_number(value.get(t)) for t in CLASS_TAGS)):
+                    raise DataError(f"key {key!r} needs a number for each class")
+            elif not _is_number(value):
+                raise DataError(f"key {key!r} is not a number")
+            values[name] = value
+        return cls(**values)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _pct(num: int, den: int) -> float:

@@ -217,9 +217,9 @@ class _Grower:
     def __init__(self, ds: Dataset, params: TreeParams):
         self.ds = ds
         self.params = params
-        self.y = ds.class_codes.astype(np.int64)
-        if (self.y < 0).any():
+        if (ds.class_codes < 0).any():
             raise ValueError("training requires labeled records")
+        self.y = ds.class_codes.astype(np.int8)
         self.class_totals = np.bincount(self.y, minlength=N_CLASSES)
         self._order = 0
 
@@ -240,18 +240,18 @@ class _Grower:
     def _candidates(self, idx, counts, used_nominal) -> list[_Candidate]:
         n = idx.size
         h_node = _entropy_vec(counts)
+        # the numeric matrix holds its columns in schema order: cut j is slot j's
+        cuts = kernels.best_numeric_cuts(
+            self.ds.numeric[idx], self.y[idx], N_CLASSES, self.params.min_leaf
+        )
         out = []
         for f in self.ds.schema.features:
             kind, j = self.ds.schema.slot[f.name]
             if kind == NUMERIC:
-                gv, gcounts = kernels.group_counts(
-                    self.ds.numeric[idx, j], self.y[idx], N_CLASSES
-                )
-                res = kernels.best_group_cut(gcounts, self.params.min_leaf)
+                res = cuts[j]
                 if res is None:
                     continue
-                pos, gain, n_left, _hp, _hl, _hr = res
-                thr = (float(gv[pos - 1]) + float(gv[pos])) / 2.0
+                thr, gain, n_left = res
                 p_l = n_left / n
                 p_r = (n - n_left) / n
                 si = -(p_l * math.log2(p_l)) - (p_r * math.log2(p_r))
@@ -569,11 +569,13 @@ def _write_node(fh, node, depth: int) -> None:
         _write_node(fh, child, depth + 1)
 
 
-def _parse_nodes(lines: list[str], pos: int, depth: int, kinds: dict[str, str]):
-    line = lines[pos]
+def _parse_nodes(lines: list[tuple[int, str]], pos: int, depth: int, kinds: dict[str, str]):
+    """Parse the node at `lines[pos]`, a (file line number, text) pair, and
+    its subtree; returns the node and the position after it."""
+    lineno, line = lines[pos]
     body = line[depth:]
     if line[:depth] != " " * depth or body.startswith(" "):
-        raise DataError(f"bad tree indentation at line {pos}: {line!r}")
+        raise DataError(f"bad tree indentation at line {lineno}: {line!r}")
     parts = body.split(" ")
     dist = np.array([int(v) for v in parts[-1].split("=", 1)[1].split(",")], dtype=np.int64)
     if parts[0] == "leaf":
@@ -646,12 +648,12 @@ def _parse_model(lines: list[str]):
     names = tuple(p[0] for p in pairs)
     kinds = tuple(p[1] for p in pairs)
     kind_of = dict(pairs)
-    body = [ln for ln in lines[3:] if ln.strip()]
+    body = [(i, ln) for i, ln in enumerate(lines[3:], 4) if ln.strip()]
     if kind == "majority":
-        return MajorityModel(AttackClass.from_tag(body[0].split(" ", 1)[1]), names, kinds)
+        return MajorityModel(AttackClass.from_tag(body[0][1].split(" ", 1)[1]), names, kinds)
     if kind == "part":
-        default = AttackClass.from_tag(body[0].split(" ", 1)[1])
-        rules = [_parse_rule(ln, kind_of) for ln in body[1:]]
+        default = AttackClass.from_tag(body[0][1].split(" ", 1)[1])
+        rules = [_parse_rule(ln, kind_of) for _, ln in body[1:]]
         return RuleSet(rules, default, names, kinds)
     if kind == "tree":
         root, _ = _parse_nodes(body, 0, 0, kind_of)

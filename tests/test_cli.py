@@ -403,6 +403,78 @@ class TestReportCommand:
         assert (workdir / "report" / "rank_curve.tsv").exists()
 
 
+@pytest.fixture
+def evaluated(workdir, tmp_path, capsys):
+    """A private copy of the trained directory with a fresh report/."""
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("model.txt", "test.cache", "manifest.json", "rank_igr_full.tsv"):
+        shutil.copy(workdir / name, out / name)
+    assert run_cli(["evaluate", "--out", str(out)], capsys)[0] == 0
+    return out
+
+
+def _without(key):
+    def edit(obj):
+        del obj[key]
+        return json.dumps(obj)
+    return edit
+
+
+def _with(key, value):
+    def edit(obj):
+        obj[key] = value
+        return json.dumps(obj)
+    return edit
+
+
+def _drop_class_recall(obj):
+    del obj["per_class_recall_pct"]["u2r"]
+    return json.dumps(obj)
+
+
+class TestReportHardening:
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda obj: "{}", "'detection_rate_pct'"),
+        (_without("n_false_alarms"), "'n_false_alarms'"),
+        (_with("n_records", "many"), "'n_records'"),
+        (_with("false_alarm_rate_pct", True), "'false_alarm_rate_pct'"),
+        (_drop_class_recall, "'per_class_recall_pct'"),
+        (lambda obj: "[1, 2]", "not a JSON object"),
+        (lambda obj: '{"detection_rate_pct": ', "not valid JSON"),
+    ], ids=["empty", "missing-key", "text-count", "bool-rate", "missing-class", "array",
+            "truncated"])
+    def test_bad_metrics_exit_4(self, evaluated, edit, needle, capsys):
+        path = evaluated / "report" / "metrics.json"
+        path.write_text(edit(json.loads(path.read_text())))
+        code, _, err = run_cli(["report", "--out", str(evaluated)], capsys)
+        assert code == 4
+        assert "metrics.json" in err and needle in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda lines: ["x\ty"], "want 5 rows"),
+        (lambda lines: lines[:-1], "want 5 rows"),
+        (lambda lines: lines + lines[-1:], "want 5 rows"),
+        (lambda lines: lines[:3] + [lines[3].rsplit("\t", 1)[0]] + lines[4:], "line 4"),
+        (lambda lines: lines[:2] + [lines[2] + "\t0"] + lines[3:], "line 3"),
+        (lambda lines: lines[:5] + [lines[5].rsplit("\t", 1)[0] + "\t1.5"], "line 6"),
+    ], ids=["header-only", "four-rows", "six-rows", "four-counts", "six-counts", "float-cell"])
+    def test_bad_confusion_exit_4(self, evaluated, edit, needle, capsys):
+        path = evaluated / "report" / "confusion.tsv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code, _, err = run_cli(["report", "--out", str(evaluated)], capsys)
+        assert code == 4
+        assert "confusion.tsv" in err and needle in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_rerender_keeps_metrics_bytes(self, evaluated, capsys):
+        path = evaluated / "report" / "metrics.json"
+        before = path.read_bytes()
+        assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
+        assert path.read_bytes() == before
+
+
 class TestConfigCommand:
     def test_config_round_trip(self, tmp_path, capsys):
         code, out, _ = run_cli(["config", "--seed", "11"], capsys)

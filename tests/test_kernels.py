@@ -1,10 +1,16 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import synthdata
 from oracles import best_numeric_split_oracle, gain_for_threshold_oracle
 from chids import kernels
+from chids.kdd import load_dataset
+from chids.learner import save_model, train_part
 
 
 class TestPureKernel:
@@ -58,3 +64,122 @@ class TestGroupCounts:
     def test_empty(self):
         gv, counts = kernels.group_counts(np.array([]), np.array([], dtype=int), 3)
         assert gv.size == 0 and counts.shape == (0, 3)
+
+
+def per_column_cuts(block, classes, n_classes, min_each_side):
+    """The reference: group_counts + best_group_cut on each column alone."""
+    out = []
+    for j in range(block.shape[1]):
+        gv, counts = kernels.group_counts(block[:, j], classes, n_classes)
+        res = kernels.best_group_cut(counts, min_each_side)
+        if res is None:
+            out.append(None)
+            continue
+        pos, gain, n_left = res[:3]
+        out.append(((float(gv[pos - 1]) + float(gv[pos])) / 2.0, gain, n_left))
+    return out
+
+
+def assert_same_cuts(block, classes, min_each_side, n_classes=5):
+    block = np.asarray(block, dtype=np.float64)
+    classes = np.asarray(classes, dtype=np.int8)
+    got = kernels.best_numeric_cuts(block, classes, n_classes, min_each_side)
+    want = per_column_cuts(block, classes, n_classes, min_each_side)
+    assert got == want  # bit for bit: threshold, gain, n_left, or None
+    return got
+
+
+# value pools with repeats, negatives and both zeros, so columns have ties
+_POOLS = (
+    (0.0,),
+    (0.0, 1.0),
+    (-2.5, -0.0, 0.0, 1.0, 3.25),
+    tuple(float(v) for v in range(12)),
+    (1e-3, 0.5, 1e6),
+)
+
+
+class TestBestNumericCuts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_per_column_reference(self, data):
+        n = data.draw(st.integers(0, 40), label="n")
+        n_cols = data.draw(st.integers(1, 6), label="n_cols")
+        cols = []
+        for _ in range(n_cols):
+            pool = data.draw(st.sampled_from(_POOLS))
+            cols.append(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        n_present = data.draw(st.integers(1, 5), label="classes present")
+        classes = data.draw(st.lists(st.integers(0, n_present - 1), min_size=n, max_size=n))
+        min_each_side = data.draw(st.integers(1, max(1, n // 2 + 2)), label="min_each_side")
+        block = np.array(cols, dtype=np.float64).T.reshape(n, n_cols)
+        assert_same_cuts(block, classes, min_each_side)
+
+    def test_constant_columns_have_no_cut(self):
+        block = np.column_stack([np.full(8, 3.0), np.arange(8.0), np.zeros(8)])
+        got = assert_same_cuts(block, [0, 0, 1, 1, 0, 1, 0, 1], 1)
+        assert got[0] is None and got[2] is None and got[1] is not None
+
+    def test_single_class_node_has_no_cut(self):
+        assert assert_same_cuts(np.arange(12.0).reshape(6, 2), [3] * 6, 1) == [None, None]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_nodes(self, n):
+        assert_same_cuts(np.arange(float(2 * n)).reshape(n, 2), [0, 1][:n], 1)
+
+    def test_min_each_side_over_half_the_node(self):
+        block = np.arange(10.0).reshape(10, 1)
+        assert assert_same_cuts(block, [0] * 5 + [1] * 5, 6) == [None]
+        assert assert_same_cuts(block, [0] * 5 + [1] * 5, 5) == [(4.5, 1.0, 5)]
+
+    def test_gain_is_exact_where_the_vector_screen_is_not(self):
+        # the one cut (1 record left, 9 + 65 right) screens at 0.002476649331205172,
+        # not the exact 0.002476649331205283: the reported gain is re-scored
+        block = np.ones((75, 1))
+        block[0] = 0.0
+        classes = np.ones(75, dtype=np.int8)
+        classes[1:10] = 0
+        got = assert_same_cuts(block, classes, 1)
+        assert got == [(0.5, 0.002476649331205283, 1)]
+
+    @pytest.mark.parametrize("pattern", [
+        [0, 0, 1, 1, 0, 0],              # cuts at 2 and 4 tie
+        [0, 1, 1, 0, 0, 1, 1, 0],        # mirrored cuts tie
+        [0, 0, 1, 1, 0, 0, 1, 1, 0, 0],  # ties at 2, 4, 6 and 8
+        [2, 2, 0, 0, 1, 1, 0, 0, 2, 2],
+    ])
+    def test_equal_gain_ties_take_the_first_cut(self, pattern):
+        n = len(pattern)
+        block = np.column_stack([np.arange(float(n)), np.arange(float(n))[::-1]])
+        got = assert_same_cuts(block, pattern, 1)
+        # the reversed column meets the same cuts from the other end
+        assert got[0][1] == got[1][1]
+
+
+def _relabel_share(lines, share, rng):
+    """Give exactly round(share * size) lines of each class, chosen by `rng`,
+    a label of another class, the other classes taken in turn."""
+    klass_of = {lab: k for k, labs in synthdata.LABELS.items() for lab in labs}
+    members = {k: [] for k in synthdata.LABELS}
+    for i, ln in enumerate(lines):
+        members[klass_of[ln.rsplit(",", 1)[1].rstrip(".")]].append(i)
+    lines = list(lines)
+    for klass, rows in members.items():
+        others = [k for k in synthdata.LABELS if k != klass]
+        for j, i in enumerate(rng.sample(rows, round(share * len(rows)))):
+            label = rng.choice(synthdata.LABELS[others[j % len(others)]])
+            lines[i] = f"{lines[i].rsplit(',', 1)[0]},{label}."
+    return lines
+
+
+def test_part_model_on_noisy_records_is_pinned(tmp_path):
+    """PART on synthetic records with 5% of each class relabelled: the
+    model file is byte-identical to the one the per-column kernels gave."""
+    rng = random.Random(11)
+    lines = _relabel_share(synthdata.synth_lines(1000, seed=11, dup_rate=0.0), 0.05, rng)
+    corpus = tmp_path / "noisy.kdd"
+    corpus.write_text("\n".join(lines) + "\n", encoding="ascii")
+    model = train_part(load_dataset(corpus))
+    save_model(model, tmp_path / "model.txt")
+    digest = hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
+    assert digest == "e5259bc619311fc42560bab37a5620e556dde1f3ff11d704646990cde4d0bfc2"

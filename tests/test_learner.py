@@ -10,7 +10,7 @@ from oracles import (
     info_gain_oracle,
     tree_walk_oracle,
 )
-from chids.errors import SchemaMismatch
+from chids.errors import DataError, SchemaMismatch
 from chids.kdd import AttackClass, Dataset, FeatureDef, FeatureSchema, KddRecord
 from chids.learner import (
     DecisionTree,
@@ -391,6 +391,34 @@ class TestSerialization:
         text = p.read_text()
         assert "rule IF s == http AND x <= 512.0 THEN normal cov=12 err=1" in text
         assert "default dos" in text
+
+
+_TREE_FILE = [
+    "#chids-model v1",
+    "kind tree",
+    "features x:numeric,y:numeric",
+    "split numeric x 0.5 majority=0 dist=2,2,0,0,0",
+    " leaf normal dist=2,0,0,0,0",
+    " split numeric y 0.5 majority=0 dist=0,2,0,0,0",
+    "  leaf dos dist=0,1,0,0,0",
+    "  leaf dos dist=0,1,0,0,0",
+]
+
+
+class TestTreeFileLineNumbers:
+    def test_well_formed_file_loads(self, tmp_path):
+        (tmp_path / "m.txt").write_text("\n".join(_TREE_FILE) + "\n")
+        assert isinstance(load_model(tmp_path / "m.txt"), DecisionTree)
+
+    @pytest.mark.parametrize("blank_before, want", [(False, "line 6"), (True, "line 7")])
+    def test_bad_indentation_names_the_file_line(self, tmp_path, blank_before, want):
+        lines = list(_TREE_FILE)
+        lines[5] = " " + lines[5]  # over-indented by one
+        if blank_before:
+            lines.insert(4, "")
+        (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"bad tree indentation at {want}:"):
+            load_model(tmp_path / "m.txt")
 
 
 class TestPessimisticErrors:
