@@ -17,7 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DataError, IoError, UnknownScenario, UnorderedStream
+from . import artifact
+from .errors import DataError, UnknownScenario, UnorderedStream
 
 RECEPTION = "reception"
 FORWARD = "forward"
@@ -365,54 +366,26 @@ VERDICT_MAGIC = "#chids-verdicts v1"
 
 
 def write_stream(events: Iterable[AnomalyEvent], path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(STREAM_MAGIC + "\n")
-            fh.write(STREAM_HEADER + "\n")
-            for e in events:
-                fh.write(
-                    f"{e.ts!r}\t{e.source}\t{e.neighbor}\t{e.kind}\t{e.msg_id}\t{e.digest}\t{e.rssi!r}\n"
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with artifact.open_text(path, "w") as fh:
+        fh.write(STREAM_MAGIC + "\n")
+        fh.write(STREAM_HEADER + "\n")
+        for e in events:
+            fh.write(
+                f"{e.ts!r}\t{e.source}\t{e.neighbor}\t{e.kind}\t{e.msg_id}\t{e.digest}\t{e.rssi!r}\n"
+            )
+
+
+def _event(ts, source, neighbor, kind, msg_id, digest, rssi) -> AnomalyEvent:
+    return AnomalyEvent(float(ts), source, neighbor, kind, msg_id, digest, float(rssi))
 
 
 def read_stream(path) -> list[AnomalyEvent]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not ASCII text: {exc.reason}") from None
-    if not lines or lines[0] != STREAM_MAGIC:
-        raise DataError(f"{path}: not a chids event stream")
-    if len(lines) < 2 or lines[1] != STREAM_HEADER:
-        raise DataError(f"{path}: line 2: expected the header row {STREAM_HEADER!r}")
-    out = []
-    for lineno, ln in enumerate(lines[2:], start=3):
-        if not ln.strip():
-            continue
-        fields = ln.split("\t")
-        if len(fields) != 7:
-            raise DataError(f"{path}: line {lineno}: expected 7 fields, got {len(fields)}")
-        ts, source, neighbor, kind, msg, digest, rssi = fields
-        try:
-            ts_f, rssi_f = float(ts), float(rssi)
-        except ValueError:
-            raise DataError(
-                f"{path}: line {lineno}: ts {ts!r} or rssi {rssi!r} is not a number"
-            ) from None
-        out.append(AnomalyEvent(ts_f, source, neighbor, kind, msg, digest, rssi_f))
-    return out
+    return artifact.read_rows(path, STREAM_MAGIC, STREAM_HEADER, _event)
 
 
 def write_verdicts(verdicts: Iterable[RuleVerdict], path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(VERDICT_MAGIC + "\n")
-            fh.write("event_index\tts\trule\ttags\tdetail\n")
-            for v in verdicts:
-                fh.write(f"{v.event_index}\t{v.ts!r}\t{v.rule}\t{','.join(v.tags)}\t{v.detail}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with artifact.open_text(path, "w") as fh:
+        fh.write(VERDICT_MAGIC + "\n")
+        fh.write("event_index\tts\trule\ttags\tdetail\n")
+        for v in verdicts:
+            fh.write(f"{v.event_index}\t{v.ts!r}\t{v.rule}\t{','.join(v.tags)}\t{v.detail}\n")

@@ -1,0 +1,89 @@
+"""How chids opens, decodes and rejects its own files.
+
+Every file chids writes is ASCII text. `open_text` turns an I/O fault into
+IoError (exit 3) and bytes that are not ASCII into DataError (exit 4), and
+`parsing` turns a fault raised while parsing into DataError; each names the
+file. Raw record input, which may be gzip, has its own reader in `kdd`.
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+
+from .errors import DataError, IoError
+
+
+@contextmanager
+def open_text(path, mode: str = "r"):
+    """Open the chids file `path` as ASCII text, mode "r" or "w"."""
+    try:
+        with open(path, mode, encoding="ascii") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"cannot {'write' if 'w' in mode else 'read'} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text: {exc.reason}") from None
+
+
+class parsing:
+    """Context manager that reports a fault raised while parsing `path` (at
+    `line`, when set) as one DataError naming the file. Wrap parsing only,
+    never later work."""
+
+    def __init__(self, path, line: int | None = None):
+        self.path, self.line = path, line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        faults = (DataError, AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
+        if isinstance(exc, faults):
+            where = f"{self.path}" if self.line is None else f"{self.path}: line {self.line}"
+            why = exc if isinstance(exc, DataError) else f"malformed file ({kind.__name__}: {exc})"
+            raise DataError(f"{where}: {why}") from None
+
+
+def read_text(path) -> str:
+    with open_text(path) as fh:
+        return fh.read()
+
+
+def write_text(path, text: str) -> None:
+    with open_text(path, "w") as fh:
+        fh.write(text)
+
+
+def json_text(obj) -> str:
+    """A chids JSON file: sorted keys, two-space indent, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def read_parsed(path, parse):
+    """`parse` applied to the text of `path`, with its faults reported as
+    DataErrors naming the file."""
+    text = read_text(path)
+    with parsing(path):
+        return parse(text)
+
+
+def read_rows(path, magic: str, header: str, row) -> list:
+    """`row(*fields)` of each non-blank row of a tab-separated file that
+    opens with the `magic` line and the `header` row. Every row has as many
+    fields as the header, one starting with `#` included; a fault names the
+    row's line."""
+    lines = read_text(path).splitlines()
+    for lineno, want in ((1, magic), (2, header)):
+        if len(lines) < lineno or lines[lineno - 1] != want:
+            raise DataError(f"{path}: line {lineno}: expected {want!r}")
+    n = header.count("\t") + 1
+    rows = []
+    with parsing(path) as guard:
+        for guard.line, ln in enumerate(lines[2:], 3):  # a fault names guard.line
+            if ln.strip():
+                fields = ln.split("\t")
+                if len(fields) != n:
+                    raise DataError(f"expected {n} fields, got {len(fields)}")
+                rows.append(row(*fields))
+    return rows

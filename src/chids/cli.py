@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
-from . import anomaly, evaluate as ev, learner, pipeline, preprocess, ranking
+from . import anomaly, artifact, evaluate as ev, learner, pipeline, preprocess, ranking
 from .config import RunConfig, apply_setting, load_config, render_config
-from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact
+from .errors import ChidsError, ConfigError, IoError, MissingArtifact
 from .kdd import AttackClass, CACHE_MAGIC, Dataset, load_cache, load_dataset, save_cache
 
 TRAIN_FULL = "train_full.cache"
@@ -120,29 +121,19 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         "selected": list(selected),
         "normalization": stats.to_json_obj(),
     }
-    (out / TRANSFORM_JSON).write_text(
-        json.dumps(transform, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    artifact.write_text(out / TRANSFORM_JSON, artifact.json_text(transform))
     extra = {
         "features.pruned": ",".join(cfg.prune),
         "features.selected": ",".join(selected),
         "select.method": cfg.select_method,
         "select.k": cfg.select_k,
     }
-    (out / MANIFEST_TXT).write_text(
-        preprocess.render_manifest(split.manifest, dres, extra), encoding="ascii"
-    )
-    (out / MANIFEST_JSON).write_text(
-        json.dumps(
-            {"dedupe": {"input": dres.n_input, "output": dres.n_output},
-             "split": split.manifest.to_json_obj(),
-             "selected": list(selected)},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="ascii",
-    )
+    artifact.write_text(out / MANIFEST_TXT, preprocess.render_manifest(split.manifest, dres, extra))
+    artifact.write_text(out / MANIFEST_JSON, artifact.json_text({
+        "dedupe": {"input": dres.n_input, "output": dres.n_output},
+        "split": split.manifest.to_json_obj(),
+        "selected": list(selected),
+    }))
     for name in (TRAIN_CACHE, TEST_CACHE, TRAIN_FULL, TEST_FULL, MANIFEST_TXT, TRANSFORM_JSON):
         _out(out / name)
     return 0
@@ -163,7 +154,7 @@ def cmd_train(cfg: RunConfig) -> int:
     model = _TRAINERS[cfg.model_kind](train, cfg)
     elapsed = time.perf_counter() - t0
     learner.save_model(model, out / MODEL_FILE)
-    (out / TRAIN_TIMING).write_text(f"timing train_s {elapsed:.6f}\n", encoding="ascii")
+    artifact.write_text(out / TRAIN_TIMING, f"timing train_s {elapsed:.6f}\n")
     _err(f"trained in {elapsed:.3f}s")
     _out(out / MODEL_FILE)
     return 0
@@ -174,23 +165,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
     test = load_cache(_need(out / TEST_CACHE, "chids preprocess"))
     cm, report = ev.evaluate(model, test)
-    timing_file = out / TRAIN_TIMING
-    if timing_file.exists():
-        for ln in timing_file.read_text().splitlines():
-            parts = ln.split()
-            if len(parts) == 3 and parts[1] == "train_s":
-                report.train_time_s = float(parts[2])
-    split_per_class = None
-    manifest_file = out / MANIFEST_JSON
-    if manifest_file.exists():
-        split_per_class = json.loads(manifest_file.read_text())["split"]["per_class"]
-    rank_scores = _load_rank_scores(out / "rank_igr_full.tsv")
+    report.train_time_s = _read_if_present(out / TRAIN_TIMING, _train_seconds)
     written = ev.emit_report(
         out / "report",
         report=report,
         confusion=cm,
-        split_per_class=split_per_class,
-        rank_scores=rank_scores,
+        split_per_class=_read_if_present(out / MANIFEST_JSON, _split_per_class),
+        rank_scores=_load_rank_scores(out / "rank_igr_full.tsv"),
     )
     _err(
         f"detection rate {report.detection_rate:.2f}%  "
@@ -202,21 +183,37 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
+def _train_seconds(text: str) -> float | None:
+    """The training time recorded in a train_timing.txt."""
+    for ln in text.splitlines():
+        parts = ln.split()
+        if len(parts) == 3 and parts[1] == "train_s":
+            return float(parts[2])
+    return None
+
+
+def _split_per_class(text: str) -> dict:
+    """The per-class split census of a manifest.json."""
+    per_class = json.loads(text)["split"]["per_class"]
+    return {tag: {k: operator.index(row[k]) for k in ("available", "train", "test")}
+            for tag, row in per_class.items()}
+
+
+def _read_if_present(path: Path, parse):
+    return artifact.read_parsed(path, parse) if path.exists() else None
+
+
 def _load_rank_scores(path: Path):
+    """The rows of a rank file; its `#` lines are comments."""
     if not path.exists():
         return None
     scores = []
-    for i, ln in enumerate(path.read_text().splitlines()[1:]):
+    for lineno, ln in enumerate(artifact.read_text(path).splitlines()[1:], 2):
         if ln.startswith("#") or not ln.strip():
             continue
-        try:
+        with artifact.parsing(path, lineno):
             _, feature, method, score = ln.split("\t")
-            scores.append(ranking.FeatureScore(feature, i, float(score), method))
-        except ValueError:
-            raise DataError(
-                f"{path}: line {i + 2}: want 4 tab-separated fields ending in a numeric score, "
-                f"got {ln!r}"
-            ) from None
+            scores.append(ranking.FeatureScore(feature, lineno, float(score), method))
     return scores
 
 
@@ -245,17 +242,23 @@ def _load_records_for_detect(path: Path) -> Dataset:
     return load_dataset(path, error_budget=0, labels_optional=True)
 
 
+def _transform(text: str):
+    """The selected features and normalization of a transform.json."""
+    obj = json.loads(text)
+    return list(obj["selected"]), preprocess.NormalizationStats.from_json_obj(obj["normalization"])
+
+
 def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     out = _outdir(cfg)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
-    transform = json.loads(_need(out / TRANSFORM_JSON, "chids preprocess").read_text())
+    selected, stats = artifact.read_parsed(
+        _need(out / TRANSFORM_JSON, "chids preprocess"), _transform
+    )
     raw = _load_records_for_detect(Path(input_path))
     if tuple(raw.schema.names) == model.feature_names:
         ds = raw  # input is already in model space (e.g. a preprocessed cache)
     else:
-        ds = preprocess.select_features(raw, transform["selected"])
-        stats = preprocess.NormalizationStats.from_json_obj(transform["normalization"])
-        ds = preprocess.apply_normalizer(ds, stats)
+        ds = preprocess.apply_normalizer(preprocess.select_features(raw, selected), stats)
 
     mode = cfg.detect_mode
     verdict_lines: list[str] = []
@@ -298,7 +301,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     ]
     summary += [f"outcome.{k} = {v}" for k, v in sorted(outcome_counts.items())]
     summary += verdict_lines
-    (out / "detect_summary.txt").write_text("".join(s + "\n" for s in summary), encoding="ascii")
+    artifact.write_text(out / "detect_summary.txt", "".join(s + "\n" for s in summary))
     _err(f"flagged {len(flagged)}/{len(ds)}; {run.misuse_invocations} misuse invocations; {n_alerts} alerts")
     _out(alerts_path)
     _out(disp_path)
@@ -309,34 +312,16 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     manifest_file = _need(out / MANIFEST_JSON, "chids preprocess")
-    split_per_class = json.loads(manifest_file.read_text())["split"]["per_class"]
-    report = None
-    confusion = None
-    confusion_file = out / "report" / "confusion.tsv"
-    if confusion_file.exists():
-        confusion = _parse_report_file(confusion_file, ev.ConfusionMatrix.from_tsv)
-    metrics_file = out / "report" / "metrics.json"
-    if metrics_file.exists():
-        report = _parse_report_file(metrics_file, ev.MetricsReport.from_json)
     written = ev.emit_report(
         out / "report",
-        report=report,
-        confusion=confusion,
-        split_per_class=split_per_class,
+        split_per_class=artifact.read_parsed(manifest_file, _split_per_class),
+        confusion=_read_if_present(out / "report" / "confusion.tsv", ev.ConfusionMatrix.from_tsv),
+        report=_read_if_present(out / "report" / "metrics.json", ev.MetricsReport.from_json),
         rank_scores=_load_rank_scores(out / "rank_igr_full.tsv"),
     )
     for p in written:
         _out(p)
     return 0
-
-
-def _parse_report_file(path: Path, parse):
-    try:
-        return parse(path.read_text(encoding="ascii"))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not ASCII text: {exc.reason}") from None
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_config(cfg: RunConfig) -> int:

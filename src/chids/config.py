@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .anomaly import RuleConfig
-from .errors import ConfigError, IoError
+from . import artifact
+from .errors import ConfigError, DataError
 from .kdd import AttackClass
 from .learner import TreeParams
 from .pipeline import POLICIES, POLICY_ALERT_UNRESOLVED, PipelineConfig
@@ -188,9 +189,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     try:
-        text = open(path, "r", encoding="ascii").read()
-    except OSError as exc:
-        raise IoError(f"cannot open config {path}: {exc}") from exc
+        text = artifact.read_text(path)
+    except DataError as exc:  # a config file that is not text is a config error
+        raise ConfigError(str(exc)) from None
     return parse_config_text(text, base)
 
 

@@ -97,7 +97,3 @@ class UnknownScenario(InvalidOperation):
 
 class EmptyTestSet(InvalidOperation):
     pass
-
-
-class SinkUnavailable(IoError):
-    pass

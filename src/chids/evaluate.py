@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EmptyTestSet, IoError
+from . import artifact
+from .errors import DataError, EmptyTestSet
 from .kdd import AttackClass, Dataset, N_CLASSES
 
 CLASS_TAGS = tuple(c.tag for c in AttackClass)
@@ -257,10 +258,7 @@ def emit_report(
 
     def put(name: str, text: str):
         p = outdir / name
-        try:
-            p.write_text(text, encoding="ascii")
-        except OSError as exc:
-            raise IoError(f"cannot write {p}: {exc}") from exc
+        artifact.write_text(p, text)
         written.append(str(p))
 
     sections = []
@@ -273,10 +271,7 @@ def emit_report(
     put("report.txt", "\n".join(sections) if sections else "== empty ==\n")
 
     if report is not None:
-        put(
-            "metrics.json",
-            json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n",
-        )
+        put("metrics.json", artifact.json_text(report.to_json_obj()))
         timing_lines = []
         if report.train_time_s is not None:
             timing_lines.append(f"timing train_s {report.train_time_s:.6f}")

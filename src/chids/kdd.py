@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import artifact
 from .errors import (
     DataError,
     DatasetParseError,
@@ -184,14 +185,6 @@ class FeatureSchema:
                 if f.kind == NOMINAL:
                     domains[f.name] = list(self.domains[f.name])
         return FeatureSchema(defs, domains)
-
-    def same_layout(self, other: "FeatureSchema") -> bool:
-        return self.names == other.names and [f.kind for f in self.features] == [
-            f.kind for f in other.features
-        ]
-
-    def copy(self) -> "FeatureSchema":
-        return FeatureSchema(self.features, {n: list(d) for n, d in self.domains.items()})
 
     def to_json_obj(self) -> dict:
         return {
@@ -619,46 +612,37 @@ def save_cache(ds: Dataset, path) -> None:
     their symbols), built column by column.
     """
     schema = ds.schema
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(CACHE_MAGIC + "\n")
-            fh.write("#schema " + json.dumps(schema.to_json_obj(), separators=(",", ":")) + "\n")
-            for start in range(0, len(ds), _CHUNK_ROWS):
-                stop = start + _CHUNK_ROWS
-                cols = []
-                for f in schema.features:
-                    kind, j = schema.slot[f.name]
-                    if kind == NUMERIC:
-                        cols.append(map(repr, ds.numeric[start:stop, j].tolist()))
-                    else:
-                        cols.append(map(schema.domains[f.name].__getitem__, ds.nominal[start:stop, j].tolist()))
-                labels = ds.labels[start:stop].tolist()
-                if None in labels:  # unlabeled rows end with their last feature
-                    rows = (r if lab is None else r + (lab,) for r, lab in zip(zip(*cols), labels))
+    with artifact.open_text(path, "w") as fh:
+        fh.write(CACHE_MAGIC + "\n")
+        fh.write("#schema " + json.dumps(schema.to_json_obj(), separators=(",", ":")) + "\n")
+        for start in range(0, len(ds), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            cols = []
+            for f in schema.features:
+                kind, j = schema.slot[f.name]
+                if kind == NUMERIC:
+                    cols.append(map(repr, ds.numeric[start:stop, j].tolist()))
                 else:
-                    rows = zip(*cols, labels)
-                fh.write("".join([",".join(r) + "\n" for r in rows]))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+                    cols.append(map(schema.domains[f.name].__getitem__, ds.nominal[start:stop, j].tolist()))
+            labels = ds.labels[start:stop].tolist()
+            if None in labels:  # unlabeled rows end with their last feature
+                rows = (r if lab is None else r + (lab,) for r, lab in zip(zip(*cols), labels))
+            else:
+                rows = zip(*cols, labels)
+            fh.write("".join([",".join(r) + "\n" for r in rows]))
 
 
 def load_cache(path, taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY) -> Dataset:
     """Read a cache written by save_cache. Its domains are fixed, unlabeled
     rows are allowed, and the first bad line raises DatasetParseError."""
-    try:
-        fh = open(path, "r", encoding="ascii")
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    with fh:
+    with artifact.open_text(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != CACHE_MAGIC:
             raise DataError(f"{path}: not a chids dataset cache (got {magic!r})")
         schema_line = fh.readline().rstrip("\n")
         if not schema_line.startswith("#schema "):
             raise DataError(f"{path}: missing schema header")
-        try:
+        with artifact.parsing(path, 2):
             schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"{path}: bad schema header: {exc}") from None
         return _read_records(fh, schema, taxonomy, fixed_domains=True, labels_optional=True,
                              line_no=2)

@@ -217,6 +217,17 @@ def _entropy_rows(counts, n):
     return -t.sum(axis=1)
 
 
+def entropy_vec(counts: np.ndarray) -> float:
+    """Class entropy of one histogram, summed by numpy, for feature scores
+    and PART's nominal splits. It may differ from `_entropy`'s class-order
+    sum in the last bits, so each caller keeps the one its outputs use."""
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts[counts > 0] / n
+    return float(-(p * np.log2(p)).sum())
+
+
 def _pure_same_class(row_a, row_b, c_dim):
     """True when both group histograms are pure in the same single class."""
     cls_a = -1

@@ -18,8 +18,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import kernels
-from .errors import DataError, IoError, SchemaMismatch
+from . import artifact, kernels
+from .errors import DataError, SchemaMismatch
 from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, N_CLASSES
 
 
@@ -188,14 +188,6 @@ def added_errors(n: float, e: float, confidence: float = 0.25) -> float:
     return r * n - e
 
 
-def _entropy_vec(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum())
-
-
 @dataclass(frozen=True)
 class _Candidate:
     findex: int
@@ -239,7 +231,7 @@ class _Grower:
 
     def _candidates(self, idx, counts, used_nominal) -> list[_Candidate]:
         n = idx.size
-        h_node = _entropy_vec(counts)
+        h_node = kernels.entropy_vec(counts)
         # the numeric matrix holds its columns in schema order: cut j is slot j's
         cuts = kernels.best_numeric_cuts(
             self.ds.numeric[idx], self.y[idx], N_CLASSES, self.params.min_leaf
@@ -272,9 +264,9 @@ class _Grower:
                 cond = 0.0
                 for b in range(dom):
                     if sizes[b] > 0:
-                        cond += (sizes[b] / n) * _entropy_vec(table[b])
+                        cond += (sizes[b] / n) * kernels.entropy_vec(table[b])
                 gain = h_node - cond
-                si = _entropy_vec(sizes)
+                si = kernels.entropy_vec(sizes)
                 if si <= 0.0:
                     continue
                 out.append(_Candidate(f.index, f.name, NOMINAL, gain, si, None))
@@ -353,7 +345,7 @@ class _Grower:
         subsets, symbols = self._partition(idx, cand)
         used = used_nominal | {cand.feature} if cand.kind == NOMINAL else used_nominal
         entropies = [
-            (_entropy_vec(self._node_counts(s)) if s.size else 0.0, i)
+            (kernels.entropy_vec(self._node_counts(s)) if s.size else 0.0, i)
             for i, s in enumerate(subsets)
         ]
         children: list = [None] * len(subsets)
@@ -601,48 +593,33 @@ def _parse_nodes(lines: list[tuple[int, str]], pos: int, depth: int, kinds: dict
 
 def save_model(model, path) -> None:
     """Versioned structured-text model file (round-trippable)."""
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(MODEL_MAGIC + "\n")
-            fh.write(f"kind {model.kind}\n")
-            feats = ",".join(
-                f"{n}:{k}" for n, k in zip(model.feature_names, model.feature_kinds)
-            )
-            fh.write(f"features {feats}\n")
-            if isinstance(model, MajorityModel):
-                fh.write(f"default {model.klass.tag}\n")
-            elif isinstance(model, RuleSet):
-                fh.write(f"default {model.default.tag}\n")
-                for rule in model.rules:
-                    fh.write(_fmt_rule(rule) + "\n")
-            elif isinstance(model, DecisionTree):
-                _write_node(fh, model.root, 0)
-            else:
-                raise DataError(f"unknown model type {type(model).__name__}")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with artifact.open_text(path, "w") as fh:
+        fh.write(MODEL_MAGIC + "\n")
+        fh.write(f"kind {model.kind}\n")
+        feats = ",".join(
+            f"{n}:{k}" for n, k in zip(model.feature_names, model.feature_kinds)
+        )
+        fh.write(f"features {feats}\n")
+        if isinstance(model, MajorityModel):
+            fh.write(f"default {model.klass.tag}\n")
+        elif isinstance(model, RuleSet):
+            fh.write(f"default {model.default.tag}\n")
+            for rule in model.rules:
+                fh.write(_fmt_rule(rule) + "\n")
+        elif isinstance(model, DecisionTree):
+            _write_node(fh, model.root, 0)
+        else:
+            raise DataError(f"unknown model type {type(model).__name__}")
 
 
 def load_model(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not ASCII text: {exc.reason}") from None
+    return artifact.read_parsed(path, _parse_model)
+
+
+def _parse_model(text: str):
+    lines = text.splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
-        raise DataError(f"{path}: not a chids model file")
-    try:
-        return _parse_model(lines)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    except (IndexError, KeyError, ValueError) as exc:
-        # truncated lines, unknown class tags, non-numeric thresholds or counts
-        raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
-
-
-def _parse_model(lines: list[str]):
+        raise DataError("not a chids model file")
     kind = lines[1].split(" ", 1)[1]
     pairs = [p.split(":") for p in lines[2].split(" ", 1)[1].split(",")]
     names = tuple(p[0] for p in pairs)

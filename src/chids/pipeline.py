@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anomaly import filter_packets
-from .errors import SinkUnavailable
+from . import artifact
 from .kdd import AttackClass, Dataset
 
 STAGE_ANOMALY = "anomaly"
@@ -109,21 +109,14 @@ def emit_alerts(dispositions, sink) -> int:
     if hasattr(sink, "write"):
         sink.write(text)
     else:
-        try:
-            with open(sink, "w", encoding="ascii") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SinkUnavailable(f"cannot write alert log {sink}: {exc}") from exc
+        artifact.write_text(sink, text)
     return len(lines)
 
 
 def write_dispositions(dispositions, path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("#chids-dispositions v1\n")
-            fh.write("record\toutcome\tstage\tclass\n")
-            for d in dispositions:
-                tag = d.attack_class.tag if d.attack_class is not None else "-"
-                fh.write(f"{d.record_index}\t{d.outcome}\t{d.stage}\t{tag}\n")
-    except OSError as exc:
-        raise SinkUnavailable(f"cannot write dispositions {path}: {exc}") from exc
+    with artifact.open_text(path, "w") as fh:
+        fh.write("#chids-dispositions v1\n")
+        fh.write("record\toutcome\tstage\tclass\n")
+        for d in dispositions:
+            tag = d.attack_class.tag if d.attack_class is not None else "-"
+            fh.write(f"{d.record_index}\t{d.outcome}\t{d.stage}\t{tag}\n")

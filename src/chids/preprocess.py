@@ -5,7 +5,6 @@ data only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,7 +292,3 @@ def render_manifest(
         for key in extra:
             lines.append(f"{key} = {extra[key]}")
     return "\n".join(lines) + "\n"
-
-
-def manifest_to_json(manifest: SplitManifest) -> str:
-    return json.dumps(manifest.to_json_obj(), indent=2, sort_keys=True)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import IoError
+from . import artifact, kernels
 from .kdd import NUMERIC, Dataset, N_CLASSES
 
 CHI2 = "chi2"
@@ -97,14 +96,6 @@ def _contingency(ds: Dataset, disc: Discretization, feature: str) -> np.ndarray:
     return table.reshape(n_bins, N_CLASSES)
 
 
-def _entropy(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum())
-
-
 def chi_squared_score(ds: Dataset, disc: Discretization, feature: str) -> FeatureScore:
     """Pearson chi-squared statistic of the bin x class table; cells with
     zero expected count contribute nothing."""
@@ -128,10 +119,10 @@ def info_gain_ratio_score(ds: Dataset, disc: Discretization, feature: str) -> Fe
     n = table.sum()
     score = 0.0
     if n > 0:
-        h_class = _entropy(table.sum(axis=0))
+        h_class = kernels.entropy_vec(table.sum(axis=0))
         row = table.sum(axis=1)
-        cond = sum((row[b] / n) * _entropy(table[b]) for b in range(table.shape[0]) if row[b] > 0)
-        split_info = _entropy(row)
+        cond = sum(row[b] / n * kernels.entropy_vec(table[b]) for b in range(len(row)) if row[b] > 0)
+        split_info = kernels.entropy_vec(row)
         if split_info > 0.0:
             score = max(0.0, float((h_class - cond) / split_info))
     return FeatureScore(feature, ds.schema.names.index(feature), score, IGR)
@@ -175,11 +166,8 @@ def write_rank_report(scores, path) -> None:
     """Plot-ready descending rank table: rank, feature, method, score."""
     ranked = sorted(scores, key=lambda s: (-s.score, s.index))
     mean = sum(s.score for s in ranked) / len(ranked) if ranked else 0.0
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("rank\tfeature\tmethod\tscore\n")
-            for r, s in enumerate(ranked, start=1):
-                fh.write(f"{r}\t{s.feature}\t{s.method}\t{s.score!r}\n")
-            fh.write(f"# mean\t{mean!r}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with artifact.open_text(path, "w") as fh:
+        fh.write("rank\tfeature\tmethod\tscore\n")
+        for r, s in enumerate(ranked, start=1):
+            fh.write(f"{r}\t{s.feature}\t{s.method}\t{s.score!r}\n")
+        fh.write(f"# mean\t{mean!r}\n")

@@ -1,0 +1,128 @@
+"""chids files are opened, decoded and rejected in one place (`artifact`),
+and no damage to one of them ends a command with a traceback."""
+
+import ast
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chids
+from chids.cli import main
+from chids.config import RunConfig, render_config
+
+SRC = Path(chids.__file__).parent
+
+
+def test_only_artifact_opens_chids_files():
+    # raw record input may be gzip, and detect sniffs its first bytes
+    allowed = {("kdd.py", "_open_maybe_gzip"), ("cli.py", "_load_records_for_detect")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "artifact.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name):
+                    called = f.id
+                elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) != "artifact":
+                    called = f.attr
+                else:
+                    continue
+                where = (path.name, getattr(top, "name", None))
+                if called in ("open", "read_text", "write_text") and where not in allowed:
+                    found.append(f"{path.name}:{node.lineno} {called}")
+    assert found == []
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory, synth_corpus_path):
+    """Every artifact a run writes: caches, model, report bundle, an event
+    stream, a raw record sample and a config file."""
+    out = tmp_path_factory.mktemp("fuzz") / "run"
+    common = ["--out", str(out), "--seed", "1"]
+    for args in (
+        ["preprocess", "--dataset", str(synth_corpus_path),
+         "--set", "split.train_size=600", "--set", "split.test_size=300"],
+        ["train"],
+        ["evaluate"],
+        ["simulate", "--scenario", "sybil"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(args + common) == 0
+    lines = Path(synth_corpus_path).read_text().splitlines()[:20]
+    (out / "sample.kdd").write_text("\n".join(lines) + "\n")
+    (out / "run.conf").write_text(render_config(RunConfig()))
+    return out
+
+
+# damaged file -> the command that reads it
+READERS = {
+    "test.cache": ["evaluate"],
+    "train_full.cache": ["detect", "--input", "{out}/train_full.cache"],
+    "model.txt": ["evaluate"],
+    "stream_sybil.tsv": ["detect", "--input", "{out}/sample.kdd", "--events", "{out}/stream_sybil.tsv"],
+    "manifest.json": ["report"],
+    "transform.json": ["detect", "--input", "{out}/sample.kdd"],
+    "rank_igr_full.tsv": ["report"],
+    "report/metrics.json": ["report"],
+    "report/confusion.tsv": ["report"],
+    "train_timing.txt": ["evaluate"],
+    "run.conf": ["config", "--config", "{out}/run.conf"],
+}
+
+
+def damage(raw: bytes, kind: str, i: int, j: int, k: int, token: str) -> bytes:
+    """Truncate, insert non-ASCII bytes, or swap, drop or replace one field
+    of one line (fields split at the line's most common separator)."""
+    if kind == "truncate":
+        return raw[: i % (len(raw) + 1)]
+    if kind == "non-ascii":
+        i %= len(raw) + 1
+        return raw[:i] + b"\xe9\xff" + raw[i:]
+    lines = raw.decode("ascii").split("\n")
+    n = i % len(lines)
+    sep = max(" \t,:=", key=lines[n].count)
+    fields = lines[n].split(sep)
+    a, b = j % len(fields), k % len(fields)
+    if kind == "swap":
+        fields[a], fields[b] = fields[b], fields[a]
+    elif kind == "drop":
+        del fields[a]
+    else:
+        fields[a] = token
+    lines[n] = sep.join(fields)
+    return "\n".join(lines).encode("ascii")
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["truncate", "non-ascii", "swap", "drop", "replace"]),
+    i=st.integers(0, 2**16),
+    j=st.integers(0, 64),
+    k=st.integers(0, 64),
+    token=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e999", "-1", ""]),
+)
+def test_damaged_artifact_exits_with_a_documented_code(run_dir, name, kind, i, j, k, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        shutil.copytree(run_dir, out)
+        target = out / name
+        target.write_bytes(damage(target.read_bytes(), kind, i, j, k, token))
+        args = [a.format(out=out) for a in READERS[name]] + ["--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4, 5, 6), err
+    assert "Traceback" not in err
+    assert code == 0 or len(err.splitlines()) == 1, err

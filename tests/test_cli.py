@@ -196,8 +196,10 @@ class TestSimulateDetect:
             "3.0\ts1\tn1\treception\tm1\td\t-60.0\textra",
             "soon\ts1\tn1\treception\tm1\td\t-60.0",
             "3.0\ts1\tn1\treception\tm1\td\tloud",
+            "# 2.0\ts1\tn1\treception\tm1\td\t-60.0",
         ],
-        ids=["nan-ts", "nan-rssi", "6-columns", "8-columns", "text-ts", "text-rssi"],
+        ids=["nan-ts", "nan-rssi", "6-columns", "8-columns", "text-ts", "text-rssi",
+             "commented-out"],
     )
     def test_detect_malformed_stream_exit_4(
         self, workdir, synth_corpus_path, tmp_path, row, capsys
@@ -473,6 +475,68 @@ class TestReportHardening:
         before = path.read_bytes()
         assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
         assert path.read_bytes() == before
+
+
+def _set_normalization_n(value):
+    """An edit of transform.json that sets `normalization.n`, or drops it for None."""
+    def edit(raw: bytes) -> bytes:
+        obj = json.loads(raw)
+        del obj["normalization"]["n"]
+        if value is not None:
+            obj["normalization"]["n"] = value
+        return json.dumps(obj).encode("ascii")
+    return edit
+
+
+class TestDamagedArtifacts:
+    """A damaged chids file exits with its documented code and one line
+    naming the file, never with a traceback."""
+
+    @pytest.mark.parametrize("name, damage, command, want", [
+        ("manifest.json", lambda raw: b"{}", "report", 4),
+        ("manifest.json", lambda raw: b"{}", "evaluate", 4),
+        ("manifest.json", lambda raw: b"[1]", "report", 4),
+        ("manifest.json", lambda raw: b"{", "report", 4),
+        ("manifest.json", lambda raw: b'{"split": {"per_class": {"normal": 5}}}', "report", 4),
+        ("manifest.json", lambda raw: b'{"split": {"per_class": [1]}}', "report", 4),
+        ("manifest.json", lambda raw: raw[:10] + b"\xe9" + raw[10:], "report", 4),
+        ("transform.json", lambda raw: b"{}", "detect", 4),
+        ("transform.json", lambda raw: b"[1]", "detect", 4),
+        ("transform.json", lambda raw: b"xx", "detect", 4),
+        ("transform.json", _set_normalization_n(None), "detect", 4),
+        ("transform.json", _set_normalization_n(float("inf")), "detect", 4),
+        ("train_timing.txt", lambda raw: b"timing train_s abc\n", "evaluate", 4),
+        ("train_timing.txt", lambda raw: b"timing train_s 0.5\xe9\n", "evaluate", 4),
+        ("rank_igr_full.tsv", lambda raw: raw[:10] + b"\xe9" + raw[10:], "evaluate", 4),
+        ("run.conf", lambda raw: b"seed = 3\xe9\n", "config", 2),
+        ("run.conf", lambda raw: b"\x89PNG\r\n\x1a\n\x00\x00\xff", "config", 2),
+    ], ids=["manifest-empty-report", "manifest-empty-evaluate", "manifest-array",
+            "manifest-truncated", "manifest-int-row", "manifest-array-rows", "manifest-non-ascii",
+            "transform-empty", "transform-array", "transform-not-json", "transform-no-n",
+            "transform-infinite-n", "timing-text", "timing-non-ascii", "rank-non-ascii",
+            "config-non-ascii", "config-binary"])
+    def test_exit_code_names_file(
+        self, workdir, synth_corpus_path, tmp_path, name, damage, command, want, capsys
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        for f in ("model.txt", "test.cache", "manifest.json", "transform.json",
+                  "rank_igr_full.tsv", "train_timing.txt"):
+            shutil.copy(workdir / f, out / f)
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:10]) + "\n")
+        target = out / name
+        target.write_bytes(damage(target.read_bytes() if target.exists() else b""))
+        args = {
+            "report": ["report"],
+            "evaluate": ["evaluate"],
+            "detect": ["detect", "--input", str(sample)],
+            "config": ["config", "--config", str(target)],
+        }[command]
+        code, _, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == want
+        assert name in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 class TestConfigCommand:
