@@ -53,14 +53,10 @@ def _build_config(args) -> RunConfig:
             raise ConfigError(f"--set expects key=value, got {kv!r}")
         key, raw = kv.split("=", 1)
         cfg = apply_setting(cfg, key.strip(), raw)
-    if getattr(args, "dataset", None):
-        cfg = apply_setting(cfg, "dataset", args.dataset)
-    if getattr(args, "seed", None) is not None:
-        cfg = apply_setting(cfg, "seed", str(args.seed))
-    if getattr(args, "threads", None) is not None:
-        cfg = apply_setting(cfg, "threads", str(args.threads))
-    if getattr(args, "out", None):
-        cfg = apply_setting(cfg, "out", args.out)
+    for key in ("dataset", "seed", "threads", "out"):
+        value = getattr(args, key, None)
+        if value not in (None, ""):
+            cfg = apply_setting(cfg, key, str(value))
     cfg.validate()
     return cfg
 

@@ -2,7 +2,9 @@
 
 One file fully determines a run given the dataset: every knob the pipeline
 reads lives here, is diffable, and can be overridden per-invocation with
-`--set key=value`.
+`--set key=value`. The fields of RunConfig are the schema: a key is its
+field's name with the first `_` written as `.`, and a value is parsed by the
+type of the field's default.
 """
 
 from __future__ import annotations
@@ -10,15 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .anomaly import RuleConfig
-from . import artifact
+from . import artifact, ranking
 from .errors import ConfigError, DataError
-from .kdd import AttackClass
+from .kdd import FEATURE_TABLE, AttackClass
 from .learner import TreeParams
-from .pipeline import POLICIES, POLICY_ALERT_UNRESOLVED, PipelineConfig
-from .preprocess import DEFAULT_MINORITY, DEFAULT_PRUNE, SplitSpec
+from .pipeline import PipelineConfig
+from .preprocess import DEFAULT_PRUNE, SplitSpec
 
 MODEL_KINDS = ("part", "tree", "majority")
-SELECT_METHODS = ("chi2", "igr")
+SELECT_METHODS = tuple(ranking.SCORERS)
 DETECT_MODES = ("all", "none", "oracle", "stream")
 
 
@@ -29,32 +31,32 @@ class RunConfig:
     threads: int = 1
     out: str = "out"
 
-    split_train_size: int = 20000
-    split_test_size: int = 10000
-    split_minority: tuple[str, ...] = tuple(c.tag for c in DEFAULT_MINORITY)
+    split_train_size: int = SplitSpec.train_size
+    split_test_size: int = SplitSpec.test_size
+    split_minority: tuple[str, ...] = tuple(c.tag for c in SplitSpec.minority_classes)
 
     prune: tuple[str, ...] = DEFAULT_PRUNE
     select_method: str = "chi2"
     select_k: int = 4
 
     model_kind: str = "part"
-    part_min_leaf: int = 2
-    part_confidence: float = 0.25
-    part_prune: bool = True
+    part_min_leaf: int = TreeParams.min_leaf
+    part_confidence: float = TreeParams.confidence
+    part_prune: bool = TreeParams.prune
 
-    rules_interval_lower: float = 0.5
-    rules_interval_upper: float = 30.0
-    rules_retransmission_deadline: float = 2.0
-    rules_delay_window: float = 1.0
-    rules_repetition_limit: int = 3
-    rules_rssi_min: float = -95.0
-    rules_rssi_max: float = -20.0
-    rules_collision_limit: int = 5
-    rules_window: float = 10.0
-    rules_max_sources_per_message: int = 1
+    rules_interval_lower: float = RuleConfig.interval_lower
+    rules_interval_upper: float = RuleConfig.interval_upper
+    rules_retransmission_deadline: float = RuleConfig.retransmission_deadline
+    rules_delay_window: float = RuleConfig.delay_window
+    rules_repetition_limit: int = RuleConfig.repetition_limit
+    rules_rssi_min: float = RuleConfig.rssi_min
+    rules_rssi_max: float = RuleConfig.rssi_max
+    rules_collision_limit: int = RuleConfig.collision_limit
+    rules_window: float = RuleConfig.window
+    rules_max_sources_per_message: int = RuleConfig.max_sources_per_message
 
-    pipeline_policy: str = POLICY_ALERT_UNRESOLVED
-    pipeline_alert_sink: str = "alerts.log"
+    pipeline_policy: str = PipelineConfig.policy
+    pipeline_alert_sink: str = PipelineConfig.alert_sink
     detect_mode: str = "all"
 
     def split_spec(self) -> SplitSpec:
@@ -65,113 +67,70 @@ class RunConfig:
             seed=self.seed,
         )
 
+    def _section(self, prefix: str, cls):
+        """`cls` built from this config's `<prefix>_<field>` values."""
+        return cls(**{f.name: getattr(self, f"{prefix}_{f.name}") for f in fields(cls)})
+
     def tree_params(self) -> TreeParams:
-        return TreeParams(
-            min_leaf=self.part_min_leaf,
-            confidence=self.part_confidence,
-            prune=self.part_prune,
-        )
+        return self._section("part", TreeParams)
 
     def rule_config(self) -> RuleConfig:
-        return RuleConfig(
-            interval_lower=self.rules_interval_lower,
-            interval_upper=self.rules_interval_upper,
-            retransmission_deadline=self.rules_retransmission_deadline,
-            delay_window=self.rules_delay_window,
-            repetition_limit=self.rules_repetition_limit,
-            rssi_min=self.rules_rssi_min,
-            rssi_max=self.rules_rssi_max,
-            collision_limit=self.rules_collision_limit,
-            window=self.rules_window,
-            max_sources_per_message=self.rules_max_sources_per_message,
-        )
+        return self._section("rules", RuleConfig)
 
     def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(policy=self.pipeline_policy, alert_sink=self.pipeline_alert_sink)
+        return self._section("pipeline", PipelineConfig)
 
     def validate(self) -> None:
         if self.select_method not in SELECT_METHODS:
             raise ConfigError(f"select.method must be one of {SELECT_METHODS}")
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"model.kind must be one of {MODEL_KINDS}")
-        if self.pipeline_policy not in POLICIES:
-            raise ConfigError(f"pipeline.policy must be one of {POLICIES}")
         if self.detect_mode not in DETECT_MODES:
             raise ConfigError(f"detect.mode must be one of {DETECT_MODES}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.select_k < 0:
-            raise ConfigError("select.k must be >= 0")
+        kept = len({name for name, _ in FEATURE_TABLE} - set(self.prune))
+        if not 1 <= self.select_k <= kept:
+            raise ConfigError(f"select.k must be from 1 to {kept}, the features left after prune")
         known = {c.tag for c in AttackClass}
         bad = set(self.split_minority) - known
         if bad:
             raise ConfigError(f"split.minority: unknown classes {sorted(bad)}")
-        for prefix, build in (("rules", self.rule_config), ("part", self.tree_params)):
+        for prefix, build in (("rules", self.rule_config), ("part", self.tree_params),
+                              ("pipeline", self.pipeline_config)):
             try:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{prefix}.{exc}") from None
 
 
-# config-file key -> (dataclass field, coercion)
-_KEYMAP: dict[str, tuple[str, str]] = {
-    "dataset": ("dataset", "str"),
-    "seed": ("seed", "int"),
-    "threads": ("threads", "int"),
-    "out": ("out", "str"),
-    "split.train_size": ("split_train_size", "int"),
-    "split.test_size": ("split_test_size", "int"),
-    "split.minority": ("split_minority", "csv"),
-    "prune": ("prune", "csv"),
-    "select.method": ("select_method", "str"),
-    "select.k": ("select_k", "int"),
-    "model.kind": ("model_kind", "str"),
-    "part.min_leaf": ("part_min_leaf", "int"),
-    "part.confidence": ("part_confidence", "float"),
-    "part.prune": ("part_prune", "bool"),
-    "rules.interval_lower": ("rules_interval_lower", "float"),
-    "rules.interval_upper": ("rules_interval_upper", "float"),
-    "rules.retransmission_deadline": ("rules_retransmission_deadline", "float"),
-    "rules.delay_window": ("rules_delay_window", "float"),
-    "rules.repetition_limit": ("rules_repetition_limit", "int"),
-    "rules.rssi_min": ("rules_rssi_min", "float"),
-    "rules.rssi_max": ("rules_rssi_max", "float"),
-    "rules.collision_limit": ("rules_collision_limit", "int"),
-    "rules.window": ("rules_window", "float"),
-    "rules.max_sources_per_message": ("rules_max_sources_per_message", "int"),
-    "pipeline.policy": ("pipeline_policy", "str"),
-    "pipeline.alert_sink": ("pipeline_alert_sink", "str"),
-    "detect.mode": ("detect_mode", "str"),
-}
-
-_FIELD_TO_KEY = {f: k for k, (f, _) in _KEYMAP.items()}
+# key -> RunConfig field; a key is its field's name with the first `_` as `.`
+_FIELDS = {f.name.replace("_", ".", 1): f for f in fields(RunConfig)}
+_TRUE, _FALSE = ("true", "1", "yes", "on"), ("false", "0", "no", "off")
 
 
-def _coerce(key: str, kind: str, raw: str):
+def _coerce(key: str, kind: type, raw: str):
+    """`raw` parsed as a value of `kind`: a tuple is a comma list, a bool one
+    of the true/false words, any other type its own constructor's input."""
     raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "csv":
-            return tuple(s.strip() for s in raw.split(",") if s.strip())
-        return raw
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw!r} (expected {kind})") from None
+    if kind is tuple:
+        return tuple(s.strip() for s in raw.split(",") if s.strip())
+    if kind is bool:
+        if raw.lower() in _TRUE + _FALSE:
+            return raw.lower() in _TRUE
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise ConfigError(f"bad value for {key}: {raw!r} (expected {kind.__name__})")
 
 
 def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
-    if key not in _KEYMAP:
+    if key not in _FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
-    fname, kind = _KEYMAP[key]
-    return replace(cfg, **{fname: _coerce(key, kind, raw)})
+    f = _FIELDS[key]
+    return replace(cfg, **{f.name: _coerce(key, type(f.default), raw)})
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -198,8 +157,7 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 def render_config(cfg: RunConfig) -> str:
     """Commented flat dump of every knob (valid input for load_config)."""
     lines = ["# chids run configuration (key = value; `#` starts a comment)"]
-    for f in fields(RunConfig):
-        key = _FIELD_TO_KEY[f.name]
+    for key, f in _FIELDS.items():
         v = getattr(cfg, f.name)
         if isinstance(v, tuple):
             v = ",".join(v)

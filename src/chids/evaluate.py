@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifact
+from . import artifact, ranking
 from .errors import DataError, EmptyTestSet
 from .kdd import AttackClass, Dataset, N_CLASSES
 
@@ -296,12 +296,7 @@ def emit_report(
         put("test_time_bars.tsv", "\n".join(te_rows) + "\n")
 
     if rank_scores is not None:
-        ranked = sorted(rank_scores, key=lambda s: (-s.score, s.index))
-        rows = ["rank\tfeature\tmethod\tscore"]
-        rows.extend(
-            f"{r}\t{s.feature}\t{s.method}\t{s.score!r}" for r, s in enumerate(ranked, 1)
-        )
-        put("rank_curve.tsv", "\n".join(rows) + "\n")
+        put("rank_curve.tsv", ranking.rank_table(rank_scores))
 
     if confusion is not None:
         put("confusion.tsv", confusion.to_tsv())

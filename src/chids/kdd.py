@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -440,6 +441,17 @@ def _open_maybe_gzip(path):
     return open(path, "rt", encoding="ascii", newline="")
 
 
+@contextmanager
+def _naming(path):
+    """Prefix `path` to the message of a DataError raised inside, keeping
+    its type (and a DatasetParseError's `errors`)."""
+    try:
+        yield
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _read_records(
     fh,
     schema: FeatureSchema,
@@ -591,7 +603,7 @@ def load_dataset(
         fh = _open_maybe_gzip(path)
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-    with fh:
+    with fh, _naming(path):
         ds = _read_records(
             fh, schema, taxonomy, error_budget=0 if strict else error_budget,
             fixed_domains=strict, labels_optional=labels_optional,
@@ -644,5 +656,6 @@ def load_cache(path, taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY) -> Dataset:
             raise DataError(f"{path}: missing schema header")
         with artifact.parsing(path, 2):
             schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
-        return _read_records(fh, schema, taxonomy, fixed_domains=True, labels_optional=True,
-                             line_no=2)
+        with _naming(path):
+            return _read_records(fh, schema, taxonomy, fixed_domains=True,
+                                 labels_optional=True, line_no=2)

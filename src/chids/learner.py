@@ -168,7 +168,7 @@ def _z_quantile(confidence: float) -> float:
     return NormalDist().inv_cdf(1.0 - confidence)
 
 
-def added_errors(n: float, e: float, confidence: float = 0.25) -> float:
+def added_errors(n: float, e: float, confidence: float = TreeParams.confidence) -> float:
     """Extra errors to charge a leaf with n records and e observed mistakes,
     at the given one-sided confidence."""
     if n <= 0:

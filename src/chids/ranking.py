@@ -128,7 +128,7 @@ def info_gain_ratio_score(ds: Dataset, disc: Discretization, feature: str) -> Fe
     return FeatureScore(feature, ds.schema.names.index(feature), score, IGR)
 
 
-_SCORERS = {CHI2: chi_squared_score, IGR: info_gain_ratio_score}
+SCORERS = {CHI2: chi_squared_score, IGR: info_gain_ratio_score}
 
 
 def score_features(
@@ -144,7 +144,7 @@ def score_features(
     pool and results are reassembled in schema order, so the output is
     identical to the serial path.
     """
-    scorer = _SCORERS[method]
+    scorer = SCORERS[method]
     names = list(features) if features is not None else list(ds.schema.names)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -152,22 +152,29 @@ def score_features(
     return [scorer(ds, disc, n) for n in names]
 
 
+def rank(scores) -> list[FeatureScore]:
+    """The scores best first; ties broken by ascending schema index."""
+    return sorted(scores, key=lambda s: (-s.score, s.index))
+
+
 def select_top_k(scores, k: int) -> list[str]:
-    """Names of the k best-scoring features, ranked; ties broken by ascending
-    schema index. Growing k only ever appends to the selection."""
-    scores = list(scores)
-    if k > len(scores):
-        raise ValueError(f"k={k} exceeds {len(scores)} scored features")
-    ranked = sorted(scores, key=lambda s: (-s.score, s.index))
+    """Names of the k best-ranked features. Growing k only ever appends to
+    the selection."""
+    ranked = rank(scores)
+    if k > len(ranked):
+        raise ValueError(f"k={k} exceeds {len(ranked)} scored features")
     return [s.feature for s in ranked[:k]]
 
 
-def write_rank_report(scores, path) -> None:
+def rank_table(scores) -> str:
     """Plot-ready descending rank table: rank, feature, method, score."""
-    ranked = sorted(scores, key=lambda s: (-s.score, s.index))
+    rows = ["rank\tfeature\tmethod\tscore"]
+    rows += [f"{r}\t{s.feature}\t{s.method}\t{s.score!r}" for r, s in enumerate(rank(scores), 1)]
+    return "\n".join(rows) + "\n"
+
+
+def write_rank_report(scores, path) -> None:
+    """The rank table of `scores`, closed by a `# mean` comment line."""
+    ranked = rank(scores)
     mean = sum(s.score for s in ranked) / len(ranked) if ranked else 0.0
-    with artifact.open_text(path, "w") as fh:
-        fh.write("rank\tfeature\tmethod\tscore\n")
-        for r, s in enumerate(ranked, start=1):
-            fh.write(f"{r}\t{s.feature}\t{s.method}\t{s.score!r}\n")
-        fh.write(f"# mean\t{mean!r}\n")
+    artifact.write_text(path, rank_table(ranked) + f"# mean\t{mean!r}\n")

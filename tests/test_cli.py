@@ -539,6 +539,77 @@ class TestDamagedArtifacts:
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def _damage_line(no, edit):
+    """An edit of a file's bytes that rewrites its line `no` (from 1)."""
+    def damage(raw: bytes) -> bytes:
+        lines = raw.split(b"\n")
+        lines[no - 1] = edit(lines[no - 1])
+        return b"\n".join(lines)
+    return damage
+
+
+class TestRecordErrorsNameTheFile:
+    """A bad record line in a dataset cache or in raw record input exits 4
+    with one line naming the file and the line."""
+
+    @pytest.mark.parametrize("name, damage, command, needle", [
+        ("test.cache", _damage_line(6, lambda ln: ln + b",x"), "evaluate", "line 6: expected"),
+        ("test.cache", _damage_line(5, lambda ln: re.sub(rb",[a-z_0-9]+,", b",zzz,", ln, count=1)),
+         "evaluate", "line 5: feature service: unknown symbol 'zzz'"),
+        ("sample.kdd", _damage_line(6, lambda ln: b"0,tcp"), "detect", "line 6: expected"),
+        ("sample.kdd", _damage_line(2, lambda ln: ln + b"\xe9"), "detect", "not ASCII"),
+    ], ids=["cache-extra-field", "cache-unknown-symbol", "raw-short-line", "raw-non-ascii"])
+    def test_exit_4_names_file(
+        self, workdir, synth_corpus_path, tmp_path, name, damage, command, needle, capsys
+    ):
+        out = _detect_dir(workdir, tmp_path)
+        shutil.copy(workdir / "test.cache", out / "test.cache")
+        sample = out / "sample.kdd"
+        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:10]) + "\n")
+        target = out / name
+        target.write_bytes(damage(target.read_bytes()))
+        args = {"evaluate": ["evaluate"], "detect": ["detect", "--input", str(sample)]}[command]
+        code, _, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 4
+        assert err.startswith(f"chids: {target}: ") and needle in err
+        assert len(err.splitlines()) == 1
+
+
+# `chids config` with default settings, taken before keys, parsers and
+# defaults were derived from the RunConfig fields (note the space after
+# `dataset =`).
+DEFAULT_CONFIG = """\
+# chids run configuration (key = value; `#` starts a comment)
+dataset = 
+seed = 0
+threads = 1
+out = out
+split.train_size = 20000
+split.test_size = 10000
+split.minority = probe,r2l,u2r
+prune = is_host_login,num_outbound_cmds,urgent,su_attempted,land,num_failed_logins
+select.method = chi2
+select.k = 4
+model.kind = part
+part.min_leaf = 2
+part.confidence = 0.25
+part.prune = true
+rules.interval_lower = 0.5
+rules.interval_upper = 30.0
+rules.retransmission_deadline = 2.0
+rules.delay_window = 1.0
+rules.repetition_limit = 3
+rules.rssi_min = -95.0
+rules.rssi_max = -20.0
+rules.collision_limit = 5
+rules.window = 10.0
+rules.max_sources_per_message = 1
+pipeline.policy = alert_unresolved
+pipeline.alert_sink = alerts.log
+detect.mode = all
+"""
+
+
 class TestConfigCommand:
     def test_config_round_trip(self, tmp_path, capsys):
         code, out, _ = run_cli(["config", "--seed", "11"], capsys)
@@ -566,9 +637,35 @@ class TestConfigCommand:
 
     def test_range_edges_accepted(self, capsys):
         code, _, _ = run_cli(
-            ["config", "--set", "part.confidence=0.5", "--set", "part.min_leaf=1"], capsys
+            ["config", "--set", "part.confidence=0.5", "--set", "part.min_leaf=1",
+             "--set", "select.k=35"], capsys
         )
         assert code == 0
+
+    @pytest.mark.parametrize("settings", [
+        ["select.k=0"], ["select.k=36"], ["prune=land", "select.k=41"],
+    ], ids=["zero", "above-kept", "above-kept-after-prune"])
+    def test_select_k_outside_kept_features_exit_2(self, synth_corpus_path, tmp_path, settings,
+                                                   capsys):
+        args = ["preprocess", "--dataset", str(synth_corpus_path), "--out", str(tmp_path)]
+        for setting in settings:
+            args += ["--set", setting]
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("chids: select.k ") and len(err.splitlines()) == 1
+
+    def test_default_output_bytes(self, capsys):
+        code, out, _ = run_cli(["config"], capsys)
+        assert code == 0 and out == DEFAULT_CONFIG
+
+    def test_readme_lists_every_key(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
+        listed = set(re.findall(r"`([a-z_.*]+)`", section))
+        code, out, _ = run_cli(["config"], capsys)
+        keys = [ln.split(" = ")[0] for ln in out.splitlines()[1:]]
+        unlisted = [k for k in keys if k not in listed and k.split(".")[0] + ".*" not in listed]
+        assert code == 0 and unlisted == []
 
     def test_stdout_carries_only_data(self, workdir, capsys):
         code, out, err = run_cli(["evaluate", "--out", str(workdir)], capsys)

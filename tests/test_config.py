@@ -68,3 +68,41 @@ class TestValidation:
         assert cfg.split_spec().seed == 5
         assert cfg.rule_config().repetition_limit == 7
         assert cfg.tree_params().confidence == 0.1
+
+
+# one non-default value for every key of a built section
+SECTION_SETTINGS = [
+    ("rules.interval_lower", "0.25", 0.25),
+    ("rules.interval_upper", "20", 20.0),
+    ("rules.retransmission_deadline", "3", 3.0),
+    ("rules.delay_window", "1.5", 1.5),
+    ("rules.repetition_limit", "4", 4),
+    ("rules.rssi_min", "-90", -90.0),
+    ("rules.rssi_max", "-30", -30.0),
+    ("rules.collision_limit", "6", 6),
+    ("rules.window", "12", 12.0),
+    ("rules.max_sources_per_message", "2", 2),
+    ("part.min_leaf", "3", 3),
+    ("part.confidence", "0.1", 0.1),
+    ("part.prune", "off", False),
+    ("pipeline.policy", "trust_misuse", "trust_misuse"),
+    ("pipeline.alert_sink", "a.log", "a.log"),
+]
+SECTIONS = {"rules": "rule_config", "part": "tree_params", "pipeline": "pipeline_config"}
+
+
+class TestSections:
+    @pytest.mark.parametrize("key, raw, value", SECTION_SETTINGS,
+                             ids=[key for key, _, _ in SECTION_SETTINGS])
+    def test_setting_reaches_its_section(self, key, raw, value):
+        prefix, name = key.split(".", 1)
+        build = SECTIONS[prefix]
+        assert getattr(getattr(RunConfig(), build)(), name) != value
+        cfg = apply_setting(RunConfig(), key, raw)
+        cfg.validate()
+        assert getattr(getattr(cfg, build)(), name) == value
+
+    def test_every_section_key_is_covered(self):
+        keys = {ln.split(" = ")[0] for ln in render_config(RunConfig()).splitlines()[1:]}
+        in_sections = {k for k in keys if k.split(".")[0] in SECTIONS}
+        assert in_sections == {key for key, _, _ in SECTION_SETTINGS}
