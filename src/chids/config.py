@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigError(f"model.kind must be one of {MODEL_KINDS}")
         if self.detect_mode not in DETECT_MODES:
             raise ConfigError(f"detect.mode must be one of {DETECT_MODES}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         kept = len({name for name, _ in FEATURE_TABLE} - set(self.prune))

@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import math
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -489,6 +490,8 @@ def _read_records(
             lines = list(itertools.islice(fh, chunk_lines))
         except UnicodeDecodeError as exc:
             raise DataError(f"line {line_no + 1} or later is not ASCII text: {exc.reason}") from None
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise DataError(f"line {line_no + 1} or later is damaged gzip data: {exc}") from None
         if not lines:
             break
         rows, nos, bad = [], [], {}

@@ -27,7 +27,7 @@ from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, N_CLASSES
 class TreeParams:
     min_leaf: int = 2          # smallest admissible branch size
     confidence: float = 0.25   # pessimistic-error confidence factor
-    prune: bool = True
+    prune: bool = True         # full trees only: PART partial trees always prune
 
     def __post_init__(self):
         if not self.min_leaf >= 1:
@@ -290,51 +290,22 @@ class _Grower:
         codes = self.ds.nominal[idx, j]
         return [idx[codes == c] for c in range(len(symbols))], symbols
 
-    # --- full tree ---
-
-    def grow_tree(self, idx, used_nominal=frozenset()):
-        counts = self._node_counts(idx)
-        klass = self.leaf_class(counts)
-        if (counts > 0).sum() <= 1 or idx.size < 2 * self.params.min_leaf:
-            return Leaf(counts, klass)
-        cand = self._choose(self._candidates(idx, counts, used_nominal))
-        if cand is None:
-            return Leaf(counts, klass)
-        subsets, symbols = self._partition(idx, cand)
-        used = used_nominal | {cand.feature} if cand.kind == NOMINAL else used_nominal
-        children = []
-        for sub in subsets:
-            if sub.size == 0:
-                children.append(Leaf(np.zeros(N_CLASSES, dtype=np.int64), klass))
-            else:
-                children.append(self.grow_tree(sub, used))
-        majority = int(np.argmax([s.size for s in subsets]))
-        return Split(cand.feature, cand.kind, cand.threshold, symbols, children, majority, counts)
-
-    def prune_tree(self, node):
-        if isinstance(node, Leaf):
-            return node
-        node.children = [self.prune_tree(ch) for ch in node.children]
-        subtree_err = sum(self._subtree_errors(ch) for ch in node.children)
-        klass = self.leaf_class(node.dist)
-        leaf_err = self._pessimistic(node.dist, klass)
-        if leaf_err <= subtree_err + 0.1:
-            return Leaf(node.dist, klass)
-        return node
-
     def _subtree_errors(self, node) -> float:
         if isinstance(node, Leaf):
             return self._pessimistic(node.dist, node.klass)
         return sum(self._subtree_errors(ch) for ch in node.children)
 
-    # --- partial tree (rule extraction) ---
+    def expand(self, idx, used_nominal, path, partial):
+        """Grow the node over `idx`; returns (node, leaves) where leaves are
+        (path, leaf, order) for every leaf made in this subtree.
 
-    def expand_partial(self, idx, used_nominal, path):
-        """Returns (node, leaves) where leaves are (path, leaf, order) for
-        every actual leaf in this subtree. Children are expanded lowest
-        class-entropy first; expansion of further children stops as soon as
-        one child fails to settle into a leaf, and a fully-leafed node is
-        collapsed when the pessimistic error favors it."""
+        A full tree (`partial` false) expands every child in branch order.
+        A PART partial tree expands children lowest class-entropy first and
+        stops at the first child that does not settle into a leaf. Once all
+        children are expanded, the node collapses into a leaf when its
+        pessimistic error is no worse than its subtree's (subtree
+        replacement). Partial trees always collapse this way; full trees
+        only when `params.prune` is on."""
         counts = self._node_counts(idx)
         klass = self.leaf_class(counts)
         if (counts > 0).sum() <= 1 or idx.size < 2 * self.params.min_leaf:
@@ -344,33 +315,32 @@ class _Grower:
             return self._make_leaf(counts, klass, path)
         subsets, symbols = self._partition(idx, cand)
         used = used_nominal | {cand.feature} if cand.kind == NOMINAL else used_nominal
-        entropies = [
-            (kernels.entropy_vec(self._node_counts(s)) if s.size else 0.0, i)
-            for i, s in enumerate(subsets)
-        ]
+        order = range(len(subsets))
+        if partial:  # lowest class entropy first
+            entropy = [kernels.entropy_vec(self._node_counts(s)) if s.size else 0.0 for s in subsets]
+            order = sorted(order, key=lambda i: (entropy[i], i))
         children: list = [None] * len(subsets)
         leaves: list = []
-        stopped = False
-        for _, i in sorted(entropies):
+        for i in order:
             sub = subsets[i]
             if sub.size == 0:
                 children[i] = Leaf(np.zeros(N_CLASSES, dtype=np.int64), klass)
                 continue
-            child, sub_leaves = self.expand_partial(sub, used, path + [self._branch_test(cand, symbols, i)])
-            children[i] = child
+            children[i], sub_leaves = self.expand(
+                sub, used, path + [self._branch_test(cand, symbols, i)], partial)
             leaves.extend(sub_leaves)
-            if not isinstance(child, Leaf):
-                stopped = True
+            if partial and not isinstance(children[i], Leaf):
                 break
-        if not stopped:
-            subtree_err = sum(
-                self._pessimistic(ch.dist, ch.klass) for ch in children if ch is not None
-            )
-            if self._pessimistic(counts, klass) <= subtree_err + 0.1:
+        else:  # every child was expanded
+            if (partial or self.params.prune) and (
+                self._pessimistic(counts, klass)
+                <= sum(self._subtree_errors(ch) for ch in children) + 0.1
+            ):
                 return self._make_leaf(counts, klass, path)
         for i, ch in enumerate(children):
             if ch is None:  # unexpanded stub; never a rule candidate
-                children[i] = Leaf(self._node_counts(subsets[i]), self.leaf_class(self._node_counts(subsets[i])))
+                sub_counts = self._node_counts(subsets[i])
+                children[i] = Leaf(sub_counts, self.leaf_class(sub_counts))
         majority = int(np.argmax([s.size for s in subsets]))
         node = Split(cand.feature, cand.kind, cand.threshold, symbols, children, majority, counts)
         return node, leaves
@@ -387,7 +357,7 @@ class _Grower:
 
     def extract_rule(self, idx) -> Rule:
         """Best-coverage leaf of one partial tree over `idx`, as a rule."""
-        _, leaves = self.expand_partial(idx, frozenset(), [])
+        _, leaves = self.expand(idx, frozenset(), [], partial=True)
         viable = [(p, l, o) for p, l, o in leaves if int(l.dist.sum()) > 0]
         path, leaf, _ = min(viable, key=lambda t: (-int(t[1].dist.sum()), t[2]))
         cov = int(leaf.dist.sum())
@@ -426,10 +396,7 @@ def build_tree(train: Dataset, params: TreeParams | None = None) -> DecisionTree
     """Gain-ratio decision tree over the whole training set (pruned by
     pessimistic error unless params.prune is off)."""
     params = params or TreeParams()
-    g = _Grower(train, params)
-    root = g.grow_tree(np.arange(len(train)))
-    if params.prune:
-        root = g.prune_tree(root)
+    root = _Grower(train, params).expand(np.arange(len(train)), frozenset(), [], partial=False)[0]
     return DecisionTree(root, train.schema.names, [f.kind for f in train.schema.features])
 
 
@@ -480,13 +447,9 @@ def train_majority_baseline(train: Dataset) -> MajorityModel:
     if len(train) == 0:
         raise ValueError("training set is empty")
     counts = np.bincount(train.class_codes[train.class_codes >= 0], minlength=N_CLASSES)
-    top = counts.max()
-    best = min(
-        (c for c in range(N_CLASSES) if counts[c] == top),
-        key=lambda c: (-counts[c], c),
-    )
     return MajorityModel(
-        AttackClass(best), train.schema.names, [f.kind for f in train.schema.features]
+        AttackClass(int(np.argmax(counts))), train.schema.names,
+        [f.kind for f in train.schema.features],
     )
 
 

@@ -310,6 +310,38 @@ class TestDetectInput:
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def _gzip_damage(kind: str, raw: bytes) -> bytes:
+    """A gzip file's bytes damaged one way."""
+    if kind == "truncated":
+        return raw[: len(raw) // 2]
+    if kind == "crc":  # first byte of the CRC-32 trailer
+        return raw[:-8] + bytes([raw[-8] ^ 0xFF]) + raw[-7:]
+    if kind == "method":  # compression method byte; only 8 (deflate) exists
+        return raw[:2] + b"\x07" + raw[3:]
+    # the first deflate block's type bits set to the reserved value 3
+    return raw[:10] + bytes([raw[10] | 0b110]) + raw[11:]
+
+
+class TestDamagedGzip:
+    """A damaged gzip record file exits 4 with one error line naming the
+    file, never with a traceback."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "crc", "method", "deflate"])
+    @pytest.mark.parametrize("command", ["preprocess", "detect"])
+    def test_exit_4_names_file(self, workdir, synth_corpus_path, tmp_path, damage, command,
+                               capsys):
+        out = _detect_dir(workdir, tmp_path)
+        lines = Path(synth_corpus_path).read_text().splitlines(True)[:300]
+        packed = tmp_path / "records.kdd.gz"
+        packed.write_bytes(_gzip_damage(damage, gzip.compress("".join(lines).encode("ascii"))))
+        args = {"preprocess": ["preprocess", "--dataset"], "detect": ["detect", "--input"]}[command]
+        code, _, err = run_cli(args + [str(packed), "--out", str(out)], capsys)
+        *progress, last = err.splitlines()
+        assert code == 4
+        assert last.startswith(f"chids: {packed}: line ") and "damaged gzip data" in last
+        assert progress == ([f"chids: loading {packed}"] if command == "preprocess" else [])
+
+
 class TestPinnedOutputs:
     # Taken before caches were written column by column and detect input
     # went through the chunked reader; both must keep these bytes.
@@ -329,6 +361,64 @@ class TestPinnedOutputs:
         for name, expect in self.SHA256.items():
             path = (out if name in ("dispositions.tsv", "alerts.log") else workdir) / name
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expect, name
+
+
+@pytest.fixture(scope="module")
+def noisy_run(tmp_path_factory, synth_corpus_path):
+    """The session corpus with every 25th line's label swapped between
+    normal and neptune, preprocessed like `workdir`."""
+    out = tmp_path_factory.mktemp("noisy")
+    lines = Path(synth_corpus_path).read_text().splitlines(True)
+    swap = {",normal.\n": ",neptune.\n", ",neptune.\n": ",normal.\n"}
+    for i in range(24, len(lines), 25):
+        for old, new in swap.items():
+            if lines[i].endswith(old):
+                lines[i] = lines[i][: -len(old)] + new
+                break
+    corpus = out / "noisy.kdd"
+    corpus.write_text("".join(lines))
+    code = main(["preprocess", "--dataset", str(corpus), "--out", str(out), "--seed", "3"]
+                + SPLIT_OVERRIDES)
+    assert code == 0
+    return out
+
+
+class TestPinnedModels:
+    # Taken before the full tree and PART's partial trees were grown by one
+    # recursion; every model kind must keep these bytes.
+    SHA256 = {
+        "part": "82b65ec9c18fa84cb068b92cc609ee2003e6401385c6f1fa6d330cf49fe44b00",
+        "tree": "415ec4a2f7d2b56d8c0b161ec6b510415499d1a747a42b96e58249a14166c0b9",
+        "tree-unpruned": "d178d8b11b2f8055917e27b543937ff3beaca3f14365c1bd272ac4582ccd1699",
+        "majority": "1efc9d265d93fe16694322c985d57f371037889e6e7350826ff836526d7635d8",
+    }
+    SETTINGS = {
+        "part": [],
+        "tree": ["model.kind=tree"],
+        "tree-unpruned": ["model.kind=tree", "part.prune=false"],
+        "majority": ["model.kind=majority"],
+    }
+
+    def model_bytes(self, run: Path, tmp_path: Path, name: str) -> bytes:
+        out = tmp_path / name
+        shutil.copytree(run, out)
+        args = ["train", "--out", str(out), "--seed", "3"]
+        for setting in self.SETTINGS[name]:
+            args += ["--set", setting]
+        assert main(args) == 0
+        return (out / "model.txt").read_bytes()
+
+    @pytest.mark.parametrize("name", list(SHA256))
+    def test_model_bytes(self, noisy_run, tmp_path, name, capsys):
+        raw = self.model_bytes(noisy_run, tmp_path, name)
+        capsys.readouterr()
+        assert hashlib.sha256(raw).hexdigest() == self.SHA256[name]
+
+    def test_prune_changes_the_tree(self, noisy_run, tmp_path, capsys):
+        pruned = self.model_bytes(noisy_run, tmp_path, "tree")
+        unpruned = self.model_bytes(noisy_run, tmp_path, "tree-unpruned")
+        capsys.readouterr()
+        assert pruned != unpruned
 
 
 class TestModelFileHardening:
@@ -634,6 +724,17 @@ class TestConfigCommand:
         code, out, err = run_cli(["config", "--set", setting], capsys)
         assert code == 2
         assert out == "" and err.startswith("chids: " + setting.split(".")[0] + ".")
+
+    @pytest.mark.parametrize("command", ["preprocess", "simulate", "config"])
+    def test_negative_seed_exit_2(self, synth_corpus_path, tmp_path, command, capsys):
+        args = {
+            "preprocess": ["preprocess", "--dataset", str(synth_corpus_path)],
+            "simulate": ["simulate", "--scenario", "benign"],
+            "config": ["config"],
+        }[command]
+        code, out, err = run_cli(args + ["--out", str(tmp_path), "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == "" and err == "chids: seed must be >= 0\n"
 
     def test_range_edges_accepted(self, capsys):
         code, _, _ = run_cli(

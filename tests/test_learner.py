@@ -225,7 +225,7 @@ class TestPartialTreeRule:
             classes = [rng.randrange(3) for _ in range(n)]
             ds = xy_dataset(points, classes)
             g = _Grower(ds, TreeParams())
-            _, leaves = g.expand_partial(np.arange(n), frozenset(), [])
+            _, leaves = g.expand(np.arange(n), frozenset(), [], partial=True)
             covs = [int(l.dist.sum()) for _, l, _ in leaves]
             rule = g.extract_rule(np.arange(n))
             assert rule.coverage == max(c for c in covs if c > 0)
