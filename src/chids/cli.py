@@ -20,6 +20,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from . import anomaly, artifact, evaluate as ev, learner, pipeline, preprocess, ranking
 from .config import RunConfig, apply_setting, load_config, render_config
 from .errors import ChidsError, ConfigError, IoError, MissingArtifact
@@ -34,6 +36,8 @@ MANIFEST_JSON = "manifest.json"
 TRANSFORM_JSON = "transform.json"
 MODEL_FILE = "model.txt"
 TRAIN_TIMING = "train_timing.txt"
+DISPOSITIONS = "dispositions.tsv"
+DETECT_SUMMARY = "detect_summary.txt"
 
 
 def _err(msg: str) -> None:
@@ -244,7 +248,20 @@ def _transform(text: str):
     return list(obj["selected"]), preprocess.NormalizationStats.from_json_obj(obj["normalization"])
 
 
+def _alert_sink(cfg: RunConfig, input_path: str, events_path: str | None) -> Path:
+    """Where detect writes its alerts: `pipeline.alert_sink`, relative to the
+    out directory. It may not be a file detect reads or writes itself."""
+    out = Path(cfg.out)
+    sink = out / cfg.pipeline_alert_sink
+    own = [out, out / MODEL_FILE, out / TRANSFORM_JSON, out / DISPOSITIONS, out / DETECT_SUMMARY,
+           Path(input_path)] + ([Path(events_path)] if events_path is not None else [])
+    if sink.resolve() in {p.resolve() for p in own}:
+        raise ConfigError(f"pipeline.alert_sink must not be one of detect's own files: {sink}")
+    return sink
+
+
 def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
+    alerts_path = _alert_sink(cfg, input_path, events_path)
     out = _outdir(cfg)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
     selected, stats = artifact.read_parsed(
@@ -277,17 +294,11 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         per_rule = Counter(v.rule for v in verdicts)
         verdict_lines = [f"verdicts.{r} = {per_rule[r]}" for r in anomaly.RULE_IDS]
 
-    pipe_cfg = cfg.pipeline_config()
-    run = pipeline.run_pipeline(ds, flagged, model, pipe_cfg)
-    alerts_path = Path(pipe_cfg.alert_sink)
-    if not alerts_path.is_absolute():
-        alerts_path = out / alerts_path
-    n_alerts = pipeline.emit_alerts(run.dispositions, alerts_path)
-    disp_path = out / "dispositions.tsv"
-    pipeline.write_dispositions(run.dispositions, disp_path)
-    outcome_counts: dict[str, int] = {}
-    for d in run.dispositions:
-        outcome_counts[d.outcome] = outcome_counts.get(d.outcome, 0) + 1
+    run = pipeline.run_pipeline(ds, flagged, model, cfg.pipeline_config())
+    n_alerts = pipeline.emit_alerts(run, alerts_path)
+    disp_path = out / DISPOSITIONS
+    pipeline.write_dispositions(run, disp_path)
+    outcome_counts = np.bincount(run.outcome, minlength=len(pipeline.OUTCOMES)).tolist()
     summary = [
         "#chids-detect v1",
         f"records = {len(ds)}",
@@ -295,13 +306,13 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         f"misuse_invocations = {run.misuse_invocations}",
         f"alerts = {n_alerts}",
     ]
-    summary += [f"outcome.{k} = {v}" for k, v in sorted(outcome_counts.items())]
+    summary += [f"outcome.{k} = {v}" for k, v in sorted(zip(pipeline.OUTCOMES, outcome_counts)) if v]
     summary += verdict_lines
-    artifact.write_text(out / "detect_summary.txt", "".join(s + "\n" for s in summary))
+    artifact.write_text(out / DETECT_SUMMARY, "".join(s + "\n" for s in summary))
     _err(f"flagged {len(flagged)}/{len(ds)}; {run.misuse_invocations} misuse invocations; {n_alerts} alerts")
     _out(alerts_path)
     _out(disp_path)
-    _out(out / "detect_summary.txt")
+    _out(out / DETECT_SUMMARY)
     return 0
 
 

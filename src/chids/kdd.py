@@ -462,6 +462,7 @@ def _read_records(
     fixed_domains: bool = False,
     labels_optional: bool = False,
     unknown_unlabeled: bool = False,
+    distinct_lines: bool = False,
     line_no: int = 0,
     chunk_lines: int = _CHUNK_ROWS,
 ) -> Dataset:
@@ -476,6 +477,13 @@ def _read_records(
     Every other bad line is dropped and kept, once and in line order, on
     `dataset.parse_errors`; the (error_budget + 1)-th raises
     DatasetParseError.
+
+    With `distinct_lines`, only the first occurrence of each line text is
+    parsed: a repeat takes its row, or its error under its own line number,
+    and one `take` at the end expands the distinct rows to every line. The
+    result is the same, but the text of every distinct line is kept until
+    then, so this suits raw records, which repeat, and not caches, which
+    were deduplicated before they were written.
     """
     n = schema.n_features
     num_idx = [schema.names.index(name) for name in schema.numeric_names]
@@ -485,6 +493,10 @@ def _read_records(
     labels: list[str | None] = []
     class_codes: list[int] = []
     errors: list[tuple[int, str]] = []
+    # line text -> text id, in first-occurrence order (None: every line is parsed)
+    text_id: dict[str, int] | None = {} if distinct_lines else None
+    line_texts: list[int] = []  # the text id of every non-blank line
+    text_error: dict[int, str] = {}  # text id of a bad line -> its message
     while True:
         try:
             lines = list(itertools.islice(fh, chunk_lines))
@@ -495,10 +507,19 @@ def _read_records(
         if not lines:
             break
         rows, nos, bad = [], [], {}
+        fresh, repeats = [], []  # (line number, text id) of first occurrences, of repeats
         for raw in lines:
             line_no += 1
             if raw.isspace():
                 continue
+            if text_id is not None:
+                n_known = len(text_id)
+                t = text_id.setdefault(raw, n_known)
+                line_texts.append(t)
+                if t < n_known:
+                    repeats.append((line_no, t))
+                    continue
+                fresh.append((line_no, t))
             fields = raw.split(",")
             if len(fields) != n + 1:
                 if len(fields) == n and labels_optional:
@@ -545,6 +566,10 @@ def _read_records(
                         bad.setdefault(nos[i], f"unknown label {lab!r}")
 
         if bad:
+            text_error.update((t, bad[no]) for no, t in fresh if no in bad)
+        if text_error:
+            bad.update((no, text_error[t]) for no, t in repeats if t in text_error)
+        if bad:
             errors += sorted(bad.items())
             if len(errors) > error_budget:
                 raise DatasetParseError(errors[: error_budget + 1])
@@ -580,6 +605,12 @@ def _read_records(
         np.array(class_codes, dtype=np.int32),
         taxonomy,
     )
+    if text_id is not None:
+        bad_text = np.zeros(len(text_id), dtype=bool)
+        bad_text[list(text_error)] = True
+        text_row = np.cumsum(~bad_text) - 1
+        texts = np.array(line_texts, dtype=np.int64)
+        ds = ds.take(text_row[texts[~bad_text[texts]]])
     ds.parse_errors = errors
     return ds
 
@@ -610,7 +641,7 @@ def load_dataset(
         ds = _read_records(
             fh, schema, taxonomy, error_budget=0 if strict else error_budget,
             fixed_domains=strict, labels_optional=labels_optional,
-            unknown_unlabeled=labels_optional,
+            unknown_unlabeled=labels_optional, distinct_lines=True,
         )
     if ds.parse_errors:
         log.warning("%s: skipped %d bad line(s)", path, len(ds.parse_errors))

@@ -26,6 +26,13 @@ POLICY_ALERT_UNRESOLVED = "alert_unresolved"
 POLICY_TRUST_MISUSE = "trust_misuse"
 POLICIES = (POLICY_ALERT_UNRESOLVED, POLICY_TRUST_MISUSE)
 
+# Each outcome belongs to exactly one stage.
+OUTCOMES = (PASSED_NORMAL, CLASSIFIED_ATTACK, CLASSIFIED_NORMAL, UNRESOLVED_ALERT)
+OUTCOME_STAGE = (STAGE_ANOMALY, STAGE_MISUSE, STAGE_DECISION, STAGE_DECISION)
+_ALERTS = (OUTCOMES.index(CLASSIFIED_ATTACK), OUTCOMES.index(UNRESOLVED_ALERT))
+# class tag by AttackClass value; -1 (no class) picks the last entry
+_CLASS_TAG = tuple(c.tag for c in AttackClass) + ("-",)
+
 
 @dataclass(frozen=True)
 class Disposition:
@@ -43,12 +50,27 @@ class PipelineConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
+        if not self.alert_sink:
+            raise ValueError("alert_sink must not be empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineRun:
-    dispositions: tuple[Disposition, ...]
+    """Every record's disposition as columns: `outcome` indexes OUTCOMES,
+    `attack_class` is the AttackClass of a classified attack and -1 for
+    every other record."""
+
+    outcome: np.ndarray
+    attack_class: np.ndarray
     misuse_invocations: int
+
+    @property
+    def dispositions(self) -> tuple[Disposition, ...]:
+        """One Disposition per record, in record order, built on each call."""
+        return tuple(
+            Disposition(i, OUTCOMES[o], OUTCOME_STAGE[o], None if c < 0 else AttackClass(c))
+            for i, (o, c) in enumerate(zip(self.outcome.tolist(), self.attack_class.tolist()))
+        )
 
 
 def run_pipeline(
@@ -70,53 +92,47 @@ def run_pipeline(
     flagged = {int(i) for i in flagged}
     if flagged and (min(flagged) < 0 or max(flagged) >= n):
         raise ValueError("flagged index out of range")
-    passed, flagged_idx = filter_packets(range(n), flagged)
-    dispositions: list[Disposition | None] = [None] * n
-
-    for i in passed:
-        dispositions[i] = Disposition(i, PASSED_NORMAL, STAGE_ANOMALY)
+    _, flagged_idx = filter_packets(range(n), flagged)
+    outcome = np.full(n, OUTCOMES.index(PASSED_NORMAL), dtype=np.int8)
+    attack_class = np.full(n, -1, dtype=np.int8)
 
     if flagged_idx:
-        subset = records.take(np.array(flagged_idx, dtype=np.int64))
-        predicted = model.predict_dataset(subset)
-        for j, i in enumerate(flagged_idx):
-            klass = AttackClass(int(predicted[j]))
-            if klass != AttackClass.NORMAL:
-                dispositions[i] = Disposition(i, CLASSIFIED_ATTACK, STAGE_MISUSE, klass)
-            elif cfg.policy == POLICY_TRUST_MISUSE:
-                dispositions[i] = Disposition(i, CLASSIFIED_NORMAL, STAGE_DECISION)
-            else:
-                dispositions[i] = Disposition(i, UNRESOLVED_ALERT, STAGE_DECISION)
+        idx = np.array(flagged_idx, dtype=np.int64)
+        predicted = model.predict_dataset(records.take(idx))
+        attack = predicted != AttackClass.NORMAL
+        cleared = CLASSIFIED_NORMAL if cfg.policy == POLICY_TRUST_MISUSE else UNRESOLVED_ALERT
+        outcome[idx] = np.where(attack, OUTCOMES.index(CLASSIFIED_ATTACK), OUTCOMES.index(cleared))
+        attack_class[idx[attack]] = predicted[attack]
 
-    return PipelineRun(tuple(dispositions), len(flagged_idx))
+    return PipelineRun(outcome, attack_class, len(flagged_idx))
 
 
-def emit_alerts(dispositions, sink) -> int:
+def _rows(run: PipelineRun, idx: np.ndarray):
+    """(record, outcome, stage, class tag) of the records `idx`."""
+    for i, o, c in zip(idx.tolist(), run.outcome[idx].tolist(), run.attack_class[idx].tolist()):
+        yield i, OUTCOMES[o], OUTCOME_STAGE[o], _CLASS_TAG[c]
+
+
+def emit_alerts(run: PipelineRun, sink) -> int:
     """Write one structured line per attack or unresolved alert; returns the
     alert count. `sink` is a path or a writable file object."""
-    lines = []
-    for d in dispositions:
-        if d.outcome == CLASSIFIED_ATTACK:
-            lines.append(
-                f"alert\trecord={d.record_index}\tstage={d.stage}\t"
-                f"outcome={d.outcome}\tclass={d.attack_class.tag}"
-            )
-        elif d.outcome == UNRESOLVED_ALERT:
-            lines.append(
-                f"alert\trecord={d.record_index}\tstage={d.stage}\toutcome={d.outcome}\tclass=-"
-            )
-    text = "".join(ln + "\n" for ln in lines)
+    alerts = np.flatnonzero(np.isin(run.outcome, _ALERTS))
+    text = "".join(
+        f"alert\trecord={i}\tstage={stage}\toutcome={outcome}\tclass={tag}\n"
+        for i, outcome, stage, tag in _rows(run, alerts)
+    )
     if hasattr(sink, "write"):
         sink.write(text)
     else:
         artifact.write_text(sink, text)
-    return len(lines)
+    return len(alerts)
 
 
-def write_dispositions(dispositions, path) -> None:
+def write_dispositions(run: PipelineRun, path) -> None:
     with artifact.open_text(path, "w") as fh:
         fh.write("#chids-dispositions v1\n")
         fh.write("record\toutcome\tstage\tclass\n")
-        for d in dispositions:
-            tag = d.attack_class.tag if d.attack_class is not None else "-"
-            fh.write(f"{d.record_index}\t{d.outcome}\t{d.stage}\t{tag}\n")
+        fh.writelines(
+            f"{i}\t{outcome}\t{stage}\t{tag}\n"
+            for i, outcome, stage, tag in _rows(run, np.arange(len(run.outcome)))
+        )

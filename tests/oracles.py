@@ -2,14 +2,19 @@
 
 Everything here is deliberately naive (explicit loops, whole-stream rescans,
 exhaustive enumeration, high-precision summation) and shares no code with
-the package paths it checks.
+the package paths it checks. The one exception, `read_records_oracle`,
+checks how the record reader combines lines, not how it parses one.
 """
 
+import io
 import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from chids.anomaly import COLLISION, RECEPTION
+from chids.kdd import DEFAULT_TAXONOMY, Dataset, _read_records
 
 
 def entropy_oracle(labels) -> float:
@@ -317,3 +322,24 @@ def replay_verdicts(events, cfg):
             out.append((i, "jamming"))
 
     return sorted(out)
+
+
+def read_records_oracle(lines, schema, **options) -> Dataset:
+    """What the record reader makes of `lines` when no line can see another:
+    each line is read alone, under its own line number, on the one shared
+    `schema` (so domains still grow in line order), with no error budget;
+    the rows and errors are concatenated in line order."""
+    parts = [
+        _read_records(io.StringIO(line), schema, DEFAULT_TAXONOMY, line_no=k,
+                      error_budget=len(lines), **options)
+        for k, line in enumerate(lines)
+    ]
+    ds = Dataset(
+        schema,
+        np.concatenate([p.numeric for p in parts] + [np.empty((0, schema.n_numeric))]),
+        np.concatenate([p.nominal for p in parts] + [np.empty((0, schema.n_nominal), np.int32)]),
+        [lab for p in parts for lab in p.labels],
+        [c for p in parts for c in p.class_codes],
+    )
+    ds.parse_errors = [e for p in parts for e in p.parse_errors]
+    return ds

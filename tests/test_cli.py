@@ -309,6 +309,18 @@ class TestDetectInput:
         assert "line 6" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    def test_repeated_bad_line_names_first_occurrence(self, workdir, synth_corpus_path, tmp_path,
+                                                      capsys):
+        out = _detect_dir(workdir, tmp_path)
+        lines = Path(synth_corpus_path).read_text().splitlines()[:8]
+        fields = lines[0].split(",")
+        bad = ",".join(fields[:4] + ["oops"] + fields[5:])
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("\n".join(lines[:3] + [bad] + lines[3:6] + [bad] + lines[6:] + [bad]) + "\n")
+        code, _, err = run_cli(["detect", "--input", str(sample), "--out", str(out)], capsys)
+        assert code == 4
+        assert err == f"chids: {sample}: 1 bad line(s): line 4: feature 4: not a number: 'oops'\n"
+
 
 def _gzip_damage(kind: str, raw: bytes) -> bytes:
     """A gzip file's bytes damaged one way."""
@@ -344,7 +356,9 @@ class TestDamagedGzip:
 
 class TestPinnedOutputs:
     # Taken before caches were written column by column and detect input
-    # went through the chunked reader; both must keep these bytes.
+    # went through the chunked reader; both must keep these bytes. The
+    # summary, and the run below, were taken before raw lines were parsed
+    # once per distinct text and dispositions were held as columns.
     SHA256 = {
         "train_full.cache": "a8a12dffd0d156302e1ac51bad5b3329a5a9fb025e6d6ebc2c303389b6dcf972",
         "test_full.cache": "73a655e8fd0d8f32a2e86d967829c5f86ef983be914d7d8ad2c9b6586a8f77d3",
@@ -352,6 +366,17 @@ class TestPinnedOutputs:
         "test.cache": "43b3654c20ad9a358ad8b28644478fd37dbea7bb9b16cec87bd9837fdb616842",
         "dispositions.tsv": "c73b343348e591472245fc6a42e416c78e74a84f60e2fcdbac37b36212affff3",
         "alerts.log": "cc903754924e5e072de5225a066bc513fdd11693739dfaafdce6a7b4f974cb8b",
+        "detect_summary.txt": "ad8b90f503874de1a33c7fcf885e88764eb4986532628002b222d9762bcacc3a",
+    }
+    DETECT_OUTPUTS = ("dispositions.tsv", "alerts.log", "detect_summary.txt")
+    # detect.mode=oracle with pipeline.policy=trust_misuse on the corpus with
+    # swapped labels: the swapped records are flagged normals that pass and
+    # attacks the model calls normal, so every outcome but unresolved_alert
+    # occurs.
+    ORACLE_TRUST_SHA256 = {
+        "dispositions.tsv": "819406cb377ef8c6e268ea034cde803599a8f4d8c98eb0c6d339f141254676e8",
+        "alerts.log": "06a499d37a34c1f173859dca90680b1fccb5f30d56220e55eb36fe6becb3fcfa",
+        "detect_summary.txt": "49ac2a4f06643042ccc1a5370453acc7f2647cd8dc2d25c863b6b4ec92db0ba9",
     }
 
     def test_caches_and_detect_outputs(self, workdir, synth_corpus_path, tmp_path, capsys):
@@ -359,8 +384,59 @@ class TestPinnedOutputs:
         assert main(["detect", "--input", str(synth_corpus_path), "--out", str(out)]) == 0
         capsys.readouterr()
         for name, expect in self.SHA256.items():
-            path = (out if name in ("dispositions.tsv", "alerts.log") else workdir) / name
+            path = (out if name in self.DETECT_OUTPUTS else workdir) / name
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expect, name
+
+    def test_oracle_trust_misuse_outputs(self, workdir, noisy_run, tmp_path, capsys):
+        out = _detect_dir(workdir, tmp_path)
+        assert main(["detect", "--input", str(noisy_run / "noisy.kdd"), "--out", str(out),
+                     "--set", "detect.mode=oracle", "--set", "pipeline.policy=trust_misuse"]) == 0
+        capsys.readouterr()
+        outcomes = {k for k in _summary(out) if k.startswith("outcome.")}
+        assert outcomes == {"outcome.passed_normal", "outcome.classified_attack",
+                            "outcome.classified_normal"}
+        for name, expect in self.ORACLE_TRUST_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expect, name
+
+
+class TestAlertSink:
+    """pipeline.alert_sink may not name a file detect reads or writes itself;
+    detect then exits 2 before it writes anything."""
+
+    @pytest.fixture
+    def sink_run(self, workdir, synth_corpus_path, tmp_path, capsys):
+        """A fresh out directory and a function that runs stream-mode detect
+        on a 50-record sample with a given sink."""
+        out = _detect_dir(workdir, tmp_path)
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:50]) + "\n")
+        assert main(["simulate", "--scenario", "hello-flood", "--out", str(tmp_path)]) == 0
+        events = tmp_path / "stream_hello-flood.tsv"
+        capsys.readouterr()
+
+        def detect(sink):
+            sink = sink.format(input=sample, events=events)
+            return run_cli(["detect", "--input", str(sample), "--events", str(events),
+                            "--out", str(out), "--set", f"pipeline.alert_sink={sink}"], capsys)
+        return out, detect
+
+    @pytest.mark.parametrize("sink", [
+        "", ".", "model.txt", "../det/model.txt", "transform.json", "dispositions.tsv",
+        "detect_summary.txt", "{input}", "{events}",
+    ], ids=["empty", "out-dir", "model", "model-other-spelling", "transform", "dispositions",
+            "summary", "input", "events"])
+    def test_own_file_exit_2(self, sink_run, sink):
+        out, detect = sink_run
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code, stdout, err = detect(sink)
+        assert code == 2 and stdout == ""
+        assert err.startswith("chids: pipeline.alert_sink ") and len(err.splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # model.txt included
+
+    def test_other_file_is_written(self, sink_run):
+        out, detect = sink_run
+        code, _, _ = detect("flagged.log")
+        assert code == 0 and (out / "flagged.log").exists() and not (out / "alerts.log").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import gzip
+import io
 
 import numpy as np
 import pytest
@@ -323,6 +324,60 @@ class TestColumnarReader:
         assert np.array_equal(whole.nominal, chunked.nominal)
         assert list(whole.labels) == list(chunked.labels)
         assert np.array_equal(whole.class_codes, chunked.class_codes)
+
+    def test_each_repeat_of_a_bad_line_counts(self, tmp_path):
+        p = tmp_path / "repeats.kdd"
+        bad = make_line(src_bytes="oops")
+        p.write_text("\n".join([
+            make_line(), bad, make_line(label="smurf."), bad, make_line(), make_line(), bad,
+        ]) + "\n")
+        expect = [(no, "feature 4: not a number: 'oops'") for no in (2, 4, 7)]
+        with pytest.raises(DatasetParseError) as exc:
+            load_dataset(p, error_budget=2)
+        assert exc.value.errors == expect
+        ds = load_dataset(p, error_budget=3)
+        assert ds.parse_errors == expect
+        assert list(ds.labels) == ["normal", "smurf", "normal", "normal"]
+
+
+# Lines the reader treats differently, for files with many repeats.
+_POOL = (
+    make_line() + "\n",
+    make_line(service="smtp", label="neptune.") + "\n",
+    make_line(service="ftp", src_bytes="0.5", label="satan.") + "\r\n",
+    make_line(service=" private ", src_bytes=" 7 ", label=" back. ") + "\n",
+    "\n",
+    "  \r\n",
+    make_line(service="telnet").rsplit(",", 1)[0] + "\n",  # unlabeled
+    make_line(service="pop_3", label="quantum_worm.") + "\n",  # unknown label
+    make_line(service="domain", src_bytes="nan") + "\n",
+    make_line(service="auth", src_bytes="oops") + "\n",
+    "0,tcp,http\n",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=st.lists(st.sampled_from(_POOL), max_size=30))
+def test_reader_matches_line_by_line_oracle(lines):
+    from chids.kdd import _read_records
+    from oracles import read_records_oracle
+
+    for labels_optional in (False, True):
+        options = dict(labels_optional=labels_optional, unknown_unlabeled=labels_optional)
+        want = read_records_oracle(lines, FeatureSchema.default(), **options)
+        for distinct_lines in (False, True):
+            for chunk_lines in (1, 3, 256):
+                got = _read_records(
+                    io.StringIO("".join(lines)), FeatureSchema.default(), DEFAULT_TAXONOMY,
+                    error_budget=len(lines), distinct_lines=distinct_lines,
+                    chunk_lines=chunk_lines, **options,
+                )
+                assert np.array_equal(got.numeric, want.numeric)
+                assert np.array_equal(got.nominal, want.nominal)
+                assert list(got.labels) == list(want.labels)
+                assert np.array_equal(got.class_codes, want.class_codes)
+                assert got.schema.domains == want.schema.domains
+                assert got.parse_errors == want.parse_errors
 
 
 class TestCacheFormat:

@@ -130,13 +130,13 @@ class TestEmitAlerts:
         ds = labeled_ds([0] * 4)
         run = run_pipeline(ds, set(), separable_model())
         sink = io.StringIO()
-        assert emit_alerts(run.dispositions, sink) == 0
+        assert emit_alerts(run, sink) == 0
         assert sink.getvalue() == ""
 
     def test_alert_count_matches_recount(self):
         run = self.run_mixed()
         sink = io.StringIO()
-        n = emit_alerts(run.dispositions, sink)
+        n = emit_alerts(run, sink)
         recount = sum(
             1 for d in run.dispositions if d.outcome in (CLASSIFIED_ATTACK, UNRESOLVED_ALERT)
         )
@@ -146,7 +146,7 @@ class TestEmitAlerts:
     def test_alert_lines_carry_stage_and_class(self):
         run = self.run_mixed()
         sink = io.StringIO()
-        emit_alerts(run.dispositions, sink)
+        emit_alerts(run, sink)
         lines = sink.getvalue().splitlines()
         assert any("class=dos" in ln and "stage=misuse" in ln for ln in lines)
         assert any("outcome=unresolved_alert" in ln for ln in lines)
