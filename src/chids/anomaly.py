@@ -131,13 +131,9 @@ class StreamEngine:
         self._collisions: deque = deque()
 
     def state_size(self) -> int:
-        return (
-            len(self._last_rx)
-            + len(self._pending)
-            + sum(len(d) for d in self._sightings.values())
-            + len(self._touch)
-            + len(self._collisions)
-        )
+        # every retained sighting has one `_touch` entry: both are appended
+        # together and evicted at the same horizon, so the sightings count twice
+        return len(self._last_rx) + len(self._pending) + 2 * len(self._touch) + len(self._collisions)
 
     def process(self, event: AnomalyEvent) -> list[RuleVerdict]:
         self._index += 1
@@ -206,10 +202,7 @@ class StreamEngine:
     def _sighting_rules(self, event: AnomalyEvent, i: int) -> list[RuleVerdict]:
         cfg = self.cfg
         out = []
-        horizon = event.ts - cfg.window
         dq = self._sightings.setdefault(event.msg_id, deque())
-        while dq and dq[0][0] <= horizon:
-            dq.popleft()
         if any(d != event.digest for _, d, _, _ in dq):
             out.append(_verdict(i, event.ts, RULE_INTEGRITY, event.msg_id))
         count_bad = False

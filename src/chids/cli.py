@@ -36,8 +36,19 @@ MANIFEST_JSON = "manifest.json"
 TRANSFORM_JSON = "transform.json"
 MODEL_FILE = "model.txt"
 TRAIN_TIMING = "train_timing.txt"
+RANK_FULL = "rank_igr_full.tsv"
+RANK_SELECTED = "rank_selected.tsv"
 DISPOSITIONS = "dispositions.tsv"
 DETECT_SUMMARY = "detect_summary.txt"
+STREAM_TSV = "stream_{}.tsv"
+VERDICTS_TSV = "verdicts_{}.tsv"
+REPORT_DIR = "report"
+# every file a command writes in the out directory, besides detect's alerts
+OUT_FILES = (
+    TRAIN_FULL, TEST_FULL, TRAIN_CACHE, TEST_CACHE, MANIFEST_TXT, MANIFEST_JSON, TRANSFORM_JSON,
+    MODEL_FILE, TRAIN_TIMING, RANK_FULL, RANK_SELECTED, DISPOSITIONS, DETECT_SUMMARY, REPORT_DIR,
+    *(name.format(s) for name in (STREAM_TSV, VERDICTS_TSV) for s in anomaly.SCENARIOS),
+)
 
 
 def _err(msg: str) -> None:
@@ -97,13 +108,13 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     igr_scores = ranking.score_features(
         split.train, disc_full, ranking.IGR, threads=cfg.threads
     )
-    ranking.write_rank_report(igr_scores, out / "rank_igr_full.tsv")
+    ranking.write_rank_report(igr_scores, out / RANK_FULL)
 
     train_p = preprocess.prune_features(split.train, cfg.prune)
     test_p = preprocess.prune_features(split.test, cfg.prune)
     disc_p = ranking.discretize(train_p)
     scores = ranking.score_features(train_p, disc_p, cfg.select_method, threads=cfg.threads)
-    ranking.write_rank_report(scores, out / "rank_selected.tsv")
+    ranking.write_rank_report(scores, out / RANK_SELECTED)
     selected = ranking.select_top_k(scores, cfg.select_k)
     _err(f"selected features ({cfg.select_method}, k={cfg.select_k}): {', '.join(selected)}")
 
@@ -167,11 +178,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     cm, report = ev.evaluate(model, test)
     report.train_time_s = _read_if_present(out / TRAIN_TIMING, _train_seconds)
     written = ev.emit_report(
-        out / "report",
+        out / REPORT_DIR,
         report=report,
         confusion=cm,
         split_per_class=_read_if_present(out / MANIFEST_JSON, _split_per_class),
-        rank_scores=_load_rank_scores(out / "rank_igr_full.tsv"),
+        rank_scores=_load_rank_scores(out / RANK_FULL),
     )
     _err(
         f"detection rate {report.detection_rate:.2f}%  "
@@ -221,8 +232,8 @@ def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
     out = _outdir(cfg)
     events = anomaly.generate_stream(scenario, cfg.seed, cfg.rule_config())
     verdicts = anomaly.evaluate_stream(events, cfg.rule_config())
-    stream_path = out / f"stream_{scenario}.tsv"
-    verdict_path = out / f"verdicts_{scenario}.tsv"
+    stream_path = out / STREAM_TSV.format(scenario)
+    verdict_path = out / VERDICTS_TSV.format(scenario)
     anomaly.write_stream(events, stream_path)
     anomaly.write_verdicts(verdicts, verdict_path)
     _err(f"{scenario}: {len(events)} events, {len(verdicts)} verdicts")
@@ -250,13 +261,15 @@ def _transform(text: str):
 
 def _alert_sink(cfg: RunConfig, input_path: str, events_path: str | None) -> Path:
     """Where detect writes its alerts: `pipeline.alert_sink`, relative to the
-    out directory. It may not be a file detect reads or writes itself."""
+    out directory. It may not be detect's input, the out directory, a file
+    any command writes there, or a path under `report/`."""
     out = Path(cfg.out)
     sink = out / cfg.pipeline_alert_sink
-    own = [out, out / MODEL_FILE, out / TRANSFORM_JSON, out / DISPOSITIONS, out / DETECT_SUMMARY,
-           Path(input_path)] + ([Path(events_path)] if events_path is not None else [])
-    if sink.resolve() in {p.resolve() for p in own}:
-        raise ConfigError(f"pipeline.alert_sink must not be one of detect's own files: {sink}")
+    own = [out, Path(input_path), *(out / name for name in OUT_FILES)]
+    own += [Path(events_path)] if events_path is not None else []
+    where = sink.resolve()
+    if where in {p.resolve() for p in own} or (out / REPORT_DIR).resolve() in where.parents:
+        raise ConfigError(f"pipeline.alert_sink must not name a chids input or artifact: {sink}")
     return sink
 
 
@@ -320,11 +333,11 @@ def cmd_report(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     manifest_file = _need(out / MANIFEST_JSON, "chids preprocess")
     written = ev.emit_report(
-        out / "report",
+        out / REPORT_DIR,
         split_per_class=artifact.read_parsed(manifest_file, _split_per_class),
-        confusion=_read_if_present(out / "report" / "confusion.tsv", ev.ConfusionMatrix.from_tsv),
-        report=_read_if_present(out / "report" / "metrics.json", ev.MetricsReport.from_json),
-        rank_scores=_load_rank_scores(out / "rank_igr_full.tsv"),
+        confusion=_read_if_present(out / REPORT_DIR / "confusion.tsv", ev.ConfusionMatrix.from_tsv),
+        report=_read_if_present(out / REPORT_DIR / "metrics.json", ev.MetricsReport.from_json),
+        rank_scores=_load_rank_scores(out / RANK_FULL),
     )
     for p in written:
         _out(p)

@@ -277,7 +277,8 @@ def emit_report(
             timing_lines.append(f"timing train_s {report.train_time_s:.6f}")
         if report.test_time_s is not None:
             timing_lines.append(f"timing test_s {report.test_time_s:.6f}")
-        put("timings.txt", "".join(ln + "\n" for ln in timing_lines))
+        if timing_lines:  # a report re-rendered from metrics.json has no times
+            put("timings.txt", "".join(ln + "\n" for ln in timing_lines))
 
         def bars(value_of):
             rows = ["system\tfeatures\tvalue\tsource"]

@@ -1,19 +1,18 @@
-"""Entropy-scan kernels for numeric split search.
+"""Entropy-scan split kernels.
 
-Two ways to find the information-gain-maximal binary cut of numeric values:
+- `best_numeric_cuts` finds the information-gain-maximal binary cut of
+  every column of a numeric block at once: a vectorized screen, then an
+  exact confirm of each column's near-best cuts. `learner` calls it once
+  per tree node, `ranking`'s MDL discretization once per range it splits.
+- `table_gain` scores a split of records into the branches of a code
+  column: `learner` calls it for nominal splits, `ranking` for IGR scores.
+- `group_counts` + `best_group_cut` find the numeric cut one column at a
+  time. No chids code calls them: the tests use them as the reference and
+  the benchmark wraps them by name, until it reads an in-program trace and
+  they move into the tests.
 
-- `group_counts` folds one column into per-value class histograms and
-  `best_group_cut` scans those histograms. `ranking`'s MDL discretization
-  calls `group_counts` once per feature and `best_group_cut` on every
-  range it splits, and the tests use the pair as the reference for the
-  second way.
-- `best_numeric_cuts` scores every column of a node's numeric block at once:
-  a vectorized screen finds each column's near-best cuts, and an exact
-  confirm re-scores only those. `learner` calls it once per tree node.
-
-Both score a cut with the same scalar arithmetic (`_entropy`, `_cut_gain`),
-whose entropy sums run in a fixed class order, so a given training set
-always yields the same cuts, bit for bit, whichever way found them.
+Cut gains use scalar arithmetic (`_entropy`, `_cut_gain`) summed in class
+order, so a training set always yields the same cuts, bit for bit.
 """
 
 from __future__ import annotations
@@ -178,6 +177,25 @@ def best_numeric_cuts(block, classes, n_classes, min_each_side):
             best_gain[col] = g
             out[col] = ((float(v[row0, col]) + float(v[nl, col])) / 2.0, g, nl)
     return out
+
+
+def table_gain(codes, classes, n_branches, n_classes, h_parent, min_branch):
+    """(gain, split_info) of splitting records into the branches their
+    `codes` (each below `n_branches`) name, or None when fewer than two
+    branches hold `min_branch` records. `h_parent` is the class entropy of
+    all the records; branches are summed in code order, empty ones skipped."""
+    n = codes.size
+    table = np.bincount(
+        codes * n_classes + classes, minlength=n_branches * n_classes
+    ).reshape(n_branches, n_classes)
+    sizes = table.sum(axis=1)
+    if int((sizes >= min_branch).sum()) < 2:
+        return None
+    cond = 0.0
+    for b in range(n_branches):
+        if sizes[b] > 0:
+            cond += (sizes[b] / n) * entropy_vec(table[b])
+    return h_parent - cond, entropy_vec(sizes)
 
 
 def _entropy(counts, n):

@@ -254,22 +254,10 @@ class _Grower:
                 dom = len(self.ds.schema.domains[f.name])
                 if dom < 2:
                     continue
-                codes = self.ds.nominal[idx, j].astype(np.int64)
-                table = np.bincount(
-                    codes * N_CLASSES + self.y[idx], minlength=dom * N_CLASSES
-                ).reshape(dom, N_CLASSES)
-                sizes = table.sum(axis=1)
-                if int((sizes >= self.params.min_leaf).sum()) < 2:
-                    continue
-                cond = 0.0
-                for b in range(dom):
-                    if sizes[b] > 0:
-                        cond += (sizes[b] / n) * kernels.entropy_vec(table[b])
-                gain = h_node - cond
-                si = kernels.entropy_vec(sizes)
-                if si <= 0.0:
-                    continue
-                out.append(_Candidate(f.index, f.name, NOMINAL, gain, si, None))
+                res = kernels.table_gain(self.ds.nominal[idx, j].astype(np.int64), self.y[idx],
+                                         dom, N_CLASSES, h_node, self.params.min_leaf)
+                if res is not None:
+                    out.append(_Candidate(f.index, f.name, NOMINAL, *res, None))
         return out
 
     def _choose(self, cands: list[_Candidate]) -> _Candidate | None:

@@ -30,41 +30,34 @@ class Discretization:
             if c.size > 1 and not (np.diff(c) > 0).all():
                 raise ValueError(f"{name}: cut points must be strictly increasing")
 
-    def n_bins(self, ds: Dataset, feature: str) -> int:
-        if feature in self.cuts:
-            return len(self.cuts[feature]) + 1
-        return max(len(ds.schema.domains[feature]), 1)
-
     def bin_codes(self, ds: Dataset, feature: str) -> tuple[np.ndarray, int]:
         kind = ds.schema.kind_of[feature]
         if kind == NUMERIC:
             codes = np.searchsorted(self.cuts[feature], ds.column(feature), side="left")
             return codes.astype(np.int64), len(self.cuts[feature]) + 1
-        return ds.column(feature).astype(np.int64), self.n_bins(ds, feature)
+        return ds.column(feature).astype(np.int64), max(len(ds.schema.domains[feature]), 1)
 
 
-def _mdl_cut_positions(group_values: np.ndarray, counts: np.ndarray) -> list[float]:
-    """Recursive binary splitting; a cut survives only if its information gain
+def _mdl_cuts(v: np.ndarray, y: np.ndarray) -> list[float]:
+    """Cut points of ascending values `v` with class codes `y`: recursive
+    binary splitting, where a cut survives only if its information gain
     beats the minimum-description-length coding cost of announcing it."""
-    res = kernels.best_group_cut(counts, 1)
+    res = kernels.best_numeric_cuts(v[:, None], y, N_CLASSES, 1)[0]
     if res is None:
         return []
-    pos, gain, _n_left, h_parent, h_left, h_right = res
-    totals = counts.sum(axis=0)
-    left_tot = counts[:pos].sum(axis=0)
-    right_tot = totals - left_tot
-    n = int(totals.sum())
-    k = int((totals > 0).sum())
-    k1 = int((left_tot > 0).sum())
-    k2 = int((right_tot > 0).sum())
-    delta = math.log2(3**k - 2) - (k * h_parent - k1 * h_left - k2 * h_right)
-    threshold = (math.log2(n - 1) + delta) / n
-    if gain <= threshold:
+    cut, gain, n_left = res
+    n = v.size
+    total = np.bincount(y, minlength=N_CLASSES)
+    left = np.bincount(y[:n_left], minlength=N_CLASSES)
+    right = total - left
+    k, k1, k2 = (int((c > 0).sum()) for c in (total, left, right))
+    h = kernels._entropy(total.tolist(), n)
+    h1 = kernels._entropy(left.tolist(), n_left)
+    h2 = kernels._entropy(right.tolist(), n - n_left)
+    delta = math.log2(3**k - 2) - (k * h - k1 * h1 - k2 * h2)
+    if gain <= (math.log2(n - 1) + delta) / n:
         return []
-    cut = (float(group_values[pos - 1]) + float(group_values[pos])) / 2.0
-    left = _mdl_cut_positions(group_values[:pos], counts[:pos])
-    right = _mdl_cut_positions(group_values[pos:], counts[pos:])
-    return left + [cut] + right
+    return _mdl_cuts(v[:n_left], y[:n_left]) + [cut] + _mdl_cuts(v[n_left:], y[n_left:])
 
 
 def discretize(train: Dataset) -> Discretization:
@@ -76,8 +69,8 @@ def discretize(train: Dataset) -> Discretization:
         raise ValueError("discretization requires labeled records")
     cuts = {}
     for name in train.schema.numeric_names:
-        gv, counts = kernels.group_counts(train.column(name), train.class_codes, N_CLASSES)
-        cuts[name] = np.asarray(_mdl_cut_positions(gv, counts), dtype=np.float64)
+        order = np.argsort(train.column(name), kind="stable")
+        cuts[name] = _mdl_cuts(train.column(name)[order], train.class_codes[order])
     return Discretization(cuts, train.schema.nominal_names)
 
 
@@ -89,17 +82,13 @@ class FeatureScore:
     method: str
 
 
-def _contingency(ds: Dataset, disc: Discretization, feature: str) -> np.ndarray:
-    codes, n_bins = disc.bin_codes(ds, feature)
-    y = ds.class_codes.astype(np.int64)
-    table = np.bincount(codes * N_CLASSES + y, minlength=n_bins * N_CLASSES)
-    return table.reshape(n_bins, N_CLASSES)
-
-
 def chi_squared_score(ds: Dataset, disc: Discretization, feature: str) -> FeatureScore:
     """Pearson chi-squared statistic of the bin x class table; cells with
     zero expected count contribute nothing."""
-    table = _contingency(ds, disc, feature).astype(np.float64)
+    codes, n_bins = disc.bin_codes(ds, feature)
+    y = ds.class_codes.astype(np.int64)
+    table = np.bincount(codes * N_CLASSES + y, minlength=n_bins * N_CLASSES)
+    table = table.reshape(n_bins, N_CLASSES).astype(np.float64)
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
     total = table.sum()
@@ -115,16 +104,11 @@ def info_gain_ratio_score(ds: Dataset, disc: Discretization, feature: str) -> Fe
     """Information gain of the class given the binned feature, divided by the
     split information of the binning; defined as 0 when the split information
     vanishes (single-bin feature)."""
-    table = _contingency(ds, disc, feature)
-    n = table.sum()
-    score = 0.0
-    if n > 0:
-        h_class = kernels.entropy_vec(table.sum(axis=0))
-        row = table.sum(axis=1)
-        cond = sum(row[b] / n * kernels.entropy_vec(table[b]) for b in range(len(row)) if row[b] > 0)
-        split_info = kernels.entropy_vec(row)
-        if split_info > 0.0:
-            score = max(0.0, float((h_class - cond) / split_info))
+    codes, n_bins = disc.bin_codes(ds, feature)
+    y = ds.class_codes.astype(np.int64)
+    h_class = kernels.entropy_vec(np.bincount(y, minlength=N_CLASSES))
+    res = kernels.table_gain(codes, y, n_bins, N_CLASSES, h_class, 1)
+    score = 0.0 if res is None else max(0.0, float(res[0] / res[1]))
     return FeatureScore(feature, ds.schema.names.index(feature), score, IGR)
 
 

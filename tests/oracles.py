@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive (explicit loops, whole-stream rescans,
 exhaustive enumeration, high-precision summation) and shares no code with
-the package paths it checks. The one exception, `read_records_oracle`,
-checks how the record reader combines lines, not how it parses one.
+the package paths it checks. Two exceptions: `read_records_oracle` checks
+how the record reader combines lines, not how it parses one, and
+`mdl_cuts_oracle` runs on `kernels.group_counts` + `best_group_cut`, which
+no package path calls.
 """
 
 import io
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from chids import kernels
 from chids.anomaly import COLLISION, RECEPTION
 from chids.kdd import DEFAULT_TAXONOMY, Dataset, _read_records
 
@@ -213,6 +216,35 @@ def mdl_accepts_oracle(values, classes, thr) -> bool:
         k * entropy_oracle(classes) - k1 * entropy_oracle(left) - k2 * entropy_oracle(right)
     )
     return gain > (math.log2(n - 1) + delta) / n
+
+
+def mdl_cuts_oracle(values, classes, n_classes) -> np.ndarray:
+    """Fayyad & Irani's recursive MDL discretization of one column on the
+    per-column kernels: `group_counts` folds the values into distinct-value
+    class histograms once, and `best_group_cut` splits each range of them."""
+    group_values, counts = kernels.group_counts(
+        np.asarray(values), np.asarray(classes), n_classes
+    )
+
+    def cut_positions(gv, counts):
+        res = kernels.best_group_cut(counts, 1)
+        if res is None:
+            return []
+        pos, gain, _n_left, h_parent, h_left, h_right = res
+        totals = counts.sum(axis=0)
+        left_tot = counts[:pos].sum(axis=0)
+        right_tot = totals - left_tot
+        n = int(totals.sum())
+        k = int((totals > 0).sum())
+        k1 = int((left_tot > 0).sum())
+        k2 = int((right_tot > 0).sum())
+        delta = math.log2(3**k - 2) - (k * h_parent - k1 * h_left - k2 * h_right)
+        if gain <= (math.log2(n - 1) + delta) / n:
+            return []
+        cut = (float(gv[pos - 1]) + float(gv[pos])) / 2.0
+        return cut_positions(gv[:pos], counts[:pos]) + [cut] + cut_positions(gv[pos:], counts[pos:])
+
+    return np.asarray(cut_positions(group_values, counts), dtype=np.float64)
 
 
 # --- quadratic anomaly-stream replayer ------------------------------------

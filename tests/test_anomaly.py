@@ -225,6 +225,27 @@ class TestMemoryContract:
         assert peak < 450
 
 
+class TestStateSize:
+    """`state_size()` counts the retained sightings through `_touch`; it
+    equals the sum over every piece of engine state after each event."""
+
+    @staticmethod
+    def brute_force(engine):
+        return (len(engine._last_rx) + len(engine._pending) + len(engine._touch)
+                + sum(len(d) for d in engine._sightings.values()) + len(engine._collisions))
+
+    @pytest.mark.parametrize("window", [0.5, 2.0, 10.0])
+    def test_equals_sum_after_every_event(self, window):
+        cfg = RuleConfig(window=window)
+        streams = [random_stream(seed, n_events=80) for seed in range(20)]
+        streams += [generate_stream(scenario, 0, cfg) for scenario in SCENARIOS]
+        for events in streams:
+            engine = StreamEngine(cfg)
+            for e in events:
+                engine.process(e)
+                assert engine.state_size() == self.brute_force(engine)
+
+
 class TestFilterPackets:
     def test_all_normal_passes(self):
         records = list(range(10))

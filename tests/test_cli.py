@@ -358,8 +358,13 @@ class TestPinnedOutputs:
     # Taken before caches were written column by column and detect input
     # went through the chunked reader; both must keep these bytes. The
     # summary, and the run below, were taken before raw lines were parsed
-    # once per distinct text and dispositions were held as columns.
+    # once per distinct text and dispositions were held as columns. The rank
+    # files and transform were taken before discretization ran on the block
+    # split kernel.
     SHA256 = {
+        "rank_igr_full.tsv": "23974843e19782029a49206b68b567cae31c5842ef52d43d657ffd2b087863d5",
+        "rank_selected.tsv": "3a6bb259edac7c3050b56365177ffb8cb94d5b46af9a4814695eb7044c2c284f",
+        "transform.json": "96807279acbd4ea512d9a09f5ba638be5299a02093860d683bac8d1a7b755c1d",
         "train_full.cache": "a8a12dffd0d156302e1ac51bad5b3329a5a9fb025e6d6ebc2c303389b6dcf972",
         "test_full.cache": "73a655e8fd0d8f32a2e86d967829c5f86ef983be914d7d8ad2c9b6586a8f77d3",
         "train.cache": "c76e80f09d7adf7b00edd90b1f7cf6108c1546ae0e0d6e98d7cc8cc1c5251e1c",
@@ -400,8 +405,9 @@ class TestPinnedOutputs:
 
 
 class TestAlertSink:
-    """pipeline.alert_sink may not name a file detect reads or writes itself;
-    detect then exits 2 before it writes anything."""
+    """pipeline.alert_sink may not name detect's input, the out directory, a
+    file any chids command writes there, or a path under report/; detect
+    then exits 2 before it writes anything."""
 
     @pytest.fixture
     def sink_run(self, workdir, synth_corpus_path, tmp_path, capsys):
@@ -422,16 +428,19 @@ class TestAlertSink:
 
     @pytest.mark.parametrize("sink", [
         "", ".", "model.txt", "../det/model.txt", "transform.json", "dispositions.tsv",
-        "detect_summary.txt", "{input}", "{events}",
+        "detect_summary.txt", "{input}", "{events}", "train.cache", "test_full.cache",
+        "manifest.json", "../det/manifest.json", "rank_igr_full.tsv", "report",
+        "report/metrics.json",
     ], ids=["empty", "out-dir", "model", "model-other-spelling", "transform", "dispositions",
-            "summary", "input", "events"])
+            "summary", "input", "events", "train-cache", "test-full-cache", "manifest",
+            "manifest-other-spelling", "rank-file", "report-dir", "report-file"])
     def test_own_file_exit_2(self, sink_run, sink):
         out, detect = sink_run
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        before = _tree_bytes(out)
         code, stdout, err = detect(sink)
         assert code == 2 and stdout == ""
         assert err.startswith("chids: pipeline.alert_sink ") and len(err.splitlines()) == 1
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # model.txt included
+        assert _tree_bytes(out) == before  # model.txt and the caches included
 
     def test_other_file_is_written(self, sink_run):
         out, detect = sink_run
@@ -569,6 +578,13 @@ class TestReportCommand:
         code, out, _ = run_cli(["report", "--out", str(workdir)], capsys)
         assert code == 0
         assert (workdir / "report" / "rank_curve.tsv").exists()
+
+    def test_report_keeps_the_timings(self, evaluated, capsys):
+        timings = evaluated / "report" / "timings.txt"
+        before = timings.read_bytes()
+        assert before.startswith(b"timing test_s ")
+        assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
+        assert timings.read_bytes() == before
 
 
 @pytest.fixture
@@ -849,6 +865,11 @@ class TestConfigCommand:
         assert code == 0
         for line in out.splitlines():
             assert os.path.exists(line), f"stdout line is not a path: {line!r}"
+
+
+def _tree_bytes(root: Path) -> dict:
+    """The bytes of every file under `root`, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def _hash_artifacts(out: Path) -> dict:
