@@ -356,16 +356,13 @@ def generate_stream(
 STREAM_MAGIC = "#chids-stream v1"
 STREAM_HEADER = "ts\tsource\tneighbor\tkind\tmsg_id\tdigest\trssi"
 VERDICT_MAGIC = "#chids-verdicts v1"
+VERDICT_HEADER = "event_index\tts\trule\ttags\tdetail"
 
 
 def write_stream(events: Iterable[AnomalyEvent], path) -> None:
-    with artifact.open_text(path, "w") as fh:
-        fh.write(STREAM_MAGIC + "\n")
-        fh.write(STREAM_HEADER + "\n")
-        for e in events:
-            fh.write(
-                f"{e.ts!r}\t{e.source}\t{e.neighbor}\t{e.kind}\t{e.msg_id}\t{e.digest}\t{e.rssi!r}\n"
-            )
+    rows = ((repr(e.ts), e.source, e.neighbor, e.kind, e.msg_id, e.digest, repr(e.rssi))
+            for e in events)
+    artifact.write_text(path, artifact.table_text(STREAM_HEADER, rows, STREAM_MAGIC))
 
 
 def _event(ts, source, neighbor, kind, msg_id, digest, rssi) -> AnomalyEvent:
@@ -377,8 +374,5 @@ def read_stream(path) -> list[AnomalyEvent]:
 
 
 def write_verdicts(verdicts: Iterable[RuleVerdict], path) -> None:
-    with artifact.open_text(path, "w") as fh:
-        fh.write(VERDICT_MAGIC + "\n")
-        fh.write("event_index\tts\trule\ttags\tdetail\n")
-        for v in verdicts:
-            fh.write(f"{v.event_index}\t{v.ts!r}\t{v.rule}\t{','.join(v.tags)}\t{v.detail}\n")
+    rows = ((str(v.event_index), repr(v.ts), v.rule, ",".join(v.tags), v.detail) for v in verdicts)
+    artifact.write_text(path, artifact.table_text(VERDICT_HEADER, rows, VERDICT_MAGIC))

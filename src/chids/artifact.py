@@ -1,9 +1,10 @@
-"""How chids opens, decodes and rejects its own files.
+"""How chids opens, decodes, rejects and formats its own files.
 
 Every file chids writes is ASCII text. `open_text` turns an I/O fault into
 IoError (exit 3) and bytes that are not ASCII into DataError (exit 4), and
 `parsing` turns a fault raised while parsing into DataError; each names the
 file. Raw record input, which may be gzip, has its own reader in `kdd`.
+Every tab-separated table chids writes is formatted by `table_text`.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ def read_parsed(path, parse):
     text = read_text(path)
     with parsing(path):
         return parse(text)
+
+
+def table_text(header: str, rows, magic: str | None = None) -> str:
+    """A tab-separated table: the `magic` line when given, the `header` row,
+    then each row's fields, already `str`, joined by tabs; a final newline."""
+    head = [header] if magic is None else [magic, header]
+    return "\n".join([*head, *map("\t".join, rows)]) + "\n"
 
 
 def read_rows(path, magic: str, header: str, row) -> list:

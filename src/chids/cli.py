@@ -24,7 +24,7 @@ import numpy as np
 
 from . import anomaly, artifact, evaluate as ev, learner, pipeline, preprocess, ranking
 from .config import RunConfig, apply_setting, load_config, render_config
-from .errors import ChidsError, ConfigError, IoError, MissingArtifact
+from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact
 from .kdd import AttackClass, CACHE_MAGIC, Dataset, load_cache, load_dataset, save_cache
 
 TRAIN_FULL = "train_full.cache"
@@ -218,8 +218,11 @@ def _load_rank_scores(path: Path):
     """The rows of a rank file; its `#` lines are comments."""
     if not path.exists():
         return None
+    lines = artifact.read_text(path).splitlines()
+    if lines[:1] != [ranking.RANK_HEADER]:
+        raise DataError(f"{path}: line 1: expected {ranking.RANK_HEADER!r}")
     scores = []
-    for lineno, ln in enumerate(artifact.read_text(path).splitlines()[1:], 2):
+    for lineno, ln in enumerate(lines[1:], 2):
         if ln.startswith("#") or not ln.strip():
             continue
         with artifact.parsing(path, lineno):

@@ -18,6 +18,9 @@ from .errors import DataError, EmptyTestSet
 from .kdd import AttackClass, Dataset, N_CLASSES
 
 CLASS_TAGS = tuple(c.tag for c in AttackClass)
+CONFUSION_HEADER = "actual\\predicted\t" + "\t".join(CLASS_TAGS)
+BARS_HEADER = "system\tfeatures\tvalue\tsource"
+SPLIT_HEADER = "category\tavailable\ttrain\ttrain_pct\ttest\ttest_pct"
 
 
 class ConfusionMatrix:
@@ -48,27 +51,27 @@ class ConfusionMatrix:
         return isinstance(other, ConfusionMatrix) and np.array_equal(self.counts, other.counts)
 
     def to_tsv(self) -> str:
-        lines = ["actual\\predicted\t" + "\t".join(CLASS_TAGS)]
-        for c in AttackClass:
-            row = "\t".join(str(int(v)) for v in self.counts[int(c)])
-            lines.append(f"{c.tag}\t{row}")
-        return "\n".join(lines) + "\n"
+        rows = ([tag, *map(str, counts)] for tag, counts in zip(CLASS_TAGS, self.counts.tolist()))
+        return artifact.table_text(CONFUSION_HEADER, rows)
 
     @classmethod
     def from_tsv(cls, text: str) -> "ConfusionMatrix":
-        """Parse `to_tsv` output: a header line, then one row per class of
-        a label and N_CLASSES integer counts."""
+        """Parse `to_tsv` output: the header, then one row per class in class
+        order, of the class's tag and N_CLASSES integer counts."""
+        lines = text.splitlines()
+        if len(lines[1:]) != N_CLASSES:
+            raise DataError(f"want {N_CLASSES} rows of counts, got {len(lines[1:])}")
+        if lines[0] != CONFUSION_HEADER:
+            raise DataError(f"line 1: expected {CONFUSION_HEADER!r}")
         rows = []
-        for lineno, ln in enumerate(text.splitlines()[1:], 2):
-            cells = ln.split("\t")[1:]
-            if len(cells) != N_CLASSES:
-                raise DataError(f"line {lineno}: want a label and {N_CLASSES} counts, got {ln!r}")
+        for lineno, (tag, ln) in enumerate(zip(CLASS_TAGS, lines[1:]), 2):
+            label, *cells = ln.split("\t")
+            if label != tag or len(cells) != N_CLASSES:
+                raise DataError(f"line {lineno}: want {tag!r} and {N_CLASSES} counts, got {ln!r}")
             try:
                 rows.append([int(v) for v in cells])
             except ValueError:
                 raise DataError(f"line {lineno}: non-integer count in {ln!r}") from None
-        if len(rows) != N_CLASSES:
-            raise DataError(f"want {N_CLASSES} rows of counts, got {len(rows)}")
         return cls(np.array(rows, dtype=np.int64))
 
 
@@ -226,17 +229,13 @@ def render_metrics_table(report: MetricsReport, title: str = "evaluation") -> st
 
 def render_split_table(manifest_per_class: dict, title: str = "split") -> str:
     """Category/samples/ratio table in the shape of the preprocessing census."""
-    lines = [f"== {title} ==", "category\tavailable\ttrain\ttrain_pct\ttest\ttest_pct"]
     tot_train = sum(r["train"] for r in manifest_per_class.values())
     tot_test = sum(r["test"] for r in manifest_per_class.values())
-    for tag, row in manifest_per_class.items():
-        tr_pct = 100.0 * row["train"] / tot_train if tot_train else 0.0
-        te_pct = 100.0 * row["test"] / tot_test if tot_test else 0.0
-        lines.append(
-            f"{tag}\t{row['available']}\t{row['train']}\t{tr_pct:.2f}\t{row['test']}\t{te_pct:.2f}"
-        )
-    lines.append(f"total\t-\t{tot_train}\t100.00\t{tot_test}\t100.00")
-    return "\n".join(lines) + "\n"
+    rows = [(tag, str(r["available"]), str(r["train"]), f"{_pct(r['train'], tot_train):.2f}",
+             str(r["test"]), f"{_pct(r['test'], tot_test):.2f}")
+            for tag, r in manifest_per_class.items()]
+    rows.append(("total", "-", str(tot_train), "100.00", str(tot_test), "100.00"))
+    return artifact.table_text(SPLIT_HEADER, rows, f"== {title} ==")
 
 
 def emit_report(
@@ -280,21 +279,16 @@ def emit_report(
         if timing_lines:  # a report re-rendered from metrics.json has no times
             put("timings.txt", "".join(ln + "\n" for ln in timing_lines))
 
-        def bars(value_of):
-            rows = ["system\tfeatures\tvalue\tsource"]
-            for name, feats, dr, far, tr, te in REFERENCE_SYSTEMS:
-                rows.append(f"{name}\t{feats}\t{value_of(dr, far, tr, te)!r}\tpublished")
-            return rows
+        def bars(name: str, column: int, measured=()):
+            rows = [(system, str(feats), repr(values[column]), "published")
+                    for system, feats, *values in REFERENCE_SYSTEMS]
+            rows += [(system_label, "-", repr(value), "measured") for value in measured]
+            put(name, artifact.table_text(BARS_HEADER, rows))
 
-        dr_rows = bars(lambda dr, far, tr, te: dr)
-        dr_rows.append(f"{system_label}\t-\t{report.detection_rate!r}\tmeasured")
-        put("detection_rate_bars.tsv", "\n".join(dr_rows) + "\n")
-        far_rows = bars(lambda dr, far, tr, te: far)
-        far_rows.append(f"{system_label}\t-\t{report.false_alarm_rate!r}\tmeasured")
-        put("false_alarm_bars.tsv", "\n".join(far_rows) + "\n")
-        te_rows = bars(lambda dr, far, tr, te: te)
+        bars("detection_rate_bars.tsv", 0, [report.detection_rate])
+        bars("false_alarm_bars.tsv", 1, [report.false_alarm_rate])
         # measured test time lives in timings.txt; the plot file stays deterministic
-        put("test_time_bars.tsv", "\n".join(te_rows) + "\n")
+        bars("test_time_bars.tsv", 3)
 
     if rank_scores is not None:
         put("rank_curve.tsv", ranking.rank_table(rank_scores))

@@ -32,6 +32,8 @@ OUTCOME_STAGE = (STAGE_ANOMALY, STAGE_MISUSE, STAGE_DECISION, STAGE_DECISION)
 _ALERTS = (OUTCOMES.index(CLASSIFIED_ATTACK), OUTCOMES.index(UNRESOLVED_ALERT))
 # class tag by AttackClass value; -1 (no class) picks the last entry
 _CLASS_TAG = tuple(c.tag for c in AttackClass) + ("-",)
+DISPOSITIONS_MAGIC = "#chids-dispositions v1"
+DISPOSITIONS_HEADER = "record\toutcome\tstage\tclass"
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,11 @@ def run_pipeline(
     return PipelineRun(outcome, attack_class, len(flagged_idx))
 
 
-def _rows(run: PipelineRun, idx: np.ndarray):
-    """(record, outcome, stage, class tag) of the records `idx`."""
-    for i, o, c in zip(idx.tolist(), run.outcome[idx].tolist(), run.attack_class[idx].tolist()):
-        yield i, OUTCOMES[o], OUTCOME_STAGE[o], _CLASS_TAG[c]
+def _columns(run: PipelineRun, idx: np.ndarray) -> tuple[list[str], ...]:
+    """The record, outcome, stage and class tag columns of the records `idx`."""
+    outcome, classes = run.outcome[idx].tolist(), run.attack_class[idx].tolist()
+    return (list(map(str, idx.tolist())), [OUTCOMES[o] for o in outcome],
+            [OUTCOME_STAGE[o] for o in outcome], [_CLASS_TAG[c] for c in classes])
 
 
 def emit_alerts(run: PipelineRun, sink) -> int:
@@ -119,7 +122,7 @@ def emit_alerts(run: PipelineRun, sink) -> int:
     alerts = np.flatnonzero(np.isin(run.outcome, _ALERTS))
     text = "".join(
         f"alert\trecord={i}\tstage={stage}\toutcome={outcome}\tclass={tag}\n"
-        for i, outcome, stage, tag in _rows(run, alerts)
+        for i, outcome, stage, tag in zip(*_columns(run, alerts))
     )
     if hasattr(sink, "write"):
         sink.write(text)
@@ -129,10 +132,5 @@ def emit_alerts(run: PipelineRun, sink) -> int:
 
 
 def write_dispositions(run: PipelineRun, path) -> None:
-    with artifact.open_text(path, "w") as fh:
-        fh.write("#chids-dispositions v1\n")
-        fh.write("record\toutcome\tstage\tclass\n")
-        fh.writelines(
-            f"{i}\t{outcome}\t{stage}\t{tag}\n"
-            for i, outcome, stage, tag in _rows(run, np.arange(len(run.outcome)))
-        )
+    rows = zip(*_columns(run, np.arange(len(run.outcome))))
+    artifact.write_text(path, artifact.table_text(DISPOSITIONS_HEADER, rows, DISPOSITIONS_MAGIC))

@@ -16,6 +16,7 @@ from .kdd import NUMERIC, Dataset, N_CLASSES
 
 CHI2 = "chi2"
 IGR = "igr"
+RANK_HEADER = "rank\tfeature\tmethod\tscore"
 
 
 class Discretization:
@@ -150,15 +151,15 @@ def select_top_k(scores, k: int) -> list[str]:
     return [s.feature for s in ranked[:k]]
 
 
-def rank_table(scores) -> str:
-    """Plot-ready descending rank table: rank, feature, method, score."""
-    rows = ["rank\tfeature\tmethod\tscore"]
-    rows += [f"{r}\t{s.feature}\t{s.method}\t{s.score!r}" for r, s in enumerate(rank(scores), 1)]
-    return "\n".join(rows) + "\n"
+def rank_table(scores, closing=()) -> str:
+    """Plot-ready descending rank table: rank, feature, method, score; then
+    the `closing` rows."""
+    rows = [(str(r), s.feature, s.method, repr(s.score)) for r, s in enumerate(rank(scores), 1)]
+    return artifact.table_text(RANK_HEADER, [*rows, *closing])
 
 
 def write_rank_report(scores, path) -> None:
     """The rank table of `scores`, closed by a `# mean` comment line."""
     ranked = rank(scores)
     mean = sum(s.score for s in ranked) / len(ranked) if ranked else 0.0
-    artifact.write_text(path, rank_table(ranked) + f"# mean\t{mean!r}\n")
+    artifact.write_text(path, rank_table(ranked, [("# mean", repr(mean))]))

@@ -19,27 +19,47 @@ from chids.config import RunConfig, render_config
 SRC = Path(chids.__file__).parent
 
 
-def test_only_artifact_opens_chids_files():
-    # raw record input may be gzip, and detect sniffs its first bytes
-    allowed = {("kdd.py", "_open_maybe_gzip"), ("cli.py", "_load_records_for_detect")}
-    found = []
+def _calls():
+    """(file, top-level name) and node of every call outside `artifact`."""
     for path in sorted(SRC.glob("*.py")):
         if path.name == "artifact.py":
             continue
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                f = node.func
-                if isinstance(f, ast.Name):
-                    called = f.id
-                elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) != "artifact":
-                    called = f.attr
-                else:
-                    continue
-                where = (path.name, getattr(top, "name", None))
-                if called in ("open", "read_text", "write_text") and where not in allowed:
-                    found.append(f"{path.name}:{node.lineno} {called}")
+                if isinstance(node, ast.Call):
+                    yield (path.name, getattr(top, "name", None)), node
+
+
+def test_only_artifact_opens_chids_files():
+    # raw record input may be gzip, and detect sniffs its first bytes
+    allowed = {("kdd.py", "_open_maybe_gzip"), ("cli.py", "_load_records_for_detect")}
+    found = []
+    for where, node in _calls():
+        f = node.func
+        if isinstance(f, ast.Name):
+            called = f.id
+        elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) != "artifact":
+            called = f.attr
+        else:
+            continue
+        if called in ("open", "read_text", "write_text") and where not in allowed:
+            found.append(f"{where[0]}:{node.lineno} {called}")
+    assert found == []
+
+
+def test_only_artifact_writes_chids_files():
+    # a cache and a model are not tab tables; every other file chids writes
+    # goes through artifact.write_text
+    allowed = {("kdd.py", "save_cache"), ("learner.py", "save_model")}
+    found = []
+    for where, node in _calls():
+        f = node.func
+        called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        modes = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
+        modes += [k.value.value for k in node.keywords
+                  if k.arg == "mode" and isinstance(k.value, ast.Constant)]
+        if called == "open_text" and "w" in modes and where not in allowed:
+            found.append(f"{where[0]}:{node.lineno} open_text(..., 'w')")
     assert found == []
 
 

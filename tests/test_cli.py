@@ -187,6 +187,31 @@ class TestSimulateDetect:
             got = hashlib.sha256((tmp_path / f"verdicts_{scenario}.tsv").read_bytes()).hexdigest()
             assert got == expect, scenario
 
+    # The event files of the same runs, taken before every chids table was
+    # formatted by artifact.table_text.
+    SIMULATE_SEED0_STREAM_SHA256 = {
+        "benign": "ba98f7c9b1c456e77afc4f09294b8bcf153901487c25e4928c1fb68cfa7f4926",
+        "hello-flood": "d4f644dbedf907d1577e7f0f5a66d2c87db660d9211b053a5b8bae70e3823172",
+        "selective-forwarding": "bee683fc054e2163da990965146b6647643f62ab33f989dab310685ee8ea93c2",
+        "sinkhole": "a61580472d746efb808619f8f2d7c2257730995c5c03b3016113a21f886a5c01",
+        "modification": "5966395d9f91e4c6c6922a88e526187a5e2c48ff567c1dc3bd16d2a49cf83340",
+        "replay": "65ae8fba32fa42d5f80bb92c3f18979ea6d8ca40747d067275c77a361d515a32",
+        "sybil": "3e5017ab7ae8308051a72676d4a899e2e5e890c3eb8ec69b6de3ab638e0bff1b",
+        "jamming": "d300068ad7c2d1dbaac76bc863670d4a0e5d19142d36e9b638f52e25b745e950",
+    }
+
+    def test_simulate_stream_bytes_stable(self, tmp_path, capsys):
+        from chids.anomaly import SCENARIOS
+
+        assert set(self.SIMULATE_SEED0_STREAM_SHA256) == set(SCENARIOS)
+        for scenario, expect in self.SIMULATE_SEED0_STREAM_SHA256.items():
+            code, _, _ = run_cli(
+                ["simulate", "--scenario", scenario, "--seed", "0", "--out", str(tmp_path)], capsys
+            )
+            assert code == 0
+            got = hashlib.sha256((tmp_path / f"stream_{scenario}.tsv").read_bytes()).hexdigest()
+            assert got == expect, scenario
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -384,6 +409,35 @@ class TestPinnedOutputs:
         "detect_summary.txt": "49ac2a4f06643042ccc1a5370453acc7f2647cd8dc2d25c863b6b4ec92db0ba9",
     }
 
+    # The manifest and the report bundle, taken before every chids table was
+    # formatted by artifact.table_text. `chids report` must write the same
+    # report bytes as `chids evaluate`.
+    REPORT_SHA256 = {
+        "manifest.txt": "65b588eb72d928d053a105a3beec5ba8473dee136b22f5025184d39d5137a0ad",
+        "report/confusion.tsv": "7ea5c281771f69ff5ab98952f7a8003c449f27b0910297a0e8b6288a56f4ad26",
+        "report/rank_curve.tsv": "58b8819b11fab4dce6b41a3e881be5aa9c0e380eae4775a134dbee0fc8113791",
+        "report/detection_rate_bars.tsv":
+            "d14c41e16d0c087524fdd8833c61ee9e49fe138c777b1d7127bbf43225aa59ac",
+        "report/false_alarm_bars.tsv":
+            "c1b7e0ab3b2d4d753f4ea305b8487dca71bed11dcc74bcef967fd14f9dd436e6",
+        "report/test_time_bars.tsv":
+            "e31d30f581d41d51cbeb8dfd8162422b53c864406dace062cf26ccc06917fb5d",
+        "report/report.txt": "a6558ae5298ce38d274d8da16335a0d173b69586dec9ecdbfa6398c43695c109",
+    }
+
+    def test_manifest_and_report(self, workdir, evaluated, capsys):
+        def hashes():
+            return {
+                name: hashlib.sha256(
+                    ((evaluated if name.startswith("report/") else workdir) / name).read_bytes()
+                ).hexdigest()
+                for name in self.REPORT_SHA256
+            }
+
+        after_evaluate = hashes()
+        assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
+        assert after_evaluate == hashes() == self.REPORT_SHA256
+
     def test_caches_and_detect_outputs(self, workdir, synth_corpus_path, tmp_path, capsys):
         out = _detect_dir(workdir, tmp_path)
         assert main(["detect", "--input", str(synth_corpus_path), "--out", str(out)]) == 0
@@ -570,6 +624,20 @@ class TestRankFileHardening:
         assert "rank_igr_full.tsv" in err and "line 3" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_missing_header_exit_4(self, workdir, tmp_path, command, capsys):
+        # without the check the best-ranked feature was read as the header
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("model.txt", "test.cache", "manifest.json"):
+            shutil.copy(workdir / name, out / name)
+        lines = (workdir / "rank_igr_full.tsv").read_text().splitlines(True)
+        (out / "rank_igr_full.tsv").write_text("".join(lines[1:]))
+        code, _, err = run_cli([command, "--out", str(out)], capsys)
+        assert code == 4
+        assert "rank_igr_full.tsv: line 1: expected 'rank\\tfeature\\tmethod\\tscore'" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
 
 class TestReportCommand:
     def test_report_rerenders(self, workdir, capsys):
@@ -643,7 +711,10 @@ class TestReportHardening:
         (lambda lines: lines[:3] + [lines[3].rsplit("\t", 1)[0]] + lines[4:], "line 4"),
         (lambda lines: lines[:2] + [lines[2] + "\t0"] + lines[3:], "line 3"),
         (lambda lines: lines[:5] + [lines[5].rsplit("\t", 1)[0] + "\t1.5"], "line 6"),
-    ], ids=["header-only", "four-rows", "six-rows", "four-counts", "six-counts", "float-cell"])
+        (lambda lines: ["actual\tnormal\tdos\tprobe\tr2l\tu2r"] + lines[1:], "line 1"),
+        (lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:], "line 2"),
+    ], ids=["header-only", "four-rows", "six-rows", "four-counts", "six-counts", "float-cell",
+            "wrong-header", "swapped-rows"])
     def test_bad_confusion_exit_4(self, evaluated, edit, needle, capsys):
         path = evaluated / "report" / "confusion.tsv"
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
