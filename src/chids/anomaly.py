@@ -15,7 +15,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import artifact
 from .errors import DataError, UnknownScenario, UnorderedStream
@@ -235,19 +235,6 @@ def evaluate_stream(
     for e in events:
         out.extend(engine.process(e))
     return out
-
-
-def filter_packets(records: Sequence, flagged) -> tuple[list, list]:
-    """Partition records into (normal-pass, abnormal) by flagged index.
-
-    `flagged` is any container of record positions carrying at least one
-    verdict. The partition is exact: order preserved, disjoint, exhaustive.
-    """
-    flagged = set(flagged)
-    normal, abnormal = [], []
-    for i, r in enumerate(records):
-        (abnormal if i in flagged else normal).append(r)
-    return normal, abnormal
 
 
 SCENARIOS = (

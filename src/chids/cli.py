@@ -215,7 +215,9 @@ def _read_if_present(path: Path, parse):
 
 
 def _load_rank_scores(path: Path):
-    """The rows of a rank file; its `#` lines are comments."""
+    """The rows of a rank file; its `#` lines are comments. The k-th row has
+    rank k and no higher score than the row before, so ranking the rows
+    again keeps their order."""
     if not path.exists():
         return None
     lines = artifact.read_text(path).splitlines()
@@ -226,8 +228,13 @@ def _load_rank_scores(path: Path):
         if ln.startswith("#") or not ln.strip():
             continue
         with artifact.parsing(path, lineno):
-            _, feature, method, score = ln.split("\t")
-            scores.append(ranking.FeatureScore(feature, lineno, float(score), method))
+            rank, feature, method, score = ln.split("\t")
+            row = ranking.FeatureScore(feature, lineno, float(score), method)
+            if rank != str(len(scores) + 1):
+                raise DataError(f"rank {rank!r}, expected {len(scores) + 1}")
+            if scores and row.score > scores[-1].score:
+                raise DataError(f"score {score} above the score of rank {len(scores)}")
+            scores.append(row)
     return scores
 
 
@@ -289,26 +296,21 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     else:
         ds = preprocess.apply_normalizer(preprocess.select_features(raw, selected), stats)
 
-    mode = cfg.detect_mode
+    n = len(ds)
     verdict_lines: list[str] = []
-    if events_path is not None:
-        mode = "stream"
-    if mode == "all":
-        flagged = set(range(len(ds)))
-    elif mode == "none":
-        flagged = set()
-    elif mode == "oracle":
-        if (raw.class_codes < 0).any():
-            raise ConfigError("detect.mode=oracle requires labeled input records")
-        flagged = set(int(i) for i in (raw.class_codes != int(AttackClass.NORMAL)).nonzero()[0])
-    else:  # stream: event k is associated with record k
-        if events_path is None:
-            raise ConfigError("detect.mode=stream requires --events")
-        events = anomaly.read_stream(events_path)
-        verdicts = anomaly.evaluate_stream(events, cfg.rule_config())
-        flagged = {v.event_index for v in verdicts if v.event_index < len(ds)}
+    if events_path is not None:  # event k is associated with record k
+        verdicts = anomaly.evaluate_stream(anomaly.read_stream(events_path), cfg.rule_config())
+        flagged = np.zeros(n, dtype=bool)
+        flagged[[v.event_index for v in verdicts if v.event_index < n]] = True
         per_rule = Counter(v.rule for v in verdicts)
         verdict_lines = [f"verdicts.{r} = {per_rule[r]}" for r in anomaly.RULE_IDS]
+    elif cfg.detect_mode == "oracle":
+        if (raw.class_codes < 0).any():
+            raise ConfigError("detect.mode=oracle requires labeled input records")
+        flagged = raw.class_codes != AttackClass.NORMAL
+    else:
+        flagged = np.full(n, cfg.detect_mode == "all")
+    n_flagged = int(flagged.sum())
 
     run = pipeline.run_pipeline(ds, flagged, model, cfg.pipeline_config())
     n_alerts = pipeline.emit_alerts(run, alerts_path)
@@ -317,15 +319,15 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     outcome_counts = np.bincount(run.outcome, minlength=len(pipeline.OUTCOMES)).tolist()
     summary = [
         "#chids-detect v1",
-        f"records = {len(ds)}",
-        f"flagged = {len(flagged)}",
+        f"records = {n}",
+        f"flagged = {n_flagged}",
         f"misuse_invocations = {run.misuse_invocations}",
         f"alerts = {n_alerts}",
     ]
     summary += [f"outcome.{k} = {v}" for k, v in sorted(zip(pipeline.OUTCOMES, outcome_counts)) if v]
     summary += verdict_lines
     artifact.write_text(out / DETECT_SUMMARY, "".join(s + "\n" for s in summary))
-    _err(f"flagged {len(flagged)}/{len(ds)}; {run.misuse_invocations} misuse invocations; {n_alerts} alerts")
+    _err(f"flagged {n_flagged}/{n}; {run.misuse_invocations} misuse invocations; {n_alerts} alerts")
     _out(alerts_path)
     _out(disp_path)
     _out(out / DETECT_SUMMARY)
@@ -335,11 +337,13 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     manifest_file = _need(out / MANIFEST_JSON, "chids preprocess")
+    confusion = _read_if_present(out / REPORT_DIR / "confusion.tsv", ev.ConfusionMatrix.from_tsv)
     written = ev.emit_report(
         out / REPORT_DIR,
         split_per_class=artifact.read_parsed(manifest_file, _split_per_class),
-        confusion=_read_if_present(out / REPORT_DIR / "confusion.tsv", ev.ConfusionMatrix.from_tsv),
-        report=_read_if_present(out / REPORT_DIR / "metrics.json", ev.MetricsReport.from_json),
+        confusion=confusion,
+        # every rate comes from the table, so the two files cannot disagree
+        report=None if confusion is None else ev.metrics_from_confusion(confusion),
         rank_scores=_load_rank_scores(out / RANK_FULL),
     )
     for p in written:

@@ -21,7 +21,7 @@ from .preprocess import DEFAULT_PRUNE, SplitSpec
 
 MODEL_KINDS = ("part", "tree", "majority")
 SELECT_METHODS = tuple(ranking.SCORERS)
-DETECT_MODES = ("all", "none", "oracle", "stream")
+DETECT_MODES = ("all", "none", "oracle")
 
 
 @dataclass

@@ -5,7 +5,6 @@ rates derived from them, timing capture, and deterministic report emission
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,32 +113,6 @@ class MetricsReport:
 
     def to_json_obj(self) -> dict:
         return {key: getattr(self, name) for name, key in _METRICS_KEYS.items()}
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        """Parse the metrics.json that `emit_report` writes."""
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise DataError(f"not valid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise DataError("not a JSON object")
-        values = {}
-        for name, key in _METRICS_KEYS.items():
-            if key not in obj:
-                raise DataError(f"missing key {key!r}")
-            value = obj[key]
-            if name.startswith("per_class_"):
-                if not (isinstance(value, dict) and all(_is_number(value.get(t)) for t in CLASS_TAGS)):
-                    raise DataError(f"key {key!r} needs a number for each class")
-            elif not _is_number(value):
-                raise DataError(f"key {key!r} is not a number")
-            values[name] = value
-        return cls(**values)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _pct(num: int, den: int) -> float:
@@ -276,7 +249,7 @@ def emit_report(
             timing_lines.append(f"timing train_s {report.train_time_s:.6f}")
         if report.test_time_s is not None:
             timing_lines.append(f"timing test_s {report.test_time_s:.6f}")
-        if timing_lines:  # a report re-rendered from metrics.json has no times
+        if timing_lines:  # a report re-rendered from confusion.tsv has no times
             put("timings.txt", "".join(ln + "\n" for ln in timing_lines))
 
         def bars(name: str, column: int, measured=()):

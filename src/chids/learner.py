@@ -388,15 +388,6 @@ def build_tree(train: Dataset, params: TreeParams | None = None) -> DecisionTree
     return DecisionTree(root, train.schema.names, [f.kind for f in train.schema.features])
 
 
-def build_partial_tree_rule(residual: Dataset, params: TreeParams | None = None) -> Rule:
-    """One partial-tree iteration over `residual`: grow, prune on the fly,
-    return the rule of the best-coverage leaf."""
-    if len(residual) == 0:
-        raise ValueError("residual is empty")
-    params = params or TreeParams()
-    return _Grower(residual, params).extract_rule(np.arange(len(residual)))
-
-
 def _rule_mask(ds: Dataset, idx: np.ndarray, rule: Rule) -> np.ndarray:
     """Which rows of `idx` pass every test of `rule`."""
     m = np.ones(idx.size, dtype=bool)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anomaly import filter_packets
 from . import artifact
 from .kdd import AttackClass, Dataset
 
@@ -37,14 +36,6 @@ DISPOSITIONS_HEADER = "record\toutcome\tstage\tclass"
 
 
 @dataclass(frozen=True)
-class Disposition:
-    record_index: int
-    outcome: str
-    stage: str
-    attack_class: AttackClass | None = None
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     policy: str = POLICY_ALERT_UNRESOLVED
     alert_sink: str = "alerts.log"  # file name (or path) emit_alerts writes to
@@ -66,47 +57,39 @@ class PipelineRun:
     attack_class: np.ndarray
     misuse_invocations: int
 
-    @property
-    def dispositions(self) -> tuple[Disposition, ...]:
-        """One Disposition per record, in record order, built on each call."""
-        return tuple(
-            Disposition(i, OUTCOMES[o], OUTCOME_STAGE[o], None if c < 0 else AttackClass(c))
-            for i, (o, c) in enumerate(zip(self.outcome.tolist(), self.attack_class.tolist()))
-        )
-
 
 def run_pipeline(
     records: Dataset,
-    flagged,
+    flagged: np.ndarray,
     model,
     cfg: PipelineConfig | None = None,
 ) -> PipelineRun:
     """Dispose of every record exactly once.
 
-    Unflagged records pass at the anomaly stage without touching the model.
-    Flagged records are classified; a non-normal prediction is an attributed
-    attack, a normal prediction falls to the decision policy (alert by
-    default, clear under trust_misuse). `misuse_invocations` counts records
-    actually classified.
+    `flagged` is the anomaly stage's verdict: one bool per record. Unflagged
+    records pass at the anomaly stage without touching the model. Flagged
+    records are classified; a non-normal prediction is an attributed attack,
+    a normal prediction falls to the decision policy (alert by default, clear
+    under trust_misuse). `misuse_invocations` counts records actually
+    classified.
     """
     cfg = cfg or PipelineConfig()
     n = len(records)
-    flagged = {int(i) for i in flagged}
-    if flagged and (min(flagged) < 0 or max(flagged) >= n):
-        raise ValueError("flagged index out of range")
-    _, flagged_idx = filter_packets(range(n), flagged)
+    flagged = np.asarray(flagged)
+    if flagged.dtype != bool or flagged.shape != (n,):
+        raise ValueError(f"flagged must be {n} bools, got {flagged.dtype} {flagged.shape}")
+    idx = np.flatnonzero(flagged)
     outcome = np.full(n, OUTCOMES.index(PASSED_NORMAL), dtype=np.int8)
     attack_class = np.full(n, -1, dtype=np.int8)
 
-    if flagged_idx:
-        idx = np.array(flagged_idx, dtype=np.int64)
+    if idx.size:
         predicted = model.predict_dataset(records.take(idx))
         attack = predicted != AttackClass.NORMAL
         cleared = CLASSIFIED_NORMAL if cfg.policy == POLICY_TRUST_MISUSE else UNRESOLVED_ALERT
         outcome[idx] = np.where(attack, OUTCOMES.index(CLASSIFIED_ATTACK), OUTCOMES.index(cleared))
         attack_class[idx[attack]] = predicted[attack]
 
-    return PipelineRun(outcome, attack_class, len(flagged_idx))
+    return PipelineRun(outcome, attack_class, idx.size)
 
 
 def _columns(run: PipelineRun, idx: np.ndarray) -> tuple[list[str], ...]:
@@ -116,18 +99,14 @@ def _columns(run: PipelineRun, idx: np.ndarray) -> tuple[list[str], ...]:
             [OUTCOME_STAGE[o] for o in outcome], [_CLASS_TAG[c] for c in classes])
 
 
-def emit_alerts(run: PipelineRun, sink) -> int:
-    """Write one structured line per attack or unresolved alert; returns the
-    alert count. `sink` is a path or a writable file object."""
+def emit_alerts(run: PipelineRun, path) -> int:
+    """Write one structured line per attack or unresolved alert to `path`;
+    returns the alert count."""
     alerts = np.flatnonzero(np.isin(run.outcome, _ALERTS))
-    text = "".join(
+    artifact.write_text(path, "".join(
         f"alert\trecord={i}\tstage={stage}\toutcome={outcome}\tclass={tag}\n"
         for i, outcome, stage, tag in zip(*_columns(run, alerts))
-    )
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        artifact.write_text(sink, text)
+    ))
     return len(alerts)
 
 

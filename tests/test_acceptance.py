@@ -19,7 +19,7 @@ from chids.cli import main as cli_main
 from chids.evaluate import ConfusionMatrix, evaluate, metrics_from_confusion
 from chids.kdd import AttackClass, Dataset, FeatureDef, FeatureSchema, KddRecord, load_dataset
 from chids.learner import TreeParams, _Grower, train_part
-from chids.pipeline import CLASSIFIED_ATTACK, PASSED_NORMAL, run_pipeline
+from chids.pipeline import CLASSIFIED_ATTACK, OUTCOMES, PASSED_NORMAL, run_pipeline
 from chids.preprocess import (
     DEFAULT_PRUNE,
     SplitSpec,
@@ -306,21 +306,20 @@ def test_c7_pipeline_contract():
             self.n += len(d)
             return self.inner.predict_dataset(d)
 
-    flagged = {i for i in range(300) if rng.random() < 0.3}
+    flagged = np.array([rng.random() < 0.3 for _ in range(300)])
     counting = Counting(model)
     run = run_pipeline(ds, flagged, counting)
-    assert counting.n == len(flagged) == run.misuse_invocations
-    assert sorted(d.record_index for d in run.dispositions) == list(range(300))
-    for d in run.dispositions:
-        assert (d.record_index in flagged) == (d.outcome != PASSED_NORMAL)
+    assert counting.n == int(flagged.sum()) == run.misuse_invocations
+    assert len(run.outcome) == 300
+    assert ((run.outcome != OUTCOMES.index(PASSED_NORMAL)) == flagged).all()
 
     # composition identity under a perfect anomaly stage
-    attacks = {i for i, c in enumerate(classes) if c != 0}
+    attacks = np.array(classes) != 0
     run2 = run_pipeline(ds, attacks, model)
-    end_to_end = sum(1 for d in run2.dispositions if d.outcome == CLASSIFIED_ATTACK)
-    direct = model.predict_dataset(ds.take(sorted(attacks)))
+    end_to_end = int((run2.outcome == OUTCOMES.index(CLASSIFIED_ATTACK)).sum())
+    direct = model.predict_dataset(ds.take(np.flatnonzero(attacks)))
     assert end_to_end == int((direct != 0).sum())
-    ok("C7", f"invocations == flagged ({len(flagged)}), partition exact, composition identity holds")
+    ok("C7", f"invocations == flagged ({flagged.sum()}), partition exact, composition identity holds")
 
 
 def test_c8_determinism(synth_corpus_path, tmp_path, capsys):

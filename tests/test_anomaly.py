@@ -17,7 +17,6 @@ from chids.anomaly import (
     StreamEngine,
     RuleVerdict,
     evaluate_stream,
-    filter_packets,
     generate_stream,
     read_stream,
     write_stream,
@@ -244,30 +243,6 @@ class TestStateSize:
             for e in events:
                 engine.process(e)
                 assert engine.state_size() == self.brute_force(engine)
-
-
-class TestFilterPackets:
-    def test_all_normal_passes(self):
-        records = list(range(10))
-        normal, abnormal = filter_packets(records, set())
-        assert normal == records and abnormal == []
-
-    def test_single_violation_forwarded(self):
-        records = list(range(10))
-        normal, abnormal = filter_packets(records, {4})
-        assert abnormal == [4]
-        assert normal == [0, 1, 2, 3, 5, 6, 7, 8, 9]
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_partition_exact(self, seed):
-        rng = random.Random(seed)
-        records = [f"r{i}" for i in range(100)]
-        flagged = {i for i in range(100) if rng.random() < 0.3}
-        normal, abnormal = filter_packets(records, flagged)
-        assert len(normal) + len(abnormal) == 100
-        assert set(normal) | set(abnormal) == set(records)
-        assert not (set(normal) & set(abnormal))
-        assert abnormal == [f"r{i}" for i in sorted(flagged)]
 
 
 class TestScenarios:

@@ -53,6 +53,7 @@ class TestValidation:
             ("model.kind", "svm"),
             ("pipeline.policy", "ignore"),
             ("detect.mode", "psychic"),
+            ("detect.mode", "stream"),  # --events supplies the flags
         ):
             cfg = apply_setting(RunConfig(), key, value)
             with pytest.raises(ConfigError):

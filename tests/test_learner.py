@@ -20,7 +20,6 @@ from chids.learner import (
     RuleTest,
     TreeParams,
     _Grower,
-    build_partial_tree_rule,
     build_tree,
     load_model,
     save_model,
@@ -192,7 +191,7 @@ class TestBuildTree:
 class TestPartialTreeRule:
     def test_single_class_residual_empty_antecedent(self):
         ds = xy_dataset([(i, i) for i in range(5)], [2] * 5)
-        rule = build_partial_tree_rule(ds)
+        rule = _Grower(ds, TreeParams()).extract_rule(np.arange(len(ds)))
         assert rule.tests == ()
         assert rule.klass is AttackClass.PROBE
         assert rule.coverage == 5 and rule.errors == 0
@@ -203,7 +202,7 @@ class TestPartialTreeRule:
         classes = [1] * 90 + [rng.randrange(3) for _ in range(10)]
         points = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(100)]
         ds = xy_dataset(points, classes, nominal_col=syms)
-        rule = build_partial_tree_rule(ds)
+        rule = _Grower(ds, TreeParams()).extract_rule(np.arange(len(ds)))
         assert rule.tests == (RuleTest("s", "==", "iso"),)
         assert rule.klass is AttackClass.DOS
         assert rule.coverage == 90

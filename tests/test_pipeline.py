@@ -1,6 +1,6 @@
-import io
 import random
 
+import numpy as np
 import pytest
 
 from chids.kdd import AttackClass, Dataset, FeatureDef, FeatureSchema, KddRecord
@@ -8,6 +8,8 @@ from chids.learner import train_part
 from chids.pipeline import (
     CLASSIFIED_ATTACK,
     CLASSIFIED_NORMAL,
+    OUTCOME_STAGE,
+    OUTCOMES,
     PASSED_NORMAL,
     POLICY_TRUST_MISUSE,
     STAGE_ANOMALY,
@@ -41,6 +43,20 @@ def labeled_ds(classes, xs=None) -> Dataset:
     return Dataset.from_records(records, schema)
 
 
+def mask(n, flagged) -> np.ndarray:
+    m = np.zeros(n, dtype=bool)
+    m[list(flagged)] = True
+    return m
+
+
+def outcomes(run) -> list[str]:
+    return [OUTCOMES[o] for o in run.outcome]
+
+
+def stages(run) -> list[str]:
+    return [OUTCOME_STAGE[o] for o in run.outcome]
+
+
 def separable_model():
     # x < 10 -> normal, x >= 10 -> dos
     classes = [0] * 10 + [1] * 10
@@ -51,30 +67,30 @@ class TestRunPipeline:
     def test_zero_flagged_never_invokes_model(self):
         ds = labeled_ds([0] * 8)
         counting = CountingModel(separable_model())
-        run = run_pipeline(ds, set(), counting)
+        run = run_pipeline(ds, np.zeros(8, dtype=bool), counting)
         assert counting.records_seen == 0
         assert run.misuse_invocations == 0
-        assert all(d.outcome == PASSED_NORMAL and d.stage == STAGE_ANOMALY for d in run.dispositions)
+        assert outcomes(run) == [PASSED_NORMAL] * 8 and stages(run) == [STAGE_ANOMALY] * 8
+        assert run.attack_class.tolist() == [-1] * 8
 
     def test_flagged_attack_classified(self):
         ds = labeled_ds([1], xs=[15])
-        run = run_pipeline(ds, {0}, separable_model())
-        d = run.dispositions[0]
-        assert d.outcome == CLASSIFIED_ATTACK
-        assert d.stage == STAGE_MISUSE
-        assert d.attack_class is AttackClass.DOS
+        run = run_pipeline(ds, mask(1, {0}), separable_model())
+        assert outcomes(run) == [CLASSIFIED_ATTACK]
+        assert stages(run) == [STAGE_MISUSE]
+        assert run.attack_class.tolist() == [AttackClass.DOS]
 
     def test_flagged_normal_default_policy_alerts(self):
         ds = labeled_ds([0], xs=[2])
-        run = run_pipeline(ds, {0}, separable_model())
-        d = run.dispositions[0]
-        assert d.outcome == UNRESOLVED_ALERT and d.stage == STAGE_DECISION
+        run = run_pipeline(ds, mask(1, {0}), separable_model())
+        assert outcomes(run) == [UNRESOLVED_ALERT] and stages(run) == [STAGE_DECISION]
+        assert run.attack_class.tolist() == [-1]
 
     def test_flagged_normal_trust_policy_clears(self):
         ds = labeled_ds([0], xs=[2])
-        run = run_pipeline(ds, {0}, separable_model(), PipelineConfig(POLICY_TRUST_MISUSE))
-        d = run.dispositions[0]
-        assert d.outcome == CLASSIFIED_NORMAL and d.stage == STAGE_DECISION
+        run = run_pipeline(ds, mask(1, {0}), separable_model(), PipelineConfig(POLICY_TRUST_MISUSE))
+        assert outcomes(run) == [CLASSIFIED_NORMAL] and stages(run) == [STAGE_DECISION]
+        assert run.attack_class.tolist() == [-1]
 
     def test_invocations_equal_flagged_count(self):
         rng = random.Random(5)
@@ -83,7 +99,7 @@ class TestRunPipeline:
         ds = labeled_ds(classes, xs)
         flagged = {i for i in range(100) if rng.random() < 0.25}
         counting = CountingModel(separable_model())
-        run = run_pipeline(ds, flagged, counting)
+        run = run_pipeline(ds, mask(100, flagged), counting)
         assert counting.records_seen == len(flagged)
         assert run.misuse_invocations == len(flagged)
 
@@ -92,14 +108,13 @@ class TestRunPipeline:
         classes = [rng.choice([0, 1]) for _ in range(60)]
         ds = labeled_ds(classes)
         flagged = {i for i in range(60) if rng.random() < 0.5}
-        run = run_pipeline(ds, flagged, separable_model())
-        assert len(run.dispositions) == 60
-        assert sorted(d.record_index for d in run.dispositions) == list(range(60))
-        for d in run.dispositions:
-            if d.record_index in flagged:
-                assert d.outcome in (CLASSIFIED_ATTACK, UNRESOLVED_ALERT, CLASSIFIED_NORMAL)
+        run = run_pipeline(ds, mask(60, flagged), separable_model())
+        assert len(run.outcome) == len(run.attack_class) == 60
+        for i, outcome in enumerate(outcomes(run)):
+            if i in flagged:
+                assert outcome in (CLASSIFIED_ATTACK, UNRESOLVED_ALERT)
             else:
-                assert d.outcome == PASSED_NORMAL
+                assert outcome == PASSED_NORMAL
 
     def test_perfect_filter_composition_identity(self):
         # flagging exactly the true attacks makes end-to-end detection equal
@@ -110,43 +125,43 @@ class TestRunPipeline:
         ds = labeled_ds(classes, xs)
         model = separable_model()
         attacks = {i for i, c in enumerate(classes) if c != 0}
-        run = run_pipeline(ds, attacks, model)
-        end_to_end_detected = sum(1 for d in run.dispositions if d.outcome == CLASSIFIED_ATTACK)
+        run = run_pipeline(ds, mask(200, attacks), model)
+        end_to_end_detected = outcomes(run).count(CLASSIFIED_ATTACK)
         direct = model.predict_dataset(ds.take(sorted(attacks)))
         assert end_to_end_detected == int((direct != 0).sum())
 
     def test_out_of_range_flag_rejected(self):
+        # the mask holds one bool per record; indices are not a mask
         ds = labeled_ds([0, 0])
-        with pytest.raises(ValueError):
-            run_pipeline(ds, {5}, separable_model())
+        for flagged in ({5}, [True], [True, False, False], np.array([0, 1]), np.ones((2, 1), bool)):
+            with pytest.raises(ValueError):
+                run_pipeline(ds, flagged, separable_model())
 
 
 class TestEmitAlerts:
     def run_mixed(self):
         ds = labeled_ds([0, 1, 1, 0, 1], xs=[2, 15, 16, 3, 17])
-        return run_pipeline(ds, {0, 1, 2, 4}, separable_model())
+        return run_pipeline(ds, mask(5, {0, 1, 2, 4}), separable_model())
 
-    def test_all_passed_empty_log(self):
+    def test_all_passed_empty_log(self, tmp_path):
         ds = labeled_ds([0] * 4)
-        run = run_pipeline(ds, set(), separable_model())
-        sink = io.StringIO()
+        run = run_pipeline(ds, np.zeros(4, dtype=bool), separable_model())
+        sink = tmp_path / "alerts.log"
         assert emit_alerts(run, sink) == 0
-        assert sink.getvalue() == ""
+        assert sink.read_text() == ""
 
-    def test_alert_count_matches_recount(self):
+    def test_alert_count_matches_recount(self, tmp_path):
         run = self.run_mixed()
-        sink = io.StringIO()
+        sink = tmp_path / "alerts.log"
         n = emit_alerts(run, sink)
-        recount = sum(
-            1 for d in run.dispositions if d.outcome in (CLASSIFIED_ATTACK, UNRESOLVED_ALERT)
-        )
+        recount = sum(1 for o in outcomes(run) if o in (CLASSIFIED_ATTACK, UNRESOLVED_ALERT))
         assert n == recount == 4  # 3 attacks + 1 unresolved (record 0 is normal)
-        assert len(sink.getvalue().splitlines()) == n
+        assert len(sink.read_text().splitlines()) == n
 
-    def test_alert_lines_carry_stage_and_class(self):
+    def test_alert_lines_carry_stage_and_class(self, tmp_path):
         run = self.run_mixed()
-        sink = io.StringIO()
+        sink = tmp_path / "alerts.log"
         emit_alerts(run, sink)
-        lines = sink.getvalue().splitlines()
+        lines = sink.read_text().splitlines()
         assert any("class=dos" in ln and "stage=misuse" in ln for ln in lines)
         assert any("outcome=unresolved_alert" in ln for ln in lines)
