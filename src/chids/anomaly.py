@@ -15,7 +15,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from sys import intern
+from typing import Iterable, NamedTuple
 
 from . import artifact
 from .errors import DataError, UnknownScenario, UnorderedStream
@@ -55,8 +56,7 @@ RULE_TAGS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class AnomalyEvent:
+class AnomalyEvent(NamedTuple):
     ts: float
     source: str
     neighbor: str
@@ -126,8 +126,9 @@ class StreamEngine:
         self._last_ts = float("-inf")
         self._last_rx: dict[str, float] = {}
         self._pending: dict[tuple[str, str], tuple[float, int]] = {}
-        self._sightings: dict[str, deque] = {}
-        self._touch: deque = deque()
+        # a retained sighting is its event, in its message's list and in `_touch`
+        self._sightings: dict[str, list[AnomalyEvent]] = {}
+        self._touch: deque[AnomalyEvent] = deque()
         self._collisions: deque = deque()
 
     def state_size(self) -> int:
@@ -165,13 +166,15 @@ class StreamEngine:
 
         # Garbage-collect idle message state beyond the horizon.
         horizon = event.ts - cfg.window
-        while self._touch and self._touch[0][0] <= horizon:
-            _, msg = self._touch.popleft()
-            dq = self._sightings.get(msg)
-            if dq is not None:
-                while dq and dq[0][0] <= horizon:
-                    dq.popleft()
-                if not dq:
+        while self._touch and self._touch[0].ts <= horizon:
+            msg = self._touch.popleft().msg_id
+            seen = self._sightings.get(msg)
+            if seen is not None:
+                k = 0
+                while k < len(seen) and seen[k].ts <= horizon:
+                    k += 1
+                del seen[:k]
+                if not seen:
                     del self._sightings[msg]
 
         if event.kind == RECEPTION:
@@ -202,17 +205,17 @@ class StreamEngine:
     def _sighting_rules(self, event: AnomalyEvent, i: int) -> list[RuleVerdict]:
         cfg = self.cfg
         out = []
-        dq = self._sightings.setdefault(event.msg_id, deque())
-        if any(d != event.digest for _, d, _, _ in dq):
+        seen = self._sightings.setdefault(event.msg_id, [])
+        if any(e.digest != event.digest for e in seen):
             out.append(_verdict(i, event.ts, RULE_INTEGRITY, event.msg_id))
         count_bad = False
         if event.kind == RECEPTION:
             repeats = 1 + sum(
-                1 for _, _, src, k in dq if k == RECEPTION and src == event.source
+                1 for e in seen if e.kind == RECEPTION and e.source == event.source
             )
             if repeats > cfg.repetition_limit:
                 out.append(_verdict(i, event.ts, RULE_REPETITION, f"n={repeats}"))
-            prev_sources = {src for _, _, src, k in dq if k == RECEPTION}
+            prev_sources = {e.source for e in seen if e.kind == RECEPTION}
             count_bad = (
                 event.source not in prev_sources
                 and len(prev_sources) + 1 > cfg.max_sources_per_message
@@ -221,8 +224,8 @@ class StreamEngine:
         if rssi_bad or count_bad:
             why = "rssi" if rssi_bad else "sources"
             out.append(_verdict(i, event.ts, RULE_RADIO_RANGE, why))
-        dq.append((event.ts, event.digest, event.source, event.kind))
-        self._touch.append((event.ts, event.msg_id))
+        seen.append(event)
+        self._touch.append(event)
         return out
 
 
@@ -353,7 +356,8 @@ def write_stream(events: Iterable[AnomalyEvent], path) -> None:
 
 
 def _event(ts, source, neighbor, kind, msg_id, digest, rssi) -> AnomalyEvent:
-    return AnomalyEvent(float(ts), source, neighbor, kind, msg_id, digest, float(rssi))
+    # few distinct sources, neighbors and kinds: every event shares one copy of each
+    return AnomalyEvent(float(ts), intern(source), intern(neighbor), intern(kind), msg_id, digest, float(rssi))
 
 
 def read_stream(path) -> list[AnomalyEvent]:

@@ -30,7 +30,8 @@ def open_text(path, mode: str = "r"):
 class parsing:
     """Context manager that reports a fault raised while parsing `path` (at
     `line`, when set) as one DataError naming the file. Wrap parsing only,
-    never later work."""
+    never later work. A UnicodeDecodeError, raised by a file read line by
+    line, passes on to `open_text`."""
 
     def __init__(self, path, line: int | None = None):
         self.path, self.line = path, line
@@ -40,7 +41,7 @@ class parsing:
 
     def __exit__(self, kind, exc, tb):
         faults = (DataError, AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
-        if isinstance(exc, faults):
+        if isinstance(exc, faults) and not isinstance(exc, UnicodeDecodeError):
             where = f"{self.path}" if self.line is None else f"{self.path}: line {self.line}"
             why = exc if isinstance(exc, DataError) else f"malformed file ({kind.__name__}: {exc})"
             raise DataError(f"{where}: {why}") from None
@@ -80,18 +81,19 @@ def read_rows(path, magic: str, header: str, row) -> list:
     """`row(*fields)` of each non-blank row of a tab-separated file that
     opens with the `magic` line and the `header` row. Every row has as many
     fields as the header, one starting with `#` included; a fault names the
-    row's line."""
-    lines = read_text(path).splitlines()
-    for lineno, want in ((1, magic), (2, header)):
-        if len(lines) < lineno or lines[lineno - 1] != want:
-            raise DataError(f"{path}: line {lineno}: expected {want!r}")
+    row's line. The file is read line by line, and only `\n`, `\r\n` and
+    `\r` end a line."""
     n = header.count("\t") + 1
     rows = []
-    with parsing(path) as guard:
-        for guard.line, ln in enumerate(lines[2:], 3):  # a fault names guard.line
-            if ln.strip():
-                fields = ln.split("\t")
-                if len(fields) != n:
-                    raise DataError(f"expected {n} fields, got {len(fields)}")
-                rows.append(row(*fields))
+    with open_text(path) as fh:
+        for lineno, want in ((1, magic), (2, header)):
+            if fh.readline().rstrip("\n") != want:
+                raise DataError(f"{path}: line {lineno}: expected {want!r}")
+        with parsing(path) as guard:
+            for guard.line, ln in enumerate(fh, 3):  # a fault names guard.line
+                if ln.strip():
+                    fields = ln.rstrip("\n").split("\t")
+                    if len(fields) != n:
+                        raise DataError(f"expected {n} fields, got {len(fields)}")
+                    rows.append(row(*fields))
     return rows

@@ -216,8 +216,8 @@ def _read_if_present(path: Path, parse):
 
 def _load_rank_scores(path: Path):
     """The rows of a rank file; its `#` lines are comments. The k-th row has
-    rank k and no higher score than the row before, so ranking the rows
-    again keeps their order."""
+    rank k, a feature no row before names, and no higher score than the row
+    before, so ranking the rows again keeps their order."""
     if not path.exists():
         return None
     lines = artifact.read_text(path).splitlines()
@@ -234,6 +234,8 @@ def _load_rank_scores(path: Path):
                 raise DataError(f"rank {rank!r}, expected {len(scores) + 1}")
             if scores and row.score > scores[-1].score:
                 raise DataError(f"score {score} above the score of rank {len(scores)}")
+            if any(s.feature == feature for s in scores):
+                raise DataError(f"feature {feature!r} ranked twice")
             scores.append(row)
     return scores
 

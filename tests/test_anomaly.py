@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from chids.anomaly import (
     RULE_TAGS,
     SCENARIO_RULE,
     SCENARIOS,
+    STREAM_HEADER,
     STREAM_MAGIC,
     AnomalyEvent,
     RuleConfig,
@@ -224,6 +226,76 @@ class TestMemoryContract:
         assert peak < 450
 
 
+def dense_traffic(n_sources=10500, duration=2.0, seed=3):
+    """Dense in-band cluster traffic: each source sends a message every
+    1-3 s, its relay forwards it 0.1-0.5 s later, and 1% of the forwards
+    are dropped. About 15k events, with every sighting still retained."""
+    rng = random.Random(seed)
+    events = []
+    for s in range(n_sources):
+        t = rng.uniform(0.0, 3.0)
+        k = 0
+        while t < duration:
+            path = (f"s{s}", f"r{s % 16}")
+            events.append(AnomalyEvent(t, *path, RECEPTION, f"m{s}.{k}", f"h{s}.{k}", rng.uniform(-80, -40)))
+            if rng.random() >= 0.01:
+                fw = t + rng.uniform(0.1, 0.5)
+                events.append(AnomalyEvent(fw, *path, FORWARD, f"m{s}.{k}", f"h{s}.{k}", rng.uniform(-80, -40)))
+            t += rng.uniform(1.0, 3.0)
+            k += 1
+    events.sort(key=lambda e: e.ts)
+    return events
+
+
+def traced(fn):
+    """`fn()`, and the bytes tracemalloc counted as live after it and at its peak."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class TestMemoryFootprint:
+    """Memory regression bounds: what the stream reader and the engine
+    allocate, measured in-process with tracemalloc."""
+
+    @pytest.fixture(scope="class")
+    def stream_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("dense") / "stream.tsv"
+        write_stream(dense_traffic(), path)
+        return path
+
+    def test_read_holds_no_copy_of_the_file(self, stream_file):
+        _, current, peak = traced(lambda: read_stream(stream_file))
+        assert peak - current < 0.05 * stream_file.stat().st_size
+
+    def test_bytes_retained_per_event(self, stream_file):
+        # a first copy keeps the strings events share alive, so the count
+        # below leaves out the table that holds them, whose size depends on
+        # what the process interned before
+        first = read_stream(stream_file)
+        events, current, _ = traced(lambda: read_stream(stream_file))
+        assert events == first
+        assert len(events) > 14000
+        assert current / len(events) < 400
+
+    def test_engine_bytes_per_state_unit(self, stream_file):
+        events = read_stream(stream_file)
+
+        def replay():
+            engine = StreamEngine(CFG)
+            for e in events:
+                engine.process(e)
+            return engine
+
+        engine, current, _ = traced(replay)
+        assert engine.state_size() > 2 * len(events)  # nothing has expired
+        assert current / engine.state_size() < 100
+
+
 class TestStateSize:
     """`state_size()` counts the retained sightings through `_touch`; it
     equals the sum over every piece of engine state after each event."""
@@ -290,6 +362,55 @@ class TestStreamIo:
         )
         with pytest.raises(DataError, match="line 2"):
             read_stream(p)
+
+    ROW = "1.0\ts0\tn0\treception\tm0\td\t-60.0"
+
+    def write_rows(self, path, *rows, encoding="ascii"):
+        path.write_bytes("\n".join([STREAM_MAGIC, STREAM_HEADER, *rows, ""]).encode(encoding))
+
+    def test_crlf_line_endings(self, tmp_path):
+        events = generate_stream("replay", 1, CFG)
+        p = tmp_path / "stream.tsv"
+        write_stream(events, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_stream(p) == events
+
+    def test_blank_rows_skipped_line_numbers_kept(self, tmp_path):
+        p = tmp_path / "stream.tsv"
+        self.write_rows(p, "", self.ROW, "   ", " \t ", self.ROW)
+        assert read_stream(p) == [ev(1.0, source="s0", neighbor="n0", msg="m0", digest="d")] * 2
+        self.write_rows(p, "", self.ROW, "   ", " \t ", self.ROW.rsplit("\t", 1)[0])
+        with pytest.raises(DataError, match=r"stream\.tsv: line 7: expected 7 fields, got 6"):
+            read_stream(p)
+
+    def test_six_field_row_exits_4_naming_its_line(self, tmp_path):
+        p = tmp_path / "stream.tsv"
+        self.write_rows(p, self.ROW, "2.0\ts0\tn0\treception\tm1\t-60.0")
+        with pytest.raises(DataError, match=r"stream\.tsv: line 4: expected 7 fields") as info:
+            read_stream(p)
+        assert info.value.exit_code == 4
+
+    def test_magic_line_only_reports_line_2(self, tmp_path):
+        p = tmp_path / "stream.tsv"
+        p.write_text(STREAM_MAGIC + "\n")
+        with pytest.raises(DataError, match=r"stream\.tsv: line 2: expected"):
+            read_stream(p)
+
+    @pytest.mark.parametrize("row", [5, 2000])  # inside and beyond the first decoded chunk
+    def test_non_ascii_row_is_not_ascii_text(self, tmp_path, row):
+        p = tmp_path / "stream.tsv"
+        rows = [self.ROW] * (row - 2)
+        rows[-1] = rows[-1].replace("m0", "mé")
+        self.write_rows(p, *rows, encoding="latin-1")
+        with pytest.raises(DataError, match=r"stream\.tsv: not ASCII text"):
+            read_stream(p)
+
+    def test_control_characters_in_a_field_round_trip(self, tmp_path):
+        # str.splitlines would break a row at each of these
+        events = [ev(float(k), msg=f"m{k}", digest=f"a{c}b") for k, c in enumerate("\v\f\x1c\x1d\x1e")]
+        p = tmp_path / "stream.tsv"
+        write_stream(events, p)
+        assert read_stream(p) == events
 
 
 class TestRuleConfigValidation:

@@ -627,8 +627,8 @@ class TestRankFileHardening:
     @pytest.mark.parametrize("command", ["evaluate", "report"])
     @pytest.mark.parametrize(
         "row", ["1\tcount", "1\tcount\tigr\tzz", "zz\tcount\tigr\t0.5", "3\tcount\tigr\t0.5",
-                "2\tcount\tigr\t1.5"],
-        ids=["two-fields", "text-score", "text-rank", "wrong-rank", "rising-score"],
+                "2\tcount\tigr\t1.5", "2\tserror_rate\tigr\t0.9999999999999999"],
+        ids=["two-fields", "text-score", "text-rank", "wrong-rank", "rising-score", "duplicate-feature"],
     )
     def test_bad_row_exit_4(self, workdir, tmp_path, command, row, capsys):
         out = tmp_path / "run"
