@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 import time
@@ -175,32 +176,37 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
     test = load_cache(_need(out / TEST_CACHE, "chids preprocess"))
-    cm, report = ev.evaluate(model, test)
-    report.train_time_s = _read_if_present(out / TRAIN_TIMING, _train_seconds)
+    cm, test_s = ev.evaluate(model, test)
     written = ev.emit_report(
         out / REPORT_DIR,
-        report=report,
         confusion=cm,
         split_per_class=_read_if_present(out / MANIFEST_JSON, _split_per_class),
         rank_scores=_load_rank_scores(out / RANK_FULL),
+        train_s=_read_if_present(out / TRAIN_TIMING, _train_seconds),
+        test_s=test_s,
     )
+    report = ev.metrics_from_confusion(cm)
     _err(
         f"detection rate {report.detection_rate:.2f}%  "
         f"false alarms {report.false_alarm_rate:.2f}%  "
-        f"test time {report.test_time_s:.3f}s"
+        f"test time {test_s:.3f}s"
     )
     for p in written:
         _out(p)
     return 0
 
 
-def _train_seconds(text: str) -> float | None:
-    """The training time recorded in a train_timing.txt."""
-    for ln in text.splitlines():
-        parts = ln.split()
-        if len(parts) == 3 and parts[1] == "train_s":
-            return float(parts[2])
-    return None
+def _train_seconds(text: str) -> float:
+    """The training time in a train_timing.txt: its one line is
+    `timing train_s <v>`, with v a finite number of seconds >= 0."""
+    lines = text.splitlines()
+    parts = lines[0].split() if len(lines) == 1 else []
+    if parts[:2] != ["timing", "train_s"] or len(parts) != 3:
+        raise DataError("expected one line `timing train_s <seconds>`")
+    seconds = float(parts[2])
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise DataError(f"train_s {parts[2]!r} is not a finite number >= 0")
+    return seconds
 
 
 def _split_per_class(text: str) -> dict:
@@ -344,8 +350,6 @@ def cmd_report(cfg: RunConfig) -> int:
         out / REPORT_DIR,
         split_per_class=artifact.read_parsed(manifest_file, _split_per_class),
         confusion=confusion,
-        # every rate comes from the table, so the two files cannot disagree
-        report=None if confusion is None else ev.metrics_from_confusion(confusion),
         rank_scores=_load_rank_scores(out / RANK_FULL),
     )
     for p in written:

@@ -91,7 +91,10 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        kept = len({name for name, _ in FEATURE_TABLE} - set(self.prune))
+        names = {name for name, _ in FEATURE_TABLE}
+        if not names.issuperset(self.prune):
+            raise ConfigError(f"prune: unknown features {sorted(set(self.prune) - names)}")
+        kept = len(names - set(self.prune))
         if not 1 <= self.select_k <= kept:
             raise ConfigError(f"select.k must be from 1 to {kept}, the features left after prune")
         known = {c.tag for c in AttackClass}

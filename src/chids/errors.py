@@ -51,11 +51,11 @@ class UnknownLabel(DataError):
 class DatasetParseError(DataError):
     """Aggregated per-line parse failures; raised once the error budget is spent."""
 
-    def __init__(self, errors, message=None):
+    def __init__(self, errors):
         self.errors = list(errors)
         head = "; ".join(f"line {ln}: {msg}" for ln, msg in self.errors[:5])
         more = f" (+{len(self.errors) - 5} more)" if len(self.errors) > 5 else ""
-        super().__init__(message or f"{len(self.errors)} bad line(s): {head}{more}")
+        super().__init__(f"{len(self.errors)} bad line(s): {head}{more}")
 
 
 class MissingArtifact(ChidsError):

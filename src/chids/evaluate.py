@@ -6,7 +6,7 @@ rates derived from them, timing capture, and deterministic report emission
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,13 +42,6 @@ class ConfusionMatrix:
         np.add.at(m.counts, (actual, predicted), 1)
         return m
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def __eq__(self, other):
-        return isinstance(other, ConfusionMatrix) and np.array_equal(self.counts, other.counts)
-
     def to_tsv(self) -> str:
         rows = ([tag, *map(str, counts)] for tag, counts in zip(CLASS_TAGS, self.counts.tolist()))
         return artifact.table_text(CONFUSION_HEADER, rows)
@@ -74,7 +67,7 @@ class ConfusionMatrix:
         return cls(np.array(rows, dtype=np.int64))
 
 
-# MetricsReport field -> metrics.json key; the timings stay out of the file
+# MetricsReport field -> metrics.json key
 _METRICS_KEYS = {
     "detection_rate": "detection_rate_pct",
     "false_alarm_rate": "false_alarm_rate_pct",
@@ -106,10 +99,8 @@ class MetricsReport:
     n_normals: int
     n_detected_attacks: int
     n_false_alarms: int
-    per_class_recall: dict[str, float] = field(default_factory=dict)
-    per_class_precision: dict[str, float] = field(default_factory=dict)
-    train_time_s: float | None = None
-    test_time_s: float | None = None
+    per_class_recall: dict[str, float]
+    per_class_precision: dict[str, float]
 
     def to_json_obj(self) -> dict:
         return {key: getattr(self, name) for name, key in _METRICS_KEYS.items()}
@@ -151,9 +142,9 @@ def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def evaluate(model, test: Dataset) -> tuple[ConfusionMatrix, MetricsReport]:
-    """Predict the test split and derive the metrics; wall clock covers only
-    the prediction loop."""
+def evaluate(model, test: Dataset) -> tuple[ConfusionMatrix, float]:
+    """The confusion table of the model on the test split, and the seconds
+    its predictions took."""
     if len(test) == 0:
         raise EmptyTestSet("test split has no records")
     if (test.class_codes < 0).any():
@@ -161,10 +152,7 @@ def evaluate(model, test: Dataset) -> tuple[ConfusionMatrix, MetricsReport]:
     t0 = time.perf_counter()
     predicted = model.predict_dataset(test)
     elapsed = time.perf_counter() - t0
-    cm = ConfusionMatrix.from_predictions(test.class_codes, predicted)
-    report = metrics_from_confusion(cm)
-    report.test_time_s = elapsed
-    return cm, report
+    return ConfusionMatrix.from_predictions(test.class_codes, predicted), elapsed
 
 
 # Published reference results for context in comparison reports. These are
@@ -184,8 +172,8 @@ REFERENCE_SYSTEMS = (
 )
 
 
-def render_metrics_table(report: MetricsReport, title: str = "evaluation") -> str:
-    lines = [f"== {title} =="]
+def render_metrics_table(report: MetricsReport) -> str:
+    lines = ["== evaluation =="]
     lines.append(f"records            {report.n_records}")
     lines.append(f"attacks            {report.n_attacks}")
     lines.append(f"normals            {report.n_normals}")
@@ -200,7 +188,7 @@ def render_metrics_table(report: MetricsReport, title: str = "evaluation") -> st
     return "\n".join(lines) + "\n"
 
 
-def render_split_table(manifest_per_class: dict, title: str = "split") -> str:
+def render_split_table(manifest_per_class: dict) -> str:
     """Category/samples/ratio table in the shape of the preprocessing census."""
     tot_train = sum(r["train"] for r in manifest_per_class.values())
     tot_test = sum(r["test"] for r in manifest_per_class.values())
@@ -208,21 +196,23 @@ def render_split_table(manifest_per_class: dict, title: str = "split") -> str:
              str(r["test"]), f"{_pct(r['test'], tot_test):.2f}")
             for tag, r in manifest_per_class.items()]
     rows.append(("total", "-", str(tot_train), "100.00", str(tot_test), "100.00"))
-    return artifact.table_text(SPLIT_HEADER, rows, f"== {title} ==")
+    return artifact.table_text(SPLIT_HEADER, rows, "== split ==")
 
 
 def emit_report(
     outdir,
-    report: MetricsReport | None = None,
     confusion: ConfusionMatrix | None = None,
     split_per_class: dict | None = None,
     rank_scores=None,
-    system_label: str = "this-run",
+    train_s: float | None = None,
+    test_s: float | None = None,
 ) -> list[str]:
     """Write the report bundle into `outdir`; returns the written paths.
 
+    Every metric is derived from `confusion`, so the files cannot disagree.
     Deterministic content and timings are kept apart: metrics.json and the
-    plot files never contain wall-clock numbers, timings go to timings.txt.
+    plot files never contain wall-clock numbers, the measured `train_s` and
+    `test_s` go to timings.txt.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -233,29 +223,26 @@ def emit_report(
         artifact.write_text(p, text)
         written.append(str(p))
 
+    report = None if confusion is None else metrics_from_confusion(confusion)
     sections = []
     if split_per_class:
         sections.append(render_split_table(split_per_class))
     if report is not None:
         sections.append(render_metrics_table(report))
-    if confusion is not None:
         sections.append("== confusion ==\n" + confusion.to_tsv())
     put("report.txt", "\n".join(sections) if sections else "== empty ==\n")
 
     if report is not None:
         put("metrics.json", artifact.json_text(report.to_json_obj()))
-        timing_lines = []
-        if report.train_time_s is not None:
-            timing_lines.append(f"timing train_s {report.train_time_s:.6f}")
-        if report.test_time_s is not None:
-            timing_lines.append(f"timing test_s {report.test_time_s:.6f}")
-        if timing_lines:  # a report re-rendered from confusion.tsv has no times
-            put("timings.txt", "".join(ln + "\n" for ln in timing_lines))
+        times = (("train_s", train_s), ("test_s", test_s))
+        timings = [f"timing {key} {seconds:.6f}\n" for key, seconds in times if seconds is not None]
+        if timings:  # a report re-rendered from confusion.tsv has no times
+            put("timings.txt", "".join(timings))
 
         def bars(name: str, column: int, measured=()):
             rows = [(system, str(feats), repr(values[column]), "published")
                     for system, feats, *values in REFERENCE_SYSTEMS]
-            rows += [(system_label, "-", repr(value), "measured") for value in measured]
+            rows += [("this-run", "-", repr(value), "measured") for value in measured]
             put(name, artifact.table_text(BARS_HEADER, rows))
 
         bars("detection_rate_bars.tsv", 0, [report.detection_rate])

@@ -17,7 +17,7 @@ import math
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,8 +117,9 @@ class FeatureDef:
 class FeatureSchema:
     """Ordered feature definitions plus mutable nominal symbol domains.
 
-    Domains grow in first-sighting order during lenient ingest; strict
-    parsing rejects symbols outside the recorded domain.
+    Every feature is numeric or nominal, and no domain repeats a symbol.
+    Domains grow in first-sighting order during ingest; a cache read keeps
+    them fixed and rejects symbols outside them.
     """
 
     def __init__(self, defs: Sequence[FeatureDef], domains: dict[str, list[str]] | None = None):
@@ -128,6 +129,8 @@ class FeatureSchema:
             raise ValueError("duplicate feature names")
         if [f.index for f in self.features] != list(range(len(self.features))):
             raise ValueError("feature indices must be contiguous from 0")
+        if any(f.kind not in (NUMERIC, NOMINAL) for f in self.features):
+            raise ValueError(f"feature kinds must be {NUMERIC!r} or {NOMINAL!r}")
         self.names: tuple[str, ...] = tuple(names)
         self.kind_of: dict[str, str] = {f.name: f.kind for f in self.features}
         self.numeric_names: tuple[str, ...] = tuple(f.name for f in self.features if f.kind == NUMERIC)
@@ -142,6 +145,8 @@ class FeatureSchema:
         if domains:
             for name, syms in domains.items():
                 if name in self.domains:
+                    if len(set(syms)) != len(syms):
+                        raise ValueError(f"feature {name}: domain repeats a symbol")
                     self.domains[name] = list(syms)
         self._codes: dict[str, dict[str, int]] = {
             n: {s: i for i, s in enumerate(d)} for n, d in self.domains.items()
@@ -172,9 +177,6 @@ class FeatureSchema:
             self.domains[name].append(symbol)
             codes[symbol] = c
         return c
-
-    def symbol(self, name: str, code: int) -> str:
-        return self.domains[name][code]
 
     def subset(self, keep: Sequence[str]) -> "FeatureSchema":
         """New schema with only `keep` features, in original order, reindexed."""
@@ -213,10 +215,6 @@ class ClassTaxonomy:
                     raise ValueError(f"label {lab!r} mapped twice")
                 self.label_class[lab] = cls_
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.label_class)
-
     def classify(self, label: str) -> AttackClass:
         cls_ = self.label_class.get(label.lower())
         if cls_ is None:
@@ -244,12 +242,12 @@ DEFAULT_TAXONOMY = ClassTaxonomy(
 )
 
 
-def classify_label(label: str, taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY) -> AttackClass:
+def classify_label(label: str) -> AttackClass:
     """Class of a raw label (case-insensitive, trailing period tolerated)."""
     label = label.strip().lower()
     if label.endswith("."):
         label = label[:-1]
-    return taxonomy.classify(label)
+    return DEFAULT_TAXONOMY.classify(label)
 
 
 @dataclass(frozen=True)
@@ -308,14 +306,6 @@ def parse_record(
     return KddRecord(tuple(values), label)
 
 
-def serialize_record(record: KddRecord) -> str:
-    """Inverse of parse_record (floats via repr, so the round trip is exact)."""
-    parts = [repr(v) if isinstance(v, float) else str(v) for v in record.values]
-    if record.label is not None:
-        parts.append(record.label)
-    return ",".join(parts)
-
-
 class Dataset:
     """Columnar record store bound to a schema and a taxonomy.
 
@@ -355,21 +345,6 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         kind, j = self.schema.slot[name]
         return self.numeric[:, j] if kind == NUMERIC else self.nominal[:, j]
-
-    def record(self, i: int) -> KddRecord:
-        values = []
-        for f in self.schema.features:
-            kind, j = self.schema.slot[f.name]
-            if kind == NUMERIC:
-                values.append(float(self.numeric[i, j]))
-            else:
-                values.append(self.schema.symbol(f.name, int(self.nominal[i, j])))
-        label = self.labels[i]
-        return KddRecord(tuple(values), None if label is None else str(label))
-
-    def iter_records(self) -> Iterator[KddRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -456,7 +431,6 @@ def _naming(path):
 def _read_records(
     fh,
     schema: FeatureSchema,
-    taxonomy: ClassTaxonomy,
     *,
     error_budget: int = 0,
     fixed_domains: bool = False,
@@ -473,7 +447,7 @@ def _read_records(
     the schema's domains in first-sighting order (growing them unless
     `fixed_domains`, where an unseen symbol raises UnknownNominalSymbol).
     With `labels_optional`, lines without the label field are unlabeled
-    records; with `unknown_unlabeled`, so are labels outside the taxonomy.
+    records; with `unknown_unlabeled`, so are labels outside DEFAULT_TAXONOMY.
     Every other bad line is dropped and kept, once and in line order, on
     `dataset.parse_errors`; the (error_budget + 1)-th raises
     DatasetParseError.
@@ -555,7 +529,7 @@ def _read_records(
             lab = raw.strip().lower()
             if lab.endswith("."):
                 lab = lab[:-1]
-            cls_ = taxonomy.label_class.get(lab)
+            cls_ = DEFAULT_TAXONOMY.label_class.get(lab)
             if cls_ is not None:
                 label_of[raw], code_of[raw] = lab, int(cls_)
             elif unknown_unlabeled:
@@ -603,7 +577,6 @@ def _read_records(
         np.concatenate(nominal_parts),
         np.array(labels, dtype=object),
         np.array(class_codes, dtype=np.int32),
-        taxonomy,
     )
     if text_id is not None:
         bad_text = np.zeros(len(text_id), dtype=bool)
@@ -615,33 +588,25 @@ def _read_records(
     return ds
 
 
-def load_dataset(
-    path,
-    schema: FeatureSchema | None = None,
-    taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY,
-    strict: bool = False,
-    error_budget: int = 100,
-    labels_optional: bool = False,
-) -> Dataset:
-    """Load a KDD-format file (plain or gzip) into a columnar Dataset.
+def load_dataset(path, error_budget: int = 100, labels_optional: bool = False) -> Dataset:
+    """Load a KDD-format file (plain or gzip) into a columnar Dataset on the
+    default schema, whose domains grow in first-sighting order.
 
     Bad lines are collected with their line numbers and skipped; once more
-    than `error_budget` accumulate (or immediately, in strict mode) the load
-    aborts with DatasetParseError. Surviving errors are kept on
-    `dataset.parse_errors`. Strict mode also keeps the schema's domains
-    fixed. With `labels_optional`, 41-field lines and labels outside the
-    taxonomy load as unlabeled records instead of bad lines.
+    than `error_budget` accumulate the load aborts with DatasetParseError.
+    Surviving errors are kept on `dataset.parse_errors`. With
+    `labels_optional`, 41-field lines and labels outside the taxonomy load
+    as unlabeled records instead of bad lines.
     """
-    schema = schema if schema is not None else FeatureSchema.default()
     try:
         fh = _open_maybe_gzip(path)
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     with fh, _naming(path):
         ds = _read_records(
-            fh, schema, taxonomy, error_budget=0 if strict else error_budget,
-            fixed_domains=strict, labels_optional=labels_optional,
-            unknown_unlabeled=labels_optional, distinct_lines=True,
+            fh, FeatureSchema.default(), error_budget=error_budget,
+            labels_optional=labels_optional, unknown_unlabeled=labels_optional,
+            distinct_lines=True,
         )
     if ds.parse_errors:
         log.warning("%s: skipped %d bad line(s)", path, len(ds.parse_errors))
@@ -654,8 +619,8 @@ CACHE_MAGIC = "#chids-dataset v1"
 def save_cache(ds: Dataset, path) -> None:
     """Write a dataset to the versioned delimited cache format.
 
-    Rows are `serialize_record` lines (floats via repr, nominal values as
-    their symbols), built column by column.
+    Rows are record lines (floats via repr, so they read back exactly, and
+    nominal values as their symbols), built column by column.
     """
     schema = ds.schema
     with artifact.open_text(path, "w") as fh:
@@ -678,7 +643,7 @@ def save_cache(ds: Dataset, path) -> None:
             fh.write("".join([",".join(r) + "\n" for r in rows]))
 
 
-def load_cache(path, taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY) -> Dataset:
+def load_cache(path) -> Dataset:
     """Read a cache written by save_cache. Its domains are fixed, unlabeled
     rows are allowed, and the first bad line raises DatasetParseError."""
     with artifact.open_text(path) as fh:
@@ -691,5 +656,4 @@ def load_cache(path, taxonomy: ClassTaxonomy = DEFAULT_TAXONOMY) -> Dataset:
         with artifact.parsing(path, 2):
             schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
         with _naming(path):
-            return _read_records(fh, schema, taxonomy, fixed_domains=True,
-                                 labels_optional=True, line_no=2)
+            return _read_records(fh, schema, fixed_domains=True, labels_optional=True, line_no=2)

@@ -116,21 +116,15 @@ def info_gain_ratio_score(ds: Dataset, disc: Discretization, feature: str) -> Fe
 SCORERS = {CHI2: chi_squared_score, IGR: info_gain_ratio_score}
 
 
-def score_features(
-    ds: Dataset,
-    disc: Discretization,
-    method: str,
-    features=None,
-    threads: int = 1,
-) -> list[FeatureScore]:
-    """Score every feature (or the named subset) with the given method.
+def score_features(ds: Dataset, disc: Discretization, method: str, threads: int = 1) -> list[FeatureScore]:
+    """Score every feature with the given method.
 
     Per-feature work is independent; with threads > 1 it runs on a thread
     pool and results are reassembled in schema order, so the output is
     identical to the serial path.
     """
     scorer = SCORERS[method]
-    names = list(features) if features is not None else list(ds.schema.names)
+    names = ds.schema.names
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda n: scorer(ds, disc, n), names))

@@ -5,7 +5,8 @@ exhaustive enumeration, high-precision summation) and shares no code with
 the package paths it checks. Two exceptions: `read_records_oracle` checks
 how the record reader combines lines, not how it parses one, and
 `mdl_cuts_oracle` runs on `kernels.group_counts` + `best_group_cut`, which
-no package path calls.
+no package path calls. `record`, `iter_records` and `serialize_record` read
+a dataset back as per-record values and lines, for the tests to compare.
 """
 
 import io
@@ -17,7 +18,34 @@ import numpy as np
 
 from chids import kernels
 from chids.anomaly import COLLISION, RECEPTION
-from chids.kdd import DEFAULT_TAXONOMY, Dataset, _read_records
+from chids.kdd import NUMERIC, Dataset, KddRecord, _read_records
+
+
+def record(ds: Dataset, i: int) -> KddRecord:
+    """Row `i` of `ds`: numeric values as floats, nominal ones as their
+    symbols, in schema order, and the label."""
+    values = []
+    for f in ds.schema.features:
+        kind, j = ds.schema.slot[f.name]
+        if kind == NUMERIC:
+            values.append(float(ds.numeric[i, j]))
+        else:
+            values.append(ds.schema.domains[f.name][int(ds.nominal[i, j])])
+    label = ds.labels[i]
+    return KddRecord(tuple(values), None if label is None else str(label))
+
+
+def iter_records(ds: Dataset):
+    return (record(ds, i) for i in range(len(ds)))
+
+
+def serialize_record(r: KddRecord) -> str:
+    """The line `parse_record` reads back as `r` (floats via repr, so the
+    round trip is exact)."""
+    parts = [repr(v) if isinstance(v, float) else str(v) for v in r.values]
+    if r.label is not None:
+        parts.append(r.label)
+    return ",".join(parts)
 
 
 def entropy_oracle(labels) -> float:
@@ -362,7 +390,7 @@ def read_records_oracle(lines, schema, **options) -> Dataset:
     `schema` (so domains still grow in line order), with no error budget;
     the rows and errors are concatenated in line order."""
     parts = [
-        _read_records(io.StringIO(line), schema, DEFAULT_TAXONOMY, line_no=k,
+        _read_records(io.StringIO(line), schema, line_no=k,
                       error_budget=len(lines), **options)
         for k, line in enumerate(lines)
     ]

@@ -131,10 +131,11 @@ def test_c4_headline_numbers(kdd10_dedup):
         t0 = time.perf_counter()
         model = train_part(train_n)
         train_times.append(time.perf_counter() - t0)
-        _, report = evaluate(model, test_n)
+        cm, test_s = evaluate(model, test_n)
+        report = metrics_from_confusion(cm)
         drs.append(report.detection_rate)
         fars.append(report.false_alarm_rate)
-        test_times.append(report.test_time_s)
+        test_times.append(test_s)
     mean_dr = sum(drs) / len(drs)
     mean_far = sum(fars) / len(fars)
     mean_train = sum(train_times) / len(train_times)
@@ -250,9 +251,9 @@ def test_c5_dedupe_oracle_equivalence():
         ]
         ds = Dataset.from_records([parse_record(l, schema) for l in lines], schema)
         got = dedupe(ds)
-        want = oracles.dedupe_oracle(list(ds.iter_records()))
+        want = oracles.dedupe_oracle(list(oracles.iter_records(ds)))
         assert got.n_output == len(want)
-        assert list(got.dataset.iter_records()) == want
+        assert list(oracles.iter_records(got.dataset)) == want
     ok("C5.dedupe", "110 random fixtures match the set-based oracle exactly")
 
 

@@ -47,17 +47,19 @@ def test_only_artifact_opens_chids_files():
     assert found == []
 
 
+def _program_trees():
+    """The parsed source of every program file: src/ and non-test perfbench/."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    return [ast.parse(p.read_text()) for p in [*SRC.glob("*.py"), *perfbench.glob("*.py")]
+            if not p.name.startswith("test_")]
+
+
 def test_no_public_name_only_tests_use():
     # Every public function, class and method is used by the program or by
-    # the benchmark (perfbench/ wraps some by name). Both allowed names
-    # leave with the per-record reader (ROADMAP item 2).
-    allowed = {"serialize_record", "Dataset.iter_records"}
-    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    # the benchmark (perfbench/ wraps some by name).
     used = set()
-    for path in [*SRC.glob("*.py"), *perfbench.glob("*.py")]:
-        if path.name.startswith("test_"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _program_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -74,8 +76,65 @@ def test_no_public_name_only_tests_use():
                 names += [f"{top.name}.{m.name}" for m in top.body
                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
             unused += [f"{path.name}: {name}" for name in names
-                       if name.rsplit(".", 1)[-1] not in used and name not in allowed]
+                       if name.rsplit(".", 1)[-1] not in used]
     assert unused == []
+
+
+def test_every_defaulted_parameter_has_a_program_caller():
+    # Calls are matched by callee name: a function's own name, a method's
+    # name, a class's name for its __init__, and `cls` inside a classmethod
+    # for its class. The allowed parameters leave with the per-record
+    # reader (ROADMAP item 2), or put a chunk boundary inside a small file.
+    allowed = {"parse_record(strict)", "parse_record(allow_unlabeled)",
+               "from_records(schema)", "from_records(taxonomy)", "_read_records(chunk_lines)"}
+    defaulted = {}  # callee name -> [(position or None, parameter name)]
+
+    def declare(callee, fn, bound):
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args][bound:]
+        params = [(i, p.arg) for i, p in enumerate(positional)]
+        params = params[len(params) - len(a.defaults):] if a.defaults else []
+        params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        defaulted.setdefault(callee, []).extend(params)
+
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                declare(top.name, top, 0)
+            elif isinstance(top, ast.ClassDef):
+                for m in top.body:
+                    if isinstance(m, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                        declare(top.name if m.name == "__init__" else m.name, m, 0 if static else 1)
+
+    set_params = set()
+    for tree in _program_trees():
+        scopes = [(None, node) for node in tree.body]
+        while scopes:
+            owner, node = scopes.pop()
+            if isinstance(node, ast.ClassDef):
+                scopes += [(node.name, m) for m in node.body]
+                continue
+            in_classmethod = isinstance(node, ast.FunctionDef) and any(
+                getattr(d, "id", None) == "classmethod" for d in node.decorator_list)
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee == "cls" and in_classmethod:
+                    callee = owner
+                n_pos = len(call.args)
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    n_pos = float("inf")
+                names = {k.arg for k in call.keywords}
+                for pos, name in defaulted.get(callee, ()):
+                    if None in names or name in names or (pos is not None and pos < n_pos):
+                        set_params.add(f"{callee}({name})")
+    unset = sorted(f"{callee}({name})" for callee, params in defaulted.items()
+                   for _, name in params)
+    unset = [p for p in unset if p not in set_params and p not in allowed]
+    assert unset == []
 
 
 def test_only_artifact_writes_chids_files():

@@ -795,6 +795,23 @@ class TestDamagedArtifacts:
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", [
+    "timing train_s nan\n", "timing train_s -3\n", "timing train_s inf\n", "",
+    "timing train_s 1.5\ntiming train_s 2.5\n", "timing test_s 1.5\n",
+], ids=["nan", "negative", "inf", "empty", "two-lines", "other-key"])
+def test_bad_train_timing_exit_4(workdir, tmp_path, text, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    for f in ("model.txt", "test.cache"):
+        shutil.copy(workdir / f, out / f)
+    (out / "train_timing.txt").write_text(text)
+    code, stdout, err = run_cli(["evaluate", "--out", str(out)], capsys)
+    assert code == 4
+    assert stdout == "" and err.startswith(f"chids: {out / 'train_timing.txt'}: ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report").exists()
+
+
 def _damage_line(no, edit):
     """An edit of a file's bytes that rewrites its line `no` (from 1)."""
     def damage(raw: bytes) -> bytes:
@@ -920,6 +937,19 @@ class TestConfigCommand:
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert err.startswith("chids: select.k ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["preprocess", "config"])
+    def test_prune_naming_an_unknown_feature_exit_2(self, synth_corpus_path, tmp_path, command,
+                                                    capsys):
+        args = {
+            "preprocess": ["preprocess", "--dataset", str(synth_corpus_path)],
+            "config": ["config"],
+        }[command]
+        code, out, err = run_cli(args + ["--out", str(tmp_path), "--set", "prune=land,nosuch"],
+                                 capsys)
+        assert code == 2
+        assert out == "" and err == "chids: prune: unknown features ['nosuch']\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_output_bytes(self, capsys):
         code, out, _ = run_cli(["config"], capsys)

@@ -1,11 +1,13 @@
 import gzip
 import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import iter_records, serialize_record
 from chids.errors import (
     DataError,
     DatasetParseError,
@@ -26,7 +28,6 @@ from chids.kdd import (
     load_dataset,
     parse_record,
     save_cache,
-    serialize_record,
 )
 
 
@@ -59,7 +60,7 @@ class TestSchema:
 
 class TestTaxonomy:
     def test_covers_23_labels(self):
-        assert len(DEFAULT_TAXONOMY.labels) == 23
+        assert len(DEFAULT_TAXONOMY.label_class) == 23
         sizes = {c: len(DEFAULT_TAXONOMY.members[c]) for c in AttackClass}
         assert sizes[AttackClass.NORMAL] == 1
         assert sum(sizes.values()) == 23
@@ -75,7 +76,7 @@ class TestTaxonomy:
             classify_label("quantum_worm")
 
     def test_total_and_pure(self):
-        for lab in DEFAULT_TAXONOMY.labels:
+        for lab in DEFAULT_TAXONOMY.label_class:
             assert classify_label(lab) is classify_label(lab)
 
 
@@ -148,7 +149,7 @@ class TestRoundTrip:
                 )
             else:
                 values.append(data.draw(st.sampled_from(["a", "b", "tcp", "0", "1"])))
-        label = data.draw(st.sampled_from(list(DEFAULT_TAXONOMY.labels)))
+        label = data.draw(st.sampled_from(list(DEFAULT_TAXONOMY.label_class)))
         r = KddRecord(tuple(values), label)
         assert parse_record(serialize_record(r), s) == r
 
@@ -203,7 +204,7 @@ class TestLoadDataset:
         p.write_text("".join(make_line(label=l) + "\n" for l in labels))
         ds = load_dataset(p)
         recount = {c: 0 for c in AttackClass}
-        for r in ds.iter_records():
+        for r in iter_records(ds):
             recount[classify_label(r.label)] += 1
         assert recount == ds.class_histogram()
 
@@ -235,20 +236,25 @@ class TestCache:
 
 
 class TestStrictLoad:
+    """The reader with fixed domains and no error budget, as a cache is read."""
+
+    @staticmethod
+    def read_strict(text, schema):
+        from chids.kdd import _read_records
+
+        return _read_records(io.StringIO(text), schema, fixed_domains=True, error_budget=0)
+
     def test_strict_load_rejects_unknown_symbols(self, tmp_path):
         p = tmp_path / "mini.kdd"
         p.write_text(make_line(service="http") + "\n")
         schema = load_dataset(p).schema  # learns http
-        p2 = tmp_path / "other.kdd"
-        p2.write_text(make_line(service="gopher") + "\n")
+        assert len(self.read_strict(make_line(service="http") + "\n", schema)) == 1
         with pytest.raises(UnknownNominalSymbol):
-            load_dataset(p2, schema=schema, strict=True)
+            self.read_strict(make_line(service="gopher") + "\n", schema)
 
-    def test_strict_load_aborts_on_first_bad_line(self, tmp_path):
-        p = tmp_path / "bad.kdd"
-        p.write_text("x,y\n" + make_line() + "\n")
+    def test_strict_load_aborts_on_first_bad_line(self):
         with pytest.raises(DatasetParseError):
-            load_dataset(p, strict=True)
+            self.read_strict("x,y\n" + make_line() + "\n", FeatureSchema.default())
 
     def test_unlabeled_round_trip(self):
         s = FeatureSchema.default()
@@ -313,8 +319,8 @@ class TestColumnarReader:
 
         def read(chunk_lines):
             with open(p) as fh:
-                return _read_records(fh, FeatureSchema.default(), DEFAULT_TAXONOMY,
-                                     error_budget=1, chunk_lines=chunk_lines)
+                return _read_records(fh, FeatureSchema.default(), error_budget=1,
+                                     chunk_lines=chunk_lines)
 
         whole, chunked = read(100), read(2)
         assert whole.parse_errors == chunked.parse_errors == [(3, "unknown label 'nope'")]
@@ -368,7 +374,7 @@ def test_reader_matches_line_by_line_oracle(lines):
         for distinct_lines in (False, True):
             for chunk_lines in (1, 3, 256):
                 got = _read_records(
-                    io.StringIO("".join(lines)), FeatureSchema.default(), DEFAULT_TAXONOMY,
+                    io.StringIO("".join(lines)), FeatureSchema.default(),
                     error_budget=len(lines), distinct_lines=distinct_lines,
                     chunk_lines=chunk_lines, **options,
                 )
@@ -394,11 +400,27 @@ class TestCacheFormat:
         cache = tmp_path / "mixed.cache"
         save_cache(ds, cache)
         rows = cache.read_text().splitlines()[2:]
-        assert rows == [serialize_record(r) for r in ds.iter_records()]
+        assert rows == [serialize_record(r) for r in iter_records(ds)]
         back = load_cache(cache)
         assert list(back.labels) == ["normal", "neptune", None]
         assert back.class_codes.tolist() == [0, 1, -1]
         assert np.array_equal(back.numeric, ds.numeric)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["features"][2].__setitem__(1, "foo"),
+        lambda obj: obj["domains"]["service"].append(obj["domains"]["service"][0]),
+    ], ids=["unknown-kind", "repeated-symbol"])
+    def test_bad_schema_header_is_fatal_naming_line_2(self, tmp_path, edit):
+        cache = tmp_path / "mixed.cache"
+        save_cache(self.mixed_dataset(), cache)
+        magic, header, *rows = cache.read_text().splitlines(keepends=True)
+        obj = json.loads(header[len("#schema "):])
+        edit(obj)
+        cache.write_text(magic + "#schema " + json.dumps(obj) + "\n" + "".join(rows))
+        with pytest.raises(DataError) as exc:
+            load_cache(cache)
+        assert exc.value.exit_code == 4
+        assert str(exc.value).startswith(f"{cache}: line 2: ")
 
     def test_bad_line_is_fatal_with_its_number(self, tmp_path):
         cache = tmp_path / "bad.cache"

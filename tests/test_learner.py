@@ -8,6 +8,7 @@ from oracles import (
     first_match_oracle,
     gain_for_threshold_oracle,
     info_gain_oracle,
+    record,
     tree_walk_oracle,
 )
 from chids.errors import DataError, SchemaMismatch
@@ -311,7 +312,7 @@ class TestPredict:
         got = model.predict_dataset(ds)
         for i in range(n):
             want = first_match_oracle(
-                plain_rules, int(model.default), ds.record(i).values, name_to_pos
+                plain_rules, int(model.default), record(ds, i).values, name_to_pos
             )
             assert int(got[i]) == want
 
@@ -337,7 +338,7 @@ class TestPredict:
         for model, reference in references.items():
             batch = model.predict_dataset(ds)
             for i in range(n):
-                assert int(batch[i]) == int(reference(ds.record(i).values))
+                assert int(batch[i]) == int(reference(record(ds, i).values))
 
 
 class TestMajorityBaseline:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import dedupe_oracle, largest_remainder_oracle, mean_std_oracle
+from oracles import dedupe_oracle, iter_records, largest_remainder_oracle, mean_std_oracle, record
 from chids.errors import InfeasibleSplit, SchemaMismatch, UnknownFeatureName
 from chids.kdd import AttackClass, Dataset, FeatureSchema
 from chids.preprocess import (
@@ -47,7 +47,7 @@ class TestDedupe:
         ds = mini_dataset([a, b, a, a, b])
         res = dedupe(ds)
         assert res.n_input == 5 and res.n_output == 2
-        assert [r.values[4] for r in res.dataset.iter_records()] == [1.0, 2.0]
+        assert [r.values[4] for r in iter_records(res.dataset)] == [1.0, 2.0]
 
     def test_no_duplicates_identity(self):
         ds = mini_dataset([make_line(src_bytes=str(i)) for i in range(4)])
@@ -75,9 +75,9 @@ class TestDedupe:
         rng = random.Random(seed)
         ds = mini_dataset(random_records(rng, 80))
         res = dedupe(ds)
-        expected = dedupe_oracle(list(ds.iter_records()))
+        expected = dedupe_oracle(list(iter_records(ds)))
         assert res.n_output == len(expected)
-        assert list(res.dataset.iter_records()) == expected
+        assert list(iter_records(res.dataset)) == expected
 
 
 class TestStratifiedSplit:
@@ -196,7 +196,7 @@ class TestPrune:
     def test_values_reindexed_consistently(self):
         ds = mini_dataset([make_line(src_bytes="777")])
         out = prune_features(ds, DEFAULT_PRUNE)
-        rec = out.record(0)
+        rec = record(out, 0)
         pos = out.schema.names.index("src_bytes")
         assert rec.values[pos] == 777.0
 

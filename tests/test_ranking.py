@@ -11,6 +11,7 @@ from oracles import (
     igr_oracle,
     mdl_accepts_oracle,
     mdl_cuts_oracle,
+    record,
 )
 from chids import preprocess
 from chids.kdd import N_CLASSES, Dataset, FeatureSchema, KddRecord, load_dataset
@@ -313,6 +314,6 @@ class TestClassicToyAnchor:
         for feature, want_gain in textbook.items():
             igr = info_gain_ratio_score(ds, disc, feature).score
             codes = [ds.schema.code(feature, str(v)) for v in
-                     (ds.record(i).values[ds.schema.names.index(feature)] for i in range(14))]
+                     (record(ds, i).values[ds.schema.names.index(feature)] for i in range(14))]
             split_info = entropy_oracle(codes)
             assert igr * split_info == pytest.approx(want_gain, abs=5e-4), feature
