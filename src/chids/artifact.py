@@ -1,26 +1,38 @@
 """How chids opens, decodes, rejects and formats its own files.
 
-Every file chids writes is ASCII text. `open_text` turns an I/O fault into
-IoError (exit 3) and bytes that are not ASCII into DataError (exit 4), and
-`parsing` turns a fault raised while parsing into DataError; each names the
-file. Raw record input, which may be gzip, has its own reader in `kdd`.
-Every tab-separated table chids writes is formatted by `table_text`.
+Every file chids writes is ASCII text, and every file it reads may be gzip.
+`open_text` turns an I/O fault into IoError (exit 3), and damaged gzip data
+or bytes that are not ASCII into DataError (exit 4); `parsing` reports a
+fault raised while parsing as a DataError. Each names the file, and no
+other code puts a file's name into an error. Every tab-separated table
+chids writes is formatted by `table_text`.
 """
 
 from __future__ import annotations
 
+import gzip
+import io
 import json
+import zlib
 from contextlib import contextmanager
 
 from .errors import DataError, IoError
 
+GZIP_MAGIC = b"\x1f\x8b"
+
 
 @contextmanager
 def open_text(path, mode: str = "r"):
-    """Open the chids file `path` as ASCII text, mode "r" or "w"."""
+    """Open the chids file `path` as ASCII text, mode "r" or "w". A file
+    read that starts with the gzip magic is decompressed."""
     try:
-        with open(path, mode, encoding="ascii") as fh:
-            yield fh
+        with open(path, mode + "b") as raw:
+            packed = mode == "r" and raw.peek(2)[:2] == GZIP_MAGIC
+            with io.TextIOWrapper(gzip.GzipFile(fileobj=raw) if packed else raw,
+                                  encoding="ascii") as fh:
+                yield fh
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # BadGzipFile is an OSError
+        raise DataError(f"{path}: damaged gzip data: {exc}") from None
     except OSError as exc:
         raise IoError(f"cannot {'write' if 'w' in mode else 'read'} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -28,10 +40,11 @@ def open_text(path, mode: str = "r"):
 
 
 class parsing:
-    """Context manager that reports a fault raised while parsing `path` (at
-    `line`, when set) as one DataError naming the file. Wrap parsing only,
-    never later work. A UnicodeDecodeError, raised by a file read line by
-    line, passes on to `open_text`."""
+    """Context manager that names `path` (and `line`, when set) in a fault
+    raised while parsing it. A DataError keeps its type and attributes and
+    gets the name as a prefix; any other fault becomes one DataError. Wrap
+    parsing only, never later work. A UnicodeDecodeError, raised by a file
+    read line by line, passes on to `open_text`."""
 
     def __init__(self, path, line: int | None = None):
         self.path, self.line = path, line
@@ -40,11 +53,12 @@ class parsing:
         return self
 
     def __exit__(self, kind, exc, tb):
-        faults = (DataError, AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
-        if isinstance(exc, faults) and not isinstance(exc, UnicodeDecodeError):
-            where = f"{self.path}" if self.line is None else f"{self.path}: line {self.line}"
-            why = exc if isinstance(exc, DataError) else f"malformed file ({kind.__name__}: {exc})"
-            raise DataError(f"{where}: {why}") from None
+        where = f"{self.path}" if self.line is None else f"{self.path}: line {self.line}"
+        if isinstance(exc, DataError):
+            exc.args = (f"{where}: {exc}",)
+        elif isinstance(exc, (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+                              ValueError)) and not isinstance(exc, UnicodeDecodeError):
+            raise DataError(f"{where}: malformed file ({kind.__name__}: {exc})") from None
 
 
 def read_text(path) -> str:
@@ -85,15 +99,14 @@ def read_rows(path, magic: str, header: str, row) -> list:
     `\r` end a line."""
     n = header.count("\t") + 1
     rows = []
-    with open_text(path) as fh:
-        for lineno, want in ((1, magic), (2, header)):
+    with open_text(path) as fh, parsing(path) as guard:  # a fault names guard.line
+        for guard.line, want in ((1, magic), (2, header)):
             if fh.readline().rstrip("\n") != want:
-                raise DataError(f"{path}: line {lineno}: expected {want!r}")
-        with parsing(path) as guard:
-            for guard.line, ln in enumerate(fh, 3):  # a fault names guard.line
-                if ln.strip():
-                    fields = ln.rstrip("\n").split("\t")
-                    if len(fields) != n:
-                        raise DataError(f"expected {n} fields, got {len(fields)}")
-                    rows.append(row(*fields))
+                raise DataError(f"expected {want!r}")
+        for guard.line, ln in enumerate(fh, 3):
+            if ln.strip():
+                fields = ln.rstrip("\n").split("\t")
+                if len(fields) != n:
+                    raise DataError(f"expected {n} fields, got {len(fields)}")
+                rows.append(row(*fields))
     return rows

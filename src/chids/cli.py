@@ -26,7 +26,7 @@ import numpy as np
 from . import anomaly, artifact, evaluate as ev, learner, pipeline, preprocess, ranking
 from .config import RunConfig, apply_setting, load_config, render_config
 from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact
-from .kdd import AttackClass, CACHE_MAGIC, Dataset, load_cache, load_dataset, save_cache
+from .kdd import AttackClass, load_cache, load_dataset, load_records, save_cache
 
 TRAIN_FULL = "train_full.cache"
 TEST_FULL = "test_full.cache"
@@ -104,23 +104,20 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     save_cache(split.train, out / TRAIN_FULL)
     save_cache(split.test, out / TEST_FULL)
 
-    # Rank the full feature set for the descending-curve report.
-    disc_full = ranking.discretize(split.train)
-    igr_scores = ranking.score_features(
-        split.train, disc_full, ranking.IGR, threads=cfg.threads
-    )
+    # Rank the full feature set for the descending-curve report. Pruning
+    # only drops columns, so the same cut points score the pruned set.
+    disc = ranking.discretize(split.train)
+    igr_scores = ranking.score_features(split.train, disc, ranking.IGR, threads=cfg.threads)
     ranking.write_rank_report(igr_scores, out / RANK_FULL)
 
     train_p = preprocess.prune_features(split.train, cfg.prune)
-    test_p = preprocess.prune_features(split.test, cfg.prune)
-    disc_p = ranking.discretize(train_p)
-    scores = ranking.score_features(train_p, disc_p, cfg.select_method, threads=cfg.threads)
+    scores = ranking.score_features(train_p, disc, cfg.select_method, threads=cfg.threads)
     ranking.write_rank_report(scores, out / RANK_SELECTED)
     selected = ranking.select_top_k(scores, cfg.select_k)
     _err(f"selected features ({cfg.select_method}, k={cfg.select_k}): {', '.join(selected)}")
 
     train_s = preprocess.select_features(train_p, selected)
-    test_s = preprocess.select_features(test_p, selected)
+    test_s = preprocess.select_features(split.test, selected)
     stats = preprocess.fit_normalizer(train_s)
     train_n = preprocess.apply_normalizer(train_s, stats)
     test_n = preprocess.apply_normalizer(test_s, stats)
@@ -227,15 +224,15 @@ def _load_rank_scores(path: Path):
     if not path.exists():
         return None
     lines = artifact.read_text(path).splitlines()
-    if lines[:1] != [ranking.RANK_HEADER]:
-        raise DataError(f"{path}: line 1: expected {ranking.RANK_HEADER!r}")
     scores = []
-    for lineno, ln in enumerate(lines[1:], 2):
-        if ln.startswith("#") or not ln.strip():
-            continue
-        with artifact.parsing(path, lineno):
+    with artifact.parsing(path, 1) as guard:  # a fault names guard.line
+        if lines[:1] != [ranking.RANK_HEADER]:
+            raise DataError(f"expected {ranking.RANK_HEADER!r}")
+        for guard.line, ln in enumerate(lines[1:], 2):
+            if ln.startswith("#") or not ln.strip():
+                continue
             rank, feature, method, score = ln.split("\t")
-            row = ranking.FeatureScore(feature, lineno, float(score), method)
+            row = ranking.FeatureScore(feature, guard.line, float(score), method)
             if rank != str(len(scores) + 1):
                 raise DataError(f"rank {rank!r}, expected {len(scores) + 1}")
             if scores and row.score > scores[-1].score:
@@ -258,17 +255,6 @@ def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
     _out(stream_path)
     _out(verdict_path)
     return 0
-
-
-def _load_records_for_detect(path: Path) -> Dataset:
-    """Accept either a dataset cache or raw record lines, plain or gzip.
-    Labels are optional on raw input; ones outside the taxonomy are treated
-    as absent. The first bad line is fatal."""
-    with open(path, "rb") as fh:
-        first = fh.readline().rstrip(b"\r\n")
-    if first == CACHE_MAGIC.encode("ascii"):
-        return load_cache(path)
-    return load_dataset(path, error_budget=0, labels_optional=True)
 
 
 def _transform(text: str):
@@ -298,7 +284,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     selected, stats = artifact.read_parsed(
         _need(out / TRANSFORM_JSON, "chids preprocess"), _transform
     )
-    raw = _load_records_for_detect(Path(input_path))
+    raw = load_records(input_path)
     if tuple(raw.schema.names) == model.feature_names:
         ds = raw  # input is already in model space (e.g. a preprocessed cache)
     else:
@@ -386,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("detect", help="run the hybrid pipeline over a record stream")
-    p.add_argument("--input", required=True, help="records: raw lines or a dataset cache")
+    p.add_argument("--input", required=True, help="records: raw lines or a cache, plain or gzip")
     p.add_argument("--events", help="event stream aligning event k with record k")
     _add_common(p)
 

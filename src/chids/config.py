@@ -91,6 +91,14 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.split_train_size < 1:
+            raise ConfigError("split.train_size must be >= 1")
+        if self.split_test_size < 0:
+            raise ConfigError("split.test_size must be >= 0")
+        for key, listed in (("prune", self.prune), ("split.minority", self.split_minority)):
+            twice = sorted({name for name in listed if listed.count(name) > 1})
+            if twice:
+                raise ConfigError(f"{key}: names {twice} more than once")
         names = {name for name, _ in FEATURE_TABLE}
         if not names.issuperset(self.prune):
             raise ConfigError(f"prune: unknown features {sorted(set(self.prune) - names)}")

@@ -15,7 +15,6 @@ import json
 import logging
 import math
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,7 +25,6 @@ from .errors import (
     DataError,
     DatasetParseError,
     FieldCountMismatch,
-    IoError,
     NumericParseError,
     SchemaMismatch,
     UnknownLabel,
@@ -409,25 +407,6 @@ class Dataset:
 _CHUNK_ROWS = 256
 
 
-def _open_maybe_gzip(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rt", encoding="ascii", newline="")
-    return open(path, "rt", encoding="ascii", newline="")
-
-
-@contextmanager
-def _naming(path):
-    """Prefix `path` to the message of a DataError raised inside, keeping
-    its type (and a DatasetParseError's `errors`)."""
-    try:
-        yield
-    except DataError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-
-
 def _read_records(
     fh,
     schema: FeatureSchema,
@@ -598,11 +577,7 @@ def load_dataset(path, error_budget: int = 100, labels_optional: bool = False) -
     `labels_optional`, 41-field lines and labels outside the taxonomy load
     as unlabeled records instead of bad lines.
     """
-    try:
-        fh = _open_maybe_gzip(path)
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    with fh, _naming(path):
+    with artifact.open_text(path) as fh, artifact.parsing(path):
         ds = _read_records(
             fh, FeatureSchema.default(), error_budget=error_budget,
             labels_optional=labels_optional, unknown_unlabeled=labels_optional,
@@ -646,14 +621,28 @@ def save_cache(ds: Dataset, path) -> None:
 def load_cache(path) -> Dataset:
     """Read a cache written by save_cache. Its domains are fixed, unlabeled
     rows are allowed, and the first bad line raises DatasetParseError."""
-    with artifact.open_text(path) as fh:
+    with artifact.open_text(path) as fh, artifact.parsing(path, 1) as guard:
         magic = fh.readline().rstrip("\n")
         if magic != CACHE_MAGIC:
-            raise DataError(f"{path}: not a chids dataset cache (got {magic!r})")
+            raise DataError(f"not a chids dataset cache (got {magic!r})")
+        guard.line = 2
         schema_line = fh.readline().rstrip("\n")
         if not schema_line.startswith("#schema "):
-            raise DataError(f"{path}: missing schema header")
-        with artifact.parsing(path, 2):
-            schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
-        with _naming(path):
-            return _read_records(fh, schema, fixed_domains=True, labels_optional=True, line_no=2)
+            raise DataError("missing schema header")
+        schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
+        guard.line = None  # a bad record names its own line
+        return _read_records(fh, schema, fixed_domains=True, labels_optional=True, line_no=2)
+
+
+def load_records(path) -> Dataset:
+    """`detect`'s input: a dataset cache, or raw record lines read with
+    optional labels (a label outside the taxonomy reads as absent), where
+    the first bad line is fatal. Either may be gzip."""
+    try:
+        with artifact.open_text(path) as fh:
+            first = fh.readline()
+    except DataError:  # undecodable: the raw reader names the bad line
+        first = ""
+    if first.rstrip("\n") == CACHE_MAGIC:
+        return load_cache(path)
+    return load_dataset(path, error_budget=0, labels_optional=True)

@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import artifact, kernels
-from .errors import DataError, SchemaMismatch
+from .errors import DataError, InvalidOperation, SchemaMismatch
 from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, N_CLASSES
 
 
@@ -209,8 +209,6 @@ class _Grower:
     def __init__(self, ds: Dataset, params: TreeParams):
         self.ds = ds
         self.params = params
-        if (ds.class_codes < 0).any():
-            raise ValueError("training requires labeled records")
         self.y = ds.class_codes.astype(np.int8)
         self.class_totals = np.bincount(self.y, minlength=N_CLASSES)
         self._order = 0
@@ -380,9 +378,18 @@ def _merge_tests(path) -> tuple[RuleTest, ...]:
     return tuple(tests)
 
 
+def _check_training_set(train: Dataset) -> None:
+    """Every trainer needs at least one record, and every record labeled."""
+    if len(train) == 0:
+        raise InvalidOperation("training set has no records")
+    if (train.class_codes < 0).any():
+        raise InvalidOperation("training set contains unlabeled records")
+
+
 def build_tree(train: Dataset, params: TreeParams | None = None) -> DecisionTree:
     """Gain-ratio decision tree over the whole training set (pruned by
     pessimistic error unless params.prune is off)."""
+    _check_training_set(train)
     params = params or TreeParams()
     root = _Grower(train, params).expand(np.arange(len(train)), frozenset(), [], partial=False)[0]
     return DecisionTree(root, train.schema.names, [f.kind for f in train.schema.features])
@@ -405,8 +412,7 @@ def _rule_mask(ds: Dataset, idx: np.ndarray, rule: Rule) -> np.ndarray:
 def train_part(train: Dataset, params: TreeParams | None = None) -> RuleSet:
     """Separate-and-conquer loop: extract the best partial-tree rule, drop
     the records it covers, repeat until nothing is left."""
-    if len(train) == 0:
-        raise ValueError("training set is empty")
+    _check_training_set(train)
     params = params or TreeParams()
     g = _Grower(train, params)
     residual = np.arange(len(train))
@@ -423,9 +429,8 @@ def train_part(train: Dataset, params: TreeParams | None = None) -> RuleSet:
 
 
 def train_majority_baseline(train: Dataset) -> MajorityModel:
-    if len(train) == 0:
-        raise ValueError("training set is empty")
-    counts = np.bincount(train.class_codes[train.class_codes >= 0], minlength=N_CLASSES)
+    _check_training_set(train)
+    counts = np.bincount(train.class_codes, minlength=N_CLASSES)
     return MajorityModel(
         AttackClass(int(np.argmax(counts))), train.schema.names,
         [f.kind for f in train.schema.features],
@@ -558,23 +563,37 @@ def load_model(path):
     return artifact.read_parsed(path, _parse_model)
 
 
+def _keyword(line: tuple[int, str], word: str) -> str:
+    """What follows `word` on a (file line number, text) pair."""
+    lineno, text = line
+    head, _, value = text.partition(" ")
+    if head != word:
+        raise DataError(f"line {lineno}: expected {word!r}, got {head!r}")
+    return value
+
+
 def _parse_model(text: str):
-    lines = text.splitlines()
-    if not lines or lines[0] != MODEL_MAGIC:
+    lines = list(enumerate(text.splitlines(), 1))
+    if not lines or lines[0][1] != MODEL_MAGIC:
         raise DataError("not a chids model file")
-    kind = lines[1].split(" ", 1)[1]
-    pairs = [p.split(":") for p in lines[2].split(" ", 1)[1].split(",")]
+    kind = _keyword(lines[1], "kind")
+    pairs = [p.split(":") for p in _keyword(lines[2], "features").split(",")]
     names = tuple(p[0] for p in pairs)
     kinds = tuple(p[1] for p in pairs)
     kind_of = dict(pairs)
-    body = [(i, ln) for i, ln in enumerate(lines[3:], 4) if ln.strip()]
-    if kind == "majority":
-        return MajorityModel(AttackClass.from_tag(body[0][1].split(" ", 1)[1]), names, kinds)
-    if kind == "part":
-        default = AttackClass.from_tag(body[0][1].split(" ", 1)[1])
-        rules = [_parse_rule(ln, kind_of) for _, ln in body[1:]]
-        return RuleSet(rules, default, names, kinds)
+    body = [(i, ln) for i, ln in lines[3:] if ln.strip()]
     if kind == "tree":
-        root, _ = _parse_nodes(body, 0, 0, kind_of)
-        return DecisionTree(root, names, kinds)
-    raise DataError(f"unknown model kind {kind!r}")
+        root, end = _parse_nodes(body, 0, 0, kind_of)
+        model = DecisionTree(root, names, kinds)
+    elif kind in ("majority", "part"):
+        default = AttackClass.from_tag(_keyword(body[0], "default"))
+        if kind == "majority":
+            model, end = MajorityModel(default, names, kinds), 1
+        else:
+            rules = [_parse_rule(ln, kind_of) for _, ln in body[1:]]
+            model, end = RuleSet(rules, default, names, kinds), len(body)
+    else:
+        raise DataError(f"unknown model kind {kind!r}")
+    if end < len(body):
+        raise DataError(f"line {body[end][0]}: {body[end][1]!r} after the end of the model")
+    return model

@@ -31,8 +31,6 @@ def _calls():
 
 
 def test_only_artifact_opens_chids_files():
-    # raw record input may be gzip, and detect sniffs its first bytes
-    allowed = {("kdd.py", "_open_maybe_gzip"), ("cli.py", "_load_records_for_detect")}
     found = []
     for where, node in _calls():
         f = node.func
@@ -42,8 +40,26 @@ def test_only_artifact_opens_chids_files():
             called = f.attr
         else:
             continue
-        if called in ("open", "read_text", "write_text") and where not in allowed:
+        if called in ("open", "read_text", "write_text"):
             found.append(f"{where[0]}:{node.lineno} {called}")
+    assert found == []
+
+
+def test_only_artifact_names_a_file_in_an_error():
+    # a message that formats a path is built by artifact.open_text or
+    # artifact.parsing (or by an errors.py class given the path)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("artifact.py", "errors.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.FormattedValue) and any(
+                        getattr(n, "id", getattr(n, "attr", "")).endswith("path")
+                        for n in ast.walk(part.value)):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

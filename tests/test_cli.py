@@ -93,6 +93,18 @@ class TestTrainEvaluate:
         assert code == 5
         assert "chids preprocess" in err
 
+    @pytest.mark.parametrize("kind", ["part", "tree", "majority"])
+    @pytest.mark.parametrize("defect", ["empty", "unlabeled"])
+    def test_training_set_without_records_or_labels_exit_6(self, workdir, tmp_path, kind, defect,
+                                                            capsys):
+        magic, schema, first, *rest = (workdir / "train.cache").read_text().splitlines()
+        rows = [] if defect == "empty" else [first.rsplit(",", 1)[0], *rest]
+        (tmp_path / "train.cache").write_text("\n".join([magic, schema, *rows]) + "\n")
+        code, out, err = run_cli(["train", "--out", str(tmp_path), "--set", f"model.kind={kind}"],
+                                 capsys)
+        assert code == 6 and out == "" and len(err.splitlines()) == 2  # progress, then the error
+        assert not (tmp_path / "model.txt").exists()
+
     def test_evaluate_without_model_hints_train(self, tmp_path, capsys):
         code, _, err = run_cli(["evaluate", "--out", str(tmp_path / "fresh2")], capsys)
         assert code == 5
@@ -377,6 +389,35 @@ class TestDamagedGzip:
         assert code == 4
         assert last.startswith(f"chids: {packed}: line ") and "damaged gzip data" in last
         assert progress == ([f"chids: loading {packed}"] if command == "preprocess" else [])
+
+
+class TestGzippedCache:
+    """A gzipped dataset cache reads as the cache it holds; damaged, it
+    exits 4 with one error line naming the file."""
+
+    def test_detect_input_reads_as_the_plain_cache(self, workdir, tmp_path, capsys):
+        plain = _detect_dir(workdir, tmp_path)
+        assert main(["detect", "--input", str(workdir / "test.cache"), "--out", str(plain)]) == 0
+        packed = tmp_path / "test.cache.gz"
+        packed.write_bytes(gzip.compress((workdir / "test.cache").read_bytes()))
+        zipped = tmp_path / "zipped"
+        shutil.copytree(plain, zipped)
+        code, _, _ = run_cli(["detect", "--input", str(packed), "--out", str(zipped)], capsys)
+        assert code == 0
+        for name in ("detect_summary.txt", "dispositions.tsv", "alerts.log"):
+            assert (zipped / name).read_bytes() == (plain / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["truncated", "crc", "method", "deflate"])
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_damaged_exit_4_names_file(self, workdir, tmp_path, damage, command, capsys):
+        out = _detect_dir(workdir, tmp_path)
+        packed = out / "test.cache"  # evaluate's input; detect reads it by --input
+        packed.write_bytes(_gzip_damage(damage, gzip.compress((workdir / "test.cache").read_bytes())))
+        args = {"detect": ["detect", "--input", str(packed)], "evaluate": ["evaluate"]}[command]
+        code, _, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 4
+        assert err.startswith(f"chids: {packed}: ") and "damaged gzip data" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestPinnedOutputs:
@@ -949,6 +990,24 @@ class TestConfigCommand:
                                  capsys)
         assert code == 2
         assert out == "" and err == "chids: prune: unknown features ['nosuch']\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["preprocess", "config"])
+    @pytest.mark.parametrize("setting, message", [
+        ("split.train_size=0", "split.train_size must be >= 1"),
+        ("split.train_size=-5", "split.train_size must be >= 1"),
+        ("split.test_size=-1", "split.test_size must be >= 0"),
+        ("prune=urgent,land,urgent", "prune: names ['urgent'] more than once"),
+        ("split.minority=u2r,r2l,u2r", "split.minority: names ['u2r'] more than once"),
+    ], ids=["train-zero", "train-negative", "test-negative", "prune-twice", "minority-twice"])
+    def test_split_size_or_repeated_name_exit_2(self, synth_corpus_path, tmp_path, command,
+                                                setting, message, capsys):
+        args = {
+            "preprocess": ["preprocess", "--dataset", str(synth_corpus_path)],
+            "config": ["config"],
+        }[command]
+        code, out, err = run_cli(args + ["--out", str(tmp_path), "--set", setting], capsys)
+        assert (code, out, err) == (2, "", f"chids: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_default_output_bytes(self, capsys):

@@ -421,6 +421,44 @@ class TestTreeFileLineNumbers:
             load_model(tmp_path / "m.txt")
 
 
+_MAJORITY_FILE = ["#chids-model v1", "kind majority", "features x:numeric,y:numeric", "default dos"]
+_PART_FILE = [
+    "#chids-model v1",
+    "kind part",
+    "features x:numeric,y:numeric",
+    "default dos",
+    "rule IF x <= 0.5 THEN normal cov=2 err=0",
+]
+
+
+def _edited(lines, i, text):
+    """`lines` with line i (from 0) replaced by `text`, or with `text`
+    appended when i is past the end."""
+    return lines[:i] + [text] + lines[i + 1:]
+
+
+class TestModelFileChecks:
+    # each file reads without error unless its keywords and its length are checked
+    @pytest.mark.parametrize("lines, lineno", [
+        (_edited(_PART_FILE, 1, "kinds part"), 2),
+        (_edited(_PART_FILE, 2, "feature x:numeric,y:numeric"), 3),
+        (_edited(_PART_FILE, 3, "fallback dos"), 4),
+        (_edited(_MAJORITY_FILE, 3, "class dos"), 4),
+        (_edited(_MAJORITY_FILE, 4, "default normal"), 5),
+        (_edited(_MAJORITY_FILE, 4, "rule IF TRUE THEN normal cov=1 err=0"), 5),
+        (_edited(_TREE_FILE, 8, "leaf normal dist=2,0,0,0,0"), 9),
+        (_edited(_TREE_FILE, 8, "  leaf dos dist=0,1,0,0,0"), 9),
+    ], ids=["kind", "features", "default-part", "default-majority", "after-majority-default",
+            "after-majority-rule", "after-tree-root", "after-tree-leaf"])
+    def test_malformed_model_names_the_file_line(self, tmp_path, lines, lineno):
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as caught:
+            load_model(path)
+        assert str(caught.value).startswith(f"{path}: line {lineno}: ")
+        assert caught.value.exit_code == 4
+
+
 class TestPessimisticErrors:
     def test_zero_error_case_exact_binomial_bound(self):
         from chids.learner import added_errors
