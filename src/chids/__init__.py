@@ -8,5 +8,3 @@ z-score normalization, classifier fit).
 """
 
 __version__ = "0.1.0"
-
-from .kdd import AttackClass, Dataset, FeatureSchema, KddRecord  # noqa: F401

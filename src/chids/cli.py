@@ -285,7 +285,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         _need(out / TRANSFORM_JSON, "chids preprocess"), _transform
     )
     raw = load_records(input_path)
-    if tuple(raw.schema.names) == model.feature_names:
+    if raw.schema.names == tuple(name for name, _ in model.features):
         ds = raw  # input is already in model space (e.g. a preprocessed cache)
     else:
         ds = preprocess.apply_normalizer(preprocess.select_features(raw, selected), stats)

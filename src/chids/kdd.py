@@ -99,46 +99,34 @@ class AttackClass(enum.IntEnum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "AttackClass":
+        if tag.upper() not in cls.__members__:
+            raise DataError(f"unknown class {tag!r}")
         return cls[tag.upper()]
 
 
 N_CLASSES = len(AttackClass)
 
 
-@dataclass(frozen=True)
-class FeatureDef:
-    index: int
-    name: str
-    kind: str
-
-
 class FeatureSchema:
-    """Ordered feature definitions plus mutable nominal symbol domains.
+    """Ordered (name, kind) feature pairs plus mutable nominal symbol domains.
 
     Every feature is numeric or nominal, and no domain repeats a symbol.
     Domains grow in first-sighting order during ingest; a cache read keeps
     them fixed and rejects symbols outside them.
     """
 
-    def __init__(self, defs: Sequence[FeatureDef], domains: dict[str, list[str]] | None = None):
-        self.features: tuple[FeatureDef, ...] = tuple(defs)
-        names = [f.name for f in self.features]
-        if len(set(names)) != len(names):
+    def __init__(self, features: Sequence[tuple[str, str]], domains: dict[str, list[str]] | None = None):
+        self.features: tuple[tuple[str, str], ...] = tuple((name, kind) for name, kind in features)
+        self.names: tuple[str, ...] = tuple(name for name, _ in self.features)
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate feature names")
-        if [f.index for f in self.features] != list(range(len(self.features))):
-            raise ValueError("feature indices must be contiguous from 0")
-        if any(f.kind not in (NUMERIC, NOMINAL) for f in self.features):
+        if any(kind not in (NUMERIC, NOMINAL) for _, kind in self.features):
             raise ValueError(f"feature kinds must be {NUMERIC!r} or {NOMINAL!r}")
-        self.names: tuple[str, ...] = tuple(names)
-        self.kind_of: dict[str, str] = {f.name: f.kind for f in self.features}
-        self.numeric_names: tuple[str, ...] = tuple(f.name for f in self.features if f.kind == NUMERIC)
-        self.nominal_names: tuple[str, ...] = tuple(f.name for f in self.features if f.kind == NOMINAL)
+        self.numeric_names: tuple[str, ...] = tuple(n for n, k in self.features if k == NUMERIC)
+        self.nominal_names: tuple[str, ...] = tuple(n for n, k in self.features if k == NOMINAL)
         # name -> (kind, column slot within the numeric or nominal matrix)
-        self.slot: dict[str, tuple[str, int]] = {}
-        for name in self.numeric_names:
-            self.slot[name] = (NUMERIC, self.numeric_names.index(name))
-        for name in self.nominal_names:
-            self.slot[name] = (NOMINAL, self.nominal_names.index(name))
+        self.slot: dict[str, tuple[str, int]] = {n: (NUMERIC, j) for j, n in enumerate(self.numeric_names)}
+        self.slot.update((n, (NOMINAL, j)) for j, n in enumerate(self.nominal_names))
         self.domains: dict[str, list[str]] = {n: [] for n in self.nominal_names}
         if domains:
             for name, syms in domains.items():
@@ -150,21 +138,9 @@ class FeatureSchema:
             n: {s: i for i, s in enumerate(d)} for n, d in self.domains.items()
         }
 
-    @property
-    def n_features(self) -> int:
-        return len(self.features)
-
-    @property
-    def n_numeric(self) -> int:
-        return len(self.numeric_names)
-
-    @property
-    def n_nominal(self) -> int:
-        return len(self.nominal_names)
-
     @classmethod
     def default(cls) -> "FeatureSchema":
-        return cls([FeatureDef(i, n, k) for i, (n, k) in enumerate(FEATURE_TABLE)])
+        return cls(FEATURE_TABLE)
 
     def code(self, name: str, symbol: str, add: bool = False) -> int:
         """Code of `symbol` in `name`'s domain; -1 if absent, appended when add=True."""
@@ -177,27 +153,17 @@ class FeatureSchema:
         return c
 
     def subset(self, keep: Sequence[str]) -> "FeatureSchema":
-        """New schema with only `keep` features, in original order, reindexed."""
-        keep_set = set(keep)
-        defs = []
-        domains = {}
-        for f in self.features:
-            if f.name in keep_set:
-                defs.append(FeatureDef(len(defs), f.name, f.kind))
-                if f.kind == NOMINAL:
-                    domains[f.name] = list(self.domains[f.name])
-        return FeatureSchema(defs, domains)
+        """New schema with only `keep` features, in original order."""
+        keep = set(keep)
+        return FeatureSchema([f for f in self.features if f[0] in keep],
+                             {n: d for n, d in self.domains.items() if n in keep})
 
     def to_json_obj(self) -> dict:
-        return {
-            "features": [[f.name, f.kind] for f in self.features],
-            "domains": {n: list(d) for n, d in self.domains.items()},
-        }
+        return {"features": self.features, "domains": self.domains}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FeatureSchema":
-        defs = [FeatureDef(i, n, k) for i, (n, k) in enumerate(obj["features"])]
-        return cls(defs, obj.get("domains", {}))
+        return cls(obj["features"], obj.get("domains", {}))
 
 
 class ClassTaxonomy:
@@ -240,12 +206,15 @@ DEFAULT_TAXONOMY = ClassTaxonomy(
 )
 
 
+def _label(raw: str) -> str:
+    """A raw label's normal form: stripped, lower-case, one trailing period dropped."""
+    label = raw.strip().lower()
+    return label[:-1] if label.endswith(".") else label
+
+
 def classify_label(label: str) -> AttackClass:
     """Class of a raw label (case-insensitive, trailing period tolerated)."""
-    label = label.strip().lower()
-    if label.endswith("."):
-        label = label[:-1]
-    return DEFAULT_TAXONOMY.classify(label)
+    return DEFAULT_TAXONOMY.classify(_label(label))
 
 
 @dataclass(frozen=True)
@@ -273,41 +242,36 @@ def parse_record(
     appended to the domain.
     """
     fields = line.rstrip("\r\n").split(",")
-    n = schema.n_features
+    n = len(schema.names)
     if len(fields) == n + 1:
-        raw_label: str | None = fields[n].strip()
+        label: str | None = _label(fields[n])
     elif allow_unlabeled and len(fields) == n:
-        raw_label = None
+        label = None
     else:
         raise FieldCountMismatch(f"expected {n + 1} fields, got {len(fields)}")
     values = []
-    for fd, raw in zip(schema.features, fields):
+    for index, ((name, kind), raw) in enumerate(zip(schema.features, fields)):
         raw = raw.strip()
-        if fd.kind == NUMERIC:
+        if kind == NUMERIC:
             try:
                 v = float(raw)
             except ValueError:
-                raise NumericParseError(fd.index, raw) from None
+                raise NumericParseError(index, raw) from None
             if not math.isfinite(v):
-                raise NumericParseError(fd.index, raw)
+                raise NumericParseError(index, raw)
             values.append(v)
         else:
-            if strict and schema.code(fd.name, raw) < 0:
-                raise UnknownNominalSymbol(f"feature {fd.name}: unknown symbol {raw!r}")
-            schema.code(fd.name, raw, add=True)
+            if strict and schema.code(name, raw) < 0:
+                raise UnknownNominalSymbol(f"feature {name}: unknown symbol {raw!r}")
+            schema.code(name, raw, add=True)
             values.append(raw)
-    label = None
-    if raw_label is not None:
-        label = raw_label.lower()
-        if label.endswith("."):
-            label = label[:-1]
     return KddRecord(tuple(values), label)
 
 
 class Dataset:
     """Columnar record store bound to a schema and a taxonomy.
 
-    `numeric` is (n, n_numeric) float64, `nominal` (n, n_nominal) int32 codes
+    `numeric` is (n, numeric features) float64, `nominal` (n, nominal features) int32 codes
     into the schema domains, `class_codes` int32 AttackClass values (-1 marks
     an unlabeled record). Instances are treated as immutable.
     """
@@ -324,8 +288,8 @@ class Dataset:
         self.schema = schema
         self.labels = np.asarray(labels, dtype=object)
         n = len(self.labels)
-        self.numeric = np.asarray(numeric, dtype=np.float64).reshape(n, schema.n_numeric)
-        self.nominal = np.asarray(nominal, dtype=np.int32).reshape(n, schema.n_nominal)
+        self.numeric = np.asarray(numeric, dtype=np.float64).reshape(n, len(schema.numeric_names))
+        self.nominal = np.asarray(nominal, dtype=np.int32).reshape(n, len(schema.nominal_names))
         self.class_codes = np.asarray(class_codes, dtype=np.int32)
         self.taxonomy = taxonomy
         self.parse_errors: list[tuple[int, str]] = []
@@ -382,20 +346,19 @@ class Dataset:
         schema = schema if schema is not None else FeatureSchema.default()
         records = list(records)
         n = len(records)
-        numeric = np.zeros((n, schema.n_numeric))
-        nominal = np.zeros((n, schema.n_nominal), dtype=np.int32)
+        numeric = np.zeros((n, len(schema.numeric_names)))
+        nominal = np.zeros((n, len(schema.nominal_names)), dtype=np.int32)
         labels = np.empty(n, dtype=object)
         codes = np.full(n, -1, dtype=np.int32)
         for i, r in enumerate(records):
-            if len(r.values) != schema.n_features:
-                raise SchemaMismatch(f"record {i}: {len(r.values)} values vs {schema.n_features} features")
-            for f in schema.features:
-                kind, j = schema.slot[f.name]
-                v = r.values[f.index]
+            if len(r.values) != len(schema.names):
+                raise SchemaMismatch(f"record {i}: {len(r.values)} values vs {len(schema.names)} features")
+            for name, v in zip(schema.names, r.values):
+                kind, j = schema.slot[name]
                 if kind == NUMERIC:
                     numeric[i, j] = float(v)
                 else:
-                    nominal[i, j] = schema.code(f.name, str(v), add=True)
+                    nominal[i, j] = schema.code(name, str(v), add=True)
             labels[i] = r.label
             if r.label is not None:
                 codes[i] = int(taxonomy.classify(r.label))
@@ -438,7 +401,7 @@ def _read_records(
     then, so this suits raw records, which repeat, and not caches, which
     were deduplicated before they were written.
     """
-    n = schema.n_features
+    n = len(schema.names)
     num_idx = [schema.names.index(name) for name in schema.numeric_names]
     nom_idx = [schema.names.index(name) for name in schema.nominal_names]
     numeric_parts: list[np.ndarray] = []
@@ -505,9 +468,7 @@ def _read_records(
         for raw in dict.fromkeys(cols[n]):
             if raw is None:
                 continue
-            lab = raw.strip().lower()
-            if lab.endswith("."):
-                lab = lab[:-1]
+            lab = _label(raw)
             cls_ = DEFAULT_TAXONOMY.label_class.get(lab)
             if cls_ is not None:
                 label_of[raw], code_of[raw] = lab, int(cls_)
@@ -604,12 +565,12 @@ def save_cache(ds: Dataset, path) -> None:
         for start in range(0, len(ds), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
             cols = []
-            for f in schema.features:
-                kind, j = schema.slot[f.name]
+            for name in schema.names:
+                kind, j = schema.slot[name]
                 if kind == NUMERIC:
                     cols.append(map(repr, ds.numeric[start:stop, j].tolist()))
                 else:
-                    cols.append(map(schema.domains[f.name].__getitem__, ds.nominal[start:stop, j].tolist()))
+                    cols.append(map(schema.domains[name].__getitem__, ds.nominal[start:stop, j].tolist()))
             labels = ds.labels[start:stop].tolist()
             if None in labels:  # unlabeled rows end with their last feature
                 rows = (r if lab is None else r + (lab,) for r, lab in zip(zip(*cols), labels))

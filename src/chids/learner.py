@@ -32,8 +32,8 @@ class TreeParams:
     def __post_init__(self):
         if not self.min_leaf >= 1:
             raise ValueError("min_leaf must be >= 1")
-        if not 0 < self.confidence <= 0.5:
-            raise ValueError("confidence must be in (0, 0.5]")
+        if not (0 < self.confidence <= 0.5 and 1.0 - self.confidence < 1.0):  # inv_cdf(1 - c) needs 1 - c < 1
+            raise ValueError("confidence must be in (0, 0.5], with 1 - confidence below 1")
 
 
 class Leaf:
@@ -73,14 +73,11 @@ class Rule:
 
 
 class _ModelBase:
-    def __init__(self, feature_names, feature_kinds):
-        self.feature_names = tuple(feature_names)
-        self.feature_kinds = tuple(feature_kinds)
+    def __init__(self, features):
+        self.features = tuple(features)  # the training schema's (name, kind) pairs
 
     def _check(self, ds: Dataset) -> None:
-        if tuple(ds.schema.names) != self.feature_names or tuple(
-            f.kind for f in ds.schema.features
-        ) != self.feature_kinds:
+        if ds.schema.features != self.features:
             raise SchemaMismatch("dataset schema differs from the model's training schema")
 
 
@@ -89,8 +86,8 @@ class MajorityModel(_ModelBase):
 
     kind = "majority"
 
-    def __init__(self, klass: AttackClass, feature_names, feature_kinds):
-        super().__init__(feature_names, feature_kinds)
+    def __init__(self, klass: AttackClass, features):
+        super().__init__(features)
         self.klass = klass
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
@@ -101,8 +98,8 @@ class MajorityModel(_ModelBase):
 class DecisionTree(_ModelBase):
     kind = "tree"
 
-    def __init__(self, root, feature_names, feature_kinds):
-        super().__init__(feature_names, feature_kinds)
+    def __init__(self, root, features):
+        super().__init__(features)
         self.root = root
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
@@ -143,8 +140,8 @@ class RuleSet(_ModelBase):
 
     kind = "part"
 
-    def __init__(self, rules, default: AttackClass, feature_names, feature_kinds):
-        super().__init__(feature_names, feature_kinds)
+    def __init__(self, rules, default: AttackClass, features):
+        super().__init__(features)
         self.rules = tuple(rules)
         self.default = default
 
@@ -235,8 +232,8 @@ class _Grower:
             self.ds.numeric[idx], self.y[idx], N_CLASSES, self.params.min_leaf
         )
         out = []
-        for f in self.ds.schema.features:
-            kind, j = self.ds.schema.slot[f.name]
+        for findex, name in enumerate(self.ds.schema.names):
+            kind, j = self.ds.schema.slot[name]
             if kind == NUMERIC:
                 res = cuts[j]
                 if res is None:
@@ -245,17 +242,17 @@ class _Grower:
                 p_l = n_left / n
                 p_r = (n - n_left) / n
                 si = -(p_l * math.log2(p_l)) - (p_r * math.log2(p_r))
-                out.append(_Candidate(f.index, f.name, NUMERIC, gain, si, thr))
+                out.append(_Candidate(findex, name, NUMERIC, gain, si, thr))
             else:
-                if f.name in used_nominal:
+                if name in used_nominal:
                     continue
-                dom = len(self.ds.schema.domains[f.name])
+                dom = len(self.ds.schema.domains[name])
                 if dom < 2:
                     continue
                 res = kernels.table_gain(self.ds.nominal[idx, j].astype(np.int64), self.y[idx],
                                          dom, N_CLASSES, h_node, self.params.min_leaf)
                 if res is not None:
-                    out.append(_Candidate(f.index, f.name, NOMINAL, *res, None))
+                    out.append(_Candidate(findex, name, NOMINAL, *res, None))
         return out
 
     def _choose(self, cands: list[_Candidate]) -> _Candidate | None:
@@ -392,7 +389,7 @@ def build_tree(train: Dataset, params: TreeParams | None = None) -> DecisionTree
     _check_training_set(train)
     params = params or TreeParams()
     root = _Grower(train, params).expand(np.arange(len(train)), frozenset(), [], partial=False)[0]
-    return DecisionTree(root, train.schema.names, [f.kind for f in train.schema.features])
+    return DecisionTree(root, train.schema.features)
 
 
 def _rule_mask(ds: Dataset, idx: np.ndarray, rule: Rule) -> np.ndarray:
@@ -425,16 +422,13 @@ def train_part(train: Dataset, params: TreeParams | None = None) -> RuleSet:
         rules.append(rule)
         residual = residual[~covered]
     default = g.leaf_class(g.class_totals)
-    return RuleSet(rules, default, train.schema.names, [f.kind for f in train.schema.features])
+    return RuleSet(rules, default, train.schema.features)
 
 
 def train_majority_baseline(train: Dataset) -> MajorityModel:
     _check_training_set(train)
     counts = np.bincount(train.class_codes, minlength=N_CLASSES)
-    return MajorityModel(
-        AttackClass(int(np.argmax(counts))), train.schema.names,
-        [f.kind for f in train.schema.features],
-    )
+    return MajorityModel(AttackClass(int(np.argmax(counts))), train.schema.features)
 
 
 # --- serialization -------------------------------------------------------
@@ -470,6 +464,13 @@ def _feature_kind(feat: str, kinds: dict[str, str]) -> str:
     return kinds[feat]
 
 
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DataError(f"threshold {text!r} is not a finite number")
+    return value
+
+
 def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     m = _RULE_RE.match(line)
     if not m:
@@ -482,7 +483,7 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
             kind = _feature_kind(feat, kinds)
             if op not in _OPS.get(kind, ()):
                 raise DataError(f"bad operator for {kind} feature in rule: {part!r}")
-            value = val if kind == NOMINAL else float(val)
+            value = val if kind == NOMINAL else _threshold(val)
             tests.append(RuleTest(feat, op, value))
     return Rule(tuple(tests), AttackClass.from_tag(tag), int(cov), int(err))
 
@@ -508,34 +509,35 @@ def _write_node(fh, node, depth: int) -> None:
         _write_node(fh, child, depth + 1)
 
 
-def _parse_nodes(lines: list[tuple[int, str]], pos: int, depth: int, kinds: dict[str, str]):
-    """Parse the node at `lines[pos]`, a (file line number, text) pair, and
-    its subtree; returns the node and the position after it."""
-    lineno, line = lines[pos]
+def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
+    """Parse the next node of `lines`, written at `depth`, and its subtree."""
+    line = next(lines, "")
+    if not line:
+        raise DataError("expected a tree node, got the end of the file")
     body = line[depth:]
     if line[:depth] != " " * depth or body.startswith(" "):
-        raise DataError(f"bad tree indentation at line {lineno}: {line!r}")
+        raise DataError(f"bad tree indentation: {line!r}")
     parts = body.split(" ")
-    dist = np.array([int(v) for v in parts[-1].split("=", 1)[1].split(",")], dtype=np.int64)
+    dist = [int(v) for v in parts[-1].split("=", 1)[1].split(",")]
+    if len(dist) != N_CLASSES or min(dist) < 0:
+        raise DataError(f"dist= must be {N_CLASSES} counts >= 0: {line!r}")
     if parts[0] == "leaf":
-        return Leaf(dist, AttackClass.from_tag(parts[1])), pos + 1
+        return Leaf(dist, AttackClass.from_tag(parts[1]))
     _, kind, feature = parts[0], parts[1], parts[2]
     if _feature_kind(feature, kinds) != kind:
         raise DataError(f"{kind} split on {kinds[feature]} feature: {line!r}")
     majority = int(parts[-2].split("=", 1)[1])
     if kind == NUMERIC:
-        threshold = float(parts[3])
+        threshold = _threshold(parts[3])
         n_children, symbols = 2, None
     else:
         symbols = tuple(parts[3].split(","))
         threshold = None
         n_children = len(symbols)
-    children = []
-    nxt = pos + 1
-    for _ in range(n_children):
-        child, nxt = _parse_nodes(lines, nxt, depth + 1, kinds)
-        children.append(child)
-    return Split(feature, kind, threshold, symbols, children, majority, dist), nxt
+    if not 0 <= majority < n_children:
+        raise DataError(f"majority={majority} is not one of the {n_children} children: {line!r}")
+    children = [_parse_nodes(lines, depth + 1, kinds) for _ in range(n_children)]
+    return Split(feature, kind, threshold, symbols, children, majority, dist)
 
 
 def save_model(model, path) -> None:
@@ -543,10 +545,7 @@ def save_model(model, path) -> None:
     with artifact.open_text(path, "w") as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(f"kind {model.kind}\n")
-        feats = ",".join(
-            f"{n}:{k}" for n, k in zip(model.feature_names, model.feature_kinds)
-        )
-        fh.write(f"features {feats}\n")
+        fh.write(f"features {','.join(f'{n}:{k}' for n, k in model.features)}\n")
         if isinstance(model, MajorityModel):
             fh.write(f"default {model.klass.tag}\n")
         elif isinstance(model, RuleSet):
@@ -560,40 +559,44 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    return artifact.read_parsed(path, _parse_model)
+    text = artifact.read_text(path)
+    with artifact.parsing(path) as guard:  # a fault names guard.line
+        return _parse_model(_numbered(text.splitlines(), guard))
 
 
-def _keyword(line: tuple[int, str], word: str) -> str:
-    """What follows `word` on a (file line number, text) pair."""
-    lineno, text = line
-    head, _, value = text.partition(" ")
+def _numbered(lines: list[str], guard):
+    """Each of `lines` in turn, with `guard.line` set to its line number;
+    once they run out, to the line after the last."""
+    for guard.line, line in enumerate(lines, 1):
+        yield line
+    guard.line = len(lines) + 1
+
+
+def _keyword(line: str, word: str) -> str:
+    """What follows `word` on `line`."""
+    head, _, value = line.partition(" ")
     if head != word:
-        raise DataError(f"line {lineno}: expected {word!r}, got {head!r}")
+        raise DataError(f"expected {word!r}, got {head!r}")
     return value
 
 
-def _parse_model(text: str):
-    lines = list(enumerate(text.splitlines(), 1))
-    if not lines or lines[0][1] != MODEL_MAGIC:
+def _parse_model(lines):
+    if next(lines, None) != MODEL_MAGIC:
         raise DataError("not a chids model file")
-    kind = _keyword(lines[1], "kind")
-    pairs = [p.split(":") for p in _keyword(lines[2], "features").split(",")]
-    names = tuple(p[0] for p in pairs)
-    kinds = tuple(p[1] for p in pairs)
-    kind_of = dict(pairs)
-    body = [(i, ln) for i, ln in lines[3:] if ln.strip()]
+    kind = _keyword(next(lines, ""), "kind")
+    features = tuple(tuple(p.split(":")) for p in _keyword(next(lines, ""), "features").split(","))
+    kinds = dict(features)
+    body = (line for line in lines if line.strip())
     if kind == "tree":
-        root, end = _parse_nodes(body, 0, 0, kind_of)
-        model = DecisionTree(root, names, kinds)
+        model = DecisionTree(_parse_nodes(body, 0, kinds), features)
     elif kind in ("majority", "part"):
-        default = AttackClass.from_tag(_keyword(body[0], "default"))
+        default = AttackClass.from_tag(_keyword(next(body, ""), "default"))
         if kind == "majority":
-            model, end = MajorityModel(default, names, kinds), 1
+            model = MajorityModel(default, features)
         else:
-            rules = [_parse_rule(ln, kind_of) for _, ln in body[1:]]
-            model, end = RuleSet(rules, default, names, kinds), len(body)
+            model = RuleSet([_parse_rule(line, kinds) for line in body], default, features)
     else:
         raise DataError(f"unknown model kind {kind!r}")
-    if end < len(body):
-        raise DataError(f"line {body[end][0]}: {body[end][1]!r} after the end of the model")
+    for line in body:
+        raise DataError(f"{line!r} after the end of the model")
     return model

@@ -32,8 +32,7 @@ class Discretization:
                 raise ValueError(f"{name}: cut points must be strictly increasing")
 
     def bin_codes(self, ds: Dataset, feature: str) -> tuple[np.ndarray, int]:
-        kind = ds.schema.kind_of[feature]
-        if kind == NUMERIC:
+        if ds.schema.slot[feature][0] == NUMERIC:
             codes = np.searchsorted(self.cuts[feature], ds.column(feature), side="left")
             return codes.astype(np.int64), len(self.cuts[feature]) + 1
         return ds.column(feature).astype(np.int64), max(len(ds.schema.domains[feature]), 1)

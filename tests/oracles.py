@@ -25,12 +25,12 @@ def record(ds: Dataset, i: int) -> KddRecord:
     """Row `i` of `ds`: numeric values as floats, nominal ones as their
     symbols, in schema order, and the label."""
     values = []
-    for f in ds.schema.features:
-        kind, j = ds.schema.slot[f.name]
+    for name in ds.schema.names:
+        kind, j = ds.schema.slot[name]
         if kind == NUMERIC:
             values.append(float(ds.numeric[i, j]))
         else:
-            values.append(ds.schema.domains[f.name][int(ds.nominal[i, j])])
+            values.append(ds.schema.domains[name][int(ds.nominal[i, j])])
     label = ds.labels[i]
     return KddRecord(tuple(values), None if label is None else str(label))
 
@@ -396,8 +396,8 @@ def read_records_oracle(lines, schema, **options) -> Dataset:
     ]
     ds = Dataset(
         schema,
-        np.concatenate([p.numeric for p in parts] + [np.empty((0, schema.n_numeric))]),
-        np.concatenate([p.nominal for p in parts] + [np.empty((0, schema.n_nominal), np.int32)]),
+        np.concatenate([p.numeric for p in parts] + [np.empty((0, len(schema.numeric_names)))]),
+        np.concatenate([p.nominal for p in parts] + [np.empty((0, len(schema.nominal_names)), np.int32)]),
         [lab for p in parts for lab in p.labels],
         [c for p in parts for c in p.class_codes],
     )

@@ -17,7 +17,7 @@ import oracles
 from chids.anomaly import RuleConfig, SCENARIO_RULE, SCENARIOS, evaluate_stream, generate_stream
 from chids.cli import main as cli_main
 from chids.evaluate import ConfusionMatrix, evaluate, metrics_from_confusion
-from chids.kdd import AttackClass, Dataset, FeatureDef, FeatureSchema, KddRecord, load_dataset
+from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord, load_dataset
 from chids.learner import TreeParams, _Grower, train_part
 from chids.pipeline import CLASSIFIED_ATTACK, OUTCOMES, PASSED_NORMAL, run_pipeline
 from chids.preprocess import (
@@ -157,7 +157,7 @@ LABELS = ("normal", "neptune", "satan", "phf", "perl")
 
 
 def _single_feature_ds(values, classes) -> Dataset:
-    schema = FeatureSchema([FeatureDef(0, "x", "numeric")])
+    schema = FeatureSchema([("x", "numeric")])
     return Dataset.from_records(
         [KddRecord((float(v),), LABELS[c]) for v, c in zip(values, classes)], schema
     )
@@ -291,7 +291,7 @@ def test_c6_anomaly_soundness_completeness():
 
 def test_c7_pipeline_contract():
     rng = random.Random(99)
-    schema = FeatureSchema([FeatureDef(0, "x", "numeric")])
+    schema = FeatureSchema([("x", "numeric")])
     classes = [rng.choice([0, 0, 1, 2]) for _ in range(300)]
     xs = [rng.uniform(0, 9) if c == 0 else rng.uniform(10 + 5 * c, 14 + 5 * c) for c in classes]
     ds = Dataset.from_records(

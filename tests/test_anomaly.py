@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -423,3 +427,15 @@ class TestRuleConfigValidation:
             RuleConfig(repetition_limit=0)
         with pytest.raises(ValueError):
             RuleConfig(window=-1.0)
+
+
+class TestLightweightImport:
+    def test_anomaly_stage_loads_no_numpy(self):
+        # the first-line filter on a cluster head loads only what it uses
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, chids.anomaly; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -942,7 +942,8 @@ class TestConfigCommand:
         "setting",
         ["rules.window=-1", "rules.window=nan", "rules.retransmission_deadline=0",
          "rules.repetition_limit=0", "rules.interval_lower=31", "rules.rssi_max=-100",
-         "part.confidence=0", "part.confidence=0.51", "part.confidence=nan", "part.min_leaf=0"],
+         "part.confidence=0", "part.confidence=0.51", "part.confidence=nan", "part.confidence=1e-17",
+         "part.confidence=1e-300", "part.min_leaf=0"],
     )
     def test_out_of_range_value_exit_2(self, setting, capsys):
         code, out, err = run_cli(["config", "--set", setting], capsys)

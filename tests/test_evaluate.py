@@ -13,14 +13,14 @@ from chids.evaluate import (
     metrics_from_confusion,
     render_split_table,
 )
-from chids.kdd import Dataset, FeatureDef, FeatureSchema, KddRecord
+from chids.kdd import Dataset, FeatureSchema, KddRecord
 from chids.learner import train_majority_baseline, train_part
 
 LABELS = ("normal", "neptune", "satan", "phf", "perl")
 
 
 def labeled_ds(classes, xs=None) -> Dataset:
-    schema = FeatureSchema([FeatureDef(0, "x", "numeric")])
+    schema = FeatureSchema([("x", "numeric")])
     xs = xs if xs is not None else list(range(len(classes)))
     records = [KddRecord((float(x),), LABELS[c]) for x, c in zip(xs, classes)]
     return Dataset.from_records(records, schema)

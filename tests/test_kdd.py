@@ -20,6 +20,7 @@ from chids.errors import (
 from chids.kdd import (
     AttackClass,
     DEFAULT_TAXONOMY,
+    FEATURE_TABLE,
     Dataset,
     FeatureSchema,
     KddRecord,
@@ -45,17 +46,18 @@ def make_line(service="http", src_bytes="181", label="normal."):
 class TestSchema:
     def test_default_shape(self):
         s = FeatureSchema.default()
-        assert s.n_features == 41
-        assert s.n_numeric == 34
-        assert s.n_nominal == 7
+        assert len(s.features) == 41
+        assert len(s.numeric_names) == 34
+        assert len(s.nominal_names) == 7
         assert len(set(s.names)) == 41
-        assert [f.index for f in s.features] == list(range(41))
+        assert s.features == FEATURE_TABLE
 
     def test_subset_reindexes(self):
         s = FeatureSchema.default()
         sub = s.subset(["service", "src_bytes", "diff_srv_rate"])
         assert sub.names == ("service", "src_bytes", "diff_srv_rate")
-        assert [f.index for f in sub.features] == [0, 1, 2]
+        assert sub.features == (("service", "nominal"), ("src_bytes", "numeric"),
+                                ("diff_srv_rate", "numeric"))
 
 
 class TestTaxonomy:
@@ -135,8 +137,8 @@ class TestRoundTrip:
     def test_random_round_trip(self, data):
         s = FeatureSchema.default()
         values = []
-        for f in s.features:
-            if f.kind == "numeric":
+        for _, kind in s.features:
+            if kind == "numeric":
                 values.append(
                     data.draw(
                         st.floats(
@@ -409,7 +411,9 @@ class TestCacheFormat:
     @pytest.mark.parametrize("edit", [
         lambda obj: obj["features"][2].__setitem__(1, "foo"),
         lambda obj: obj["domains"]["service"].append(obj["domains"]["service"][0]),
-    ], ids=["unknown-kind", "repeated-symbol"])
+        lambda obj: obj["features"][2].append("nominal"),
+        lambda obj: obj["features"][2].__setitem__(0, obj["features"][1][0]),
+    ], ids=["unknown-kind", "repeated-symbol", "not-a-pair", "repeated-name"])
     def test_bad_schema_header_is_fatal_naming_line_2(self, tmp_path, edit):
         cache = tmp_path / "mixed.cache"
         save_cache(self.mixed_dataset(), cache)

@@ -12,7 +12,7 @@ from oracles import (
     tree_walk_oracle,
 )
 from chids.errors import DataError, SchemaMismatch
-from chids.kdd import AttackClass, Dataset, FeatureDef, FeatureSchema, KddRecord
+from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord
 from chids.learner import (
     DecisionTree,
     Leaf,
@@ -36,7 +36,7 @@ def xy_dataset(points, classes, nominal_col=None) -> Dataset:
     defs = [("x", "numeric"), ("y", "numeric")]
     if nominal_col is not None:
         defs.append(("s", "nominal"))
-    schema = FeatureSchema([FeatureDef(i, n, k) for i, (n, k) in enumerate(defs)])
+    schema = FeatureSchema(defs)
     records = []
     for i, ((x, y), c) in enumerate(zip(points, classes)):
         vals = (float(x), float(y)) + ((str(nominal_col[i]),) if nominal_col is not None else ())
@@ -288,7 +288,7 @@ class TestPredict:
             Rule((RuleTest("x", "<=", 5.0),), AttackClass.DOS, 3, 0),
             Rule((RuleTest("y", "<=", 100.0),), AttackClass.PROBE, 3, 0),
         )
-        model = RuleSet(rules, AttackClass.NORMAL, ("x", "y"), ("numeric", "numeric"))
+        model = RuleSet(rules, AttackClass.NORMAL, (("x", "numeric"), ("y", "numeric")))
 
         def one(x, y):
             return AttackClass(int(model.predict_dataset(xy_dataset([(x, y)], [0]))[0]))
@@ -308,7 +308,7 @@ class TestPredict:
         plain_rules = [
             ([(t.feature, t.op, t.value) for t in r.tests], int(r.klass)) for r in model.rules
         ]
-        name_to_pos = {n_: i for i, n_ in enumerate(model.feature_names)}
+        name_to_pos = {n_: i for i, (n_, _) in enumerate(model.features)}
         got = model.predict_dataset(ds)
         for i in range(n):
             want = first_match_oracle(
@@ -360,6 +360,7 @@ class TestSerialization:
         p = tmp_path / "model.txt"
         save_model(model, p)
         loaded = load_model(p)
+        assert loaded.features == model.features == ds.schema.features
         assert np.array_equal(loaded.predict_dataset(ds), model.predict_dataset(ds))
         p2 = tmp_path / "model2.txt"
         save_model(loaded, p2)
@@ -385,7 +386,9 @@ class TestSerialization:
                 1,
             ),
         )
-        model = RuleSet(rules, AttackClass.DOS, ("x", "y", "s"), ("numeric", "numeric", "nominal"))
+        model = RuleSet(
+            rules, AttackClass.DOS, (("x", "numeric"), ("y", "numeric"), ("s", "nominal"))
+        )
         p = tmp_path / "m.txt"
         save_model(model, p)
         text = p.read_text()
@@ -417,7 +420,7 @@ class TestTreeFileLineNumbers:
         if blank_before:
             lines.insert(4, "")
         (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"bad tree indentation at {want}:"):
+        with pytest.raises(DataError, match=f"m.txt: {want}: bad tree indentation: "):
             load_model(tmp_path / "m.txt")
 
 
@@ -448,8 +451,24 @@ class TestModelFileChecks:
         (_edited(_MAJORITY_FILE, 4, "rule IF TRUE THEN normal cov=1 err=0"), 5),
         (_edited(_TREE_FILE, 8, "leaf normal dist=2,0,0,0,0"), 9),
         (_edited(_TREE_FILE, 8, "  leaf dos dist=0,1,0,0,0"), 9),
+        (_edited(_TREE_FILE, 3, "split numeric x 0.5 majority=9 dist=2,2,0,0,0"), 4),
+        (_edited(_TREE_FILE, 3, "split numeric x 0.5 majority=-1 dist=2,2,0,0,0"), 4),
+        (_edited(_TREE_FILE, 4, " leaf normal dist=2,0,0,0,0,0,0"), 5),
+        (_edited(_TREE_FILE, 4, " leaf normal dist=3,0,0,-1,0"), 5),
+        (_edited(_PART_FILE, 3, "default xyz"), 4),
+        (_edited(_MAJORITY_FILE, 3, "default xyz"), 4),
+        (_edited(_PART_FILE, 4, "rule IF x <= 0.5 THEN xyz cov=2 err=0"), 5),
+        (_edited(_TREE_FILE, 4, " leaf xyz dist=2,0,0,0,0"), 5),
+        (_edited(_PART_FILE, 4, "rule IF x <= nan THEN normal cov=2 err=0"), 5),
+        (_edited(_PART_FILE, 4, "rule IF x > inf THEN normal cov=2 err=0"), 5),
+        (_edited(_PART_FILE, 4, "rule IF x <= -inf THEN normal cov=2 err=0"), 5),
+        (_edited(_TREE_FILE, 3, "split numeric x nan majority=0 dist=2,2,0,0,0"), 4),
+        (_edited(_TREE_FILE, 5, " split numeric y inf majority=0 dist=0,2,0,0,0"), 6),
     ], ids=["kind", "features", "default-part", "default-majority", "after-majority-default",
-            "after-majority-rule", "after-tree-root", "after-tree-leaf"])
+            "after-majority-rule", "after-tree-root", "after-tree-leaf", "majority-9",
+            "majority-minus-1", "dist-7-values", "dist-negative", "class-default-part",
+            "class-default-majority", "class-rule", "class-leaf", "nan-rule", "inf-rule",
+            "minus-inf-rule", "nan-split", "inf-split"])
     def test_malformed_model_names_the_file_line(self, tmp_path, lines, lineno):
         path = tmp_path / "m.txt"
         path.write_text("\n".join(lines) + "\n")

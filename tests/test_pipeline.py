@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from chids.kdd import AttackClass, Dataset, FeatureDef, FeatureSchema, KddRecord
+from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord
 from chids.learner import train_part
 from chids.pipeline import (
     CLASSIFIED_ATTACK,
@@ -37,7 +37,7 @@ class CountingModel:
 
 
 def labeled_ds(classes, xs=None) -> Dataset:
-    schema = FeatureSchema([FeatureDef(0, "x", "numeric")])
+    schema = FeatureSchema([("x", "numeric")])
     xs = xs if xs is not None else list(range(len(classes)))
     records = [KddRecord((float(x),), LABELS[c]) for x, c in zip(xs, classes)]
     return Dataset.from_records(records, schema)

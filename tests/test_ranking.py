@@ -32,10 +32,7 @@ LABELS = ("normal", "neptune", "satan", "phf", "perl")  # one per class
 
 def two_feature_ds(xs, ys_nominal, classes) -> Dataset:
     """Dataset with one numeric feature `x` and one nominal feature `s`."""
-    defs = [("x", "numeric"), ("s", "nominal")]
-    from chids.kdd import FeatureDef
-
-    schema = FeatureSchema([FeatureDef(i, n, k) for i, (n, k) in enumerate(defs)])
+    schema = FeatureSchema([("x", "numeric"), ("s", "nominal")])
     records = [
         KddRecord((float(x), str(s)), LABELS[c])
         for x, s, c in zip(xs, ys_nominal, classes)
@@ -275,8 +272,6 @@ class TestClassicToyAnchor:
     anchors the entropy code against an external reference."""
 
     def weather_ds(self):
-        from chids.kdd import FeatureDef
-
         # (outlook, temperature, humidity, windy) -> play?
         rows = [
             ("sunny", "hot", "high", "false", 0),
@@ -295,7 +290,7 @@ class TestClassicToyAnchor:
             ("rainy", "mild", "high", "true", 0),
         ]
         schema = FeatureSchema(
-            [FeatureDef(i, n, "nominal") for i, n in enumerate(("outlook", "temperature", "humidity", "windy"))]
+            [(n, "nominal") for n in ("outlook", "temperature", "humidity", "windy")]
         )
         records = [KddRecord(tuple(r[:4]), LABELS[r[4]]) for r in rows]
         return Dataset.from_records(records, schema)
