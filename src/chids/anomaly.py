@@ -87,9 +87,11 @@ class RuleConfig:
             raise ValueError("interval_lower must be below interval_upper")
         if not (self.rssi_min < self.rssi_max):
             raise ValueError("rssi_min must be below rssi_max")
-        for name in ("retransmission_deadline", "delay_window", "window", "repetition_limit",
-                     "collision_limit", "max_sources_per_message"):
-            if not getattr(self, name) > 0:  # also rejects nan
+        for name in ("retransmission_deadline", "delay_window", "window"):
+            if not 0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("repetition_limit", "collision_limit", "max_sources_per_message"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 

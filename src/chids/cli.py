@@ -289,6 +289,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         ds = raw  # input is already in model space (e.g. a preprocessed cache)
     else:
         ds = preprocess.apply_normalizer(preprocess.select_features(raw, selected), stats)
+    if raw.line_rows is not None:  # raw lines: one row per distinct text until projected
+        ds = ds.take(raw.line_rows)
 
     n = len(ds)
     verdict_lines: list[str] = []
@@ -299,9 +301,9 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         per_rule = Counter(v.rule for v in verdicts)
         verdict_lines = [f"verdicts.{r} = {per_rule[r]}" for r in anomaly.RULE_IDS]
     elif cfg.detect_mode == "oracle":
-        if (raw.class_codes < 0).any():
+        if (ds.class_codes < 0).any():
             raise ConfigError("detect.mode=oracle requires labeled input records")
-        flagged = raw.class_codes != AttackClass.NORMAL
+        flagged = ds.class_codes != AttackClass.NORMAL
     else:
         flagged = np.full(n, cfg.detect_mode == "all")
     n_flagged = int(flagged.sum())

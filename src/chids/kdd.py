@@ -274,6 +274,11 @@ class Dataset:
     `numeric` is (n, numeric features) float64, `nominal` (n, nominal features) int32 codes
     into the schema domains, `class_codes` int32 AttackClass values (-1 marks
     an unlabeled record). Instances are treated as immutable.
+
+    A dataset read from raw record lines holds one row per distinct line
+    text; `line_rows` then gives the row of every line it was read from, in
+    line order, and `take(line_rows)` is one row per line. It is None for a
+    cache and for a dataset built in code.
     """
 
     def __init__(
@@ -293,6 +298,7 @@ class Dataset:
         self.class_codes = np.asarray(class_codes, dtype=np.int32)
         self.taxonomy = taxonomy
         self.parse_errors: list[tuple[int, str]] = []
+        self.line_rows: np.ndarray | None = None
         if not (len(self.labels) == len(self.class_codes) == self.numeric.shape[0] == self.nominal.shape[0]):
             raise ValueError("column length mismatch")
 
@@ -395,11 +401,12 @@ def _read_records(
     DatasetParseError.
 
     With `distinct_lines`, only the first occurrence of each line text is
-    parsed: a repeat takes its row, or its error under its own line number,
-    and one `take` at the end expands the distinct rows to every line. The
-    result is the same, but the text of every distinct line is kept until
-    then, so this suits raw records, which repeat, and not caches, which
-    were deduplicated before they were written.
+    parsed: a repeat shares its row, or takes its error under its own line
+    number. The dataset then holds one row per distinct good line, in
+    first-occurrence order, and `line_rows` gives the row of every good
+    line. The text of every distinct line is kept to the end, so this suits
+    raw records, which repeat, and not caches, which were deduplicated
+    before they were written.
     """
     n = len(schema.names)
     num_idx = [schema.names.index(name) for name in schema.numeric_names]
@@ -523,14 +530,16 @@ def _read_records(
         bad_text[list(text_error)] = True
         text_row = np.cumsum(~bad_text) - 1
         texts = np.array(line_texts, dtype=np.int64)
-        ds = ds.take(text_row[texts[~bad_text[texts]]])
+        ds.line_rows = text_row[texts[~bad_text[texts]]]
     ds.parse_errors = errors
     return ds
 
 
 def load_dataset(path, error_budget: int = 100, labels_optional: bool = False) -> Dataset:
     """Load a KDD-format file (plain or gzip) into a columnar Dataset on the
-    default schema, whose domains grow in first-sighting order.
+    default schema, whose domains grow in first-sighting order. The dataset
+    holds one row per distinct line text; its `line_rows` maps every good
+    line to its row.
 
     Bad lines are collected with their line numbers and skipped; once more
     than `error_budget` accumulate the load aborts with DatasetParseError.

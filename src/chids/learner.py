@@ -20,7 +20,7 @@ import numpy as np
 
 from . import artifact, kernels
 from .errors import DataError, InvalidOperation, SchemaMismatch
-from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, N_CLASSES
+from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, FeatureSchema, N_CLASSES
 
 
 @dataclass(frozen=True)
@@ -476,6 +476,8 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     if not m:
         raise DataError(f"bad rule line: {line!r}")
     cond, tag, cov, err = m.groups()
+    if int(err) > int(cov):
+        raise DataError(f"err={err} above cov={cov}: {line!r}")
     tests = []
     if cond != "TRUE":
         for part in cond.split(" AND "):
@@ -509,6 +511,18 @@ def _write_node(fh, node, depth: int) -> None:
         _write_node(fh, child, depth + 1)
 
 
+# fields of a tree line, its head included
+_NODE_FIELDS = {"leaf": 3, "split": 6}
+
+
+def _field(text: str, key: str) -> str:
+    """The value of a `key=value` field."""
+    name, eq, value = text.partition("=")
+    if name != key or not eq:
+        raise DataError(f"expected {key}=, got {text!r}")
+    return value
+
+
 def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
     """Parse the next node of `lines`, written at `depth`, and its subtree."""
     line = next(lines, "")
@@ -518,7 +532,9 @@ def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
     if line[:depth] != " " * depth or body.startswith(" "):
         raise DataError(f"bad tree indentation: {line!r}")
     parts = body.split(" ")
-    dist = [int(v) for v in parts[-1].split("=", 1)[1].split(",")]
+    if len(parts) != _NODE_FIELDS.get(parts[0]):
+        raise DataError(f"expected `leaf` and 2 fields or `split` and 5: {line!r}")
+    dist = [int(v) for v in _field(parts[-1], "dist").split(",")]
     if len(dist) != N_CLASSES or min(dist) < 0:
         raise DataError(f"dist= must be {N_CLASSES} counts >= 0: {line!r}")
     if parts[0] == "leaf":
@@ -526,7 +542,7 @@ def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
     _, kind, feature = parts[0], parts[1], parts[2]
     if _feature_kind(feature, kinds) != kind:
         raise DataError(f"{kind} split on {kinds[feature]} feature: {line!r}")
-    majority = int(parts[-2].split("=", 1)[1])
+    majority = int(_field(parts[-2], "majority"))
     if kind == NUMERIC:
         threshold = _threshold(parts[3])
         n_children, symbols = 2, None
@@ -584,7 +600,8 @@ def _parse_model(lines):
     if next(lines, None) != MODEL_MAGIC:
         raise DataError("not a chids model file")
     kind = _keyword(next(lines, ""), "kind")
-    features = tuple(tuple(p.split(":")) for p in _keyword(next(lines, ""), "features").split(","))
+    pairs = [p.split(":") for p in _keyword(next(lines, ""), "features").split(",")]
+    features = FeatureSchema(pairs).features  # each a known kind, no name twice
     kinds = dict(features)
     body = (line for line in lines if line.strip())
     if kind == "tree":

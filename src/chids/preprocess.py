@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleSplit, SchemaMismatch, UnknownFeatureName
+from .errors import DataError, InfeasibleSplit, SchemaMismatch, UnknownFeatureName
 from .kdd import AttackClass, Dataset
 
 # Features with no discriminating value on the stock corpus; pruned by default.
@@ -38,13 +38,18 @@ class DedupeResult:
 
 def dedupe(ds: Dataset) -> DedupeResult:
     """Drop exact duplicates (all features AND the label equal), keeping the
-    first occurrence of each and preserving survivor order."""
+    first occurrence of each and preserving survivor order.
+
+    A dataset read from raw lines holds one row per distinct line text, in
+    first-occurrence order, so it is deduplicated as it stands; the input
+    count is then its number of lines, `len(ds.line_rows)`."""
+    n_input = len(ds) if ds.line_rows is None else len(ds.line_rows)
     if len(ds) == 0:
-        return DedupeResult(ds, 0, 0)
+        return DedupeResult(ds, n_input, 0)
     keys = ds.row_keys()
     _, first = np.unique(keys, return_index=True)
     keep = np.sort(first)
-    return DedupeResult(ds.take(keep), len(ds), keep.size)
+    return DedupeResult(ds.take(keep), n_input, keep.size)
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,8 @@ def select_features(ds: Dataset, keep) -> Dataset:
 
 class NormalizationStats:
     """Per-numeric-feature mean and population standard deviation, fitted on
-    training data; nominal features pass through unchanged."""
+    training data; nominal features pass through unchanged. Every value is
+    finite, and a sigma of 0 marks a zero-spread feature."""
 
     def __init__(self, feature_names, mu, sigma, n: int):
         self.feature_names = tuple(feature_names)
@@ -224,6 +230,8 @@ class NormalizationStats:
         self.n = int(n)
         if self.mu.shape != (len(self.feature_names),) or self.sigma.shape != self.mu.shape:
             raise ValueError("stats shape mismatch")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise ValueError("mu and sigma must be finite")
         if (self.sigma < 0).any():
             raise ValueError("negative sigma")
 
@@ -249,8 +257,13 @@ def fit_normalizer(train: Dataset) -> NormalizationStats:
     """Mean and population standard deviation of every numeric feature."""
     if len(train) == 0:
         raise ValueError("cannot fit normalization statistics on an empty dataset")
-    mu = train.numeric.mean(axis=0)
-    sigma = np.sqrt(((train.numeric - mu) ** 2).mean(axis=0))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        mu = train.numeric.mean(axis=0)
+        sigma = np.sqrt(((train.numeric - mu) ** 2).mean(axis=0))
+    finite = np.isfinite(mu) & np.isfinite(sigma)
+    if not finite.all():
+        huge = [n for n, ok in zip(train.schema.numeric_names, finite) if not ok]
+        raise DataError(f"features {huge}: values too large to normalize")
     return NormalizationStats(train.schema.numeric_names, mu, sigma, len(train))
 
 

@@ -69,7 +69,7 @@ def kdd10_dedup(kdd10):
 
 def test_c1_dedup_exactness(kdd10_dedup):
     ds, res, elapsed = kdd10_dedup
-    assert len(ds) == 494021
+    assert len(ds.line_rows) == 494021
     assert res.n_output == 145585
     hist = res.dataset.class_histogram()
     for cls, want in EXPECTED_DEDUP.items():

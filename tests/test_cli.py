@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -71,6 +72,46 @@ class TestPreprocess:
     def test_no_dataset_config_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["preprocess", "--out", str(tmp_path / "o")], capsys)
         assert code == 2
+
+    def test_dedupe_matches_the_set_oracle_over_every_line(self, tmp_path, capsys):
+        """Exact-text repeats, duplicates written in other text and a
+        repeated bad line: the manifest's dedupe counts and the rows of
+        train_full.cache are the set-based dedupe of every good line."""
+        from oracles import dedupe_oracle, iter_records
+        from test_kdd import make_line
+        from chids.errors import DataError
+        from chids.kdd import FeatureSchema, load_cache, parse_record
+
+        base = [make_line(service=s, src_bytes=b, label=lab)
+                for s in ("http", "smtp", "ftp") for b in ("0.1", "7", "250")
+                for lab in ("normal.", "smurf.", "satan.")]
+        other_text = [
+            make_line(src_bytes="0.10"),
+            make_line(src_bytes="7", label="NORMAL"),
+            make_line(service=" smtp ", src_bytes="250", label="smurf."),
+            base[0].replace(",tcp,", ", tcp ,"),
+        ]
+        bad = make_line(src_bytes="oops")
+        lines = base + other_text + base[::2] + other_text + [bad] * 3
+        random.Random(2).shuffle(lines)
+        (tmp_path / "mixed.kdd").write_text("\n".join(lines) + "\n")
+
+        schema, records = FeatureSchema.default(), []
+        for line in lines:
+            try:
+                records.append(parse_record(line, schema))
+            except DataError:
+                pass
+        want = dedupe_oracle(records)
+        assert len(records) == len(lines) - 3 and len(want) == len(base)
+        out = tmp_path / "run"
+        code, _, _ = run_cli(["preprocess", "--dataset", str(tmp_path / "mixed.kdd"),
+                              "--out", str(out), "--set", f"split.train_size={len(want)}",
+                              "--set", "split.test_size=0"], capsys)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dedupe"] == {"input": len(records), "output": len(want)}
+        assert list(iter_records(load_cache(out / "train_full.cache"))) == want
 
 
 class TestTrainEvaluate:
@@ -785,6 +826,15 @@ def _set_normalization_n(value):
     return edit
 
 
+def _set_first_stat(key, text):
+    """An edit of transform.json that sets the first `normalization.<key>` value to `text`."""
+    def edit(raw: bytes) -> bytes:
+        obj = json.loads(raw)
+        obj["normalization"][key][0] = text
+        return json.dumps(obj).encode("ascii")
+    return edit
+
+
 class TestDamagedArtifacts:
     """A damaged chids file exits with its documented code and one line
     naming the file, never with a traceback."""
@@ -802,6 +852,10 @@ class TestDamagedArtifacts:
         ("transform.json", lambda raw: b"xx", "detect", 4),
         ("transform.json", _set_normalization_n(None), "detect", 4),
         ("transform.json", _set_normalization_n(float("inf")), "detect", 4),
+        ("transform.json", _set_first_stat("sigma", "nan"), "detect", 4),
+        ("transform.json", _set_first_stat("sigma", "inf"), "detect", 4),
+        ("transform.json", _set_first_stat("mu", "inf"), "detect", 4),
+        ("transform.json", _set_first_stat("mu", "-inf"), "detect", 4),
         ("train_timing.txt", lambda raw: b"timing train_s abc\n", "evaluate", 4),
         ("train_timing.txt", lambda raw: b"timing train_s 0.5\xe9\n", "evaluate", 4),
         ("rank_igr_full.tsv", lambda raw: raw[:10] + b"\xe9" + raw[10:], "evaluate", 4),
@@ -810,7 +864,8 @@ class TestDamagedArtifacts:
     ], ids=["manifest-empty-report", "manifest-empty-evaluate", "manifest-array",
             "manifest-truncated", "manifest-int-row", "manifest-array-rows", "manifest-non-ascii",
             "transform-empty", "transform-array", "transform-not-json", "transform-no-n",
-            "transform-infinite-n", "timing-text", "timing-non-ascii", "rank-non-ascii",
+            "transform-infinite-n", "transform-nan-sigma", "transform-inf-sigma",
+            "transform-inf-mu", "transform-minus-inf-mu", "timing-text", "timing-non-ascii", "rank-non-ascii",
             "config-non-ascii", "config-binary"])
     def test_exit_code_names_file(
         self, workdir, synth_corpus_path, tmp_path, name, damage, command, want, capsys
@@ -940,7 +995,8 @@ class TestConfigCommand:
 
     @pytest.mark.parametrize(
         "setting",
-        ["rules.window=-1", "rules.window=nan", "rules.retransmission_deadline=0",
+        ["rules.window=-1", "rules.window=nan", "rules.window=inf", "rules.delay_window=inf",
+         "rules.retransmission_deadline=0", "rules.retransmission_deadline=inf",
          "rules.repetition_limit=0", "rules.interval_lower=31", "rules.rssi_max=-100",
          "part.confidence=0", "part.confidence=0.51", "part.confidence=nan", "part.confidence=1e-17",
          "part.confidence=1e-300", "part.min_leaf=0"],

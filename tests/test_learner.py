@@ -464,11 +464,21 @@ class TestModelFileChecks:
         (_edited(_PART_FILE, 4, "rule IF x <= -inf THEN normal cov=2 err=0"), 5),
         (_edited(_TREE_FILE, 3, "split numeric x nan majority=0 dist=2,2,0,0,0"), 4),
         (_edited(_TREE_FILE, 5, " split numeric y inf majority=0 dist=0,2,0,0,0"), 6),
+        (_edited(_MAJORITY_FILE, 2, "features x:numeric,y:bogus"), 3),
+        (_edited(_PART_FILE, 2, "features x:numeric,x:numeric"), 3),
+        (_edited(_PART_FILE, 2, "features x:numeric:nominal,y:numeric"), 3),
+        (_edited(_TREE_FILE, 6, "  leaf dos foo bar dist=0,1,0,0,0"), 7),
+        (_edited(_TREE_FILE, 6, "  leaf dos size=0,1,0,0,0"), 7),
+        (_edited(_TREE_FILE, 3, "split numeric x 0.5 size=0 dist=2,2,0,0,0"), 4),
+        (_edited(_TREE_FILE, 3, "splat numeric x 0.5 majority=0 dist=2,2,0,0,0"), 4),
+        (_edited(_PART_FILE, 4, "rule IF x <= 0.5 THEN normal cov=1 err=5"), 5),
     ], ids=["kind", "features", "default-part", "default-majority", "after-majority-default",
             "after-majority-rule", "after-tree-root", "after-tree-leaf", "majority-9",
             "majority-minus-1", "dist-7-values", "dist-negative", "class-default-part",
             "class-default-majority", "class-rule", "class-leaf", "nan-rule", "inf-rule",
-            "minus-inf-rule", "nan-split", "inf-split"])
+            "minus-inf-rule", "nan-split", "inf-split", "feature-kind", "feature-twice",
+            "feature-three-parts", "leaf-extra-fields", "leaf-no-dist", "split-no-majority",
+            "split-head", "err-above-cov"])
     def test_malformed_model_names_the_file_line(self, tmp_path, lines, lineno):
         path = tmp_path / "m.txt"
         path.write_text("\n".join(lines) + "\n")

@@ -1,13 +1,16 @@
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import dedupe_oracle, iter_records, largest_remainder_oracle, mean_std_oracle, record
-from chids.errors import InfeasibleSplit, SchemaMismatch, UnknownFeatureName
-from chids.kdd import AttackClass, Dataset, FeatureSchema
+from chids.errors import DataError, InfeasibleSplit, SchemaMismatch, UnknownFeatureName
+from chids.kdd import AttackClass, Dataset, FeatureSchema, load_dataset
 from chids.preprocess import (
     DEFAULT_PRUNE,
+    NormalizationStats,
     SplitSpec,
     apply_normalizer,
     dedupe,
@@ -16,6 +19,7 @@ from chids.preprocess import (
     select_features,
     stratified_split,
 )
+import synthdata
 from test_kdd import make_line
 
 
@@ -78,6 +82,30 @@ class TestDedupe:
         expected = dedupe_oracle(list(iter_records(ds)))
         assert res.n_output == len(expected)
         assert list(iter_records(res.dataset)) == expected
+
+
+    def test_repeated_lines_cost_no_rows(self, tmp_path):
+        """load_dataset + dedupe on a file where each distinct line appears
+        ten times peaks within 1.5x of the same on each line once."""
+        lines = list(dict.fromkeys(synthdata.synth_lines(300, seed=3, dup_rate=0.0)))
+        once, tenfold = tmp_path / "once.kdd", tmp_path / "tenfold.kdd"
+        once.write_text("\n".join(lines) + "\n")
+        repeated = lines * 10
+        random.Random(1).shuffle(repeated)
+        tenfold.write_text("\n".join(repeated) + "\n")
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                res = dedupe(load_dataset(path))
+                return res, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (res1, peak1), (res10, peak10) = peak(once), peak(tenfold)
+        assert (res1.n_input, res10.n_input) == (len(lines), 10 * len(lines))
+        assert res1.n_output == res10.n_output == len(lines)
+        assert peak10 < 1.5 * peak1
 
 
 class TestStratifiedSplit:
@@ -218,6 +246,17 @@ class TestNormalizer:
         assert stats.mu[0] == 5.0 and stats.sigma[0] == 0.0
         out = apply_normalizer(ds, stats)
         assert np.all(out.numeric == 0.0)
+
+    @pytest.mark.parametrize("values", [[1e200, -1e200], [1e308, 1e308]], ids=["sigma", "mu"])
+    def test_overflowing_stats_are_a_data_error(self, values):
+        with pytest.raises(DataError, match=r"\['src_bytes'\]: values too large to normalize"):
+            fit_normalizer(self.one_feature_ds(values))
+
+    @pytest.mark.parametrize("mu, sigma", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
+                                           (0.0, math.inf), (0.0, -1.0)])
+    def test_stats_reject_what_fit_never_writes(self, mu, sigma):
+        with pytest.raises(ValueError):
+            NormalizationStats(["src_bytes"], [mu], [sigma], 3)
 
     def test_value_transform(self):
         ds = self.one_feature_ds([1, 2, 3])
