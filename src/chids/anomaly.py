@@ -83,6 +83,9 @@ class RuleConfig:
     max_sources_per_message: int = 1
 
     def __post_init__(self):
+        for name in ("interval_lower", "interval_upper", "rssi_min", "rssi_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.interval_lower < self.interval_upper):
             raise ValueError("interval_lower must be below interval_upper")
         if not (self.rssi_min < self.rssi_max):

@@ -101,28 +101,27 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         f"(reduction {dres.reduction_rate * 100:.2f}%)"
     )
     split = preprocess.stratified_split(dres.dataset, cfg.split_spec())
-    save_cache(split.train, out / TRAIN_FULL)
-    save_cache(split.test, out / TEST_FULL)
 
     # Rank the full feature set for the descending-curve report. Pruning
     # only drops columns, so the same cut points score the pruned set.
     disc = ranking.discretize(split.train)
     igr_scores = ranking.score_features(split.train, disc, ranking.IGR, threads=cfg.threads)
-    ranking.write_rank_report(igr_scores, out / RANK_FULL)
-
     train_p = preprocess.prune_features(split.train, cfg.prune)
     scores = ranking.score_features(train_p, disc, cfg.select_method, threads=cfg.threads)
-    ranking.write_rank_report(scores, out / RANK_SELECTED)
     selected = ranking.select_top_k(scores, cfg.select_k)
     _err(f"selected features ({cfg.select_method}, k={cfg.select_k}): {', '.join(selected)}")
 
+    # fitting the normalization is the last check of the data: no file is
+    # written before it passes
     train_s = preprocess.select_features(train_p, selected)
-    test_s = preprocess.select_features(split.test, selected)
     stats = preprocess.fit_normalizer(train_s)
-    train_n = preprocess.apply_normalizer(train_s, stats)
-    test_n = preprocess.apply_normalizer(test_s, stats)
-    save_cache(train_n, out / TRAIN_CACHE)
-    save_cache(test_n, out / TEST_CACHE)
+    save_cache(split.train, out / TRAIN_FULL)
+    save_cache(split.test, out / TEST_FULL)
+    ranking.write_rank_report(igr_scores, out / RANK_FULL)
+    ranking.write_rank_report(scores, out / RANK_SELECTED)
+    test_s = preprocess.select_features(split.test, selected)
+    save_cache(preprocess.apply_normalizer(train_s, stats), out / TRAIN_CACHE)
+    save_cache(preprocess.apply_normalizer(test_s, stats), out / TEST_CACHE)
 
     transform = {
         "version": 1,
@@ -285,8 +284,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         _need(out / TRANSFORM_JSON, "chids preprocess"), _transform
     )
     raw = load_records(input_path)
-    if raw.schema.names == tuple(name for name, _ in model.features):
-        ds = raw  # input is already in model space (e.g. a preprocessed cache)
+    if raw.line_rows is None and raw.schema.names == tuple(name for name, _ in model.features):
+        ds = raw  # a cache with the model's features is taken as normalized already
     else:
         ds = preprocess.apply_normalizer(preprocess.select_features(raw, selected), stats)
     if raw.line_rows is not None:  # raw lines: one row per distinct text until projected

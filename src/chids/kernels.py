@@ -13,16 +13,24 @@
 
 Cut gains use scalar arithmetic (`_entropy`, `_cut_gain`) summed in class
 order, so a training set always yields the same cuts, bit for bit.
+
+`entropy_vec`, which `table_gain` uses too, keeps the entropies of the
+last 16,384 distinct histograms (`_entropy_of`, an `lru_cache` keyed on the
+counts). The entropy is a function of the counts alone, and a miss runs the
+same numpy arithmetic on the same float64 array every time, so a hit
+returns the very float that computing it again would give.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import log2
 
 import numpy as np
 
-# Screened gains (np.log2, vector sums) may differ from the exact ones in the
-# last bits; every cut this close to its column's screened best is confirmed.
+# Screened gains (a table of x * log2(x), vector sums) may differ from the
+# exact ones in the last bits; every cut this close to its column's screened
+# best is confirmed.
 _SCREEN_SLACK = 1e-9
 
 
@@ -121,7 +129,7 @@ def best_numeric_cuts(block, classes, n_classes, min_each_side):
     if n < 2:
         return out
     order = np.argsort(block, axis=0)
-    v = np.take_along_axis(block, order, axis=0)
+    v = block[order, np.arange(n_cols)]
     y = np.asarray(classes, dtype=np.int8)[order]
     del order
     is_start = np.empty((n, n_cols), dtype=bool)
@@ -147,7 +155,7 @@ def best_numeric_cuts(block, classes, n_classes, min_each_side):
     if not f.size:
         return out
 
-    # screen: every admissible cut's gain, vectorized
+    # screen: every admissible cut, vectorized
     total = np.bincount(y[:, 0], minlength=n_classes)
     present = np.flatnonzero(total)
     left = np.zeros((f.size, n_classes), dtype=np.int32)
@@ -159,13 +167,15 @@ def best_numeric_cuts(block, classes, n_classes, min_each_side):
     left[:, present[-1]] = i - left.sum(axis=1)
     totals = total.tolist()
     h_parent = _entropy(totals, n)
-    n_left = i.astype(np.float64)
-    n_right = n - n_left
-    gain = (h_parent - n_left / n * _entropy_rows(left, n_left)
-            - n_right / n * _entropy_rows(total - left, n_right))
-    top = np.full(n_cols, -np.inf)
-    np.maximum.at(top, f, gain)
-    near = np.flatnonzero(gain >= top[f] - _SCREEN_SLACK)
+    # A cut's cost is n * (h_parent - gain), lower being better: each side
+    # of m records, k_c of them in class c, adds m * log2(m) - sum_c
+    # k_c * log2(k_c), read from a table of x * log2(x). Slack scales by n.
+    xlogx = np.arange(n + 1.0)
+    xlogx[1:] *= np.log2(xlogx[1:])
+    cost = xlogx[i] + xlogx[n - i] - xlogx[left].sum(axis=1) - xlogx[total - left].sum(axis=1)
+    low = np.full(n_cols, np.inf)
+    np.minimum.at(low, f, cost)
+    near = np.flatnonzero(cost <= low[f] + _SCREEN_SLACK * n)
 
     # confirm: exact gains of the near-best cuts, in ascending cut order
     best_gain = [-1.0] * n_cols
@@ -187,15 +197,15 @@ def table_gain(codes, classes, n_branches, n_classes, h_parent, min_branch):
     n = codes.size
     table = np.bincount(
         codes * n_classes + classes, minlength=n_branches * n_classes
-    ).reshape(n_branches, n_classes)
-    sizes = table.sum(axis=1)
-    if int((sizes >= min_branch).sum()) < 2:
+    ).reshape(n_branches, n_classes).tolist()
+    sizes = [sum(row) for row in table]
+    if sum(size >= min_branch for size in sizes) < 2:
         return None
     cond = 0.0
-    for b in range(n_branches):
-        if sizes[b] > 0:
-            cond += (sizes[b] / n) * entropy_vec(table[b])
-    return h_parent - cond, entropy_vec(sizes)
+    for size, row in zip(sizes, table):
+        if size > 0:
+            cond += (size / n) * _entropy_of(tuple(row))
+    return h_parent - cond, _entropy_of(tuple(sizes))
 
 
 def _entropy(counts, n):
@@ -227,22 +237,20 @@ def _cut_gain(left, total, n_left, n_total, h_parent):
     return gain, h_left, h_right
 
 
-def _entropy_rows(counts, n):
-    """Class entropy of each row of `counts`, row r holding n[r] records."""
-    p = counts / n[:, None]
-    t = np.log2(p, out=np.zeros_like(p), where=counts > 0)
-    t *= p
-    return -t.sum(axis=1)
-
-
 def entropy_vec(counts: np.ndarray) -> float:
     """Class entropy of one histogram, summed by numpy, for feature scores
     and PART's nominal splits. It may differ from `_entropy`'s class-order
     sum in the last bits, so each caller keeps the one its outputs use."""
-    n = counts.sum()
+    return _entropy_of(tuple(counts.tolist()))
+
+
+@lru_cache(maxsize=1 << 14)
+def _entropy_of(counts: tuple) -> float:
+    """`entropy_vec` of the histogram `counts`, computed once per histogram."""
+    n = sum(counts)
     if n == 0:
         return 0.0
-    p = counts[counts > 0] / n
+    p = np.array([c for c in counts if c > 0], dtype=np.int64) / n
     return float(-(p * np.log2(p)).sum())
 
 

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,8 +186,7 @@ def added_errors(n: float, e: float, confidence: float = TreeParams.confidence) 
     return r * n - e
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(NamedTuple):
     findex: int
     feature: str
     kind: str
@@ -209,9 +209,30 @@ class _Grower:
         self.y = ds.class_codes.astype(np.int8)
         self.class_totals = np.bincount(self.y, minlength=N_CLASSES)
         self._order = 0
+        # A numeric column with one value over the whole training set never
+        # has a cut, so the split search skips it. Per feature, in schema
+        # order: (findex, name, kind, column of `_numeric` or `ds.nominal`,
+        # nominal domain size); the other columns are left out.
+        numeric = ds.numeric
+        live = np.flatnonzero((numeric != numeric[:1]).any(axis=0)).tolist()
+        self._numeric = numeric[:, live]
+        column = {j: k for k, j in enumerate(live)}
+        self._features = []
+        for findex, (name, kind) in enumerate(ds.schema.features):
+            _, j = ds.schema.slot[name]
+            if kind == NUMERIC and j in column:
+                self._features.append((findex, name, NUMERIC, column[j], 0))
+            elif kind == NOMINAL and len(ds.schema.domains[name]) >= 2:
+                self._features.append((findex, name, NOMINAL, j, len(ds.schema.domains[name])))
+        # PART grows one partial tree per rule over the residual records, and
+        # a node's choice of split depends only on its rows and the nominal
+        # features its path used: (row bytes, used nominals) -> _Candidate or
+        # None. `forget` drops the row sets a rule's records leave for good.
+        self._splits: dict = {}
 
     def leaf_class(self, counts: np.ndarray) -> AttackClass:
-        top = counts.max()
+        counts = counts.tolist()
+        top = max(counts)
         cands = [c for c in range(N_CLASSES) if counts[c] == top]
         best = min(cands, key=lambda c: (-self.class_totals[c], c))
         return AttackClass(best)
@@ -226,14 +247,11 @@ class _Grower:
 
     def _candidates(self, idx, counts, used_nominal) -> list[_Candidate]:
         n = idx.size
+        y = self.y[idx]
         h_node = kernels.entropy_vec(counts)
-        # the numeric matrix holds its columns in schema order: cut j is slot j's
-        cuts = kernels.best_numeric_cuts(
-            self.ds.numeric[idx], self.y[idx], N_CLASSES, self.params.min_leaf
-        )
+        cuts = kernels.best_numeric_cuts(self._numeric[idx], y, N_CLASSES, self.params.min_leaf)
         out = []
-        for findex, name in enumerate(self.ds.schema.names):
-            kind, j = self.ds.schema.slot[name]
+        for findex, name, kind, j, dom in self._features:
             if kind == NUMERIC:
                 res = cuts[j]
                 if res is None:
@@ -243,14 +261,9 @@ class _Grower:
                 p_r = (n - n_left) / n
                 si = -(p_l * math.log2(p_l)) - (p_r * math.log2(p_r))
                 out.append(_Candidate(findex, name, NUMERIC, gain, si, thr))
-            else:
-                if name in used_nominal:
-                    continue
-                dom = len(self.ds.schema.domains[name])
-                if dom < 2:
-                    continue
-                res = kernels.table_gain(self.ds.nominal[idx, j].astype(np.int64), self.y[idx],
-                                         dom, N_CLASSES, h_node, self.params.min_leaf)
+            elif name not in used_nominal:
+                res = kernels.table_gain(self.ds.nominal[idx, j], y, dom, N_CLASSES, h_node,
+                                         self.params.min_leaf)
                 if res is not None:
                     out.append(_Candidate(findex, name, NOMINAL, *res, None))
         return out
@@ -291,9 +304,15 @@ class _Grower:
         only when `params.prune` is on."""
         counts = self._node_counts(idx)
         klass = self.leaf_class(counts)
-        if (counts > 0).sum() <= 1 or idx.size < 2 * self.params.min_leaf:
+        if np.count_nonzero(counts) <= 1 or idx.size < 2 * self.params.min_leaf:
             return self._make_leaf(counts, klass, path)
-        cand = self._choose(self._candidates(idx, counts, used_nominal))
+        key = (idx.tobytes(), used_nominal)
+        if key in self._splits:
+            cand = self._splits[key]
+        else:
+            cand = self._choose(self._candidates(idx, counts, used_nominal))
+            if partial:  # a full tree meets each row set once
+                self._splits[key] = cand
         if cand is None:
             return self._make_leaf(counts, klass, path)
         subsets, symbols = self._partition(idx, cand)
@@ -337,6 +356,16 @@ class _Grower:
         if cand.kind == NUMERIC:
             return RuleTest(cand.feature, "<=" if i == 0 else ">", cand.threshold)
         return RuleTest(cand.feature, "==", symbols[i])
+
+    def forget(self, rows) -> None:
+        """Drop every split choice whose rows meet `rows`, the records a
+        rule just covered: PART never sees those rows again, so such a row
+        set cannot recur and no hit is lost."""
+        gone = np.zeros(len(self.y), dtype=bool)
+        gone[rows] = True
+        stale = [k for k in self._splits if gone[np.frombuffer(k[0], dtype=np.intp)].any()]
+        for key in stale:
+            del self._splits[key]
 
     def extract_rule(self, idx) -> Rule:
         """Best-coverage leaf of one partial tree over `idx`, as a rule."""
@@ -420,6 +449,7 @@ def train_part(train: Dataset, params: TreeParams | None = None) -> RuleSet:
         if not covered.any():
             raise AssertionError("extracted rule covers nothing; learner invariant broken")
         rules.append(rule)
+        g.forget(residual[covered])
         residual = residual[~covered]
     default = g.leaf_class(g.class_totals)
     return RuleSet(rules, default, train.schema.features)

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,22 @@ class TestPreprocess:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dedupe"] == {"input": len(records), "output": len(want)}
         assert list(iter_records(load_cache(out / "train_full.cache"))) == want
+
+    def test_values_too_large_to_normalize_leave_no_file(self, tmp_path, capsys):
+        from synthdata import synth_lines
+
+        lines = synth_lines(3000, seed=7, dup_rate=0.0)
+        for k in range(0, len(lines), 50):
+            fields = lines[k].split(",")
+            fields[4] = "1e200" if k % 100 else "-1e200"  # src_bytes
+            lines[k] = ",".join(fields)
+        (tmp_path / "huge.kdd").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code, _, err = run_cli(["preprocess", "--dataset", str(tmp_path / "huge.kdd"),
+                                "--out", str(out), "--set", "prune=", "--set", "select.k=41"]
+                               + SPLIT_OVERRIDES, capsys)
+        assert code == 4 and "values too large to normalize" in err
+        assert list(out.iterdir()) == []
 
 
 class TestTrainEvaluate:
@@ -998,6 +1015,8 @@ class TestConfigCommand:
         ["rules.window=-1", "rules.window=nan", "rules.window=inf", "rules.delay_window=inf",
          "rules.retransmission_deadline=0", "rules.retransmission_deadline=inf",
          "rules.repetition_limit=0", "rules.interval_lower=31", "rules.rssi_max=-100",
+         "rules.interval_lower=-inf", "rules.interval_upper=inf", "rules.rssi_min=-inf",
+         "rules.rssi_max=inf",
          "part.confidence=0", "part.confidence=0.51", "part.confidence=nan", "part.confidence=1e-17",
          "part.confidence=1e-300", "part.min_leaf=0"],
     )
@@ -1150,6 +1169,39 @@ class TestDetectOnCache:
         # with a near-separable corpus nearly all flagged records are attributed
         n_alerts = int(summary.split("alerts = ")[1].splitlines()[0])
         assert n_alerts >= n_attacks * 0.95
+
+
+class TestDetectNormalizesRawInput:
+    def test_raw_lines_match_their_normalized_cache(self, tmp_path):
+        # the model keeps all 41 features, so raw input has the model's
+        # feature names; it is still selected and normalized
+        from synthdata import write_corpus
+        from chids import preprocess
+        from chids.kdd import load_dataset, save_cache
+
+        corpus = tmp_path / "c.kdd"
+        write_corpus(corpus, n=4000, seed=5)
+        out = tmp_path / "run"
+        for args in (["preprocess", "--dataset", str(corpus), "--set", "prune=",
+                      "--set", "select.k=41", "--set", "split.train_size=2000",
+                      "--set", "split.test_size=1000"], ["train"]):
+            assert main(args + ["--out", str(out)]) == 0
+        transform = json.loads((out / "transform.json").read_text())
+        stats = preprocess.NormalizationStats.from_json_obj(transform["normalization"])
+        raw = load_dataset(corpus)
+        lines = preprocess.apply_normalizer(
+            preprocess.select_features(raw, transform["selected"]), stats).take(raw.line_rows)
+        save_cache(lines, tmp_path / "lines.cache")
+
+        got = {}
+        for name, path in (("raw", corpus), ("cache", tmp_path / "lines.cache")):
+            (tmp_path / name).mkdir()
+            det = _detect_dir(out, tmp_path / name)
+            assert main(["detect", "--input", str(path), "--out", str(det)]) == 0
+            got[name] = (det / "dispositions.tsv").read_text()
+        assert got["raw"] == got["cache"]
+        classes = Counter(ln.split("\t")[3] for ln in got["raw"].splitlines()[2:])
+        assert sum(classes.values()) == 5800 and classes["dos"] < 5800 / 2
 
 
 class TestReportPreservesConfusion:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import random
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 import synthdata
 from oracles import best_numeric_split_oracle, gain_for_threshold_oracle
 from chids import kernels
-from chids.kdd import load_dataset
+from chids.cli import main
+from chids.kdd import N_CLASSES, Dataset, load_cache, load_dataset
 from chids.learner import save_model, train_part
 
 
@@ -99,6 +102,21 @@ _POOLS = (
 )
 
 
+class TestEntropyVec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3000), min_size=1, max_size=12))
+    def test_memo_returns_the_numpy_float(self, counts):
+        # the first call computes, the second is a memo hit: both are the
+        # float numpy's own sum over the nonzero counts gives
+        arr = np.array(counts, dtype=np.int64)
+        want = 0.0
+        if arr.sum():
+            p = arr[arr > 0] / arr.sum()
+            want = float(-(p * np.log2(p)).sum())
+        assert kernels.entropy_vec(arr) == want
+        assert kernels.entropy_vec(arr) == want
+
+
 class TestBestNumericCuts:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -184,3 +202,30 @@ def test_part_model_on_noisy_records_is_pinned(tmp_path):
     save_model(model, tmp_path / "model.txt")
     digest = hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
     assert digest == "e5259bc619311fc42560bab37a5620e556dde1f3ff11d704646990cde4d0bfc2"
+
+
+def test_part_model_on_a_noisy_selected_part_is_pinned(tmp_path):
+    """PART on a part_noisy-shaped training set: `preprocess` with
+    select.k=35, so selected and normalized, a 2000-record training split,
+    then exactly 5% of each class given another class, the other classes
+    taken in turn. The model file is pinned byte for byte."""
+    corpus = tmp_path / "noisy.kdd"
+    synthdata.write_corpus(corpus, n=4000, seed=13, dup_rate=0.2)
+    out = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["preprocess", "--dataset", str(corpus), "--out", str(out), "--seed", "13",
+                     "--set", "select.k=35", "--set", "split.train_size=2000",
+                     "--set", "split.test_size=500"]) == 0
+    ds = load_cache(out / "train.cache")
+    assert len(ds) == 2000 and len(ds.schema.names) == 35
+    rng = random.Random(13)
+    codes = ds.class_codes.copy()
+    for klass in range(N_CLASSES):
+        rows = np.flatnonzero(ds.class_codes == klass).tolist()
+        others = [k for k in range(N_CLASSES) if k != klass]
+        for j, i in enumerate(rng.sample(rows, round(0.05 * len(rows)))):
+            codes[i] = others[j % len(others)]
+    model = train_part(Dataset(ds.schema, ds.numeric, ds.nominal, ds.labels, codes))
+    save_model(model, tmp_path / "model.txt")
+    digest = hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
+    assert digest == "407e1b0b2153fe629463f421d859422c7632ab2a2143ce92f71cc6a0179e751d"

@@ -271,6 +271,30 @@ class TestTrainPart:
         a, b = train_part(ds), train_part(ds)
         assert a.rules == b.rules and a.default == b.default
 
+    def test_split_memo_keeps_no_row_set_a_rule_covered(self, monkeypatch):
+        # PART reuses a node's split choice in the trees of later rules. After
+        # each rule, no remembered row set holds a record that this rule or
+        # an earlier one covered: every entry kept can still recur.
+        rng = random.Random(29)
+        n = 300
+        points = [(rng.randrange(12), rng.uniform(0, 10)) for _ in range(n)]
+        classes = [int(x // 4) if rng.random() < 0.85 else rng.randrange(3) for x, _ in points]
+        ds = xy_dataset(points, classes, nominal_col=[rng.choice("abc") for _ in range(n)])
+        covered, kept = set(), []
+        forget = _Grower.forget
+
+        def checked(self, rows):
+            forget(self, rows)
+            covered.update(rows.tolist())
+            for rows_bytes, _ in self._splits:
+                assert covered.isdisjoint(np.frombuffer(rows_bytes, dtype=np.intp).tolist())
+            kept.append(len(self._splits))
+
+        monkeypatch.setattr(_Grower, "forget", checked)
+        model = train_part(ds)
+        assert len(kept) == len(model.rules) > 10 and len(covered) == n
+        assert max(kept) > 0  # some choices outlive the rule after them
+
     def test_beats_majority_baseline(self):
         rng = random.Random(23)
         for trial in range(5):
