@@ -11,10 +11,11 @@ originator); `collision` events are the monitor's own channel observations.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from math import inf, isfinite
 from sys import intern
 from typing import Iterable, NamedTuple
 
@@ -84,14 +85,14 @@ class RuleConfig:
 
     def __post_init__(self):
         for name in ("interval_lower", "interval_upper", "rssi_min", "rssi_max"):
-            if not math.isfinite(getattr(self, name)):
+            if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not (self.interval_lower < self.interval_upper):
             raise ValueError("interval_lower must be below interval_upper")
         if not (self.rssi_min < self.rssi_max):
             raise ValueError("rssi_min must be below rssi_max")
         for name in ("retransmission_deadline", "delay_window", "window"):
-            if not 0 < getattr(self, name) < math.inf:  # also rejects nan
+            if not 0 < getattr(self, name) < inf:  # also rejects nan
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("repetition_limit", "collision_limit", "max_sources_per_message"):
             if not getattr(self, name) > 0:
@@ -121,8 +122,9 @@ class StreamEngine:
 
     Timestamps must be finite and non-decreasing. A key is armed only while
     absent from `_pending`, so the dict's insertion order is (ts, index)
-    order and the expired forwards are always a prefix of it: expiry pops
-    from the front and its cost does not grow with the number armed.
+    order and the expired forwards are always a prefix of it: expiry scans
+    and deletes that prefix, and its cost does not grow with the number
+    armed.
     """
 
     def __init__(self, cfg: RuleConfig | None = None):
@@ -142,95 +144,105 @@ class StreamEngine:
         return len(self._last_rx) + len(self._pending) + 2 * len(self._touch) + len(self._collisions)
 
     def process(self, event: AnomalyEvent) -> list[RuleVerdict]:
-        self._index += 1
-        i = self._index
-        if not math.isfinite(event.ts):
-            raise DataError(f"event {i}: non-finite timestamp {event.ts!r}")
-        if not math.isfinite(event.rssi):
-            raise DataError(f"event {i}: non-finite rssi {event.rssi!r}")
-        if event.ts < self._last_ts:
-            raise UnorderedStream(
-                f"event {i}: timestamp {event.ts} precedes {self._last_ts}"
-            )
-        if event.kind not in EVENT_KINDS:
-            raise DataError(f"event {i}: unknown kind {event.kind!r}")
-        self._last_ts = event.ts
+        self._index = i = self._index + 1
+        ts, source, neighbor, kind, msg_id, digest, rssi = event
+        if not isfinite(ts):
+            raise DataError(f"event {i}: non-finite timestamp {ts!r}")
+        if not isfinite(rssi):
+            raise DataError(f"event {i}: non-finite rssi {rssi!r}")
+        if ts < self._last_ts:
+            raise UnorderedStream(f"event {i}: timestamp {ts} precedes {self._last_ts}")
+        if kind not in EVENT_KINDS:
+            raise DataError(f"event {i}: unknown kind {kind!r}")
+        self._last_ts = ts
         cfg = self.cfg
         out: list[RuleVerdict] = []
 
         # Expire armed receptions whose forward deadline has passed, oldest
         # first (see the class docstring for why they form a prefix).
         pending = self._pending
-        while pending:
-            key = next(iter(pending))
-            ts, idx = pending[key]
-            if not event.ts > ts + cfg.retransmission_deadline:
+        deadline = cfg.retransmission_deadline
+        for key, (armed_ts, armed_i) in pending.items():
+            if not ts > armed_ts + deadline:
                 break
-            del pending[key]
-            out.append(_verdict(idx, ts, RULE_RETRANSMISSION, f"{key[0]}:{key[1]}"))
+            out.append(_verdict(armed_i, armed_ts, RULE_RETRANSMISSION, f"{key[0]}:{key[1]}"))
+        if out:  # so far `out` holds one verdict per expired key
+            for key in list(islice(pending, len(out))):
+                del pending[key]
 
         # Garbage-collect idle message state beyond the horizon.
-        horizon = event.ts - cfg.window
-        while self._touch and self._touch[0].ts <= horizon:
-            msg = self._touch.popleft().msg_id
-            seen = self._sightings.get(msg)
+        horizon = ts - cfg.window
+        touch = self._touch
+        sightings = self._sightings
+        while touch and touch[0].ts <= horizon:
+            msg = touch.popleft().msg_id
+            seen = sightings.get(msg)
             if seen is not None:
                 k = 0
                 while k < len(seen) and seen[k].ts <= horizon:
                     k += 1
                 del seen[:k]
                 if not seen:
-                    del self._sightings[msg]
+                    del sightings[msg]
 
-        if event.kind == RECEPTION:
-            prev = self._last_rx.get(event.source)
+        if kind == RECEPTION:
+            prev = self._last_rx.get(source)
             if prev is not None:
-                dt = event.ts - prev
+                dt = ts - prev
                 if dt < cfg.interval_lower or dt > cfg.interval_upper:
-                    out.append(_verdict(i, event.ts, RULE_INTERVAL, f"dt={dt:.6g}"))
-            self._last_rx[event.source] = event.ts
-            key = (event.neighbor, event.msg_id)
-            if key not in self._pending:
-                self._pending[key] = (event.ts, i)
-            out.extend(self._sighting_rules(event, i))
-        elif event.kind == FORWARD:
-            key = (event.neighbor, event.msg_id)
-            armed = self._pending.pop(key, None)
-            if armed is not None and event.ts - armed[0] > cfg.delay_window:
-                out.append(_verdict(i, event.ts, RULE_DELAY, f"lag={event.ts - armed[0]:.6g}"))
-            out.extend(self._sighting_rules(event, i))
+                    out.append(_verdict(i, ts, RULE_INTERVAL, f"dt={dt:.6g}"))
+            self._last_rx[source] = ts
+            key = (neighbor, msg_id)
+            if key not in pending:
+                pending[key] = (ts, i)
+        elif kind == FORWARD:
+            armed = pending.pop((neighbor, msg_id), None)
+            if armed is not None and ts - armed[0] > cfg.delay_window:
+                out.append(_verdict(i, ts, RULE_DELAY, f"lag={ts - armed[0]:.6g}"))
         else:  # collision
-            self._collisions.append(event.ts)
-            while self._collisions and self._collisions[0] <= horizon:
-                self._collisions.popleft()
-            if len(self._collisions) > cfg.collision_limit:
-                out.append(_verdict(i, event.ts, RULE_JAMMING, f"n={len(self._collisions)}"))
-        return out
+            collisions = self._collisions
+            collisions.append(ts)
+            while collisions and collisions[0] <= horizon:
+                collisions.popleft()
+            if len(collisions) > cfg.collision_limit:
+                out.append(_verdict(i, ts, RULE_JAMMING, f"n={len(collisions)}"))
+            return out
 
-    def _sighting_rules(self, event: AnomalyEvent, i: int) -> list[RuleVerdict]:
-        cfg = self.cfg
-        out = []
-        seen = self._sightings.setdefault(event.msg_id, [])
-        if any(e.digest != event.digest for e in seen):
-            out.append(_verdict(i, event.ts, RULE_INTEGRITY, event.msg_id))
-        count_bad = False
-        if event.kind == RECEPTION:
-            repeats = 1 + sum(
-                1 for e in seen if e.kind == RECEPTION and e.source == event.source
-            )
-            if repeats > cfg.repetition_limit:
-                out.append(_verdict(i, event.ts, RULE_REPETITION, f"n={repeats}"))
-            prev_sources = {e.source for e in seen if e.kind == RECEPTION}
-            count_bad = (
-                event.source not in prev_sources
-                and len(prev_sources) + 1 > cfg.max_sources_per_message
-            )
-        rssi_bad = event.rssi < cfg.rssi_min or event.rssi > cfg.rssi_max
-        if rssi_bad or count_bad:
-            why = "rssi" if rssi_bad else "sources"
-            out.append(_verdict(i, event.ts, RULE_RADIO_RANGE, why))
+        # Sighting rules for receptions and forwards: integrity, then
+        # repetition, then radio range. `repeats` counts this source's
+        # receptions of the message, this one included; `others` counts the
+        # other sources it was received from.
+        seen = sightings.get(msg_id)
+        repeats = 1
+        others = 0
+        if seen is None:  # first sighting: nothing earlier to compare with
+            # `[]` grown by one append holds four slots, room for the forward
+            # that usually follows; `[event]` holds one and would grow to eight
+            sightings[msg_id] = seen = []
+        else:
+            for e in seen:
+                if e.digest != digest:
+                    out.append(_verdict(i, ts, RULE_INTEGRITY, msg_id))
+                    break
+            if kind == RECEPTION:
+                other_sources = set()
+                for e in seen:
+                    if e.kind == RECEPTION:
+                        if e.source == source:
+                            repeats += 1
+                        else:
+                            other_sources.add(e.source)
+                others = len(other_sources)
         seen.append(event)
-        self._touch.append(event)
+        touch.append(event)
+        rssi_bad = rssi < cfg.rssi_min or rssi > cfg.rssi_max
+        if kind == RECEPTION:
+            if repeats > cfg.repetition_limit:
+                out.append(_verdict(i, ts, RULE_REPETITION, f"n={repeats}"))
+            if rssi_bad or (repeats == 1 and others + 1 > cfg.max_sources_per_message):
+                out.append(_verdict(i, ts, RULE_RADIO_RANGE, "rssi" if rssi_bad else "sources"))
+        elif rssi_bad:
+            out.append(_verdict(i, ts, RULE_RADIO_RANGE, "rssi"))
         return out
 
 

@@ -206,10 +206,20 @@ def _train_seconds(text: str) -> float:
 
 
 def _split_per_class(text: str) -> dict:
-    """The per-class split census of a manifest.json."""
+    """The per-class split census of a manifest.json: one row for each of
+    the five class tags, whose counts are >= 0 and whose train and test
+    together take no more than the class has available."""
     per_class = json.loads(text)["split"]["per_class"]
-    return {tag: {k: operator.index(row[k]) for k in ("available", "train", "test")}
-            for tag, row in per_class.items()}
+    if sorted(per_class) != sorted(ev.CLASS_TAGS):
+        raise DataError(f"split classes {sorted(per_class)}, expected {sorted(ev.CLASS_TAGS)}")
+    census = {}
+    for tag, row in per_class.items():
+        n = census[tag] = {k: operator.index(row[k]) for k in ("available", "train", "test")}
+        if min(n.values()) < 0:
+            raise DataError(f"class {tag}: negative count in {n}")
+        if n["train"] + n["test"] > n["available"]:
+            raise DataError(f"class {tag}: train + test exceeds available in {n}")
+    return census
 
 
 def _read_if_present(path: Path, parse):

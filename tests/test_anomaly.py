@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from chids.anomaly import (
     generate_stream,
     read_stream,
     write_stream,
+    write_verdicts,
 )
 from chids.errors import DataError, UnknownScenario, UnorderedStream
 
@@ -260,6 +262,71 @@ def traced(fn):
     finally:
         tracemalloc.stop()
     return result, current, peak
+
+
+class TestVerdictBytes:
+    """The verdict file's sha256 for fixed streams. The replay oracle
+    compares (index, rule) pairs only; these digests also pin each
+    verdict's ts, tags and detail and the order of the verdicts. TIGHT
+    makes the repetition rule and the "sources" reason of the radio-range
+    rule fire often; with the default config every rule fires."""
+
+    TIGHT = RuleConfig(window=2.0, repetition_limit=1, max_sources_per_message=2)
+    DENSE = "a1275db24a77b9151d952210a3e61bdbaba1e4cdfd9abc63dd8e5da837a0a62e"
+    RANDOM = {
+        "default": (
+            "813686972891718614e9d1dcabfc48a80653e5671d9790e923f25a528f36877a",
+            "3e259a77f35a7e6229b03d74577443bf85b1b13fb784c3200ded5cb0fa9bb647",
+            "44bd0a6205ea58ceb6973257b87dda9d098cf13e47ea0ca130a25732e01b0afc",
+            "b574de0e8cb2144c2359e812b8eef5bb1523b8318198837a4a281a00b12bf6cf",
+            "10c1f7d5addcd90fb21b7144d2db2bf5b2b786e10a1a96099dac9b08c8edbdd7",
+        ),
+        "tight": (
+            "fc081e709290e469b6fee1914f23c63edeb2b1ef6deb0c240dd09006e6319650",
+            "760a114c725bcc73e20968ec81b3d7af099670d632f81c9336b4eb164a336fb5",
+            "cac3368c06273d6dbbe609706d708e8c6e9a9bc24ff913d6f3c16ac4ff4d0fc7",
+            "b9cd4f43161e514fc5fd2ef5cca5a53cf2279ad632f3ffa3becf64f9332ae842",
+            "b4c8412e7a96ae2624de2a5f5ba2a899ced77785fbb04d8506ba5791c9545e2c",
+        ),
+    }
+
+    @staticmethod
+    def digest(events, cfg, path):
+        write_verdicts(evaluate_stream(events, cfg), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_dense_traffic(self, tmp_path):
+        assert self.digest(dense_traffic(), CFG, tmp_path / "v.tsv") == self.DENSE
+
+    @pytest.mark.parametrize("name", ["default", "tight"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_stream(self, tmp_path, name, seed):
+        cfg = CFG if name == "default" else self.TIGHT
+        got = self.digest(random_stream(seed, n_events=2000), cfg, tmp_path / "v.tsv")
+        assert got == self.RANDOM[name][seed]
+
+    def test_every_rule_and_reason_fires(self):
+        seen = set()
+        for cfg in (CFG, self.TIGHT):
+            for seed in range(5):
+                for v in evaluate_stream(random_stream(seed, n_events=2000), cfg):
+                    seen.add((v.rule, v.detail) if v.rule == "radio_range" else v.rule)
+        assert seen == set(RULE_IDS) - {"radio_range"} | {
+            ("radio_range", "rssi"), ("radio_range", "sources")}
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ({"ts": float("nan")}, DataError, "event 1: non-finite timestamp nan"),
+        ({"ts": float("inf")}, DataError, "event 1: non-finite timestamp inf"),
+        ({"rssi": float("-inf")}, DataError, "event 1: non-finite rssi -inf"),
+        ({"ts": 0.5}, UnorderedStream, "event 1: timestamp 0.5 precedes 1.0"),
+        ({"kind": "beacon"}, DataError, "event 1: unknown kind 'beacon'"),
+    ], ids=["nan-ts", "inf-ts", "inf-rssi", "unordered", "unknown-kind"])
+    def test_rejected_event_message(self, bad, error, message):
+        engine = StreamEngine(CFG)
+        engine.process(ev(1.0))
+        with pytest.raises(error) as caught:
+            engine.process(ev(**{"ts": 2.0, "msg": "m2", **bad}))
+        assert str(caught.value) == message
 
 
 class TestMemoryFootprint:

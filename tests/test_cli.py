@@ -852,6 +852,22 @@ def _set_first_stat(key, text):
     return edit
 
 
+def _set_split(tag, key=None, value=None):
+    """An edit of manifest.json that sets `split.per_class[tag][key]` to
+    `value`; with no key it drops the class, or adds it when it is absent."""
+    def edit(raw: bytes) -> bytes:
+        obj = json.loads(raw)
+        per_class = obj["split"]["per_class"]
+        if key is not None:
+            per_class[tag][key] = value
+        elif tag in per_class:
+            del per_class[tag]
+        else:
+            per_class[tag] = {"available": 0, "train": 0, "test": 0}
+        return json.dumps(obj).encode("ascii")
+    return edit
+
+
 class TestDamagedArtifacts:
     """A damaged chids file exits with its documented code and one line
     naming the file, never with a traceback."""
@@ -864,6 +880,12 @@ class TestDamagedArtifacts:
         ("manifest.json", lambda raw: b'{"split": {"per_class": {"normal": 5}}}', "report", 4),
         ("manifest.json", lambda raw: b'{"split": {"per_class": [1]}}', "report", 4),
         ("manifest.json", lambda raw: raw[:10] + b"\xe9" + raw[10:], "report", 4),
+        ("manifest.json", _set_split("dos", "available", -4), "report", 4),
+        ("manifest.json", _set_split("probe", "test", -1), "report", 4),
+        ("manifest.json", _set_split("normal", "train", 1000000000), "report", 4),
+        ("manifest.json", _set_split("normal", "train", 1000000000), "evaluate", 4),
+        ("manifest.json", _set_split("u2r"), "report", 4),
+        ("manifest.json", _set_split("worm"), "report", 4),
         ("transform.json", lambda raw: b"{}", "detect", 4),
         ("transform.json", lambda raw: b"[1]", "detect", 4),
         ("transform.json", lambda raw: b"xx", "detect", 4),
@@ -880,6 +902,8 @@ class TestDamagedArtifacts:
         ("run.conf", lambda raw: b"\x89PNG\r\n\x1a\n\x00\x00\xff", "config", 2),
     ], ids=["manifest-empty-report", "manifest-empty-evaluate", "manifest-array",
             "manifest-truncated", "manifest-int-row", "manifest-array-rows", "manifest-non-ascii",
+            "manifest-negative-available", "manifest-negative-test", "manifest-overdrawn-report",
+            "manifest-overdrawn-evaluate", "manifest-missing-class", "manifest-extra-class",
             "transform-empty", "transform-array", "transform-not-json", "transform-no-n",
             "transform-infinite-n", "transform-nan-sigma", "transform-inf-sigma",
             "transform-inf-mu", "transform-minus-inf-mu", "timing-text", "timing-non-ascii", "rank-non-ascii",
@@ -959,6 +983,35 @@ class TestRecordErrorsNameTheFile:
         assert code == 4
         assert err.startswith(f"chids: {target}: ") and needle in err
         assert len(err.splitlines()) == 1
+
+
+class TestModelSymbolOutsideTheDomain:
+    """A model's nominal test may name a symbol that the data lacks:
+    `detect` grows the domains of raw input from that input alone, so a
+    symbol seen in training may be missing from new traffic. Such a test
+    matches no record, and evaluate and detect exit 0."""
+
+    def test_rule_on_an_unseen_symbol_covers_no_record(
+        self, workdir, synth_corpus_path, tmp_path, capsys
+    ):
+        head = (workdir / "model.txt").read_text().splitlines()[:3]  # magic, kind, features
+        assert "service:nominal" in head[2]
+        plain = "\n".join(head + ["default normal"]) + "\n"
+        models = {"plain": plain, "zzz": plain + "rule IF service == zzz THEN dos cov=1 err=0\n"}
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:200]) + "\n")
+        outputs = {}
+        for name, text in models.items():
+            out = tmp_path / name
+            out.mkdir()
+            for f in ("test.cache", "transform.json"):
+                shutil.copy(workdir / f, out / f)
+            (out / "model.txt").write_text(text)
+            assert run_cli(["evaluate", "--out", str(out)], capsys)[0] == 0
+            assert run_cli(["detect", "--input", str(sample), "--out", str(out)], capsys)[0] == 0
+            outputs[name] = [(out / f).read_bytes() for f in ("report/confusion.tsv", "dispositions.tsv")]
+        # with the rule first and `dos` its class, one covered record would change both files
+        assert outputs["zzz"] == outputs["plain"]
 
 
 # `chids config` with default settings, taken before keys, parsers and
