@@ -20,7 +20,7 @@ from sys import intern
 from typing import Iterable, NamedTuple
 
 from . import artifact
-from .errors import DataError, UnknownScenario, UnorderedStream
+from .errors import DataError, InvalidOperation, UnknownScenario, UnorderedStream
 
 RECEPTION = "reception"
 FORWARD = "forward"
@@ -95,8 +95,8 @@ class RuleConfig:
             if not 0 < getattr(self, name) < inf:  # also rejects nan
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("repetition_limit", "collision_limit", "max_sources_per_message"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive int")
 
 
 @dataclass(frozen=True)
@@ -268,6 +268,9 @@ SCENARIOS = (
     "jamming",
 )
 
+MIN_SEND_GAP = 0.1  # s between a benign source's sends, at least: every stream ends
+MAX_EVENTS = 100_000  # in one generated scenario, at most; more is an InvalidOperation
+
 # The rule each attack scenario is built to violate.
 SCENARIO_RULE = {
     "hello-flood": RULE_INTERVAL,
@@ -298,6 +301,8 @@ def generate_stream(
         return rng.uniform(-80.0, -40.0)
 
     def emit(ts, source, neighbor, kind, msg, digest, level=None):
+        if len(events) == MAX_EVENTS:
+            raise InvalidOperation(f"{scenario}: more than {MAX_EVENTS} events under this config")
         events.append(AnomalyEvent(ts, source, neighbor, kind, msg, digest, level if level is not None else rssi()))
 
     def benign_traffic(sources, neighbor, start, horizon, alter=None, drop=None):
@@ -313,10 +318,10 @@ def generate_stream(
                 if drop is None or not drop(src, k):
                     fwd_digest = digest if alter is None else alter(src, k, digest)
                     emit(t + rng.uniform(0.1, 0.5), src, neighbor, FORWARD, msg, fwd_digest)
-                t += rng.uniform(
+                t += max(MIN_SEND_GAP, rng.uniform(
                     cfg.interval_lower * 4.0,
                     min(cfg.interval_upper * 0.5, cfg.interval_lower * 16.0),
-                )
+                ))
                 k += 1
 
     horizon = 60.0

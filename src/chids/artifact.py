@@ -4,8 +4,9 @@ Every file chids writes is ASCII text, and every file it reads may be gzip.
 `open_text` turns an I/O fault into IoError (exit 3), and damaged gzip data
 or bytes that are not ASCII into DataError (exit 4); `parsing` reports a
 fault raised while parsing as a DataError. Each names the file, and no
-other code puts a file's name into an error. Every tab-separated table
-chids writes is formatted by `table_text`.
+other code puts a file's name into an error. `read_lines` reads each file
+of lines, and `finite` parses each number in one; `table_text` formats
+each tab-separated table chids writes.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import math
 import zlib
 from contextlib import contextmanager
 
-from .errors import DataError, IoError
+from .errors import ChidsError, DataError, IoError
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -40,11 +42,12 @@ def open_text(path, mode: str = "r"):
 
 
 class parsing:
-    """Context manager that names `path` (and `line`, when set) in a fault
-    raised while parsing it. A DataError keeps its type and attributes and
-    gets the name as a prefix; any other fault becomes one DataError. Wrap
-    parsing only, never later work. A UnicodeDecodeError, raised by a file
-    read line by line, passes on to `open_text`."""
+    """Context manager that names `path` (and `line`, when set; `numbered`
+    keeps it at the line being read) in a fault raised while parsing it. A
+    chids error keeps its type and attributes and gets the name as a prefix;
+    any other fault becomes one DataError. Wrap parsing only, never later
+    work. A UnicodeDecodeError, raised by a file read line by line, passes
+    on to `open_text`."""
 
     def __init__(self, path, line: int | None = None):
         self.path, self.line = path, line
@@ -52,18 +55,18 @@ class parsing:
     def __enter__(self):
         return self
 
+    def numbered(self, lines):
+        for line in lines:
+            yield line.rstrip("\n")
+            self.line += 1
+
     def __exit__(self, kind, exc, tb):
         where = f"{self.path}" if self.line is None else f"{self.path}: line {self.line}"
-        if isinstance(exc, DataError):
+        if isinstance(exc, ChidsError):
             exc.args = (f"{where}: {exc}",)
         elif isinstance(exc, (AttributeError, IndexError, KeyError, OverflowError, TypeError,
                               ValueError)) and not isinstance(exc, UnicodeDecodeError):
             raise DataError(f"{where}: malformed file ({kind.__name__}: {exc})") from None
-
-
-def read_text(path) -> str:
-    with open_text(path) as fh:
-        return fh.read()
 
 
 def write_text(path, text: str) -> None:
@@ -79,9 +82,26 @@ def json_text(obj) -> str:
 def read_parsed(path, parse):
     """`parse` applied to the text of `path`, with its faults reported as
     DataErrors naming the file."""
-    text = read_text(path)
-    with parsing(path):
-        return parse(text)
+    with open_text(path) as fh, parsing(path):
+        return parse(fh.read())
+
+
+def read_lines(path, parse):
+    """`parse` applied to an iterator over the lines of `path`, read as it
+    goes, each without its line end: only `\n`, `\r\n` and `\r` end one. A
+    fault in `parse` names the file and the line last read (once the lines
+    run out, the line after the last)."""
+    with open_text(path) as fh, parsing(path, 1) as guard:
+        return parse(guard.numbered(fh))
+
+
+def finite(text: str) -> float:
+    """The number `text`: finite, with nothing around it (`float` skips
+    spaces and control characters, which chids never writes there)."""
+    value = float(text)
+    if not math.isfinite(value) or text != text.strip():
+        raise DataError(f"{text!r} is not a finite number")
+    return value
 
 
 def table_text(header: str, rows, magic: str | None = None) -> str:
@@ -95,18 +115,20 @@ def read_rows(path, magic: str, header: str, row) -> list:
     """`row(*fields)` of each non-blank row of a tab-separated file that
     opens with the `magic` line and the `header` row. Every row has as many
     fields as the header, one starting with `#` included; a fault names the
-    row's line. The file is read line by line, and only `\n`, `\r\n` and
-    `\r` end a line."""
+    row's line."""
     n = header.count("\t") + 1
-    rows = []
-    with open_text(path) as fh, parsing(path) as guard:  # a fault names guard.line
-        for guard.line, want in ((1, magic), (2, header)):
-            if fh.readline().rstrip("\n") != want:
+
+    def rows(lines):
+        for want in (magic, header):
+            if next(lines, None) != want:
                 raise DataError(f"expected {want!r}")
-        for guard.line, ln in enumerate(fh, 3):
+        out = []
+        for ln in lines:
             if ln.strip():
-                fields = ln.rstrip("\n").split("\t")
+                fields = ln.split("\t")
                 if len(fields) != n:
                     raise DataError(f"expected {n} fields, got {len(fields)}")
-                rows.append(row(*fields))
-    return rows
+                out.append(row(*fields))
+        return out
+
+    return read_lines(path, rows)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import operator
 import sys
 import time
@@ -176,9 +175,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     written = ev.emit_report(
         out / REPORT_DIR,
         confusion=cm,
-        split_per_class=_read_if_present(out / MANIFEST_JSON, _split_per_class),
-        rank_scores=_load_rank_scores(out / RANK_FULL),
-        train_s=_read_if_present(out / TRAIN_TIMING, _train_seconds),
+        split_per_class=_read_if_present(
+            out / MANIFEST_JSON, artifact.read_parsed, _split_per_class),
+        rank_scores=_read_if_present(out / RANK_FULL, ranking.read_rank_report),
+        train_s=_read_if_present(out / TRAIN_TIMING, artifact.read_lines, _train_seconds),
         test_s=test_s,
     )
     report = ev.metrics_from_confusion(cm)
@@ -192,16 +192,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def _train_seconds(text: str) -> float:
+def _train_seconds(lines) -> float:
     """The training time in a train_timing.txt: its one line is
     `timing train_s <v>`, with v a finite number of seconds >= 0."""
-    lines = text.splitlines()
-    parts = lines[0].split() if len(lines) == 1 else []
-    if parts[:2] != ["timing", "train_s"] or len(parts) != 3:
+    head, _, text = next(lines, "").rpartition(" ")
+    if head != "timing train_s":
         raise DataError("expected one line `timing train_s <seconds>`")
-    seconds = float(parts[2])
-    if not (math.isfinite(seconds) and seconds >= 0):
-        raise DataError(f"train_s {parts[2]!r} is not a finite number >= 0")
+    seconds = artifact.finite(text)
+    if seconds < 0 or next(lines, None) is not None:
+        raise DataError("expected one line `timing train_s <seconds>`, seconds >= 0")
     return seconds
 
 
@@ -222,34 +221,8 @@ def _split_per_class(text: str) -> dict:
     return census
 
 
-def _read_if_present(path: Path, parse):
-    return artifact.read_parsed(path, parse) if path.exists() else None
-
-
-def _load_rank_scores(path: Path):
-    """The rows of a rank file; its `#` lines are comments. The k-th row has
-    rank k, a feature no row before names, and no higher score than the row
-    before, so ranking the rows again keeps their order."""
-    if not path.exists():
-        return None
-    lines = artifact.read_text(path).splitlines()
-    scores = []
-    with artifact.parsing(path, 1) as guard:  # a fault names guard.line
-        if lines[:1] != [ranking.RANK_HEADER]:
-            raise DataError(f"expected {ranking.RANK_HEADER!r}")
-        for guard.line, ln in enumerate(lines[1:], 2):
-            if ln.startswith("#") or not ln.strip():
-                continue
-            rank, feature, method, score = ln.split("\t")
-            row = ranking.FeatureScore(feature, guard.line, float(score), method)
-            if rank != str(len(scores) + 1):
-                raise DataError(f"rank {rank!r}, expected {len(scores) + 1}")
-            if scores and row.score > scores[-1].score:
-                raise DataError(f"score {score} above the score of rank {len(scores)}")
-            if any(s.feature == feature for s in scores):
-                raise DataError(f"feature {feature!r} ranked twice")
-            scores.append(row)
-    return scores
+def _read_if_present(path: Path, read, *args):
+    return read(path, *args) if path.exists() else None
 
 
 def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
@@ -347,7 +320,7 @@ def cmd_report(cfg: RunConfig) -> int:
         out / REPORT_DIR,
         split_per_class=artifact.read_parsed(manifest_file, _split_per_class),
         confusion=confusion,
-        rank_scores=_load_rank_scores(out / RANK_FULL),
+        rank_scores=_read_if_present(out / RANK_FULL, ranking.read_rank_report),
     )
     for p in written:
         _out(p)

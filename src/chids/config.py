@@ -146,14 +146,15 @@ def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     return replace(cfg, **{f.name: _coerce(key, type(f.default), raw)})
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
+    """`base` with the `key = value` lines of `lines`; `#` starts a comment."""
     cfg = base or RunConfig()
-    for ln_no, line in enumerate(text.splitlines(), start=1):
+    for line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {ln_no}: expected `key = value`, got {line!r}")
+            raise ConfigError(f"expected `key = value`, got {line!r}")
         key, raw = stripped.split("=", 1)
         cfg = apply_setting(cfg, key.strip(), raw)
     return cfg
@@ -161,10 +162,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     try:
-        text = artifact.read_text(path)
+        return artifact.read_lines(path, lambda lines: parse_config_lines(lines, base))
     except DataError as exc:  # a config file that is not text is a config error
         raise ConfigError(str(exc)) from None
-    return parse_config_text(text, base)
 
 
 def render_config(cfg: RunConfig) -> str:

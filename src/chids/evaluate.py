@@ -8,6 +8,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -47,24 +48,24 @@ class ConfusionMatrix:
         return artifact.table_text(CONFUSION_HEADER, rows)
 
     @classmethod
-    def from_tsv(cls, text: str) -> "ConfusionMatrix":
-        """Parse `to_tsv` output: the header, then one row per class in class
+    def from_tsv(cls, path) -> "ConfusionMatrix":
+        """Read a `to_tsv` file: the header, then one row per class in class
         order, of the class's tag and N_CLASSES integer counts."""
-        lines = text.splitlines()
-        if len(lines[1:]) != N_CLASSES:
-            raise DataError(f"want {N_CLASSES} rows of counts, got {len(lines[1:])}")
-        if lines[0] != CONFUSION_HEADER:
-            raise DataError(f"line 1: expected {CONFUSION_HEADER!r}")
-        rows = []
-        for lineno, (tag, ln) in enumerate(zip(CLASS_TAGS, lines[1:]), 2):
-            label, *cells = ln.split("\t")
-            if label != tag or len(cells) != N_CLASSES:
-                raise DataError(f"line {lineno}: want {tag!r} and {N_CLASSES} counts, got {ln!r}")
-            try:
+        def parse(lines):
+            if next(lines, None) != CONFUSION_HEADER:
+                raise DataError(f"want {N_CLASSES} rows of counts under {CONFUSION_HEADER!r}")
+            rows = []
+            for tag, ln in zip_longest(CLASS_TAGS, lines):
+                if tag is None or ln is None:
+                    got = len(rows) if ln is None else "more"
+                    raise DataError(f"want {N_CLASSES} rows of counts, got {got}")
+                label, *cells = ln.split("\t")
+                if label != tag or len(cells) != N_CLASSES or not all(map(str.isdigit, cells)):
+                    raise DataError(f"want {tag!r} and {N_CLASSES} integer counts, got {ln!r}")
                 rows.append([int(v) for v in cells])
-            except ValueError:
-                raise DataError(f"line {lineno}: non-integer count in {ln!r}") from None
-        return cls(np.array(rows, dtype=np.int64))
+            return cls(rows)
+
+        return artifact.read_lines(path, parse)
 
 
 # MetricsReport field -> metrics.json key

@@ -609,10 +609,9 @@ def load_records(path) -> Dataset:
     optional labels (a label outside the taxonomy reads as absent), where
     the first bad line is fatal. Either may be gzip."""
     try:
-        with artifact.open_text(path) as fh:
-            first = fh.readline()
+        first = artifact.read_lines(path, lambda lines: next(lines, ""))
     except DataError:  # undecodable: the raw reader names the bad line
         first = ""
-    if first.rstrip("\n") == CACHE_MAGIC:
+    if first == CACHE_MAGIC:
         return load_cache(path)
     return load_dataset(path, error_budget=0, labels_optional=True)

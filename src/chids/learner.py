@@ -494,13 +494,6 @@ def _feature_kind(feat: str, kinds: dict[str, str]) -> str:
     return kinds[feat]
 
 
-def _threshold(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise DataError(f"threshold {text!r} is not a finite number")
-    return value
-
-
 def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     m = _RULE_RE.match(line)
     if not m:
@@ -515,7 +508,7 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
             kind = _feature_kind(feat, kinds)
             if op not in _OPS.get(kind, ()):
                 raise DataError(f"bad operator for {kind} feature in rule: {part!r}")
-            value = val if kind == NOMINAL else _threshold(val)
+            value = val if kind == NOMINAL else artifact.finite(val)
             tests.append(RuleTest(feat, op, value))
     return Rule(tuple(tests), AttackClass.from_tag(tag), int(cov), int(err))
 
@@ -545,11 +538,11 @@ def _write_node(fh, node, depth: int) -> None:
 _NODE_FIELDS = {"leaf": 3, "split": 6}
 
 
-def _field(text: str, key: str) -> str:
-    """The value of a `key=value` field."""
-    name, eq, value = text.partition("=")
-    if name != key or not eq:
-        raise DataError(f"expected {key}=, got {text!r}")
+def _after(text: str, head: str, sep: str) -> str:
+    """What follows `head` and `sep` in `text`, such as `kind part` or `dist=1,0,0,0,0`."""
+    name, found, value = text.partition(sep)
+    if name != head or not found:
+        raise DataError(f"expected {head + sep!r}, got {text!r}")
     return value
 
 
@@ -564,7 +557,7 @@ def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
     parts = body.split(" ")
     if len(parts) != _NODE_FIELDS.get(parts[0]):
         raise DataError(f"expected `leaf` and 2 fields or `split` and 5: {line!r}")
-    dist = [int(v) for v in _field(parts[-1], "dist").split(",")]
+    dist = [int(v) for v in _after(parts[-1], "dist", "=").split(",")]
     if len(dist) != N_CLASSES or min(dist) < 0:
         raise DataError(f"dist= must be {N_CLASSES} counts >= 0: {line!r}")
     if parts[0] == "leaf":
@@ -572,9 +565,9 @@ def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
     _, kind, feature = parts[0], parts[1], parts[2]
     if _feature_kind(feature, kinds) != kind:
         raise DataError(f"{kind} split on {kinds[feature]} feature: {line!r}")
-    majority = int(_field(parts[-2], "majority"))
+    majority = int(_after(parts[-2], "majority", "="))
     if kind == NUMERIC:
-        threshold = _threshold(parts[3])
+        threshold = artifact.finite(parts[3])
         n_children, symbols = 2, None
     else:
         symbols = tuple(parts[3].split(","))
@@ -605,39 +598,21 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    text = artifact.read_text(path)
-    with artifact.parsing(path) as guard:  # a fault names guard.line
-        return _parse_model(_numbered(text.splitlines(), guard))
-
-
-def _numbered(lines: list[str], guard):
-    """Each of `lines` in turn, with `guard.line` set to its line number;
-    once they run out, to the line after the last."""
-    for guard.line, line in enumerate(lines, 1):
-        yield line
-    guard.line = len(lines) + 1
-
-
-def _keyword(line: str, word: str) -> str:
-    """What follows `word` on `line`."""
-    head, _, value = line.partition(" ")
-    if head != word:
-        raise DataError(f"expected {word!r}, got {head!r}")
-    return value
+    return artifact.read_lines(path, _parse_model)
 
 
 def _parse_model(lines):
     if next(lines, None) != MODEL_MAGIC:
         raise DataError("not a chids model file")
-    kind = _keyword(next(lines, ""), "kind")
-    pairs = [p.split(":") for p in _keyword(next(lines, ""), "features").split(",")]
+    kind = _after(next(lines, ""), "kind", " ")
+    pairs = [p.split(":") for p in _after(next(lines, ""), "features", " ").split(",")]
     features = FeatureSchema(pairs).features  # each a known kind, no name twice
     kinds = dict(features)
     body = (line for line in lines if line.strip())
     if kind == "tree":
         model = DecisionTree(_parse_nodes(body, 0, kinds), features)
     elif kind in ("majority", "part"):
-        default = AttackClass.from_tag(_keyword(next(body, ""), "default"))
+        default = AttackClass.from_tag(_after(next(body, ""), "default", " "))
         if kind == "majority":
             model = MajorityModel(default, features)
         else:

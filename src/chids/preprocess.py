@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifact
 from .errors import DataError, InfeasibleSplit, SchemaMismatch, UnknownFeatureName
 from .kdd import AttackClass, Dataset
 
@@ -245,12 +246,8 @@ class NormalizationStats:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NormalizationStats":
-        return cls(
-            obj["features"],
-            [float(v) for v in obj["mu"]],
-            [float(v) for v in obj["sigma"]],
-            obj["n"],
-        )
+        mu, sigma = ([artifact.finite(v) for v in obj[key]] for key in ("mu", "sigma"))
+        return cls(obj["features"], mu, sigma, obj["n"])
 
 
 def fit_normalizer(train: Dataset) -> NormalizationStats:

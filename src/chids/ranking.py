@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact, kernels
+from .errors import DataError
 from .kdd import NUMERIC, Dataset, N_CLASSES
 
 CHI2 = "chi2"
@@ -156,3 +157,28 @@ def write_rank_report(scores, path) -> None:
     ranked = rank(scores)
     mean = sum(s.score for s in ranked) / len(ranked) if ranked else 0.0
     artifact.write_text(path, rank_table(ranked, [("# mean", repr(mean))]))
+
+
+def read_rank_report(path) -> list[FeatureScore]:
+    """The rows of a rank table; its `#` lines are comments. The k-th row
+    has rank k, a feature no row before names, and no higher score than the
+    row before, so ranking the rows again keeps their order."""
+    def parse(lines):
+        if next(lines, None) != RANK_HEADER:
+            raise DataError(f"expected {RANK_HEADER!r}")
+        scores = []
+        for ln in lines:
+            if ln.startswith("#") or not ln.strip():
+                continue
+            place, feature, method, score = ln.split("\t")
+            row = FeatureScore(feature, len(scores), artifact.finite(score), method)
+            if place != str(len(scores) + 1):
+                raise DataError(f"rank {place!r}, expected {len(scores) + 1}")
+            if scores and row.score > scores[-1].score:
+                raise DataError(f"score {score} above the score of rank {len(scores)}")
+            if any(s.feature == feature for s in scores):
+                raise DataError(f"feature {feature!r} ranked twice")
+            scores.append(row)
+        return scores
+
+    return artifact.read_lines(path, parse)

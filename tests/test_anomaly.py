@@ -495,6 +495,50 @@ class TestRuleConfigValidation:
         with pytest.raises(ValueError):
             RuleConfig(window=-1.0)
 
+    @pytest.mark.parametrize("name", ["repetition_limit", "collision_limit",
+                                      "max_sources_per_message"])
+    @pytest.mark.parametrize("value", [0.5, 2.0])
+    def test_count_limits_are_ints(self, name, value):
+        # generate_stream counts events with them: range() takes no float
+        with pytest.raises(ValueError, match=f"{name} must be a positive int"):
+            RuleConfig(**{name: value})
+
+
+# Every rules.* key at each edge value: every config RuleConfig accepts
+# generates each scenario's stream and evaluates it, or is refused as too
+# large (InvalidOperation). Prints the refused (key, value, scenario) triples.
+_EVERY_CONFIG_ENDS = """
+import resource
+from dataclasses import fields
+from chids.anomaly import SCENARIOS, RuleConfig, evaluate_stream, generate_stream
+from chids.errors import InvalidOperation
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a runaway stream fails, not the host
+for f in fields(RuleConfig):
+    for value in (0, -1, 1e-300, 1e308, 10**9):
+        try:
+            cfg = RuleConfig(**{f.name: value})
+        except ValueError:
+            continue
+        for scenario in SCENARIOS:
+            try:
+                evaluate_stream(generate_stream(scenario, 0, cfg), cfg)
+            except InvalidOperation:
+                print(f.name, value, scenario)
+"""
+
+
+def test_every_accepted_rules_config_ends():
+    # one child with a timeout, so that a scenario that never ends fails here
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _EVERY_CONFIG_ENDS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # only a count limit of 10**9 asks for more than MAX_EVENTS events
+    assert proc.stdout.splitlines() == [
+        "repetition_limit 1000000000 replay", "collision_limit 1000000000 jamming",
+        "max_sources_per_message 1000000000 sybil"]
+
 
 class TestLightweightImport:
     def test_anomaly_stage_loads_no_numpy(self):

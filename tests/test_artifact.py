@@ -45,6 +45,15 @@ def test_only_artifact_opens_chids_files():
     assert found == []
 
 
+def test_no_module_splits_lines_itself():
+    # str.splitlines also breaks a line at \v, \f and \x1c-\x1e;
+    # artifact.read_lines ends a line only at \n, \r\n or \r
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "splitlines"]
+    assert found == []
+
+
 def test_only_artifact_names_a_file_in_an_error():
     # a message that formats a path is built by artifact.open_text or
     # artifact.parsing (or by an errors.py class given the path)

@@ -726,8 +726,10 @@ class TestRankFileHardening:
     @pytest.mark.parametrize("command", ["evaluate", "report"])
     @pytest.mark.parametrize(
         "row", ["1\tcount", "1\tcount\tigr\tzz", "zz\tcount\tigr\t0.5", "3\tcount\tigr\t0.5",
-                "2\tcount\tigr\t1.5", "2\tserror_rate\tigr\t0.9999999999999999"],
-        ids=["two-fields", "text-score", "text-rank", "wrong-rank", "rising-score", "duplicate-feature"],
+                "2\tcount\tigr\t1.5", "2\tserror_rate\tigr\t0.9999999999999999",
+                "2\tcount\tigr\tnan", "2\tcount\tigr\t-inf"],
+        ids=["two-fields", "text-score", "text-rank", "wrong-rank", "rising-score", "duplicate-feature",
+             "nan-score", "minus-inf-score"],
     )
     def test_bad_row_exit_4(self, workdir, tmp_path, command, row, capsys):
         out = tmp_path / "run"
@@ -985,6 +987,32 @@ class TestRecordErrorsNameTheFile:
         assert len(err.splitlines()) == 1
 
 
+class TestOnlyLineEndsEndALine:
+    """Only `\\n`, `\\r\\n` and `\\r` end a line of a chids file. `\\f` and
+    `\\x1c`, at which `str.splitlines` would also break, stay inside their
+    line, so the line named in an error is the line of the file."""
+
+    @pytest.mark.parametrize("name, damage, command, needle", [
+        ("model.txt", _damage_line(5, lambda ln: b"\x1c" + ln), "evaluate", "line 5: bad rule line"),
+        ("model.txt", _damage_line(5, lambda ln: ln + b"\x0c"), "evaluate", "line 5: bad rule line"),
+        ("rank_igr_full.tsv", lambda raw: _damage_line(5, lambda ln: b"9" + ln)(
+            _damage_line(3, lambda ln: ln.replace(b"\t", b"\t\x0c", 1))(raw)),
+         "report", "line 5: rank '9"),
+        ("report/confusion.tsv", _damage_line(3, lambda ln: ln.replace(b"\t", b"\x1c\t", 1)),
+         "report", "line 3: want 'dos'"),
+        ("train_timing.txt", lambda raw: b"timing train_s 1.5\x0c\n", "evaluate",
+         "line 1: '1.5\\x0c' is not a finite number"),
+    ], ids=["model-x1c", "model-trailing-ff", "rank-ff-in-feature", "confusion-x1c", "timing-ff"])
+    def test_error_names_the_line(self, workdir, evaluated, name, damage, command, needle, capsys):
+        shutil.copy(workdir / "train_timing.txt", evaluated / "train_timing.txt")
+        path = evaluated / name
+        path.write_bytes(damage(path.read_bytes()))
+        code, _, err = run_cli([command, "--out", str(evaluated)], capsys)
+        assert code == 4
+        assert err.startswith(f"chids: {path}: ") and needle in err
+        assert len(err.splitlines()) == 1
+
+
 class TestModelSymbolOutsideTheDomain:
     """A model's nominal test may name a symbol that the data lacks:
     `detect` grows the domains of raw input from that input alone, so a
@@ -1058,6 +1086,14 @@ class TestConfigCommand:
         code2, out2, _ = run_cli(["config", "--config", str(conf)], capsys)
         assert code2 == 0
         assert out2 == out
+
+    def test_control_characters_round_trip(self, tmp_path, capsys):
+        # `\f` and `\x1c` stay inside their line; str.splitlines would break it
+        code, out, _ = run_cli(["config", "--set", "dataset=runs/a\x0cb\x1cc.kdd"], capsys)
+        assert code == 0 and "\ndataset = runs/a\x0cb\x1cc.kdd\n" in out
+        conf = tmp_path / "run.conf"
+        conf.write_text(out)
+        assert run_cli(["config", "--config", str(conf)], capsys) == (0, out, "")
 
     def test_bad_set_key(self, capsys):
         code, _, err = run_cli(["config", "--set", "bogus.key=1"], capsys)

@@ -4,7 +4,7 @@ from chids.config import (
     RunConfig,
     apply_setting,
     load_config,
-    parse_config_text,
+    parse_config_lines,
     render_config,
 )
 from chids.errors import ConfigError
@@ -13,31 +13,45 @@ from chids.errors import ConfigError
 class TestParsing:
     def test_round_trip_through_render(self):
         cfg = RunConfig(seed=42, select_method="igr", part_min_leaf=5)
-        again = parse_config_text(render_config(cfg))
+        again = parse_config_lines(render_config(cfg).split("\n"))
         assert again == cfg
 
     def test_comments_and_blanks_ignored(self):
-        cfg = parse_config_text("# a comment\n\nseed = 9\n  # indented comment\n")
+        cfg = parse_config_lines("# a comment\n\nseed = 9\n  # indented comment\n".split("\n"))
         assert cfg.seed == 9
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
-            parse_config_text("no.such.key = 1")
+            parse_config_lines(["no.such.key = 1"])
 
     def test_bad_value_type(self):
         with pytest.raises(ConfigError):
-            parse_config_text("seed = banana")
+            parse_config_lines(["seed = banana"])
         with pytest.raises(ConfigError):
-            parse_config_text("part.prune = maybe")
+            parse_config_lines(["part.prune = maybe"])
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
-            parse_config_text("seed 9")
+            parse_config_lines(["seed 9"])
 
     def test_csv_values(self):
-        cfg = parse_config_text("prune = land, urgent\nsplit.minority = u2r,r2l\n")
+        cfg = parse_config_lines("prune = land, urgent\nsplit.minority = u2r,r2l\n".split("\n"))
         assert cfg.prune == ("land", "urgent")
         assert cfg.split_minority == ("u2r", "r2l")
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\nseed 9\n", "line 2: expected `key = value`, got 'seed 9'"),
+        ("seed = 1\nno.such.key = 1\n", "line 2: unknown config key 'no.such.key'"),
+        ("\r\nseed = banana\r\n", "line 2: bad value for seed: 'banana' (expected int)"),
+        ("seed = 1\ndataset = runs/a\x0cb.kdd\nseed 9\n",
+         "line 3: expected `key = value`, got 'seed 9'"),
+    ], ids=["no-equals", "unknown-key", "bad-value", "form-feed-in-an-earlier-line"])
+    def test_file_error_names_the_file_and_line(self, tmp_path, text, message):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(text.encode("ascii"))
+        with pytest.raises(ConfigError) as caught:
+            load_config(conf)
+        assert str(caught.value) == f"{conf}: {message}"
 
     def test_missing_file(self, tmp_path):
         from chids.errors import IoError

@@ -161,8 +161,9 @@ class TestEmitReport:
 
 
 class TestConfusionTsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         actual = [0, 1, 2, 3, 4, 0, 1]
         predicted = [0, 1, 1, 3, 0, 1, 1]
         cm = cm_from(actual, predicted)
-        assert np.array_equal(ConfusionMatrix.from_tsv(cm.to_tsv()).counts, cm.counts)
+        (tmp_path / "confusion.tsv").write_text(cm.to_tsv())
+        assert np.array_equal(ConfusionMatrix.from_tsv(tmp_path / "confusion.tsv").counts, cm.counts)
