@@ -1,5 +1,5 @@
 """Streaming first-line filter: seven threshold rules over cluster message
-events, with bounded per-source state, plus a deterministic synthetic
+events, with sliding-window message state, plus a deterministic synthetic
 scenario generator for exercising each rule.
 
 Event model: the engine sits on the cluster head and watches its neighbors.
@@ -15,12 +15,13 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from math import inf, isfinite
+from math import isfinite
 from sys import intern
 from typing import Iterable, NamedTuple
 
 from . import artifact
 from .errors import DataError, InvalidOperation, UnknownScenario, UnorderedStream
+from .rule_config import SCENARIOS, RuleConfig
 
 RECEPTION = "reception"
 FORWARD = "forward"
@@ -68,38 +69,6 @@ class AnomalyEvent(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RuleConfig:
-    """Thresholds for the seven rules. The defaults suit the synthetic
-    harness; deployments are expected to tune them."""
-
-    interval_lower: float = 0.5
-    interval_upper: float = 30.0
-    retransmission_deadline: float = 2.0
-    delay_window: float = 1.0
-    repetition_limit: int = 3
-    rssi_min: float = -95.0
-    rssi_max: float = -20.0
-    collision_limit: int = 5
-    window: float = 10.0
-    max_sources_per_message: int = 1
-
-    def __post_init__(self):
-        for name in ("interval_lower", "interval_upper", "rssi_min", "rssi_max"):
-            if not isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (self.interval_lower < self.interval_upper):
-            raise ValueError("interval_lower must be below interval_upper")
-        if not (self.rssi_min < self.rssi_max):
-            raise ValueError("rssi_min must be below rssi_max")
-        for name in ("retransmission_deadline", "delay_window", "window"):
-            if not 0 < getattr(self, name) < inf:  # also rejects nan
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("repetition_limit", "collision_limit", "max_sources_per_message"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive int")
-
-
-@dataclass(frozen=True)
 class RuleVerdict:
     event_index: int
     ts: float
@@ -116,9 +85,13 @@ class StreamEngine:
     """Online evaluator with sliding-window state.
 
     Retention horizon for message sightings is cfg.window; entries at or
-    beyond the horizon are evicted, so state stays bounded by the window
-    length times the event rate. Verdicts never depend on future events
-    (prefix consistency).
+    beyond the horizon are evicted, so the sightings are bounded by the
+    window length times the event rate, and the armed forwards by the
+    retransmission deadline times the reception rate. The last reception
+    time of each source is never evicted, so state also grows with the
+    number of distinct sources seen: the interval rule fires on a source's
+    next reception after `interval_upper`, with that gap in its detail.
+    Verdicts never depend on future events (prefix consistency).
 
     Timestamps must be finite and non-decreasing. A key is armed only while
     absent from `_pending`, so the dict's insertion order is (ts, index)
@@ -256,17 +229,6 @@ def evaluate_stream(
         out.extend(engine.process(e))
     return out
 
-
-SCENARIOS = (
-    "benign",
-    "hello-flood",
-    "selective-forwarding",
-    "sinkhole",
-    "modification",
-    "replay",
-    "sybil",
-    "jamming",
-)
 
 MIN_SEND_GAP = 0.1  # s between a benign source's sends, at least: every stream ends
 MAX_EVENTS = 100_000  # in one generated scenario, at most; more is an InvalidOperation

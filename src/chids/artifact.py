@@ -5,8 +5,8 @@ Every file chids writes is ASCII text, and every file it reads may be gzip.
 or bytes that are not ASCII into DataError (exit 4); `parsing` reports a
 fault raised while parsing as a DataError. Each names the file, and no
 other code puts a file's name into an error. `read_lines` reads each file
-of lines, and `finite` parses each number in one; `table_text` formats
-each tab-separated table chids writes.
+of lines, and `finite` parses each number in one and `count` each count;
+`table_text` formats each tab-separated table chids writes.
 """
 
 from __future__ import annotations
@@ -102,6 +102,15 @@ def finite(text: str) -> float:
     if not math.isfinite(value) or text != text.strip():
         raise DataError(f"{text!r} is not a finite number")
     return value
+
+
+def count(text: str) -> int:
+    """The count `text`: ASCII digits, with nothing around them (`int` also
+    takes a sign, `_` between digits, and spaces and control characters
+    around them, which chids never writes)."""
+    if not (text.isascii() and text.isdigit()):
+        raise DataError(f"{text!r} is not a count")
+    return int(text)
 
 
 def table_text(header: str, rows, magic: str | None = None) -> str:

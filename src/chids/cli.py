@@ -20,12 +20,16 @@ import time
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
-from . import anomaly, artifact, evaluate as ev, learner, pipeline, preprocess, ranking
+from . import artifact
 from .config import RunConfig, apply_setting, load_config, render_config
 from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact
-from .kdd import AttackClass, load_cache, load_dataset, load_records, save_cache
+from .rule_config import SCENARIOS
+from .sections import AttackClass
+
+# Each cmd_* imports the stage modules it runs when it starts, so a command
+# compiles and loads only those: `config` and `simulate` load no numpy, and
+# `train` no anomaly engine or preprocessing. A stage function is looked up
+# on its module at call time, so a wrapper set on the module applies.
 
 TRAIN_FULL = "train_full.cache"
 TEST_FULL = "test_full.cache"
@@ -47,7 +51,7 @@ REPORT_DIR = "report"
 OUT_FILES = (
     TRAIN_FULL, TEST_FULL, TRAIN_CACHE, TEST_CACHE, MANIFEST_TXT, MANIFEST_JSON, TRANSFORM_JSON,
     MODEL_FILE, TRAIN_TIMING, RANK_FULL, RANK_SELECTED, DISPOSITIONS, DETECT_SUMMARY, REPORT_DIR,
-    *(name.format(s) for name in (STREAM_TSV, VERDICTS_TSV) for s in anomaly.SCENARIOS),
+    *(name.format(s) for name in (STREAM_TSV, VERDICTS_TSV) for s in SCENARIOS),
 )
 
 
@@ -89,11 +93,13 @@ def _need(path: Path, hint: str) -> Path:
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
+    from . import kdd, preprocess, ranking
+
     if not cfg.dataset:
         raise ConfigError("no dataset path (set `dataset` in the config or pass --dataset)")
     out = _outdir(cfg)
     _err(f"loading {cfg.dataset}")
-    ds = load_dataset(cfg.dataset)
+    ds = kdd.load_dataset(cfg.dataset)
     dres = preprocess.dedupe(ds)
     _err(
         f"dedupe: {dres.n_input} -> {dres.n_output} "
@@ -114,13 +120,13 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     # written before it passes
     train_s = preprocess.select_features(train_p, selected)
     stats = preprocess.fit_normalizer(train_s)
-    save_cache(split.train, out / TRAIN_FULL)
-    save_cache(split.test, out / TEST_FULL)
+    kdd.save_cache(split.train, out / TRAIN_FULL)
+    kdd.save_cache(split.test, out / TEST_FULL)
     ranking.write_rank_report(igr_scores, out / RANK_FULL)
     ranking.write_rank_report(scores, out / RANK_SELECTED)
     test_s = preprocess.select_features(split.test, selected)
-    save_cache(preprocess.apply_normalizer(train_s, stats), out / TRAIN_CACHE)
-    save_cache(preprocess.apply_normalizer(test_s, stats), out / TEST_CACHE)
+    kdd.save_cache(preprocess.apply_normalizer(train_s, stats), out / TRAIN_CACHE)
+    kdd.save_cache(preprocess.apply_normalizer(test_s, stats), out / TEST_CACHE)
 
     transform = {
         "version": 1,
@@ -146,19 +152,19 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     return 0
 
 
-_TRAINERS = {
-    "part": lambda ds, cfg: learner.train_part(ds, cfg.tree_params()),
-    "tree": lambda ds, cfg: learner.build_tree(ds, cfg.tree_params()),
-    "majority": lambda ds, cfg: learner.train_majority_baseline(ds),
-}
-
-
 def cmd_train(cfg: RunConfig) -> int:
+    from . import kdd, learner
+
     out = _outdir(cfg)
-    train = load_cache(_need(out / TRAIN_CACHE, "chids preprocess"))
+    train = kdd.load_cache(_need(out / TRAIN_CACHE, "chids preprocess"))
     _err(f"training {cfg.model_kind} on {len(train)} records")
     t0 = time.perf_counter()
-    model = _TRAINERS[cfg.model_kind](train, cfg)
+    if cfg.model_kind == "part":
+        model = learner.train_part(train, cfg.tree_params())
+    elif cfg.model_kind == "tree":
+        model = learner.build_tree(train, cfg.tree_params())
+    else:
+        model = learner.train_majority_baseline(train)
     elapsed = time.perf_counter() - t0
     learner.save_model(model, out / MODEL_FILE)
     artifact.write_text(out / TRAIN_TIMING, f"timing train_s {elapsed:.6f}\n")
@@ -168,9 +174,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    from . import evaluate as ev, kdd, learner, ranking
+
     out = _outdir(cfg)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
-    test = load_cache(_need(out / TEST_CACHE, "chids preprocess"))
+    test = kdd.load_cache(_need(out / TEST_CACHE, "chids preprocess"))
     cm, test_s = ev.evaluate(model, test)
     written = ev.emit_report(
         out / REPORT_DIR,
@@ -209,8 +217,9 @@ def _split_per_class(text: str) -> dict:
     the five class tags, whose counts are >= 0 and whose train and test
     together take no more than the class has available."""
     per_class = json.loads(text)["split"]["per_class"]
-    if sorted(per_class) != sorted(ev.CLASS_TAGS):
-        raise DataError(f"split classes {sorted(per_class)}, expected {sorted(ev.CLASS_TAGS)}")
+    tags = sorted(c.tag for c in AttackClass)
+    if sorted(per_class) != tags:
+        raise DataError(f"split classes {sorted(per_class)}, expected {tags}")
     census = {}
     for tag, row in per_class.items():
         n = census[tag] = {k: operator.index(row[k]) for k in ("available", "train", "test")}
@@ -226,6 +235,8 @@ def _read_if_present(path: Path, read, *args):
 
 
 def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
+    from . import anomaly
+
     out = _outdir(cfg)
     events = anomaly.generate_stream(scenario, cfg.seed, cfg.rule_config())
     verdicts = anomaly.evaluate_stream(events, cfg.rule_config())
@@ -241,6 +252,8 @@ def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
 
 def _transform(text: str):
     """The selected features and normalization of a transform.json."""
+    from . import preprocess
+
     obj = json.loads(text)
     return list(obj["selected"]), preprocess.NormalizationStats.from_json_obj(obj["normalization"])
 
@@ -260,13 +273,17 @@ def _alert_sink(cfg: RunConfig, input_path: str, events_path: str | None) -> Pat
 
 
 def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
+    import numpy as np
+
+    from . import kdd, learner, pipeline, preprocess
+
     alerts_path = _alert_sink(cfg, input_path, events_path)
     out = _outdir(cfg)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
     selected, stats = artifact.read_parsed(
         _need(out / TRANSFORM_JSON, "chids preprocess"), _transform
     )
-    raw = load_records(input_path)
+    raw = kdd.load_records(input_path)
     if raw.line_rows is None and raw.schema.names == tuple(name for name, _ in model.features):
         ds = raw  # a cache with the model's features is taken as normalized already
     else:
@@ -277,6 +294,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     n = len(ds)
     verdict_lines: list[str] = []
     if events_path is not None:  # event k is associated with record k
+        from . import anomaly  # the anomaly stage runs only on an event stream
+
         verdicts = anomaly.evaluate_stream(anomaly.read_stream(events_path), cfg.rule_config())
         flagged = np.zeros(n, dtype=bool)
         flagged[[v.event_index for v in verdicts if v.event_index < n]] = True
@@ -313,6 +332,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    from . import evaluate as ev, ranking
+
     out = _outdir(cfg)
     manifest_file = _need(out / MANIFEST_JSON, "chids preprocess")
     confusion = _read_if_present(out / REPORT_DIR / "confusion.tsv", ev.ConfusionMatrix.from_tsv)
@@ -361,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("simulate", help="generate a synthetic event scenario and its verdicts")
-    p.add_argument("--scenario", required=True, choices=anomaly.SCENARIOS)
+    p.add_argument("--scenario", required=True, choices=SCENARIOS)
     _add_common(p)
 
     p = sub.add_parser("report", help="re-render the report bundle from stored artifacts")

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .anomaly import RuleConfig
-from . import artifact, ranking
+from . import artifact
 from .errors import ConfigError, DataError
-from .kdd import FEATURE_TABLE, AttackClass
-from .learner import TreeParams
-from .pipeline import PipelineConfig
-from .preprocess import DEFAULT_PRUNE, SplitSpec
+from .rule_config import RuleConfig
+from .sections import (CHI2, DEFAULT_PRUNE, FEATURE_TABLE, IGR, AttackClass, PipelineConfig,
+                       SplitSpec, TreeParams)
 
 MODEL_KINDS = ("part", "tree", "majority")
-SELECT_METHODS = tuple(ranking.SCORERS)
+SELECT_METHODS = (CHI2, IGR)
 DETECT_MODES = ("all", "none", "oracle")
 
 
@@ -36,7 +34,7 @@ class RunConfig:
     split_minority: tuple[str, ...] = tuple(c.tag for c in SplitSpec.minority_classes)
 
     prune: tuple[str, ...] = DEFAULT_PRUNE
-    select_method: str = "chi2"
+    select_method: str = CHI2
     select_k: int = 4
 
     model_kind: str = "part"

@@ -60,9 +60,9 @@ class ConfusionMatrix:
                     got = len(rows) if ln is None else "more"
                     raise DataError(f"want {N_CLASSES} rows of counts, got {got}")
                 label, *cells = ln.split("\t")
-                if label != tag or len(cells) != N_CLASSES or not all(map(str.isdigit, cells)):
-                    raise DataError(f"want {tag!r} and {N_CLASSES} integer counts, got {ln!r}")
-                rows.append([int(v) for v in cells])
+                if label != tag or len(cells) != N_CLASSES:
+                    raise DataError(f"want {tag!r} and {N_CLASSES} counts, got {ln!r}")
+                rows.append([artifact.count(v) for v in cells])
             return cls(rows)
 
         return artifact.read_lines(path, parse)

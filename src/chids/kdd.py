@@ -8,11 +8,9 @@ per-feature symbol domains that grow in first-sighting order during ingest.
 
 from __future__ import annotations
 
-import enum
 import gzip
 import itertools
 import json
-import logging
 import math
 import zlib
 from dataclasses import dataclass
@@ -30,79 +28,7 @@ from .errors import (
     UnknownLabel,
     UnknownNominalSymbol,
 )
-
-log = logging.getLogger(__name__)
-
-NUMERIC = "numeric"
-NOMINAL = "nominal"
-
-# Standard 41-feature connection-record schema: 34 numeric + 7 nominal
-# (protocol_type, service, flag, land, logged_in, is_host_login,
-# is_guest_login are the symbolic ones).
-FEATURE_TABLE: tuple[tuple[str, str], ...] = (
-    ("duration", NUMERIC),
-    ("protocol_type", NOMINAL),
-    ("service", NOMINAL),
-    ("flag", NOMINAL),
-    ("src_bytes", NUMERIC),
-    ("dst_bytes", NUMERIC),
-    ("land", NOMINAL),
-    ("wrong_fragment", NUMERIC),
-    ("urgent", NUMERIC),
-    ("hot", NUMERIC),
-    ("num_failed_logins", NUMERIC),
-    ("logged_in", NOMINAL),
-    ("num_compromised", NUMERIC),
-    ("root_shell", NUMERIC),
-    ("su_attempted", NUMERIC),
-    ("num_root", NUMERIC),
-    ("num_file_creations", NUMERIC),
-    ("num_shells", NUMERIC),
-    ("num_access_files", NUMERIC),
-    ("num_outbound_cmds", NUMERIC),
-    ("is_host_login", NOMINAL),
-    ("is_guest_login", NOMINAL),
-    ("count", NUMERIC),
-    ("srv_count", NUMERIC),
-    ("serror_rate", NUMERIC),
-    ("srv_serror_rate", NUMERIC),
-    ("rerror_rate", NUMERIC),
-    ("srv_rerror_rate", NUMERIC),
-    ("same_srv_rate", NUMERIC),
-    ("diff_srv_rate", NUMERIC),
-    ("srv_diff_host_rate", NUMERIC),
-    ("dst_host_count", NUMERIC),
-    ("dst_host_srv_count", NUMERIC),
-    ("dst_host_same_srv_rate", NUMERIC),
-    ("dst_host_diff_srv_rate", NUMERIC),
-    ("dst_host_same_src_port_rate", NUMERIC),
-    ("dst_host_srv_diff_host_rate", NUMERIC),
-    ("dst_host_serror_rate", NUMERIC),
-    ("dst_host_srv_serror_rate", NUMERIC),
-    ("dst_host_rerror_rate", NUMERIC),
-    ("dst_host_srv_rerror_rate", NUMERIC),
-)
-
-
-class AttackClass(enum.IntEnum):
-    """Five traffic classes; the integer order is the fixed tie-break order."""
-
-    NORMAL = 0
-    DOS = 1
-    PROBE = 2
-    R2L = 3
-    U2R = 4
-
-    @property
-    def tag(self) -> str:
-        return self.name.lower()
-
-    @classmethod
-    def from_tag(cls, tag: str) -> "AttackClass":
-        if tag.upper() not in cls.__members__:
-            raise DataError(f"unknown class {tag!r}")
-        return cls[tag.upper()]
-
+from .sections import FEATURE_TABLE, NOMINAL, NUMERIC, AttackClass
 
 N_CLASSES = len(AttackClass)
 
@@ -554,7 +480,9 @@ def load_dataset(path, error_budget: int = 100, labels_optional: bool = False) -
             distinct_lines=True,
         )
     if ds.parse_errors:
-        log.warning("%s: skipped %d bad line(s)", path, len(ds.parse_errors))
+        import logging
+
+        logging.getLogger(__name__).warning("%s: skipped %d bad line(s)", path, len(ds.parse_errors))
     return ds
 
 

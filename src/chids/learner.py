@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -22,19 +21,7 @@ import numpy as np
 from . import artifact, kernels
 from .errors import DataError, InvalidOperation, SchemaMismatch
 from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, FeatureSchema, N_CLASSES
-
-
-@dataclass(frozen=True)
-class TreeParams:
-    min_leaf: int = 2          # smallest admissible branch size
-    confidence: float = 0.25   # pessimistic-error confidence factor
-    prune: bool = True         # full trees only: PART partial trees always prune
-
-    def __post_init__(self):
-        if not self.min_leaf >= 1:
-            raise ValueError("min_leaf must be >= 1")
-        if not (0 < self.confidence <= 0.5 and 1.0 - self.confidence < 1.0):  # inv_cdf(1 - c) needs 1 - c < 1
-            raise ValueError("confidence must be in (0, 0.5], with 1 - confidence below 1")
+from .sections import TreeParams
 
 
 class Leaf:
@@ -163,6 +150,8 @@ class RuleSet(_ModelBase):
 
 @lru_cache(maxsize=None)
 def _z_quantile(confidence: float) -> float:
+    from statistics import NormalDist  # on first use: loading the learner loads no statistics
+
     return NormalDist().inv_cdf(1.0 - confidence)
 
 
@@ -464,16 +453,19 @@ def train_majority_baseline(train: Dataset) -> MajorityModel:
 # --- serialization -------------------------------------------------------
 
 MODEL_MAGIC = "#chids-model v1"
-_SYMBOL_RE = re.compile(r"^[^\s,]+$")
+_SYMBOL_RE = re.compile(r"[^\s,]+")
+
+
+def _symbol(text: str) -> str:
+    """`text`, a nominal symbol as a model file holds it: neither written
+    nor read if it has whitespace or a comma."""
+    if not _SYMBOL_RE.fullmatch(text):
+        raise DataError(f"symbol {text!r} is not serializable (whitespace or comma)")
+    return text
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    s = str(v)
-    if not _SYMBOL_RE.match(s):
-        raise DataError(f"symbol {s!r} is not serializable (whitespace or comma)")
-    return s
+    return repr(v) if isinstance(v, float) else _symbol(str(v))
 
 
 def _fmt_rule(rule: Rule) -> str:
@@ -499,7 +491,8 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     if not m:
         raise DataError(f"bad rule line: {line!r}")
     cond, tag, cov, err = m.groups()
-    if int(err) > int(cov):
+    cov, err = artifact.count(cov), artifact.count(err)
+    if err > cov:
         raise DataError(f"err={err} above cov={cov}: {line!r}")
     tests = []
     if cond != "TRUE":
@@ -508,9 +501,9 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
             kind = _feature_kind(feat, kinds)
             if op not in _OPS.get(kind, ()):
                 raise DataError(f"bad operator for {kind} feature in rule: {part!r}")
-            value = val if kind == NOMINAL else artifact.finite(val)
+            value = _symbol(val) if kind == NOMINAL else artifact.finite(val)
             tests.append(RuleTest(feat, op, value))
-    return Rule(tuple(tests), AttackClass.from_tag(tag), int(cov), int(err))
+    return Rule(tuple(tests), AttackClass.from_tag(tag), cov, err)
 
 
 def _write_node(fh, node, depth: int) -> None:
@@ -557,23 +550,23 @@ def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
     parts = body.split(" ")
     if len(parts) != _NODE_FIELDS.get(parts[0]):
         raise DataError(f"expected `leaf` and 2 fields or `split` and 5: {line!r}")
-    dist = [int(v) for v in _after(parts[-1], "dist", "=").split(",")]
-    if len(dist) != N_CLASSES or min(dist) < 0:
-        raise DataError(f"dist= must be {N_CLASSES} counts >= 0: {line!r}")
+    dist = [artifact.count(v) for v in _after(parts[-1], "dist", "=").split(",")]
+    if len(dist) != N_CLASSES:
+        raise DataError(f"dist= must be {N_CLASSES} counts: {line!r}")
     if parts[0] == "leaf":
         return Leaf(dist, AttackClass.from_tag(parts[1]))
     _, kind, feature = parts[0], parts[1], parts[2]
     if _feature_kind(feature, kinds) != kind:
         raise DataError(f"{kind} split on {kinds[feature]} feature: {line!r}")
-    majority = int(_after(parts[-2], "majority", "="))
+    majority = artifact.count(_after(parts[-2], "majority", "="))
     if kind == NUMERIC:
         threshold = artifact.finite(parts[3])
         n_children, symbols = 2, None
     else:
-        symbols = tuple(parts[3].split(","))
+        symbols = tuple(map(_symbol, parts[3].split(",")))
         threshold = None
         n_children = len(symbols)
-    if not 0 <= majority < n_children:
+    if majority >= n_children:
         raise DataError(f"majority={majority} is not one of the {n_children} children: {line!r}")
     children = [_parse_nodes(lines, depth + 1, kinds) for _ in range(n_children)]
     return Split(feature, kind, threshold, symbols, children, majority, dist)

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import artifact
 from .kdd import AttackClass, Dataset
+from .sections import POLICY_TRUST_MISUSE, PipelineConfig
 
 STAGE_ANOMALY = "anomaly"
 STAGE_MISUSE = "misuse"
@@ -21,10 +22,6 @@ CLASSIFIED_ATTACK = "classified_attack"
 CLASSIFIED_NORMAL = "classified_normal"
 UNRESOLVED_ALERT = "unresolved_alert"
 
-POLICY_ALERT_UNRESOLVED = "alert_unresolved"
-POLICY_TRUST_MISUSE = "trust_misuse"
-POLICIES = (POLICY_ALERT_UNRESOLVED, POLICY_TRUST_MISUSE)
-
 # Each outcome belongs to exactly one stage.
 OUTCOMES = (PASSED_NORMAL, CLASSIFIED_ATTACK, CLASSIFIED_NORMAL, UNRESOLVED_ALERT)
 OUTCOME_STAGE = (STAGE_ANOMALY, STAGE_MISUSE, STAGE_DECISION, STAGE_DECISION)
@@ -33,18 +30,6 @@ _ALERTS = (OUTCOMES.index(CLASSIFIED_ATTACK), OUTCOMES.index(UNRESOLVED_ALERT))
 _CLASS_TAG = tuple(c.tag for c in AttackClass) + ("-",)
 DISPOSITIONS_MAGIC = "#chids-dispositions v1"
 DISPOSITIONS_HEADER = "record\toutcome\tstage\tclass"
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    policy: str = POLICY_ALERT_UNRESOLVED
-    alert_sink: str = "alerts.log"  # file name (or path) emit_alerts writes to
-
-    def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
-        if not self.alert_sink:
-            raise ValueError("alert_sink must not be empty")
 
 
 @dataclass(frozen=True, eq=False)

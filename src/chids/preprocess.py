@@ -12,18 +12,7 @@ import numpy as np
 from . import artifact
 from .errors import DataError, InfeasibleSplit, SchemaMismatch, UnknownFeatureName
 from .kdd import AttackClass, Dataset
-
-# Features with no discriminating value on the stock corpus; pruned by default.
-DEFAULT_PRUNE = (
-    "is_host_login",
-    "num_outbound_cmds",
-    "urgent",
-    "su_attempted",
-    "land",
-    "num_failed_logins",
-)
-
-DEFAULT_MINORITY = (AttackClass.PROBE, AttackClass.R2L, AttackClass.U2R)
+from .sections import DEFAULT_PRUNE, SplitSpec  # DEFAULT_PRUNE stays importable beside the pruning
 
 
 @dataclass(frozen=True)
@@ -51,17 +40,6 @@ def dedupe(ds: Dataset) -> DedupeResult:
     _, first = np.unique(keys, return_index=True)
     keep = np.sort(first)
     return DedupeResult(ds.take(keep), n_input, keep.size)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Sampling plan: minority classes are fully enumerated 2/3-1/3, the rest
-    fill the remaining slots proportionally to their deduplicated frequencies."""
-
-    train_size: int = 20000
-    test_size: int = 10000
-    minority_classes: tuple[AttackClass, ...] = DEFAULT_MINORITY
-    seed: int = 0
 
 
 @dataclass

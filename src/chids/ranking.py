@@ -6,7 +6,6 @@ binned feature vs class contingency table, and deterministic top-k selection.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +13,8 @@ import numpy as np
 from . import artifact, kernels
 from .errors import DataError
 from .kdd import NUMERIC, Dataset, N_CLASSES
+from .sections import CHI2, IGR
 
-CHI2 = "chi2"
-IGR = "igr"
 RANK_HEADER = "rank\tfeature\tmethod\tscore"
 
 
@@ -126,6 +124,8 @@ def score_features(ds: Dataset, disc: Discretization, method: str, threads: int 
     scorer = SCORERS[method]
     names = ds.schema.names
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only for a pool: it loads logging
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda n: scorer(ds, disc, n), names))
     return [scorer(ds, disc, n) for n in names]

@@ -54,6 +54,34 @@ def test_no_module_splits_lines_itself():
     assert found == []
 
 
+def _imported(nodes):
+    """The modules imported by the import statements among `nodes`: a chids
+    module by its name in the package, any other by its full name."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:  # from . import x, y
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module
+
+
+def test_settings_and_cli_load_no_stage_module():
+    # `config` and the settings it reads load no stage module and no numpy,
+    # anywhere; `cli` loads none at its top level, because each cmd_*
+    # imports the stages it runs
+    light = {"__init__", "artifact", "config", "errors", "rule_config", "sections"}
+    stages = {path.stem for path in SRC.glob("*.py")} - light
+    found = []
+    for name in ("config", "rule_config", "sections", "cli"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        nodes = tree.body if name == "cli" else ast.walk(tree)
+        found += [f"{name}.py imports {module}" for module in _imported(nodes)
+                  if module in stages or module.split(".")[0] == "numpy"]
+    assert found == []
+
+
 def test_only_artifact_names_a_file_in_an_error():
     # a message that formats a path is built by artifact.open_text or
     # artifact.parsing (or by an errors.py class given the path)

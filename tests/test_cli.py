@@ -1240,6 +1240,42 @@ class TestEntryPoint:
         assert "seed = 0" in proc.stdout
 
 
+# runs one command, then prints its exit code and the watched modules it loaded
+_RUN_AND_LIST_MODULES = """
+import sys
+from chids.cli import main
+code = main(sys.argv[1:])
+watched = ("numpy", "logging", "concurrent.futures", "chids.anomaly", "chids.preprocess",
+           "chids.pipeline")
+print(code, *[m for m in watched if m in sys.modules])
+"""
+
+
+class TestEachCommandLoadsOnlyItsStages:
+    """A command imports the stage modules it runs and no others: on a
+    cluster head, every module a command loads is start-up time."""
+
+    @pytest.mark.parametrize("command, absent", [
+        (["config"], {"numpy"}),
+        (["simulate", "--scenario", "sybil"], {"numpy"}),
+        (["train"], {"chids.anomaly", "chids.preprocess", "chids.pipeline", "logging",
+                     "concurrent.futures"}),
+        (["evaluate"], {"chids.anomaly", "chids.preprocess"}),
+    ], ids=["config", "simulate", "train", "evaluate"])
+    def test_fresh_interpreter(self, workdir, tmp_path, command, absent):
+        out = tmp_path / "run"
+        shutil.copytree(workdir, out)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_AND_LIST_MODULES, *command, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert sorted(absent.intersection(loaded)) == []
+
+
 class TestDetectOnCache:
     def test_detect_accepts_preprocessed_cache(self, workdir, capsys):
         # a cache already in model space must not be re-transformed

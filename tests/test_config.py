@@ -1,6 +1,8 @@
 import pytest
 
+from chids import ranking
 from chids.config import (
+    SELECT_METHODS,
     RunConfig,
     apply_setting,
     load_config,
@@ -72,6 +74,10 @@ class TestValidation:
             cfg = apply_setting(RunConfig(), key, value)
             with pytest.raises(ConfigError):
                 cfg.validate()
+
+    def test_every_select_method_has_a_scorer(self):
+        # config names the methods without loading ranking, which scores them
+        assert SELECT_METHODS == tuple(ranking.SCORERS)
 
     def test_threads_floor(self):
         cfg = apply_setting(RunConfig(), "threads", "0")

@@ -496,13 +496,22 @@ class TestModelFileChecks:
         (_edited(_TREE_FILE, 3, "split numeric x 0.5 size=0 dist=2,2,0,0,0"), 4),
         (_edited(_TREE_FILE, 3, "splat numeric x 0.5 majority=0 dist=2,2,0,0,0"), 4),
         (_edited(_PART_FILE, 4, "rule IF x <= 0.5 THEN normal cov=1 err=5"), 5),
+        (_edited(_TREE_FILE, 3, "split numeric x 0.5 majority=0\x0c dist=2,2,0,0,0"), 4),
+        (_edited(_TREE_FILE, 4, " leaf normal dist=2,0,0,0,0\x0c"), 5),
+        (_edited(_TREE_FILE, 4, " leaf normal dist=+2,0,0,0,0"), 5),
+        (_edited(_TREE_FILE, 4, " leaf normal dist=1_0,0,0,0,0"), 5),
+        (_edited(_edited(_PART_FILE, 2, "features x:numeric,s:nominal"), 4,
+                 "rule IF s == a\x1cb THEN normal cov=2 err=0"), 5),
+        (_edited(_edited(_TREE_FILE, 2, "features x:numeric,y:numeric,s:nominal"), 3,
+                 "split nominal s a,b\x1c majority=0 dist=2,2,0,0,0"), 4),
     ], ids=["kind", "features", "default-part", "default-majority", "after-majority-default",
             "after-majority-rule", "after-tree-root", "after-tree-leaf", "majority-9",
             "majority-minus-1", "dist-7-values", "dist-negative", "class-default-part",
             "class-default-majority", "class-rule", "class-leaf", "nan-rule", "inf-rule",
             "minus-inf-rule", "nan-split", "inf-split", "feature-kind", "feature-twice",
             "feature-three-parts", "leaf-extra-fields", "leaf-no-dist", "split-no-majority",
-            "split-head", "err-above-cov"])
+            "split-head", "err-above-cov", "majority-formfeed", "dist-ends-in-formfeed",
+            "dist-plus-sign", "dist-underscore", "rule-symbol-x1c", "split-symbol-x1c"])
     def test_malformed_model_names_the_file_line(self, tmp_path, lines, lineno):
         path = tmp_path / "m.txt"
         path.write_text("\n".join(lines) + "\n")
