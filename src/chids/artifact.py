@@ -6,13 +6,15 @@ or bytes that are not ASCII into DataError (exit 4); `parsing` reports a
 fault raised while parsing as a DataError. Each names the file, and no
 other code puts a file's name into an error. `read_lines` reads each file
 of lines, and `finite` parses each number in one and `count` each count;
-`table_text` formats each tab-separated table chids writes.
+`table_text` formats each tab-separated table chids writes, a block of rows
+at a time, and `write_text` writes a file piece by piece.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import itertools
 import json
 import math
 import zlib
@@ -21,6 +23,10 @@ from contextlib import contextmanager
 from .errors import ChidsError, DataError, IoError
 
 GZIP_MAGIC = b"\x1f\x8b"
+# Rows per piece of a table or a record file chids writes: each piece is
+# formatted and written on its own, so a file costs the same memory at any
+# length.
+BLOCK_ROWS = 1024
 
 
 @contextmanager
@@ -69,9 +75,11 @@ class parsing:
             raise DataError(f"{where}: malformed file ({kind.__name__}: {exc})") from None
 
 
-def write_text(path, text: str) -> None:
+def write_text(path, text) -> None:
+    """Write the chids file `path`: `text` is its whole text, or an iterable
+    of the pieces of it, written one at a time."""
     with open_text(path, "w") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def json_text(obj) -> str:
@@ -113,11 +121,15 @@ def count(text: str) -> int:
     return int(text)
 
 
-def table_text(header: str, rows, magic: str | None = None) -> str:
-    """A tab-separated table: the `magic` line when given, the `header` row,
-    then each row's fields, already `str`, joined by tabs; a final newline."""
-    head = [header] if magic is None else [magic, header]
-    return "\n".join([*head, *map("\t".join, rows)]) + "\n"
+def table_text(header: str, rows, magic: str | None = None):
+    """A tab-separated table, as pieces of text for `write_text`: the `magic`
+    line when given and the `header` row, then each row's fields, already
+    `str`, joined by tabs, BLOCK_ROWS rows to a piece. Every line ends in a
+    newline."""
+    yield header + "\n" if magic is None else f"{magic}\n{header}\n"
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, BLOCK_ROWS)):
+        yield "".join(["\t".join(row) + "\n" for row in block])
 
 
 def read_rows(path, magic: str, header: str, row) -> list:

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 internal, 2 usage/config, 3 I/O, 4 malformed data,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import operator
 import sys
@@ -106,6 +107,8 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         f"(reduction {dres.reduction_rate * 100:.2f}%)"
     )
     split = preprocess.stratified_split(dres.dataset, cfg.split_spec())
+    del ds  # the split holds every record it needs; keep only the dedupe counts
+    dres = dataclasses.replace(dres, dataset=None)
 
     # Rank the full feature set for the descending-curve report. Pruning
     # only drops columns, so the same cut points score the pruned set.

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
 
@@ -45,7 +44,7 @@ class ConfusionMatrix:
 
     def to_tsv(self) -> str:
         rows = ([tag, *map(str, counts)] for tag, counts in zip(CLASS_TAGS, self.counts.tolist()))
-        return artifact.table_text(CONFUSION_HEADER, rows)
+        return "".join(artifact.table_text(CONFUSION_HEADER, rows))
 
     @classmethod
     def from_tsv(cls, path) -> "ConfusionMatrix":
@@ -108,8 +107,8 @@ class MetricsReport:
 
 
 def _pct(num: int, den: int) -> float:
-    # exact rational first, formatted once
-    return float(Fraction(num, den) * 100) if den else 0.0
+    # int / int is correctly rounded: the float nearest the exact percentage
+    return 100 * num / den if den else 0.0
 
 
 def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
@@ -197,7 +196,7 @@ def render_split_table(manifest_per_class: dict) -> str:
              str(r["test"]), f"{_pct(r['test'], tot_test):.2f}")
             for tag, r in manifest_per_class.items()]
     rows.append(("total", "-", str(tot_train), "100.00", str(tot_test), "100.00"))
-    return artifact.table_text(SPLIT_HEADER, rows, "== split ==")
+    return "".join(artifact.table_text(SPLIT_HEADER, rows, "== split =="))
 
 
 def emit_report(
@@ -219,7 +218,7 @@ def emit_report(
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
 
-    def put(name: str, text: str):
+    def put(name: str, text):
         p = outdir / name
         artifact.write_text(p, text)
         written.append(str(p))

@@ -251,23 +251,6 @@ class Dataset:
             self.taxonomy,
         )
 
-    def row_keys(self) -> np.ndarray:
-        """One opaque sortable key per record covering all features AND the label.
-
-        Numeric values are compared by bit pattern (ingest never produces
-        NaN or -0.0), so exact duplicates get identical keys.
-        """
-        n = len(self)
-        labs = np.array(["" if l is None else l for l in self.labels])
-        _, lab_codes = np.unique(labs, return_inverse=True)
-        parts = [
-            np.ascontiguousarray(self.numeric).view(np.uint64),
-            self.nominal.astype(np.uint64),
-            lab_codes.astype(np.uint64).reshape(n, 1),
-        ]
-        packed = np.ascontiguousarray(np.concatenate(parts, axis=1))
-        return packed.view(np.dtype((np.void, packed.shape[1] * 8))).reshape(n)
-
     @classmethod
     def from_records(
         cls,

@@ -77,24 +77,30 @@ def run_pipeline(
     return PipelineRun(outcome, attack_class, idx.size)
 
 
-def _columns(run: PipelineRun, idx: np.ndarray) -> tuple[list[str], ...]:
-    """The record, outcome, stage and class tag columns of the records `idx`."""
-    outcome, classes = run.outcome[idx].tolist(), run.attack_class[idx].tolist()
-    return (list(map(str, idx.tolist())), [OUTCOMES[o] for o in outcome],
-            [OUTCOME_STAGE[o] for o in outcome], [_CLASS_TAG[c] for c in classes])
+def _blocks(run: PipelineRun, idx: np.ndarray):
+    """The record, outcome, stage and class tag columns of the records `idx`,
+    artifact.BLOCK_ROWS records at a time."""
+    for start in range(0, len(idx), artifact.BLOCK_ROWS):
+        part = idx[start:start + artifact.BLOCK_ROWS]
+        outcome, classes = run.outcome[part].tolist(), run.attack_class[part].tolist()
+        yield (list(map(str, part.tolist())), [OUTCOMES[o] for o in outcome],
+               [OUTCOME_STAGE[o] for o in outcome], [_CLASS_TAG[c] for c in classes])
 
 
 def emit_alerts(run: PipelineRun, path) -> int:
-    """Write one structured line per attack or unresolved alert to `path`;
-    returns the alert count."""
+    """Write one structured line per attack or unresolved alert to `path`,
+    a block of records at a time; returns the alert count."""
     alerts = np.flatnonzero(np.isin(run.outcome, _ALERTS))
-    artifact.write_text(path, "".join(
-        f"alert\trecord={i}\tstage={stage}\toutcome={outcome}\tclass={tag}\n"
-        for i, outcome, stage, tag in zip(*_columns(run, alerts))
+    artifact.write_text(path, (
+        "".join([f"alert\trecord={i}\tstage={stage}\toutcome={outcome}\tclass={tag}\n"
+                 for i, outcome, stage, tag in zip(*columns)])
+        for columns in _blocks(run, alerts)
     ))
     return len(alerts)
 
 
 def write_dispositions(run: PipelineRun, path) -> None:
-    rows = zip(*_columns(run, np.arange(len(run.outcome))))
+    """Write every record's disposition to `path`, a block of records at a
+    time."""
+    rows = (row for columns in _blocks(run, np.arange(len(run.outcome))) for row in zip(*columns))
     artifact.write_text(path, artifact.table_text(DISPOSITIONS_HEADER, rows, DISPOSITIONS_MAGIC))

@@ -32,13 +32,28 @@ def dedupe(ds: Dataset) -> DedupeResult:
 
     A dataset read from raw lines holds one row per distinct line text, in
     first-occurrence order, so it is deduplicated as it stands; the input
-    count is then its number of lines, `len(ds.line_rows)`."""
+    count is then its number of lines, `len(ds.line_rows)`.
+
+    Values are compared as numbers, so -0.0 equals 0.0. Row indices are
+    sorted over the dataset's own columns, so this holds a few index arrays,
+    not a copy of every row. A dataset without duplicates is returned as is."""
     n_input = len(ds) if ds.line_rows is None else len(ds.line_rows)
-    if len(ds) == 0:
+    n = len(ds)
+    if n == 0:
         return DedupeResult(ds, n_input, 0)
-    keys = ds.row_keys()
-    _, first = np.unique(keys, return_index=True)
-    keep = np.sort(first)
+    label_code: dict = {}  # label -> small int, None included
+    labels = np.fromiter((label_code.setdefault(lab, len(label_code)) for lab in ds.labels.tolist()),
+                         dtype=np.int64, count=n)
+    columns = [*ds.numeric.T, *ds.nominal.T, labels]
+    perm = np.lexsort(columns)  # stable: equal rows stay in index order
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for col in columns:
+        col = col[perm]
+        new[1:] |= col[1:] != col[:-1]
+    if new.all():
+        return DedupeResult(ds, n_input, n)
+    keep = np.sort(perm[new])
     return DedupeResult(ds.take(keep), n_input, keep.size)
 
 

@@ -149,7 +149,7 @@ def rank_table(scores, closing=()) -> str:
     """Plot-ready descending rank table: rank, feature, method, score; then
     the `closing` rows."""
     rows = [(str(r), s.feature, s.method, repr(s.score)) for r, s in enumerate(rank(scores), 1)]
-    return artifact.table_text(RANK_HEADER, [*rows, *closing])
+    return "".join(artifact.table_text(RANK_HEADER, [*rows, *closing]))
 
 
 def write_rank_report(scores, path) -> None:

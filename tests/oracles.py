@@ -7,6 +7,8 @@ how the record reader combines lines, not how it parses one, and
 `mdl_cuts_oracle` runs on `kernels.group_counts` + `best_group_cut`, which
 no package path calls. `record`, `iter_records` and `serialize_record` read
 a dataset back as per-record values and lines, for the tests to compare.
+The `*_text_oracle` formatters build a whole file as one string, the way the
+block-wise writers did before they wrote a block at a time.
 """
 
 import io
@@ -18,7 +20,8 @@ import numpy as np
 
 from chids import kernels
 from chids.anomaly import COLLISION, RECEPTION
-from chids.kdd import NUMERIC, Dataset, KddRecord, _read_records
+from chids.kdd import NUMERIC, AttackClass, Dataset, KddRecord, _read_records
+from chids.pipeline import OUTCOMES
 
 
 def record(ds: Dataset, i: int) -> KddRecord:
@@ -403,3 +406,39 @@ def read_records_oracle(lines, schema, **options) -> Dataset:
     )
     ds.parse_errors = [e for p in parts for e in p.parse_errors]
     return ds
+
+
+def table_text_oracle(header, rows, magic=None) -> str:
+    """A whole tab-separated table: the magic line when given, the header,
+    then each row's fields joined by tabs, every line ending in a newline."""
+    text = "" if magic is None else magic + "\n"
+    text += header + "\n"
+    for row in rows:
+        text += "\t".join(row) + "\n"
+    return text
+
+
+_STAGE_OF_OUTCOME = {"passed_normal": "anomaly", "classified_attack": "misuse",
+                     "classified_normal": "decision", "unresolved_alert": "decision"}
+
+
+def disposition_rows_oracle(run):
+    """(record, outcome, stage, class tag) of each record of a pipeline run,
+    one record at a time."""
+    rows = []
+    for i in range(len(run.outcome)):
+        outcome = OUTCOMES[int(run.outcome[i])]
+        c = int(run.attack_class[i])
+        rows.append((str(i), outcome, _STAGE_OF_OUTCOME[outcome], "-" if c < 0 else AttackClass(c).tag))
+    return rows
+
+
+def dispositions_text_oracle(run) -> str:
+    return table_text_oracle("record\toutcome\tstage\tclass", disposition_rows_oracle(run),
+                             "#chids-dispositions v1")
+
+
+def alerts_text_oracle(run) -> str:
+    return "".join(f"alert\trecord={i}\tstage={stage}\toutcome={outcome}\tclass={tag}\n"
+                   for i, outcome, stage, tag in disposition_rows_oracle(run)
+                   if outcome in ("classified_attack", "unresolved_alert"))

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chids
+from oracles import table_text_oracle
+from chids import artifact
+from chids.artifact import BLOCK_ROWS
 from chids.cli import main
 from chids.config import RunConfig, render_config
 
@@ -204,6 +207,16 @@ def test_only_artifact_writes_chids_files():
         if called == "open_text" and "w" in modes and where not in allowed:
             found.append(f"{where[0]}:{node.lineno} open_text(..., 'w')")
     assert found == []
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("magic", [None, "#chids-test v1"])
+def test_table_text_matches_the_whole_table_reference(tmp_path, n, magic):
+    rows = [(str(i), "x" * (i % 7), f"{i / 3!r}") for i in range(n)]
+    want = table_text_oracle("a\tb\tc", rows, magic)
+    assert "".join(artifact.table_text("a\tb\tc", iter(rows), magic)) == want
+    artifact.write_text(tmp_path / "t.tsv", artifact.table_text("a\tb\tc", rows, magic))
+    assert (tmp_path / "t.tsv").read_bytes() == want.encode()
 
 
 @pytest.fixture(scope="module")

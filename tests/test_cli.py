@@ -1245,8 +1245,8 @@ _RUN_AND_LIST_MODULES = """
 import sys
 from chids.cli import main
 code = main(sys.argv[1:])
-watched = ("numpy", "logging", "concurrent.futures", "chids.anomaly", "chids.preprocess",
-           "chids.pipeline")
+watched = ("numpy", "logging", "concurrent.futures", "fractions", "chids.anomaly",
+           "chids.preprocess", "chids.pipeline")
 print(code, *[m for m in watched if m in sys.modules])
 """
 
@@ -1260,7 +1260,7 @@ class TestEachCommandLoadsOnlyItsStages:
         (["simulate", "--scenario", "sybil"], {"numpy"}),
         (["train"], {"chids.anomaly", "chids.preprocess", "chids.pipeline", "logging",
                      "concurrent.futures"}),
-        (["evaluate"], {"chids.anomaly", "chids.preprocess"}),
+        (["evaluate"], {"chids.anomaly", "chids.preprocess", "fractions"}),
     ], ids=["config", "simulate", "train", "evaluate"])
     def test_fresh_interpreter(self, workdir, tmp_path, command, absent):
         out = tmp_path / "run"

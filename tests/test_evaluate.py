@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import binary_rates_oracle
 from chids.errors import EmptyTestSet
 from chids.evaluate import (
     ConfusionMatrix,
+    _pct,
     emit_report,
     evaluate,
     metrics_from_confusion,
@@ -75,6 +77,12 @@ class TestMetrics:
             assert 0.0 <= m.detection_rate <= 100.0
             assert 0.0 <= m.false_alarm_rate <= 100.0
             assert 0.0 <= m.multiclass_accuracy <= 100.0
+
+    def test_percentage_is_the_exact_one_rounded_once(self):
+        # int true division is correctly rounded, as the exact rational is
+        for den in range(301):
+            for num in range(den + 1):
+                assert _pct(num, den) == (float(Fraction(num, den) * 100) if den else 0.0)
 
     def test_majority_baseline_analytic_recalls(self):
         classes = [0] * 12 + [1, 1, 2, 3, 4]

@@ -1,8 +1,11 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import alerts_text_oracle, dispositions_text_oracle
+from chids.artifact import BLOCK_ROWS
 from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord
 from chids.learner import train_part
 from chids.pipeline import (
@@ -17,8 +20,10 @@ from chids.pipeline import (
     STAGE_MISUSE,
     UNRESOLVED_ALERT,
     PipelineConfig,
+    PipelineRun,
     emit_alerts,
     run_pipeline,
+    write_dispositions,
 )
 
 LABELS = ("normal", "neptune", "satan", "phf", "perl")
@@ -165,3 +170,39 @@ class TestEmitAlerts:
         lines = sink.read_text().splitlines()
         assert any("class=dos" in ln and "stage=misuse" in ln for ln in lines)
         assert any("outcome=unresolved_alert" in ln for ln in lines)
+
+
+def random_run(n, seed, kinds=OUTCOMES) -> PipelineRun:
+    """A run of `n` records with outcomes drawn from `kinds`; each classified
+    attack gets a random attack class."""
+    rng = np.random.default_rng(seed)
+    outcome = np.array([OUTCOMES.index(k) for k in kinds], dtype=np.int8)[rng.integers(0, len(kinds), n)]
+    attack = outcome == OUTCOMES.index(CLASSIFIED_ATTACK)
+    attack_class = np.where(attack, rng.integers(1, len(AttackClass), n), -1).astype(np.int8)
+    return PipelineRun(outcome, attack_class, int(attack.sum()))
+
+
+class TestBlockWriters:
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_bytes_match_the_whole_file_reference(self, tmp_path, n):
+        # every record of the alert run is an alert, so the alert log has
+        # exactly n lines
+        alert_run = random_run(n, seed=n, kinds=(CLASSIFIED_ATTACK, UNRESOLVED_ALERT))
+        assert emit_alerts(alert_run, tmp_path / "alerts.log") == n
+        assert (tmp_path / "alerts.log").read_bytes() == alerts_text_oracle(alert_run).encode()
+        run = random_run(n, seed=n + 1)
+        write_dispositions(run, tmp_path / "dispositions.tsv")
+        assert (tmp_path / "dispositions.tsv").read_bytes() == dispositions_text_oracle(run).encode()
+
+    @pytest.mark.parametrize("write", [emit_alerts, write_dispositions])
+    def test_memory_stays_flat_in_the_record_count(self, tmp_path, write):
+        # 100k records, half of them alerts: the whole file as one string
+        # would take about 4 MB
+        run = random_run(100_000, seed=1)
+        tracemalloc.start()
+        try:
+            write(run, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ class TestDedupe:
         res = dedupe(ds)
         assert res.n_output == 4
         assert res.reduction_rate == 0.0
+        assert res.dataset is ds  # nothing to drop: no copy
 
     def test_same_features_different_label_kept(self):
         a = make_line(label="normal.")
@@ -83,6 +85,31 @@ class TestDedupe:
         assert res.n_output == len(expected)
         assert list(iter_records(res.dataset)) == expected
 
+    @pytest.mark.parametrize("first, second", [("0", "-0"), ("-0", "0")])
+    def test_negative_zero_equals_zero(self, tmp_path, first, second):
+        # two lines that differ only in 0 -> -0 in field 4 are two line
+        # texts but one row by value; the first occurrence is kept
+        p = tmp_path / "zeros.kdd"
+        p.write_text(make_line(src_bytes=first) + "\n" + make_line(src_bytes=second) + "\n")
+        ds = load_dataset(p)
+        assert len(ds) == 2
+        res = dedupe(ds)
+        assert res.n_output == len(dedupe_oracle(list(iter_records(ds)))) == 1
+        kept = res.dataset.column("src_bytes")[0]
+        assert math.copysign(1.0, kept) == math.copysign(1.0, float(first))
+
+    def test_temporary_memory_below_its_input(self, synth_corpus_path):
+        # sorting row indices over the dataset's own columns costs a few
+        # index arrays, less than one copy of the numeric matrix
+        ds = load_dataset(synth_corpus_path)
+        tracemalloc.start()
+        try:
+            res = dedupe(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_output == len(ds)  # every line text read parses to a distinct row
+        assert peak < ds.numeric.nbytes
 
     def test_repeated_lines_cost_no_rows(self, tmp_path):
         """load_dataset + dedupe on a file where each distinct line appears
@@ -151,11 +178,11 @@ class TestStratifiedSplit:
              AttackClass.R2L: 15, AttackClass.U2R: 6}
         )
         res = stratified_split(ds, SplitSpec(train_size=200, test_size=100, seed=9))
-        train_keys = set(res.train.row_keys().tolist())
-        test_keys = set(res.test.row_keys().tolist())
-        all_keys = set(ds.row_keys().tolist())
-        assert not (train_keys & test_keys)
-        assert train_keys <= all_keys and test_keys <= all_keys
+        train_rows = set(iter_records(res.train))
+        test_rows = set(iter_records(res.test))
+        all_rows = set(iter_records(ds))
+        assert not (train_rows & test_rows)
+        assert train_rows <= all_rows and test_rows <= all_rows
 
     def test_seed_determinism(self):
         ds = self.classful_dataset(
@@ -176,7 +203,7 @@ class TestStratifiedSplit:
         )
         res = stratified_split(ds, SplitSpec(train_size=len(ds), test_size=0, seed=2))
         assert len(res.test) == 0
-        assert sorted(res.train.row_keys().tolist()) == sorted(ds.row_keys().tolist())
+        assert Counter(iter_records(res.train)) == Counter(iter_records(ds))
 
     def test_proportional_allocation_matches_oracle(self):
         # two majority classes, no minority records
