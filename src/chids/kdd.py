@@ -280,8 +280,8 @@ class Dataset:
         return cls(schema, numeric, nominal, labels, codes, taxonomy)
 
 
-# Lines per chunk for the cache writer and the record reader; small chunks
-# keep the split fields in cache and bound the transient memory.
+# Lines per chunk for the record reader; small chunks keep the split fields
+# in cache and bound the transient memory.
 _CHUNK_ROWS = 256
 
 
@@ -475,20 +475,27 @@ CACHE_MAGIC = "#chids-dataset v1"
 def save_cache(ds: Dataset, path) -> None:
     """Write a dataset to the versioned delimited cache format.
 
-    Rows are record lines (floats via repr, so they read back exactly, and
-    nominal values as their symbols), built column by column.
+    Rows are record lines: floats via repr, so they read back exactly, and
+    nominal values as their symbols. Each block of `artifact.BLOCK_ROWS`
+    rows is built column by column and written as one piece; within it, a
+    numeric column formats each distinct value (by bit pattern, so `-0.0`
+    keeps its sign) once.
     """
     schema = ds.schema
-    with artifact.open_text(path, "w") as fh:
-        fh.write(CACHE_MAGIC + "\n")
-        fh.write("#schema " + json.dumps(schema.to_json_obj(), separators=(",", ":")) + "\n")
-        for start in range(0, len(ds), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
+
+    def pieces():
+        yield CACHE_MAGIC + "\n"
+        yield "#schema " + json.dumps(schema.to_json_obj(), separators=(",", ":")) + "\n"
+        for start in range(0, len(ds), artifact.BLOCK_ROWS):
+            stop = start + artifact.BLOCK_ROWS
             cols = []
             for name in schema.names:
                 kind, j = schema.slot[name]
                 if kind == NUMERIC:
-                    cols.append(map(repr, ds.numeric[start:stop, j].tolist()))
+                    col = ds.numeric[start:stop, j]
+                    bits, codes = np.unique(col.view(np.int64), return_inverse=True)
+                    texts = list(map(repr, bits.view(np.float64).tolist()))
+                    cols.append(map(texts.__getitem__, codes.tolist()))
                 else:
                     cols.append(map(schema.domains[name].__getitem__, ds.nominal[start:stop, j].tolist()))
             labels = ds.labels[start:stop].tolist()
@@ -496,7 +503,9 @@ def save_cache(ds: Dataset, path) -> None:
                 rows = (r if lab is None else r + (lab,) for r, lab in zip(zip(*cols), labels))
             else:
                 rows = zip(*cols, labels)
-            fh.write("".join([",".join(r) + "\n" for r in rows]))
+            yield "".join([",".join(r) + "\n" for r in rows])
+
+    artifact.write_text(path, pieces())
 
 
 def load_cache(path) -> Dataset:

@@ -12,6 +12,7 @@ block-wise writers did before they wrote a block at a time.
 """
 
 import io
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 
 from chids import kernels
 from chids.anomaly import COLLISION, RECEPTION
-from chids.kdd import NUMERIC, AttackClass, Dataset, KddRecord, _read_records
+from chids.kdd import CACHE_MAGIC, NUMERIC, AttackClass, Dataset, KddRecord, _read_records
 from chids.pipeline import OUTCOMES
 
 
@@ -415,6 +416,28 @@ def table_text_oracle(header, rows, magic=None) -> str:
     text += header + "\n"
     for row in rows:
         text += "\t".join(row) + "\n"
+    return text
+
+
+def cache_text_oracle(ds: Dataset) -> str:
+    """A whole dataset cache, each value formatted on its own: the magic
+    line, the `#schema` line, then one line per row with every float via
+    repr, every nominal code as its symbol and the label, which an
+    unlabeled row leaves out."""
+    schema = ds.schema
+    text = CACHE_MAGIC + "\n"
+    text += "#schema " + json.dumps(schema.to_json_obj(), separators=(",", ":")) + "\n"
+    for i in range(len(ds)):
+        fields = []
+        for name in schema.names:
+            kind, j = schema.slot[name]
+            if kind == NUMERIC:
+                fields.append(repr(float(ds.numeric[i, j])))
+            else:
+                fields.append(schema.domains[name][int(ds.nominal[i, j])])
+        if ds.labels[i] is not None:
+            fields.append(ds.labels[i])
+        text += ",".join(fields) + "\n"
     return text
 
 

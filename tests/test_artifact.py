@@ -194,9 +194,9 @@ def test_every_defaulted_parameter_has_a_program_caller():
 
 
 def test_only_artifact_writes_chids_files():
-    # a cache and a model are not tab tables; every other file chids writes
-    # goes through artifact.write_text
-    allowed = {("kdd.py", "save_cache"), ("learner.py", "save_model")}
+    # a model is not a tab table; every other file chids writes goes through
+    # artifact.write_text
+    allowed = {("learner.py", "save_model")}
     found = []
     for where, node in _calls():
         f = node.func

@@ -1,6 +1,10 @@
+import shutil
+
 import pytest
 
+from synthdata import write_corpus
 from chids import ranking
+from chids.cli import main
 from chids.config import (
     SELECT_METHODS,
     RunConfig,
@@ -127,3 +131,59 @@ class TestSections:
         keys = {ln.split(" = ")[0] for ln in render_config(RunConfig()).splitlines()[1:]}
         in_sections = {k for k in keys if k.split(".")[0] in SECTIONS}
         assert in_sections == {key for key, _, _ in SECTION_SETTINGS}
+
+
+# Every key `chids config` prints, each edge value, through `config`; a value
+# it accepts for a key a stage reads also runs through that stage. Exit 1
+# (a traceback) would be a chids bug; 2-6 are the documented refusals.
+KEYS = [ln.split(" = ")[0] for ln in render_config(RunConfig()).splitlines()[1:]]
+EDGE_VALUES = ("0", "-1", "1e-300", "1e308", "inf", "-inf", "nan", "")
+SPLIT = ["--set", "split.train_size=200", "--set", "split.test_size=80"]
+
+
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """A ~400-line corpus and its preprocessed out directory."""
+    root = tmp_path_factory.mktemp("sweep")
+    write_corpus(root / "c.kdd", n=280, seed=3)
+    assert main(["preprocess", "--dataset", str(root / "c.kdd"), "--out", str(root / "base"),
+                 *SPLIT]) == 0
+    return root
+
+
+def stage_argvs(key, setting, out, corpus):
+    """The commands that read `key`, in order, each with `setting`."""
+    section = key.split(".")[0]
+    if section == "part":
+        return [[cmd, "--out", out, *setting] for cmd in ("train", "evaluate")]
+    if section == "rules":
+        return [["simulate", "--scenario", scenario, "--out", out, *setting]
+                for scenario in ("replay", "sybil")]
+    if section in ("seed", "split", "select"):
+        return [["preprocess", "--dataset", corpus, "--out", out, *SPLIT, *setting]]
+    return []
+
+
+class TestEdgeValueSweep:
+    @pytest.mark.parametrize("key", KEYS)
+    def test_no_edge_value_exits_1(self, key, sweep_run, tmp_path, capsys):
+        values = ("0", "-1", "1") if key == "threads" else EDGE_VALUES  # never many threads
+        for n, value in enumerate(values):
+            setting = ["--set", f"{key}={value}"]
+            codes = [exit_code(["config", *setting])]
+            out = tmp_path / str(n)
+            argvs = []
+            if codes == [0]:
+                argvs = stage_argvs(key, setting, str(out), str(sweep_run / "c.kdd"))
+            if argvs:
+                shutil.copytree(sweep_run / "base", out)  # train and evaluate read its caches
+            codes += [exit_code(argv) for argv in argvs]
+            assert set(codes) <= {0, 2, 3, 4, 5, 6}, (value, codes)
+        capsys.readouterr()

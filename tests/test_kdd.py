@@ -1,13 +1,15 @@
 import gzip
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import iter_records, record, serialize_record
+from oracles import cache_text_oracle, iter_records, record, serialize_record
+from chids.artifact import BLOCK_ROWS
 from chids.errors import (
     DataError,
     DatasetParseError,
@@ -235,6 +237,64 @@ class TestCache:
         save_cache(ds, c1)
         save_cache(ds, c2)
         assert c1.read_bytes() == c2.read_bytes()
+
+
+class TestCacheWriter:
+    """`save_cache` formats each distinct value of a numeric column once per
+    block; its bytes are those of the value-by-value reference."""
+
+    @staticmethod
+    def edge_dataset(n):
+        schema = FeatureSchema([("zero", "numeric"), ("const", "numeric"),
+                                ("distinct", "numeric"), ("extreme", "numeric"),
+                                ("proto", "nominal")],
+                               {"proto": ["tcp", "udp", "icmp"]})
+        i = np.arange(n)
+        numeric = np.column_stack([
+            np.where(i % 3 == 1, -0.0, 0.0),
+            np.full(n, 0.1),
+            i / 7 - 3,
+            np.array([5e-324, 1e308, -1e-300, -0.0])[i % 4],
+        ])
+        labels = np.array([None if k % 5 == 2 else ("normal", "smurf")[k % 2] for k in range(n)],
+                          dtype=object)
+        codes = np.array([-1 if lab is None else int(DEFAULT_TAXONOMY.classify(lab))
+                          for lab in labels], dtype=np.int32)
+        return Dataset(schema, numeric, i % 3, labels, codes)
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1])
+    def test_bytes_match_the_value_by_value_reference(self, tmp_path, n):
+        ds = self.edge_dataset(n)
+        cache = tmp_path / "edge.cache"
+        save_cache(ds, cache)
+        assert cache.read_bytes() == cache_text_oracle(ds).encode()
+        back = load_cache(cache)
+        assert back.numeric.tobytes() == ds.numeric.tobytes()  # -0.0 keeps its sign
+        assert list(back.labels) == list(ds.labels)
+
+    def test_transient_memory_is_per_block(self, tmp_path):
+        # a table of every row's value codes would grow with the rows:
+        # 34 int64 columns are 2.2 MB at 8 blocks
+        def transient(blocks):
+            rng = np.random.default_rng(blocks)
+            n = blocks * BLOCK_ROWS
+            schema = FeatureSchema.default()
+            for name in schema.nominal_names:
+                schema.code(name, "x", add=True)
+            numeric = rng.integers(0, 50, (n, len(schema.numeric_names))) / 8
+            numeric[:, :4] = rng.standard_normal((n, 4))  # mostly distinct columns
+            ds = Dataset(schema, numeric, np.zeros((n, len(schema.nominal_names)), np.int32),
+                         np.array(["normal"] * n, dtype=object), np.zeros(n, np.int32))
+            tracemalloc.start()
+            try:
+                save_cache(ds, tmp_path / "wide.cache")
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - current
+
+        assert transient(8) <= 1.25 * transient(2)
 
 
 class TestStrictLoad:
