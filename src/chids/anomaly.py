@@ -36,16 +36,6 @@ RULE_REPETITION = "repetition"
 RULE_RADIO_RANGE = "radio_range"
 RULE_JAMMING = "jamming"
 
-RULE_IDS = (
-    RULE_INTERVAL,
-    RULE_RETRANSMISSION,
-    RULE_INTEGRITY,
-    RULE_DELAY,
-    RULE_REPETITION,
-    RULE_RADIO_RANGE,
-    RULE_JAMMING,
-)
-
 # Suspected-attack tags carried by each rule's verdicts.
 RULE_TAGS: dict[str, tuple[str, ...]] = {
     RULE_INTERVAL: ("dos", "hello_flood"),
@@ -56,6 +46,7 @@ RULE_TAGS: dict[str, tuple[str, ...]] = {
     RULE_RADIO_RANGE: ("sybil", "wormhole", "hello_flood"),
     RULE_JAMMING: ("jamming",),
 }
+RULE_IDS = tuple(RULE_TAGS)
 
 
 class AnomalyEvent(NamedTuple):
@@ -232,17 +223,6 @@ def evaluate_stream(
 
 MIN_SEND_GAP = 0.1  # s between a benign source's sends, at least: every stream ends
 MAX_EVENTS = 100_000  # in one generated scenario, at most; more is an InvalidOperation
-
-# The rule each attack scenario is built to violate.
-SCENARIO_RULE = {
-    "hello-flood": RULE_INTERVAL,
-    "selective-forwarding": RULE_RETRANSMISSION,
-    "sinkhole": RULE_RETRANSMISSION,
-    "modification": RULE_INTEGRITY,
-    "replay": RULE_REPETITION,
-    "sybil": RULE_RADIO_RANGE,
-    "jamming": RULE_JAMMING,
-}
 
 
 def generate_stream(

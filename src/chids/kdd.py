@@ -289,33 +289,32 @@ def _read_records(
     fh,
     schema: FeatureSchema,
     *,
-    error_budget: int = 0,
-    fixed_domains: bool = False,
+    cache: bool = False,
     labels_optional: bool = False,
-    unknown_unlabeled: bool = False,
-    distinct_lines: bool = False,
+    error_budget: int = 0,
     line_no: int = 0,
     chunk_lines: int = _CHUNK_ROWS,
 ) -> Dataset:
     """Parse the record lines left in `fh` into a Dataset, one chunk at a time.
 
-    Each line is split once; the chunk is then converted column by column.
-    Fields are whitespace-stripped. Nominal symbols are coded straight into
-    the schema's domains in first-sighting order (growing them unless
-    `fixed_domains`, where an unseen symbol raises UnknownNominalSymbol).
-    With `labels_optional`, lines without the label field are unlabeled
-    records; with `unknown_unlabeled`, so are labels outside DEFAULT_TAXONOMY.
-    Every other bad line is dropped and kept, once and in line order, on
-    `dataset.parse_errors`; the (error_budget + 1)-th raises
-    DatasetParseError.
+    Every non-blank line maps to a text id, and only a new text is parsed.
+    Raw record lines repeat, so a raw line's id is that of its text. A cache
+    was deduplicated before it was written, so each of its lines is a new
+    text of its own and no text is kept. A new text is split once; the
+    chunk's new texts are then converted column by column, with fields
+    whitespace-stripped and nominal symbols coded straight into the schema's
+    domains in first-sighting order.
 
-    With `distinct_lines`, only the first occurrence of each line text is
-    parsed: a repeat shares its row, or takes its error under its own line
-    number. The dataset then holds one row per distinct good line, in
-    first-occurrence order, and `line_rows` gives the row of every good
-    line. The text of every distinct line is kept to the end, so this suits
-    raw records, which repeat, and not caches, which were deduplicated
-    before they were written.
+    Raw lines grow the domains and need the label field; with
+    `labels_optional`, lines without it and labels outside DEFAULT_TAXONOMY
+    are unlabeled records. A cache keeps its domains fixed (an unseen symbol
+    raises UnknownNominalSymbol), allows lines without the label field and
+    rejects unknown labels. Every other bad text is dropped. Its error is
+    kept on `dataset.parse_errors` for each of its lines, in line order, and
+    the (error_budget + 1)-th raises DatasetParseError.
+
+    The dataset holds one row per good text, in first-occurrence order. For
+    raw lines, `line_rows` gives the row of every good line.
     """
     n = len(schema.names)
     num_idx = [schema.names.index(name) for name in schema.numeric_names]
@@ -325,10 +324,10 @@ def _read_records(
     labels: list[str | None] = []
     class_codes: list[int] = []
     errors: list[tuple[int, str]] = []
-    # line text -> text id, in first-occurrence order (None: every line is parsed)
-    text_id: dict[str, int] | None = {} if distinct_lines else None
-    line_texts: list[int] = []  # the text id of every non-blank line
-    text_error: dict[int, str] = {}  # text id of a bad line -> its message
+    text_id: dict[str, int] = {}  # raw line text -> text id, in first-occurrence order
+    n_texts = 0
+    line_texts: list[int] = []  # raw lines: the text id of every non-blank line
+    text_error: dict[int, str] = {}  # text id of a bad text -> its message
     while True:
         try:
             lines = list(itertools.islice(fh, chunk_lines))
@@ -338,29 +337,27 @@ def _read_records(
             raise DataError(f"line {line_no + 1} or later is damaged gzip data: {exc}") from None
         if not lines:
             break
-        rows, nos, bad = [], [], {}
-        fresh, repeats = [], []  # (line number, text id) of first occurrences, of repeats
+        seen = []  # (line number, text id) of every non-blank line
+        rows, nos, ids = [], [], []  # fields, line number and text id of each new text
         for raw in lines:
             line_no += 1
             if raw.isspace():
                 continue
-            if text_id is not None:
-                n_known = len(text_id)
-                t = text_id.setdefault(raw, n_known)
-                line_texts.append(t)
-                if t < n_known:
-                    repeats.append((line_no, t))
-                    continue
-                fresh.append((line_no, t))
+            t = n_texts if cache else text_id.setdefault(raw, n_texts)
+            seen.append((line_no, t))
+            if t < n_texts:
+                continue
+            n_texts += 1
             fields = raw.split(",")
             if len(fields) != n + 1:
-                if len(fields) == n and labels_optional:
+                if len(fields) == n and (cache or labels_optional):
                     fields.append(None)
                 else:
-                    bad[line_no] = f"expected {n + 1} fields, got {len(fields)}"
+                    text_error[t] = f"expected {n + 1} fields, got {len(fields)}"
                     continue
             rows.append(fields)
             nos.append(line_no)
+            ids.append(t)
         cols = list(zip(*rows)) if rows else [()] * (n + 1)
 
         num = np.empty((len(rows), len(num_idx)))
@@ -373,11 +370,11 @@ def _read_records(
                     try:
                         vals.append(float(raw))
                     except ValueError:
-                        bad.setdefault(nos[i], f"feature {k}: not a number: {raw.strip()!r}")
+                        text_error.setdefault(ids[i], f"feature {k}: not a number: {raw.strip()!r}")
                         vals.append(math.nan)
                 num[:, j] = vals
         for i, j in zip(*np.nonzero(~np.isfinite(num))):
-            bad.setdefault(nos[i], f"feature {num_idx[j]}: not finite")
+            text_error.setdefault(ids[i], f"feature {num_idx[j]}: not finite")
 
         label_of: dict = {None: None}
         code_of: dict = {None: -1}
@@ -388,30 +385,27 @@ def _read_records(
             cls_ = DEFAULT_TAXONOMY.label_class.get(lab)
             if cls_ is not None:
                 label_of[raw], code_of[raw] = lab, int(cls_)
-            elif unknown_unlabeled:
+            elif labels_optional:
                 label_of[raw], code_of[raw] = None, -1
             else:
                 for i, r in enumerate(cols[n]):
                     if r == raw:
-                        bad.setdefault(nos[i], f"unknown label {lab!r}")
+                        text_error.setdefault(ids[i], f"unknown label {lab!r}")
 
-        if bad:
-            text_error.update((t, bad[no]) for no, t in fresh if no in bad)
         if text_error:
-            bad.update((no, text_error[t]) for no, t in repeats if t in text_error)
-        if bad:
-            errors += sorted(bad.items())
+            errors += [(no, text_error[t]) for no, t in seen if t in text_error]
             if len(errors) > error_budget:
                 raise DatasetParseError(errors[: error_budget + 1])
-            keep = [i for i, no in enumerate(nos) if no not in bad]
-            num = num[keep]
-            cols = [[col[i] for i in keep] for col in cols]
-            nos = [nos[i] for i in keep]
+            keep = [i for i, t in enumerate(ids) if t not in text_error]
+            if len(keep) < len(ids):
+                num = num[keep]
+                cols = [[col[i] for i in keep] for col in cols]
+                nos = [nos[i] for i in keep]
         nom = np.empty((len(nos), len(nom_idx)), dtype=np.int32)
         for j, (name, k) in enumerate(zip(schema.nominal_names, nom_idx)):
             sym_code = {}
             for raw in dict.fromkeys(cols[k]):
-                c = schema.code(name, raw.strip(), add=not fixed_domains)
+                c = schema.code(name, raw.strip(), add=not cache)
                 if c < 0:
                     no = nos[cols[k].index(raw)]
                     raise UnknownNominalSymbol(
@@ -423,6 +417,8 @@ def _read_records(
         nominal_parts.append(nom)
         labels += map(label_of.__getitem__, cols[n])
         class_codes += map(code_of.__getitem__, cols[n])
+        if not cache:
+            line_texts += [t for _, t in seen]
 
     if not numeric_parts:
         numeric_parts.append(np.empty((0, len(num_idx))))
@@ -434,8 +430,8 @@ def _read_records(
         np.array(labels, dtype=object),
         np.array(class_codes, dtype=np.int32),
     )
-    if text_id is not None:
-        bad_text = np.zeros(len(text_id), dtype=bool)
+    if not cache:
+        bad_text = np.zeros(n_texts, dtype=bool)
         bad_text[list(text_error)] = True
         text_row = np.cumsum(~bad_text) - 1
         texts = np.array(line_texts, dtype=np.int64)
@@ -457,11 +453,8 @@ def load_dataset(path, error_budget: int = 100, labels_optional: bool = False) -
     as unlabeled records instead of bad lines.
     """
     with artifact.open_text(path) as fh, artifact.parsing(path):
-        ds = _read_records(
-            fh, FeatureSchema.default(), error_budget=error_budget,
-            labels_optional=labels_optional, unknown_unlabeled=labels_optional,
-            distinct_lines=True,
-        )
+        ds = _read_records(fh, FeatureSchema.default(), labels_optional=labels_optional,
+                           error_budget=error_budget)
     if ds.parse_errors:
         import logging
 
@@ -521,7 +514,7 @@ def load_cache(path) -> Dataset:
             raise DataError("missing schema header")
         schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
         guard.line = None  # a bad record names its own line
-        return _read_records(fh, schema, fixed_domains=True, labels_optional=True, line_no=2)
+        return _read_records(fh, schema, cache=True, line_no=2)
 
 
 def load_records(path) -> Dataset:

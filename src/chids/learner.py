@@ -93,33 +93,28 @@ class DecisionTree(_ModelBase):
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         self._check(ds)
         out = np.zeros(len(ds), dtype=np.int32)
-        self._route(self.root, ds, np.arange(len(ds)), out)
+        todo = [(self.root, np.arange(len(ds)))]  # each node still to visit, and its rows
+        while todo:
+            node, idx = todo.pop()
+            if idx.size == 0:
+                continue
+            if isinstance(node, Leaf):
+                out[idx] = int(node.klass)
+            elif node.kind == NUMERIC:
+                mask = ds.column(node.feature)[idx] <= node.threshold
+                todo += [(node.children[0], idx[mask]), (node.children[1], idx[~mask])]
+            else:
+                # unseen symbols (codes outside the training branches) route to
+                # the majority child
+                domain_size = max(len(ds.schema.domains[node.feature]), 1)
+                lut = np.full(domain_size, node.majority_child, dtype=np.int64)
+                for ci, sym in enumerate(node.symbols):
+                    code = ds.schema.code(node.feature, sym)
+                    if 0 <= code < domain_size:
+                        lut[code] = ci
+                assign = lut[ds.column(node.feature)[idx]]
+                todo += [(child, idx[assign == ci]) for ci, child in enumerate(node.children)]
         return out
-
-    def _route(self, node, ds, idx, out):
-        if idx.size == 0:
-            return
-        if isinstance(node, Leaf):
-            out[idx] = int(node.klass)
-            return
-        if node.kind == NUMERIC:
-            col = ds.column(node.feature)[idx]
-            mask = col <= node.threshold
-            self._route(node.children[0], ds, idx[mask], out)
-            self._route(node.children[1], ds, idx[~mask], out)
-        else:
-            # unseen symbols (codes outside the training branches) route to
-            # the majority child
-            domain_size = max(len(ds.schema.domains[node.feature]), 1)
-            lut = np.full(domain_size, node.majority_child, dtype=np.int64)
-            for ci, sym in enumerate(node.symbols):
-                code = ds.schema.code(node.feature, sym)
-                if 0 <= code < domain_size:
-                    lut[code] = ci
-            codes = ds.column(node.feature)[idx]
-            assign = lut[codes]
-            for ci, child in enumerate(node.children):
-                self._route(child, ds, idx[assign == ci], out)
 
 
 class RuleSet(_ModelBase):
@@ -506,25 +501,22 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     return Rule(tuple(tests), AttackClass.from_tag(tag), cov, err)
 
 
-def _write_node(fh, node, depth: int) -> None:
-    pad = " " * depth
-    dist = ",".join(str(int(v)) for v in node.dist)
-    if isinstance(node, Leaf):
-        fh.write(f"{pad}leaf {node.klass.tag} dist={dist}\n")
-        return
-    if node.kind == NUMERIC:
-        fh.write(
-            f"{pad}split numeric {node.feature} {node.threshold!r} "
-            f"majority={node.majority_child} dist={dist}\n"
-        )
-    else:
-        syms = ",".join(_fmt_value(s) for s in node.symbols)
-        fh.write(
-            f"{pad}split nominal {node.feature} {syms} "
-            f"majority={node.majority_child} dist={dist}\n"
-        )
-    for child in node.children:
-        _write_node(fh, child, depth + 1)
+def _tree_lines(root):
+    """The lines of a tree, depth first, each node one space deeper than its parent."""
+    todo = [(root, 0)]
+    while todo:
+        node, depth = todo.pop()
+        pad = " " * depth
+        dist = ",".join(str(int(v)) for v in node.dist)
+        if isinstance(node, Leaf):
+            yield f"{pad}leaf {node.klass.tag} dist={dist}"
+            continue
+        if node.kind == NUMERIC:
+            test = f"numeric {node.feature} {node.threshold!r}"
+        else:
+            test = f"nominal {node.feature} {','.join(_fmt_value(s) for s in node.symbols)}"
+        yield f"{pad}split {test} majority={node.majority_child} dist={dist}"
+        todo += [(child, depth + 1) for child in reversed(node.children)]
 
 
 # fields of a tree line, its head included
@@ -539,9 +531,9 @@ def _after(text: str, head: str, sep: str) -> str:
     return value
 
 
-def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
-    """Parse the next node of `lines`, written at `depth`, and its subtree."""
-    line = next(lines, "")
+def _parse_node(line: str, depth: int, kinds: dict[str, str]):
+    """The node on `line`, written at `depth`, and the number of its
+    children; a split's children are left for the caller to add."""
     if not line:
         raise DataError("expected a tree node, got the end of the file")
     body = line[depth:]
@@ -554,7 +546,7 @@ def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
     if len(dist) != N_CLASSES:
         raise DataError(f"dist= must be {N_CLASSES} counts: {line!r}")
     if parts[0] == "leaf":
-        return Leaf(dist, AttackClass.from_tag(parts[1]))
+        return Leaf(dist, AttackClass.from_tag(parts[1])), 0
     _, kind, feature = parts[0], parts[1], parts[2]
     if _feature_kind(feature, kinds) != kind:
         raise DataError(f"{kind} split on {kinds[feature]} feature: {line!r}")
@@ -568,26 +560,48 @@ def _parse_nodes(lines, depth: int, kinds: dict[str, str]):
         n_children = len(symbols)
     if majority >= n_children:
         raise DataError(f"majority={majority} is not one of the {n_children} children: {line!r}")
-    children = [_parse_nodes(lines, depth + 1, kinds) for _ in range(n_children)]
-    return Split(feature, kind, threshold, symbols, children, majority, dist)
+    return Split(feature, kind, threshold, symbols, [], majority, dist), n_children
+
+
+# Levels a model tree may nest: `_Grower.expand` recurses once per level, so
+# under Python's default recursion limit of 1000 it grows no deeper tree.
+_MAX_TREE_DEPTH = 1000
+
+
+def _parse_tree(lines, kinds: dict[str, str]):
+    """Parse the tree on `lines`, written depth first, each node one space
+    deeper than its parent."""
+    open_splits = []  # (split, children it takes) of each split whose children are being read
+    while True:
+        if len(open_splits) > _MAX_TREE_DEPTH:
+            raise DataError(f"tree nested deeper than {_MAX_TREE_DEPTH} levels")
+        node, n_children = _parse_node(next(lines, ""), len(open_splits), kinds)
+        if n_children:
+            open_splits.append((node, n_children))
+            continue
+        while open_splits:  # hang the node, and each split it completes, on its parent
+            parent, n_children = open_splits[-1]
+            parent.children.append(node)
+            if len(parent.children) < n_children:
+                break
+            node = open_splits.pop()[0]
+        else:
+            return node
 
 
 def save_model(model, path) -> None:
     """Versioned structured-text model file (round-trippable)."""
-    with artifact.open_text(path, "w") as fh:
-        fh.write(MODEL_MAGIC + "\n")
-        fh.write(f"kind {model.kind}\n")
-        fh.write(f"features {','.join(f'{n}:{k}' for n, k in model.features)}\n")
-        if isinstance(model, MajorityModel):
-            fh.write(f"default {model.klass.tag}\n")
-        elif isinstance(model, RuleSet):
-            fh.write(f"default {model.default.tag}\n")
-            for rule in model.rules:
-                fh.write(_fmt_rule(rule) + "\n")
-        elif isinstance(model, DecisionTree):
-            _write_node(fh, model.root, 0)
-        else:
-            raise DataError(f"unknown model type {type(model).__name__}")
+    if isinstance(model, MajorityModel):
+        body = [f"default {model.klass.tag}"]
+    elif isinstance(model, RuleSet):
+        body = [f"default {model.default.tag}"] + [_fmt_rule(rule) for rule in model.rules]
+    elif isinstance(model, DecisionTree):
+        body = _tree_lines(model.root)
+    else:
+        raise DataError(f"unknown model type {type(model).__name__}")
+    head = [MODEL_MAGIC, f"kind {model.kind}",
+            f"features {','.join(f'{n}:{k}' for n, k in model.features)}"]
+    artifact.write_text(path, (line + "\n" for part in (head, body) for line in part))
 
 
 def load_model(path):
@@ -603,7 +617,7 @@ def _parse_model(lines):
     kinds = dict(features)
     body = (line for line in lines if line.strip())
     if kind == "tree":
-        model = DecisionTree(_parse_nodes(body, 0, kinds), features)
+        model = DecisionTree(_parse_tree(body, kinds), features)
     elif kind in ("majority", "part"):
         default = AttackClass.from_tag(_after(next(body, ""), "default", " "))
         if kind == "majority":

@@ -23,9 +23,8 @@ class Discretization:
     the first cut >= v (so bins are (prev, cut] intervals). Nominal features
     use their symbol domains as bins."""
 
-    def __init__(self, cuts: dict[str, np.ndarray], nominal_names: tuple[str, ...]):
+    def __init__(self, cuts: dict[str, np.ndarray]):
         self.cuts = {n: np.asarray(c, dtype=np.float64) for n, c in cuts.items()}
-        self.nominal_names = tuple(nominal_names)
         for name, c in self.cuts.items():
             if c.size > 1 and not (np.diff(c) > 0).all():
                 raise ValueError(f"{name}: cut points must be strictly increasing")
@@ -70,7 +69,7 @@ def discretize(train: Dataset) -> Discretization:
     for name in train.schema.numeric_names:
         order = np.argsort(train.column(name), kind="stable")
         cuts[name] = _mdl_cuts(train.column(name)[order], train.class_codes[order])
-    return Discretization(cuts, train.schema.nominal_names)
+    return Discretization(cuts)
 
 
 @dataclass(frozen=True)

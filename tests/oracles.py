@@ -5,8 +5,10 @@ exhaustive enumeration, high-precision summation) and shares no code with
 the package paths it checks. Two exceptions: `read_records_oracle` checks
 how the record reader combines lines, not how it parses one, and
 `mdl_cuts_oracle` runs on `kernels.group_counts` + `best_group_cut`, which
-no package path calls. `record`, `iter_records` and `serialize_record` read
-a dataset back as per-record values and lines, for the tests to compare.
+no package path calls. `SCENARIO_RULE` names the rule each generated
+attack scenario must fire. `record`, `iter_records` and `serialize_record`
+read a dataset back as per-record values and lines, for the tests to
+compare.
 The `*_text_oracle` formatters build a whole file as one string, the way the
 block-wise writers did before they wrote a block at a time.
 """
@@ -20,9 +22,29 @@ from fractions import Fraction
 import numpy as np
 
 from chids import kernels
-from chids.anomaly import COLLISION, RECEPTION
+from chids.anomaly import (
+    COLLISION,
+    RECEPTION,
+    RULE_INTEGRITY,
+    RULE_INTERVAL,
+    RULE_JAMMING,
+    RULE_RADIO_RANGE,
+    RULE_REPETITION,
+    RULE_RETRANSMISSION,
+)
 from chids.kdd import CACHE_MAGIC, NUMERIC, AttackClass, Dataset, KddRecord, _read_records
 from chids.pipeline import OUTCOMES
+
+# The rule each attack scenario of `anomaly.generate_stream` is built to violate.
+SCENARIO_RULE = {
+    "hello-flood": RULE_INTERVAL,
+    "selective-forwarding": RULE_RETRANSMISSION,
+    "sinkhole": RULE_RETRANSMISSION,
+    "modification": RULE_INTEGRITY,
+    "replay": RULE_REPETITION,
+    "sybil": RULE_RADIO_RANGE,
+    "jamming": RULE_JAMMING,
+}
 
 
 def record(ds: Dataset, i: int) -> KddRecord:

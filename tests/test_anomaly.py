@@ -8,14 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import replay_verdicts
+from oracles import SCENARIO_RULE, replay_verdicts
 from chids.anomaly import (
     COLLISION,
     FORWARD,
     RECEPTION,
     RULE_IDS,
     RULE_TAGS,
-    SCENARIO_RULE,
     SCENARIOS,
     STREAM_HEADER,
     STREAM_MAGIC,

@@ -111,12 +111,12 @@ def _program_trees():
 
 
 def test_no_public_name_only_tests_use():
-    # Every public function, class and method is used by the program or by
-    # the benchmark (perfbench/ wraps some by name).
+    # Every public function, class, method and module-level constant is used
+    # by the program or by the benchmark (perfbench/ wraps some by name).
     used = set()
     for tree in _program_trees():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -125,6 +125,10 @@ def test_no_public_name_only_tests_use():
     unused = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                unused += [f"{path.name}: {t.id}" for t in targets if isinstance(t, ast.Name)
+                           and not t.id.startswith("_") and t.id not in used]
             if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
                 continue
             names = [top.name]
@@ -194,9 +198,7 @@ def test_every_defaulted_parameter_has_a_program_caller():
 
 
 def test_only_artifact_writes_chids_files():
-    # a model is not a tab table; every other file chids writes goes through
-    # artifact.write_text
-    allowed = {("learner.py", "save_model")}
+    # every file chids writes goes through artifact.write_text
     found = []
     for where, node in _calls():
         f = node.func
@@ -204,7 +206,7 @@ def test_only_artifact_writes_chids_files():
         modes = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
         modes += [k.value.value for k in node.keywords
                   if k.arg == "mode" and isinstance(k.value, ast.Constant)]
-        if called == "open_text" and "w" in modes and where not in allowed:
+        if called == "open_text" and "w" in modes:
             found.append(f"{where[0]}:{node.lineno} open_text(..., 'w')")
     assert found == []
 

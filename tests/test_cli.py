@@ -722,6 +722,50 @@ class TestModelFileHardening:
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+class TestDeepModelTree:
+    """A model tree may nest as deep as `learner._MAX_TREE_DEPTH`, which no
+    grown tree reaches; `evaluate` and `detect` run such a tree, and exit 4
+    naming the file on a deeper one."""
+
+    @staticmethod
+    def run(workdir, synth_corpus_path, tmp_path, depth, capsys):
+        # a chain of numeric splits whose thresholds lie below every
+        # normalized value: each sends every record one level deeper
+        features = (workdir / "model.txt").read_text().splitlines()[2]
+        assert "count:numeric" in features
+        lines = ["#chids-model v1", "kind tree", features]
+        for d in range(depth):
+            lines += [" " * d + f"split numeric count {d - depth}.0 majority=1 dist=1,1,0,0,0",
+                      " " * (d + 1) + "leaf normal dist=1,0,0,0,0"]
+        lines.append(" " * depth + "leaf dos dist=0,1,0,0,0")
+        out = tmp_path / "run"
+        out.mkdir()
+        for f in ("test.cache", "transform.json"):
+            shutil.copy(workdir / f, out / f)
+        (out / "model.txt").write_text("\n".join(lines) + "\n")
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("".join(Path(synth_corpus_path).read_text().splitlines(True)[:200]))
+        return [run_cli(args + ["--out", str(out)], capsys)
+                for args in (["evaluate"], ["detect", "--input", str(sample)])]
+
+    def test_deepest_tree_runs(self, workdir, synth_corpus_path, tmp_path, capsys):
+        from chids.learner import _MAX_TREE_DEPTH, load_model, save_model
+
+        runs = self.run(workdir, synth_corpus_path, tmp_path, _MAX_TREE_DEPTH, capsys)
+        assert [code for code, _, _ in runs] == [0, 0]
+        model = tmp_path / "run" / "model.txt"
+        save_model(load_model(model), tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == model.read_bytes()
+        rows = (tmp_path / "run" / "dispositions.tsv").read_text().splitlines()[2:]
+        assert len(rows) == 200 and all(row.endswith("\tdos") for row in rows)
+
+    def test_deeper_tree_exit_4(self, workdir, synth_corpus_path, tmp_path, capsys):
+        for code, _, err in self.run(workdir, synth_corpus_path, tmp_path, 1200, capsys):
+            assert code == 4
+            assert "model.txt" in err and "nested deeper than" in err
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 class TestRankFileHardening:
     @pytest.mark.parametrize("command", ["evaluate", "report"])
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import pytest
@@ -139,6 +140,7 @@ class TestSections:
 KEYS = [ln.split(" = ")[0] for ln in render_config(RunConfig()).splitlines()[1:]]
 EDGE_VALUES = ("0", "-1", "1e-300", "1e308", "inf", "-inf", "nan", "")
 SPLIT = ["--set", "split.train_size=200", "--set", "split.test_size=80"]
+NON_FINITE = re.compile(r"(?<![\w.])[-+]?(nan|inf|infinity)(?![\w.])", re.IGNORECASE)
 
 
 def exit_code(argv) -> int:
@@ -168,12 +170,21 @@ def stage_argvs(key, setting, out, corpus):
                 for scenario in ("replay", "sybil")]
     if section in ("seed", "split", "select"):
         return [["preprocess", "--dataset", corpus, "--out", out, *SPLIT, *setting]]
+    if section in ("pipeline", "detect"):
+        return [["train", "--out", out], ["detect", "--input", corpus, "--out", out, *setting]]
     return []
+
+
+def non_finite_numbers(out):
+    """(file, token) of each `nan` or `inf` number in a file under `out`."""
+    return [(p.name, m.group()) for p in sorted(out.rglob("*")) if p.is_file()
+            for m in NON_FINITE.finditer(p.read_text())]
 
 
 class TestEdgeValueSweep:
     @pytest.mark.parametrize("key", KEYS)
     def test_no_edge_value_exits_1(self, key, sweep_run, tmp_path, capsys):
+        # and a stage that exits 0 writes only finite numbers
         values = ("0", "-1", "1") if key == "threads" else EDGE_VALUES  # never many threads
         for n, value in enumerate(values):
             setting = ["--set", f"{key}={value}"]
@@ -184,6 +195,9 @@ class TestEdgeValueSweep:
                 argvs = stage_argvs(key, setting, str(out), str(sweep_run / "c.kdd"))
             if argvs:
                 shutil.copytree(sweep_run / "base", out)  # train and evaluate read its caches
-            codes += [exit_code(argv) for argv in argvs]
+            for argv in argvs:
+                codes.append(exit_code(argv))
+                if codes[-1] == 0:
+                    assert non_finite_numbers(out) == [], (value, argv)
             assert set(codes) <= {0, 2, 3, 4, 5, 6}, (value, codes)
         capsys.readouterr()

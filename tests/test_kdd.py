@@ -304,7 +304,7 @@ class TestStrictLoad:
     def read_strict(text, schema):
         from chids.kdd import _read_records
 
-        return _read_records(io.StringIO(text), schema, fixed_domains=True, error_budget=0)
+        return _read_records(io.StringIO(text), schema, cache=True, error_budget=0)
 
     def test_strict_load_rejects_unknown_symbols(self, tmp_path):
         p = tmp_path / "mini.kdd"
@@ -427,26 +427,30 @@ _POOL = (
 @settings(max_examples=40, deadline=None)
 @given(lines=st.lists(st.sampled_from(_POOL), max_size=30))
 def test_reader_matches_line_by_line_oracle(lines):
+    # the three ways the program reads records: raw lines with labels
+    # (preprocess), raw lines with optional labels (detect), and a cache,
+    # whose domains were learnt before it was written (here from all of _POOL)
     from chids.kdd import _read_records
     from oracles import read_records_oracle
 
-    for labels_optional in (False, True):
-        options = dict(labels_optional=labels_optional, unknown_unlabeled=labels_optional)
-        want = read_records_oracle(lines, FeatureSchema.default(), **options)
-        for distinct_lines in (False, True):
-            for chunk_lines in (1, 3, 256):
-                got = _read_records(
-                    io.StringIO("".join(lines)), FeatureSchema.default(),
-                    error_budget=len(lines), distinct_lines=distinct_lines,
-                    chunk_lines=chunk_lines, **options,
-                )
-                rows = got.take(got.line_rows) if distinct_lines else got
-                assert np.array_equal(rows.numeric, want.numeric)
-                assert np.array_equal(rows.nominal, want.nominal)
-                assert list(rows.labels) == list(want.labels)
-                assert np.array_equal(rows.class_codes, want.class_codes)
-                assert got.schema.domains == want.schema.domains
-                assert got.parse_errors == want.parse_errors
+    domains = _read_records(io.StringIO("".join(_POOL)), FeatureSchema.default(),
+                            labels_optional=True, error_budget=len(_POOL)).schema.domains
+    for options, learnt in (({}, None), ({"labels_optional": True}, None),
+                            ({"cache": True}, domains)):
+        want = read_records_oracle(lines, FeatureSchema(FEATURE_TABLE, learnt), **options)
+        for chunk_lines in (1, 3, 256):
+            got = _read_records(
+                io.StringIO("".join(lines)), FeatureSchema(FEATURE_TABLE, learnt),
+                error_budget=len(lines), chunk_lines=chunk_lines, **options,
+            )
+            rows = got if got.line_rows is None else got.take(got.line_rows)
+            assert (got.line_rows is None) == ("cache" in options)
+            assert np.array_equal(rows.numeric, want.numeric)
+            assert np.array_equal(rows.nominal, want.nominal)
+            assert list(rows.labels) == list(want.labels)
+            assert np.array_equal(rows.class_codes, want.class_codes)
+            assert got.schema.domains == want.schema.domains
+            assert got.parse_errors == want.parse_errors
 
 
 class TestCacheFormat:
