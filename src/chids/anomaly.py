@@ -11,11 +11,12 @@ originator); `collision` events are the monitor's own channel observations.
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from math import isfinite
+from itertools import islice, repeat
+from math import inf, isfinite
 from sys import intern
 from typing import Iterable, NamedTuple
 
@@ -88,7 +89,17 @@ class StreamEngine:
     absent from `_pending`, so the dict's insertion order is (ts, index)
     order and the expired forwards are always a prefix of it: expiry scans
     and deletes that prefix, and its cost does not grow with the number
-    armed.
+    armed. `_expiry` is a lower bound on the earliest armed deadline, so
+    expiry does not scan at all while `ts <= _expiry`: the bound is the
+    exact deadline when a key is armed into an empty `_pending` or a scan
+    stops at an unexpired key, and inf when a scan empties `_pending`. A
+    forward only removes a key, and a key armed later has a later deadline,
+    so neither can lower the earliest deadline below the bound.
+
+    Sightings are appended to `_touch` and to their message's list in time
+    order, so each message's list is a subsequence of `_touch`: each
+    eviction from `_touch` removes exactly its own sighting, the first of
+    its message's list.
     """
 
     def __init__(self, cfg: RuleConfig | None = None):
@@ -97,6 +108,7 @@ class StreamEngine:
         self._last_ts = float("-inf")
         self._last_rx: dict[str, float] = {}
         self._pending: dict[tuple[str, str], tuple[float, int]] = {}
+        self._expiry = inf  # no armed deadline falls before it
         # a retained sighting is its event, in its message's list and in `_touch`
         self._sightings: dict[str, list[AnomalyEvent]] = {}
         self._touch: deque[AnomalyEvent] = deque()
@@ -126,28 +138,30 @@ class StreamEngine:
         # first (see the class docstring for why they form a prefix).
         pending = self._pending
         deadline = cfg.retransmission_deadline
-        for key, (armed_ts, armed_i) in pending.items():
-            if not ts > armed_ts + deadline:
-                break
-            out.append(_verdict(armed_i, armed_ts, RULE_RETRANSMISSION, f"{key[0]}:{key[1]}"))
-        if out:  # so far `out` holds one verdict per expired key
-            for key in list(islice(pending, len(out))):
-                del pending[key]
+        if ts > self._expiry:
+            for key, (armed_ts, armed_i) in pending.items():
+                if not ts > armed_ts + deadline:
+                    self._expiry = armed_ts + deadline
+                    break
+                out.append(_verdict(armed_i, armed_ts, RULE_RETRANSMISSION, f"{key[0]}:{key[1]}"))
+            else:
+                self._expiry = inf
+            if out:  # so far `out` holds one verdict per expired key
+                for key in list(islice(pending, len(out))):
+                    del pending[key]
 
-        # Garbage-collect idle message state beyond the horizon.
+        # Garbage-collect idle message state beyond the horizon, one
+        # sighting at a time (see the class docstring).
         horizon = ts - cfg.window
         touch = self._touch
         sightings = self._sightings
         while touch and touch[0].ts <= horizon:
             msg = touch.popleft().msg_id
-            seen = sightings.get(msg)
-            if seen is not None:
-                k = 0
-                while k < len(seen) and seen[k].ts <= horizon:
-                    k += 1
-                del seen[:k]
-                if not seen:
-                    del sightings[msg]
+            seen = sightings[msg]
+            if len(seen) == 1:
+                del sightings[msg]
+            else:
+                del seen[0]
 
         if kind == RECEPTION:
             prev = self._last_rx.get(source)
@@ -158,6 +172,8 @@ class StreamEngine:
             self._last_rx[source] = ts
             key = (neighbor, msg_id)
             if key not in pending:
+                if not pending:
+                    self._expiry = ts + deadline
                 pending[key] = (ts, i)
         elif kind == FORWARD:
             armed = pending.pop((neighbor, msg_id), None)
@@ -319,13 +335,27 @@ def write_stream(events: Iterable[AnomalyEvent], path) -> None:
     artifact.write_text(path, artifact.table_text(STREAM_HEADER, rows, STREAM_MAGIC))
 
 
-def _event(ts, source, neighbor, kind, msg_id, digest, rssi) -> AnomalyEvent:
-    # few distinct sources, neighbors and kinds: every event shares one copy of each
-    return AnomalyEvent(float(ts), intern(source), intern(neighbor), intern(kind), msg_id, digest, float(rssi))
+def _events(fields: list[str]) -> list[AnomalyEvent]:
+    """The events of whole stream rows, given as their fields row after row,
+    built a column at a time. Few distinct sources, neighbors and kinds:
+    every event shares one copy of each."""
+    n = len(AnomalyEvent._fields)
+    return list(map(tuple.__new__, repeat(AnomalyEvent), zip(
+        map(float, fields[0::n]), map(intern, fields[1::n]), map(intern, fields[2::n]),
+        map(intern, fields[3::n]), fields[4::n], fields[5::n], map(float, fields[6::n]))))
 
 
 def read_stream(path) -> list[AnomalyEvent]:
-    return artifact.read_rows(path, STREAM_MAGIC, STREAM_HEADER, _event)
+    # The cyclic GC is paused while the events are built: each is a tracked
+    # tuple, so every young collection would rescan the newest ones, and the
+    # build makes no cycles.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return artifact.read_rows(path, STREAM_MAGIC, STREAM_HEADER, _events)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_verdicts(verdicts: Iterable[RuleVerdict], path) -> None:

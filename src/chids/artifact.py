@@ -6,6 +6,7 @@ or bytes that are not ASCII into DataError (exit 4); `parsing` reports a
 fault raised while parsing as a DataError. Each names the file, and no
 other code puts a file's name into an error. `read_lines` reads each file
 of lines, and `finite` parses each number in one and `count` each count;
+`read_rows` reads the rows of a tab-separated table a block at a time,
 `table_text` formats each tab-separated table chids writes, a block of rows
 at a time, and `write_text` writes a file piece by piece.
 """
@@ -27,6 +28,12 @@ GZIP_MAGIC = b"\x1f\x8b"
 # formatted and written on its own, so a file costs the same memory at any
 # length.
 BLOCK_ROWS = 1024
+# Rows `read_rows` parses together: a block is split and built at once, and
+# its transient copies stay a few KB whatever the file's length.
+_BLOCK_ROWS = 32
+# What `parsing` reports as a malformed file, and `read_rows` rebuilds row
+# by row to name the row that raised it.
+_PARSE_FAULTS = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
 
 
 @contextmanager
@@ -70,8 +77,7 @@ class parsing:
         where = f"{self.path}" if self.line is None else f"{self.path}: line {self.line}"
         if isinstance(exc, ChidsError):
             exc.args = (f"{where}: {exc}",)
-        elif isinstance(exc, (AttributeError, IndexError, KeyError, OverflowError, TypeError,
-                              ValueError)) and not isinstance(exc, UnicodeDecodeError):
+        elif isinstance(exc, _PARSE_FAULTS) and not isinstance(exc, UnicodeDecodeError):
             raise DataError(f"{where}: malformed file ({kind.__name__}: {exc})") from None
 
 
@@ -132,24 +138,41 @@ def table_text(header: str, rows, magic: str | None = None):
         yield "".join(["\t".join(row) + "\n" for row in block])
 
 
-def read_rows(path, magic: str, header: str, row) -> list:
-    """`row(*fields)` of each non-blank row of a tab-separated file that
-    opens with the `magic` line and the `header` row. Every row has as many
-    fields as the header, one starting with `#` included; a fault names the
-    row's line."""
+def read_rows(path, magic: str, header: str, build) -> list:
+    """The items `build` makes of the non-blank rows of a tab-separated file
+    that opens with the `magic` line and the `header` row. `build(fields)`
+    takes the fields of one or more whole rows, row after row, and returns
+    one item per row. Every row has as many fields as the header, one
+    starting with `#` included; a fault names the row's line.
+
+    Rows are read _BLOCK_ROWS at a time. A block whose rows are all
+    non-blank and all have the header's field count is split and built at
+    once; any other block, or one whose build raises, is built row by row,
+    so that a fault names its own row's line."""
     n = header.count("\t") + 1
-
-    def rows(lines):
+    tabs = itertools.repeat("\t")
+    out = []
+    with open_text(path) as fh, parsing(path, 1) as guard:
         for want in (magic, header):
-            if next(lines, None) != want:
+            if next(fh, "").rstrip("\n") != want:
                 raise DataError(f"expected {want!r}")
-        out = []
-        for ln in lines:
-            if ln.strip():
-                fields = ln.split("\t")
-                if len(fields) != n:
-                    raise DataError(f"expected {n} fields, got {len(fields)}")
-                out.append(row(*fields))
-        return out
-
-    return read_lines(path, rows)
+            guard.line += 1
+        while rows := list(itertools.islice(fh, _BLOCK_ROWS)):
+            counts = list(map(str.count, rows, tabs))
+            if min(counts) == max(counts) == n - 1 and not any(map(str.isspace, rows)):
+                fields = "".join(rows).replace("\n", "\t").split("\t")
+                del fields[n * len(rows):]  # the empty text after a last line end
+                try:
+                    out += build(fields)
+                    guard.line += len(rows)
+                    continue
+                except (ChidsError, *_PARSE_FAULTS):
+                    pass  # built again below, a row at a time
+            for row in rows:
+                if not row.isspace():  # a line read from a file is never empty
+                    fields = row.rstrip("\n").split("\t")
+                    if len(fields) != n:
+                        raise DataError(f"expected {n} fields, got {len(fields)}")
+                    out += build(fields)
+                guard.line += 1
+    return out

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive (explicit loops, whole-stream rescans,
 exhaustive enumeration, high-precision summation) and shares no code with
-the package paths it checks. Two exceptions: `read_records_oracle` checks
-how the record reader combines lines, not how it parses one, and
-`mdl_cuts_oracle` runs on `kernels.group_counts` + `best_group_cut`, which
-no package path calls. `SCENARIO_RULE` names the rule each generated
+the package paths it checks. Three exceptions: `read_records_oracle` checks
+how the record reader combines lines, not how it parses one;
+`read_stream_oracle` reads its lines through `artifact.read_lines`, which
+opens the file and names it in an error, and checks how the stream reader
+parses and numbers rows; and `mdl_cuts_oracle` runs on
+`kernels.group_counts` + `best_group_cut`, which no package path calls. `SCENARIO_RULE` names the rule each generated
 attack scenario must fire. `record`, `iter_records` and `serialize_record`
 read a dataset back as per-record values and lines, for the tests to
 compare.
@@ -18,13 +20,17 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from sys import intern
 
 import numpy as np
 
-from chids import kernels
+from chids import artifact, kernels
 from chids.anomaly import (
     COLLISION,
     RECEPTION,
+    STREAM_HEADER,
+    STREAM_MAGIC,
+    AnomalyEvent,
     RULE_INTEGRITY,
     RULE_INTERVAL,
     RULE_JAMMING,
@@ -32,6 +38,7 @@ from chids.anomaly import (
     RULE_REPETITION,
     RULE_RETRANSMISSION,
 )
+from chids.errors import DataError
 from chids.kdd import CACHE_MAGIC, NUMERIC, AttackClass, Dataset, KddRecord, _read_records
 from chids.pipeline import OUTCOMES
 
@@ -408,6 +415,30 @@ def replay_verdicts(events, cfg):
             out.append((i, "jamming"))
 
     return sorted(out)
+
+
+def read_stream_oracle(path) -> list:
+    """The events of a stream file, read one line at a time: the magic line
+    and the header row, then an event of each non-blank row, in line order.
+    A row with the wrong field count, or whose event cannot be built, names
+    its own line."""
+
+    def rows(lines):
+        for want in (STREAM_MAGIC, STREAM_HEADER):
+            if next(lines, None) != want:
+                raise DataError(f"expected {want!r}")
+        out = []
+        for ln in lines:
+            if ln.strip():
+                fields = ln.split("\t")
+                if len(fields) != 7:
+                    raise DataError(f"expected 7 fields, got {len(fields)}")
+                ts, source, neighbor, kind, msg_id, digest, rssi = fields
+                out.append(AnomalyEvent(float(ts), intern(source), intern(neighbor), intern(kind),
+                                        msg_id, digest, float(rssi)))
+        return out
+
+    return artifact.read_lines(path, rows)
 
 
 def read_records_oracle(lines, schema, **options) -> Dataset:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import random
@@ -7,10 +8,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import SCENARIO_RULE, replay_verdicts
+from oracles import SCENARIO_RULE, read_stream_oracle, replay_verdicts
 from chids.anomaly import (
     COLLISION,
+    EVENT_KINDS,
     FORWARD,
     RECEPTION,
     RULE_IDS,
@@ -28,7 +32,7 @@ from chids.anomaly import (
     write_stream,
     write_verdicts,
 )
-from chids.errors import DataError, UnknownScenario, UnorderedStream
+from chids.errors import ChidsError, DataError, UnknownScenario, UnorderedStream
 
 CFG = RuleConfig()
 
@@ -387,6 +391,62 @@ class TestStateSize:
                 assert engine.state_size() == self.brute_force(engine)
 
 
+class TestExpiry:
+    """Armed receptions expire exactly as the replay oracle says when the
+    expiry scan is skipped under its bound; the state count stays exact."""
+
+    @staticmethod
+    def replay(events):
+        engine = StreamEngine(CFG)
+        out = []
+        for e in events:
+            out += engine.process(e)
+            assert engine.state_size() == TestStateSize.brute_force(engine)
+        assert pairs(out) == replay_verdicts(events, CFG)
+        return pairs(out)
+
+    def test_head_forwarded_while_a_later_key_expires(self):
+        events = [
+            ev(0.0, source="s1", msg="a"),  # armed first: deadline 2.0
+            ev(0.5, source="s2", msg="b"),  # deadline 2.5
+            ev(1.0, kind=FORWARD, source="s1", msg="a"),  # the head leaves
+            ev(2.25, source="s3", msg="c"),  # past 2.0, but b is not due
+            ev(2.4, kind=COLLISION, msg="x0"),
+            ev(2.75, kind=COLLISION, msg="x1"),  # b expires, c is not due
+            ev(3.0, kind=FORWARD, source="s3", msg="c"),
+            ev(5.0, kind=COLLISION, msg="x2"),
+        ]
+        assert self.replay(events) == [(1, "retransmission")]
+
+    def test_all_expire_then_a_key_is_armed_into_the_empty_pending(self):
+        events = [
+            ev(0.0, source="s1", msg="a"),
+            ev(0.5, source="s2", msg="b"),
+            ev(3.0, source="s3", msg="c"),  # a and b expire, then c is armed
+            ev(4.0, kind=COLLISION, msg="x0"),
+            ev(5.5, kind=COLLISION, msg="x1"),  # c expires
+            ev(6.0, source="s4", msg="d"),  # armed into the empty pending
+            ev(6.5, kind=FORWARD, source="s4", msg="d"),
+            ev(9.0, source="s5", msg="e"),
+            ev(11.5, kind=COLLISION, msg="x2"),  # e expires
+        ]
+        assert self.replay(events) == [(0, "retransmission"), (1, "retransmission"),
+                                       (2, "retransmission"), (7, "retransmission")]
+
+    def test_an_event_at_the_deadline_does_not_fire(self):
+        events = [
+            ev(0.5, source="s1", msg="a"),  # deadline 2.5
+            ev(1.0, source="s2", msg="b"),  # deadline 3.0
+            ev(2.5, kind=COLLISION, msg="x0"),
+            ev(2.5, kind=COLLISION, msg="x1"),
+            ev(2.75, kind=COLLISION, msg="x2"),  # a expires, the scan stops at b
+            ev(3.0, kind=COLLISION, msg="x3"),
+            ev(3.25, kind=COLLISION, msg="x4"),  # b expires
+        ]
+        assert self.replay(events) == [(0, "retransmission"), (1, "retransmission")]
+        assert [v.event_index for v in evaluate_stream(events[:6], CFG)] == [0]
+
+
 class TestScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(UnknownScenario):
@@ -481,6 +541,86 @@ class TestStreamIo:
         p = tmp_path / "stream.tsv"
         write_stream(events, p)
         assert read_stream(p) == events
+
+
+CONTROLS = ("", "a", "a\vb", "\f", "\x1c\x1d", "b\x1e")
+# rows without an event: empty, whitespace only, or whitespace with as many
+# tabs as an event row
+BLANK_ROWS = ("", "   ", " \t ", "\t" * 6, " \t\t\t\t\t\t\v", "\x1c", "\f\v")
+# the first row, either side of the boundaries between the reader's first
+# blocks of 32 rows, and the last row
+FAULT_ROWS = (1, 31, 32, 33, 63, 64, 65, "last")
+FAULTS = (
+    lambda row: row.rsplit("\t", 1)[0],  # 6 fields
+    lambda row: row + "\t-60.0",  # 8 fields
+    lambda row: "x" + row,  # a non-numeric ts
+    lambda row: row + "x",  # a non-numeric rssi
+    lambda row: "#" + row,  # an event row, not a comment: its ts is not a number
+    lambda row: "# comment",
+)
+
+
+@st.composite
+def stream_texts(draw):
+    """A stream file's text: event rows with control characters in their
+    fields, blank rows, mixed line ends, and at most one faulty row."""
+    fault_at = draw(st.none() | st.sampled_from(FAULT_ROWS))
+    n = draw(st.integers(fault_at if isinstance(fault_at, int) else 1, 100))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def event_row(k):
+        return "\t".join((repr(k / 4), "s" + rng.choice(CONTROLS), "n" + rng.choice(CONTROLS),
+                          rng.choice(EVENT_KINDS), "m" + rng.choice(CONTROLS),
+                          rng.choice(CONTROLS), repr(-40.0 - k / 8)))
+
+    rows = [rng.choice(BLANK_ROWS) if rng.random() < 0.125 else event_row(k) for k in range(n)]
+    if fault_at is not None:
+        k = n - 1 if fault_at == "last" else fault_at - 1
+        rows[k] = draw(st.sampled_from(FAULTS))(event_row(k))
+    lines = [STREAM_MAGIC, STREAM_HEADER, *rows]
+    ends = [rng.choice(("\n", "\r\n", "\r")) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestStreamReaderOracle:
+    """`read_stream` reads a block of rows at a time; it gives the events of
+    the line-by-line reader, or its error with the same line number."""
+
+    @staticmethod
+    def outcome(read, path):
+        try:
+            return read(path)
+        except ChidsError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=stream_texts())
+    def test_matches_the_line_by_line_reader(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "oracle-stream.tsv"
+        p.write_bytes(text.encode("ascii"))
+        assert self.outcome(read_stream, p) == self.outcome(read_stream_oracle, p)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("bad_row", [None, 40], ids=["clean", "row-40-fails"])
+    def test_gc_state_is_restored(self, tmp_path, enabled, bad_row):
+        rows = [TestStreamIo.ROW] * 70
+        if bad_row is not None:
+            rows[bad_row - 1] = "x" + rows[bad_row - 1]
+        p = tmp_path / "stream.tsv"
+        p.write_text("\n".join([STREAM_MAGIC, STREAM_HEADER, *rows, ""]))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if bad_row is None:
+                assert len(read_stream(p)) == 70
+            else:
+                with pytest.raises(DataError, match=r"stream\.tsv: line 42: malformed"):
+                    read_stream(p)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestRuleConfigValidation:
