@@ -285,6 +285,13 @@ class Dataset:
 _CHUNK_ROWS = 256
 
 
+def _room(arr: np.ndarray, rows: int) -> None:
+    """Let `arr` hold `rows` rows, growing it in place by at least an eighth
+    (realloc, which may move its data: the reader keeps no view of it)."""
+    if rows > len(arr):
+        arr.resize((max(rows, len(arr) + len(arr) // 8), *arr.shape[1:]), refcheck=False)
+
+
 def _read_records(
     fh,
     schema: FeatureSchema,
@@ -303,7 +310,10 @@ def _read_records(
     text of its own and no text is kept. A new text is split once; the
     chunk's new texts are then converted column by column, with fields
     whitespace-stripped and nominal symbols coded straight into the schema's
-    domains in first-sighting order.
+    domains in first-sighting order. Each chunk's good rows are written into
+    the next rows of numeric and nominal arrays that grow in place, so no
+    second copy of the rows is made, and the text table is dropped before
+    the dataset is assembled.
 
     Raw lines grow the domains and need the label field; with
     `labels_optional`, lines without it and labels outside DEFAULT_TAXONOMY
@@ -319,14 +329,16 @@ def _read_records(
     n = len(schema.names)
     num_idx = [schema.names.index(name) for name in schema.numeric_names]
     nom_idx = [schema.names.index(name) for name in schema.nominal_names]
-    numeric_parts: list[np.ndarray] = []
-    nominal_parts: list[np.ndarray] = []
+    numeric = np.empty((0, len(num_idx)))
+    nominal = np.empty((0, len(nom_idx)), dtype=np.int32)
+    n_rows = 0
     labels: list[str | None] = []
     class_codes: list[int] = []
     errors: list[tuple[int, str]] = []
     text_id: dict[str, int] = {}  # raw line text -> text id, in first-occurrence order
     n_texts = 0
-    line_texts: list[int] = []  # raw lines: the text id of every non-blank line
+    line_texts = np.empty(0, dtype=np.int64)  # raw lines: the text id of every non-blank line
+    n_lines = 0
     text_error: dict[int, str] = {}  # text id of a bad text -> its message
     while True:
         try:
@@ -360,10 +372,12 @@ def _read_records(
             ids.append(t)
         cols = list(zip(*rows)) if rows else [()] * (n + 1)
 
-        num = np.empty((len(rows), len(num_idx)))
+        start, stop = n_rows, n_rows + len(rows)
+        _room(numeric, stop)
+        _room(nominal, stop)
         for j, k in enumerate(num_idx):
             try:
-                num[:, j] = list(map(float, cols[k]))
+                numeric[start:stop, j] = list(map(float, cols[k]))
             except ValueError:
                 vals = []
                 for i, raw in enumerate(cols[k]):
@@ -372,8 +386,8 @@ def _read_records(
                     except ValueError:
                         text_error.setdefault(ids[i], f"feature {k}: not a number: {raw.strip()!r}")
                         vals.append(math.nan)
-                num[:, j] = vals
-        for i, j in zip(*np.nonzero(~np.isfinite(num))):
+                numeric[start:stop, j] = vals
+        for i, j in zip(*np.nonzero(~np.isfinite(numeric[start:stop]))):
             text_error.setdefault(ids[i], f"feature {num_idx[j]}: not finite")
 
         label_of: dict = {None: None}
@@ -398,10 +412,10 @@ def _read_records(
                 raise DatasetParseError(errors[: error_budget + 1])
             keep = [i for i, t in enumerate(ids) if t not in text_error]
             if len(keep) < len(ids):
-                num = num[keep]
+                stop = start + len(keep)
+                numeric[start:stop] = numeric[start:start + len(ids)][keep]
                 cols = [[col[i] for i in keep] for col in cols]
                 nos = [nos[i] for i in keep]
-        nom = np.empty((len(nos), len(nom_idx)), dtype=np.int32)
         for j, (name, k) in enumerate(zip(schema.nominal_names, nom_idx)):
             sym_code = {}
             for raw in dict.fromkeys(cols[k]):
@@ -412,30 +426,26 @@ def _read_records(
                         f"line {no}: feature {name}: unknown symbol {raw.strip()!r}"
                     )
                 sym_code[raw] = c
-            nom[:, j] = list(map(sym_code.__getitem__, cols[k]))
-        numeric_parts.append(num)
-        nominal_parts.append(nom)
+            nominal[start:stop, j] = list(map(sym_code.__getitem__, cols[k]))
+        n_rows = stop
         labels += map(label_of.__getitem__, cols[n])
         class_codes += map(code_of.__getitem__, cols[n])
         if not cache:
-            line_texts += [t for _, t in seen]
+            _room(line_texts, n_lines + len(seen))
+            line_texts[n_lines:n_lines + len(seen)] = [t for _, t in seen]
+            n_lines += len(seen)
 
-    if not numeric_parts:
-        numeric_parts.append(np.empty((0, len(num_idx))))
-        nominal_parts.append(np.empty((0, len(nom_idx)), dtype=np.int32))
-    ds = Dataset(
-        schema,
-        np.concatenate(numeric_parts),
-        np.concatenate(nominal_parts),
-        np.array(labels, dtype=object),
-        np.array(class_codes, dtype=np.int32),
-    )
+    del text_id  # read to the end: the texts go before the dataset is assembled
+    for arr, size in ((numeric, n_rows), (nominal, n_rows), (line_texts, n_lines)):
+        arr.resize((size, *arr.shape[1:]), refcheck=False)
+    ds = Dataset(schema, numeric, nominal, np.array(labels, dtype=object),
+                 np.array(class_codes, dtype=np.int32))
     if not cache:
-        bad_text = np.zeros(n_texts, dtype=bool)
-        bad_text[list(text_error)] = True
-        text_row = np.cumsum(~bad_text) - 1
-        texts = np.array(line_texts, dtype=np.int64)
-        ds.line_rows = text_row[texts[~bad_text[texts]]]
+        if text_error:  # a good line's row counts the good texts before its own
+            bad_text = np.zeros(n_texts, dtype=bool)
+            bad_text[list(text_error)] = True
+            line_texts = (np.cumsum(~bad_text) - 1)[line_texts[~bad_text[line_texts]]]
+        ds.line_rows = line_texts
     ds.parse_errors = errors
     return ds
 

@@ -68,7 +68,8 @@ def run_pipeline(
     attack_class = np.full(n, -1, dtype=np.int8)
 
     if idx.size:
-        predicted = model.predict_dataset(records.take(idx))
+        # every record flagged (detect.mode=all): predict the records without a copy
+        predicted = model.predict_dataset(records if idx.size == n else records.take(idx))
         attack = predicted != AttackClass.NORMAL
         cleared = CLASSIFIED_NORMAL if cfg.policy == POLICY_TRUST_MISUSE else UNRESOLVED_ALERT
         outcome[idx] = np.where(attack, OUTCOMES.index(CLASSIFIED_ATTACK), OUTCOMES.index(cleared))

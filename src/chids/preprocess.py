@@ -120,7 +120,10 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> SplitResult:
     Minority classes contribute all their records, round-half-up(2n/3) to
     train and the rest to test; remaining slots are filled from the other
     classes by largest-remainder apportionment over their frequencies.
-    Output record order follows the input dataset order.
+    Each class's records are drawn from one seeded permutation per class, in
+    class order: numpy's `Generator(PCG64(seed)).permutation`, bit for bit,
+    from chids's own port (`pcg64`). Output record order follows the input
+    dataset order.
     """
     hist = ds.class_histogram()
     if spec.train_size + spec.test_size > len(ds):
@@ -162,7 +165,9 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> SplitResult:
                 f"class {c.tag}: need {train_quota[c]}+{test_quota[c]} records, have {hist[c]}"
             )
 
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    from .pcg64 import Permuter  # only the split loads it: `detect` imports this module too
+
+    rng = Permuter(spec.seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     manifest = SplitManifest(

@@ -11,6 +11,9 @@ parses and numbers rows; and `mdl_cuts_oracle` runs on
 attack scenario must fire. `record`, `iter_records` and `serialize_record`
 read a dataset back as per-record values and lines, for the tests to
 compare.
+`permutations_oracle` and `stratified_split_oracle` draw with numpy's own
+`Generator(PCG64(seed))`, the draw the split made before chids had a port
+of it.
 The `*_text_oracle` formatters build a whole file as one string, the way the
 block-wise writers did before they wrote a block at a time.
 """
@@ -205,6 +208,27 @@ def largest_remainder_oracle(slots: int, weights: dict) -> dict:
     for k in order[:left]:
         alloc[k] += 1
     return alloc
+
+
+def permutations_oracle(seed: int, sizes) -> list:
+    """numpy's `permutation(n)` for each n in `sizes`, drawn in turn from
+    one `Generator(PCG64(seed))`."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [rng.permutation(n) for n in sizes]
+
+
+def stratified_split_oracle(class_codes, seed: int, per_class: dict):
+    """The sorted train and test row indices of a split with the manifest's
+    per-class quotas: each class pool, in class order, is permuted by
+    `permutations_oracle` and cut into its train and test quotas."""
+    pools = [np.flatnonzero(np.asarray(class_codes) == int(c)) for c in AttackClass]
+    perms = permutations_oracle(seed, [pool.size for pool in pools])
+    train, test = [], []
+    for c, pool, perm in zip(AttackClass, pools, perms):
+        quota = per_class[c.tag]
+        train += pool[perm][:quota["train"]].tolist()
+        test += pool[perm][quota["train"]:quota["train"] + quota["test"]].tolist()
+    return sorted(train), sorted(test)
 
 
 def binary_rates_oracle(actual, predicted, normal=0):

@@ -85,6 +85,25 @@ def test_settings_and_cli_load_no_stage_module():
     assert found == []
 
 
+def test_no_module_names_numpy_random():
+    # importing numpy.random costs a child about 6 MB and 10 ms; the split's
+    # seeded permutation is chids's own (`pcg64`), so no stage loads it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[:2] in (["np", "random"], ["numpy", "random"])]
+    assert found == []
+
+
 def test_only_artifact_names_a_file_in_an_error():
     # a message that formats a path is built by artifact.open_text or
     # artifact.parsing (or by an errors.py class given the path)

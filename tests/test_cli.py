@@ -1289,8 +1289,8 @@ _RUN_AND_LIST_MODULES = """
 import sys
 from chids.cli import main
 code = main(sys.argv[1:])
-watched = ("numpy", "logging", "concurrent.futures", "fractions", "chids.anomaly",
-           "chids.preprocess", "chids.pipeline")
+watched = ("numpy", "numpy.random", "logging", "concurrent.futures", "fractions",
+           "chids.anomaly", "chids.preprocess", "chids.pipeline")
 print(code, *[m for m in watched if m in sys.modules])
 """
 
@@ -1302,13 +1302,17 @@ class TestEachCommandLoadsOnlyItsStages:
     @pytest.mark.parametrize("command, absent", [
         (["config"], {"numpy"}),
         (["simulate", "--scenario", "sybil"], {"numpy"}),
+        # the split's seeded permutation is chids's own, so numpy.random stays unloaded
+        (["preprocess", "--dataset", "CORPUS", *SPLIT_OVERRIDES], {"numpy.random", "chids.anomaly",
+                                                                   "chids.pipeline"}),
         (["train"], {"chids.anomaly", "chids.preprocess", "chids.pipeline", "logging",
-                     "concurrent.futures"}),
-        (["evaluate"], {"chids.anomaly", "chids.preprocess", "fractions"}),
-    ], ids=["config", "simulate", "train", "evaluate"])
-    def test_fresh_interpreter(self, workdir, tmp_path, command, absent):
+                     "concurrent.futures", "numpy.random"}),
+        (["evaluate"], {"chids.anomaly", "chids.preprocess", "fractions", "numpy.random"}),
+    ], ids=["config", "simulate", "preprocess", "train", "evaluate"])
+    def test_fresh_interpreter(self, workdir, synth_corpus_path, tmp_path, command, absent):
         out = tmp_path / "run"
         shutil.copytree(workdir, out)
+        command = [str(synth_corpus_path) if arg == "CORPUS" else arg for arg in command]
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-c", _RUN_AND_LIST_MODULES, *command, "--out", str(out)],

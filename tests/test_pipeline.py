@@ -7,7 +7,7 @@ import pytest
 from oracles import alerts_text_oracle, dispositions_text_oracle
 from chids.artifact import BLOCK_ROWS
 from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord
-from chids.learner import train_part
+from chids.learner import MajorityModel, train_part
 from chids.pipeline import (
     CLASSIFIED_ATTACK,
     CLASSIFIED_NORMAL,
@@ -69,6 +69,23 @@ def separable_model():
 
 
 class TestRunPipeline:
+    def test_every_record_flagged_is_predicted_without_a_copy(self):
+        # detect.mode=all flags every record: the model reads the records as
+        # they are, and the pipeline allocates its own columns only
+        n = 20_000
+        schema = FeatureSchema.default()
+        ds = Dataset(schema, np.zeros((n, len(schema.numeric_names))),
+                     np.zeros((n, len(schema.nominal_names)), dtype=np.int32),
+                     np.array(["normal"] * n, dtype=object), np.zeros(n, dtype=np.int32))
+        tracemalloc.start()
+        try:
+            run = run_pipeline(ds, np.ones(n, dtype=bool), MajorityModel(AttackClass.DOS, schema.features))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.misuse_invocations == n
+        assert peak < (ds.numeric.nbytes + ds.nominal.nbytes) / 4
+
     def test_zero_flagged_never_invokes_model(self):
         ds = labeled_ds([0] * 8)
         counting = CountingModel(separable_model())

@@ -5,10 +5,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import dedupe_oracle, iter_records, largest_remainder_oracle, mean_std_oracle, record
+from oracles import (
+    dedupe_oracle,
+    iter_records,
+    largest_remainder_oracle,
+    mean_std_oracle,
+    permutations_oracle,
+    record,
+    stratified_split_oracle,
+)
 from chids.errors import DataError, InfeasibleSplit, SchemaMismatch, UnknownFeatureName
 from chids.kdd import AttackClass, Dataset, FeatureSchema, load_dataset
+from chids.pcg64 import Permuter
 from chids.preprocess import (
     DEFAULT_PRUNE,
     NormalizationStats,
@@ -226,6 +237,54 @@ class TestStratifiedSplit:
         ds = self.classful_dataset({AttackClass.PROBE: 90, AttackClass.NORMAL: 10})
         with pytest.raises(InfeasibleSplit):
             stratified_split(ds, SplitSpec(train_size=10, test_size=5, seed=0))
+
+
+# Seeds at the SeedSequence word boundaries, and of random widths up to 256
+# bits, so that entropy words past the four-word pool are mixed in too.
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]),
+                   st.integers(1, 256).flatmap(lambda bits: st.integers(0, 2**bits - 1)))
+
+
+class TestSeededPermutation:
+    """The split's permutations are numpy's `Generator(PCG64(seed))`
+    permutations, bit for bit, without loading numpy.random."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=6))
+    def test_chained_permutations_match_numpy(self, seed, sizes):
+        # one generator for every pool: a pool's draws continue the last
+        # one's stream, buffered 32-bit half included
+        rng = Permuter(seed)
+        for n, want in zip(sizes, permutations_oracle(seed, sizes)):
+            got = rng.permutation(n)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=_SEEDS, counts=st.lists(st.integers(0, 400), min_size=5, max_size=5),
+           train=st.floats(0, 1), test=st.floats(0, 1), data=st.data())
+    def test_split_rows_match_numpy_split(self, seed, counts, train, test, data):
+        codes = np.repeat(np.arange(5, dtype=np.int32), counts)
+        codes = codes[data.draw(st.permutations(range(codes.size)))] if codes.size else codes
+        n = codes.size
+        schema = FeatureSchema.default()
+        numeric = np.zeros((n, len(schema.numeric_names)))
+        numeric[:, 0] = np.arange(n)  # each row's own index
+        ds = Dataset(schema, numeric, np.zeros((n, len(schema.nominal_names)), dtype=np.int32),
+                     np.array([AttackClass(c).tag for c in codes], dtype=object), codes)
+        minority = SplitSpec().minority_classes
+        m_train = sum((4 * counts[c] + 3) // 6 for c in minority)
+        m_test = sum(counts[c] for c in minority) - m_train
+        spare = n - m_train - m_test
+        a = int(train * spare)
+        spec = SplitSpec(train_size=m_train + a, test_size=m_test + int(test * (spare - a)), seed=seed)
+        try:
+            res = stratified_split(ds, spec)
+        except InfeasibleSplit:  # the two rounded fills overrun a class
+            assume(False)
+        want_train, want_test = stratified_split_oracle(codes, seed, res.manifest.per_class)
+        assert res.train.numeric[:, 0].astype(int).tolist() == want_train
+        assert res.test.numeric[:, 0].astype(int).tolist() == want_test
 
 
 class TestPrune:
