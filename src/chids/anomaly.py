@@ -346,13 +346,25 @@ def _events(fields: list[str]) -> list[AnomalyEvent]:
 
 
 def read_stream(path) -> list[AnomalyEvent]:
-    # The cyclic GC is paused while the events are built: each is a tracked
-    # tuple, so every young collection would rescan the newest ones, and the
-    # build makes no cycles.
+    """The events of a stream file, in file order.
+
+    Each event is a tracked tuple, so the cyclic GC is paused while they are
+    built, and the build makes no cycles. Once they are built, every tracked
+    object is moved to the oldest generation unscanned (`gc.freeze()` then
+    `gc.unfreeze()`, two list splices): the events are acyclic and outlive
+    the read, so a young collection could free none of them, yet the first
+    two after the read would each walk them all. For the rest of the
+    process this means that garbage cycles made before the read wait for
+    the next full collection, and that objects a caller had frozen are
+    unfrozen. The caller's enabled state is restored, also on a fault.
+    """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return artifact.read_rows(path, STREAM_MAGIC, STREAM_HEADER, _events)
+        events = artifact.read_rows(path, STREAM_MAGIC, STREAM_HEADER, _events)
+        gc.freeze()
+        gc.unfreeze()
+        return events
     finally:
         if enabled:
             gc.enable()

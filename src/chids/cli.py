@@ -291,10 +291,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         ds = raw  # a cache with the model's features is taken as normalized already
     else:
         ds = preprocess.apply_normalizer(preprocess.select_features(raw, selected), stats)
-    if raw.line_rows is not None:  # raw lines: one row per distinct text until projected
-        ds = ds.take(raw.line_rows)
-
-    n = len(ds)
+    rows = raw.line_rows  # raw lines: one row per distinct text, classified once
+    n = len(ds) if rows is None else len(rows)
     verdict_lines: list[str] = []
     if events_path is not None:  # event k is associated with record k
         from . import anomaly  # the anomaly stage runs only on an event stream
@@ -305,14 +303,15 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         per_rule = Counter(v.rule for v in verdicts)
         verdict_lines = [f"verdicts.{r} = {per_rule[r]}" for r in anomaly.RULE_IDS]
     elif cfg.detect_mode == "oracle":
-        if (ds.class_codes < 0).any():
+        codes = ds.class_codes if rows is None else ds.class_codes[rows]
+        if (codes < 0).any():
             raise ConfigError("detect.mode=oracle requires labeled input records")
-        flagged = ds.class_codes != AttackClass.NORMAL
+        flagged = codes != AttackClass.NORMAL
     else:
         flagged = np.full(n, cfg.detect_mode == "all")
     n_flagged = int(flagged.sum())
 
-    run = pipeline.run_pipeline(ds, flagged, model, cfg.pipeline_config())
+    run = pipeline.run_pipeline(ds, flagged, model, cfg.pipeline_config(), rows)
     n_alerts = pipeline.emit_alerts(run, alerts_path)
     disp_path = out / DISPOSITIONS
     pipeline.write_dispositions(run, disp_path)

@@ -48,6 +48,7 @@ def run_pipeline(
     flagged: np.ndarray,
     model,
     cfg: PipelineConfig | None = None,
+    rows: np.ndarray | None = None,
 ) -> PipelineRun:
     """Dispose of every record exactly once.
 
@@ -55,11 +56,14 @@ def run_pipeline(
     records pass at the anomaly stage without touching the model. Flagged
     records are classified; a non-normal prediction is an attributed attack,
     a normal prediction falls to the decision policy (alert by default, clear
-    under trust_misuse). `misuse_invocations` counts records actually
-    classified.
+    under trust_misuse). `misuse_invocations` counts the flagged records.
+
+    `rows`, for records read from raw lines, gives each line's row of
+    `records`, which then holds one row per distinct line text: the lines
+    are the records, and the model sees each row a flagged line names once.
     """
     cfg = cfg or PipelineConfig()
-    n = len(records)
+    n = len(records) if rows is None else len(rows)
     flagged = np.asarray(flagged)
     if flagged.dtype != bool or flagged.shape != (n,):
         raise ValueError(f"flagged must be {n} bools, got {flagged.dtype} {flagged.shape}")
@@ -68,8 +72,15 @@ def run_pipeline(
     attack_class = np.full(n, -1, dtype=np.int8)
 
     if idx.size:
-        # every record flagged (detect.mode=all): predict the records without a copy
-        predicted = model.predict_dataset(records if idx.size == n else records.take(idx))
+        flagged_rows = idx if rows is None else rows[idx]
+        used = np.zeros(len(records), dtype=bool)
+        used[flagged_rows] = True
+        if used.all():  # every row flagged (detect.mode=all): predict the records without a copy
+            by_row = model.predict_dataset(records)
+        else:
+            by_row = np.full(len(records), -1, dtype=np.int8)
+            by_row[used] = model.predict_dataset(records.take(np.flatnonzero(used)))
+        predicted = by_row[flagged_rows]
         attack = predicted != AttackClass.NORMAL
         cleared = CLASSIFIED_NORMAL if cfg.policy == POLICY_TRUST_MISUSE else UNRESOLVED_ALERT
         outcome[idx] = np.where(attack, OUTCOMES.index(CLASSIFIED_ATTACK), OUTCOMES.index(cleared))

@@ -622,6 +622,24 @@ class TestStreamReaderOracle:
         finally:
             (gc.enable if was else gc.disable)()
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_events_leave_in_the_oldest_generation(self, tmp_path, enabled):
+        # No young collection can free an event, so none should walk them.
+        rows = [f"{k}.0\ts{k % 7}\tn0\treception\tm{k}\td\t-60.0" for k in range(2000)]
+        p = tmp_path / "stream.tsv"
+        p.write_text("\n".join([STREAM_MAGIC, STREAM_HEADER, *rows, ""]))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            events = read_stream(p)
+            young = gc.get_objects(generation=0) + gc.get_objects(generation=1)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert len(events) == 2000
+        ids = set(map(id, events))
+        assert not any(id(obj) in ids for obj in young)
+
 
 class TestRuleConfigValidation:
     def test_bounds_checked(self):

@@ -416,6 +416,52 @@ class TestDetectInput:
         assert code == 4
         assert err == f"chids: {sample}: 1 bad line(s): line 4: feature 4: not a number: 'oops'\n"
 
+    def test_repeated_lines_are_classified_once(self, workdir, synth_corpus_path, tmp_path,
+                                                monkeypatch):
+        """Three distinct lines, each repeated: the model sees each once,
+        and every output is that of the same records given as a cache."""
+        from chids import kdd, learner
+        from chids.anomaly import AnomalyEvent, write_stream
+
+        lines = Path(synth_corpus_path).read_text().splitlines()
+        normal = next(ln for ln in lines if ln.endswith(",normal."))
+        attacks = [ln for ln in dict.fromkeys(lines) if not ln.endswith(",normal.")][:2]
+        rng = random.Random(5)
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("".join(rng.choice([normal, *attacks]) + "\n" for _ in range(150)))
+        raw = kdd.load_dataset(sample, labels_optional=True)
+        assert len(raw) == 3
+        kdd.save_cache(raw.take(raw.line_rows), tmp_path / "lines.cache")
+        events, t = [], 0.0
+        for k in range(150):
+            t += 2.0 if k % 10 else 0.05  # every 10th event arrives too fast
+            events.append(AnomalyEvent(t, "s1", "n1", "reception", f"m{k}", "d", -60.0))
+        write_stream(events, tmp_path / "events.tsv")
+
+        model_type = type(learner.load_model(workdir / "model.txt"))
+        predict, seen = model_type.predict_dataset, []
+        monkeypatch.setattr(model_type, "predict_dataset",
+                            lambda self, ds: seen.append(len(ds)) or predict(self, ds))
+        modes = {"all": ["--set", "detect.mode=all"], "none": ["--set", "detect.mode=none"],
+                 "oracle": ["--set", "detect.mode=oracle"],
+                 "events": ["--events", str(tmp_path / "events.tsv")]}
+        rows_seen = {"all": 3, "none": 0, "oracle": 2, "events": 3}
+        for mode, extra in modes.items():
+            got = {}
+            for name, path in (("raw", sample), ("cache", tmp_path / "lines.cache")):
+                (tmp_path / mode / name).mkdir(parents=True)
+                det = _detect_dir(workdir, tmp_path / mode / name)
+                seen.clear()
+                assert main(["detect", "--input", str(path), "--out", str(det), *extra]) == 0
+                got[name] = [(det / f).read_bytes()
+                             for f in ("alerts.log", "dispositions.tsv", "detect_summary.txt")]
+                if name == "raw":
+                    assert sum(seen) == rows_seen[mode], mode
+            assert got["raw"] == got["cache"], mode
+            summary = _summary(det)
+            assert summary["records"] == 150
+            assert summary["misuse_invocations"] == summary["flagged"]
+
 
 def _gzip_damage(kind: str, raw: bytes) -> bytes:
     """A gzip file's bytes damaged one way."""
