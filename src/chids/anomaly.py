@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import random
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
 from math import inf, isfinite
@@ -247,9 +248,14 @@ def generate_stream(
     """Deterministic synthetic event stream for one scenario.
 
     The benign scenario violates no rule under the given (default) config;
-    each attack scenario violates at least its designated rule.
+    each attack scenario violates at least its designated rule. The events
+    are built as `read_stream` builds them, under `_building`.
     """
-    cfg = cfg or RuleConfig()
+    with _building():
+        return _generate(scenario, seed, cfg or RuleConfig())
+
+
+def _generate(scenario: str, seed: int, cfg: RuleConfig) -> list[AnomalyEvent]:
     if scenario not in SCENARIOS:
         raise UnknownScenario(f"unknown scenario {scenario!r} (choose from {SCENARIOS})")
     rng = random.Random(seed)
@@ -345,29 +351,34 @@ def _events(fields: list[str]) -> list[AnomalyEvent]:
         map(intern, fields[3::n]), fields[4::n], fields[5::n], map(float, fields[6::n]))))
 
 
-def read_stream(path) -> list[AnomalyEvent]:
-    """The events of a stream file, in file order.
-
-    Each event is a tracked tuple, so the cyclic GC is paused while they are
-    built, and the build makes no cycles. Once they are built, every tracked
-    object is moved to the oldest generation unscanned (`gc.freeze()` then
-    `gc.unfreeze()`, two list splices): the events are acyclic and outlive
-    the read, so a young collection could free none of them, yet the first
-    two after the read would each walk them all. For the rest of the
-    process this means that garbage cycles made before the read wait for
-    the next full collection, and that objects a caller had frozen are
-    unfrozen. The caller's enabled state is restored, also on a fault.
-    """
+@contextmanager
+def _building():
+    """Build many long-lived events: the cyclic GC is paused meanwhile, and
+    once the build succeeds every tracked object is moved to the oldest
+    generation unscanned (`gc.freeze()` then `gc.unfreeze()`, two list
+    splices). Events are tracked tuples that make no cycles and outlive
+    the build, so no collection could free one of them, yet the
+    collections the build would set off, and the first two young ones
+    after it, would walk them again and again.
+    For the rest of the process this means that garbage cycles made before
+    the build wait for the next full collection, and that objects a caller
+    had frozen are unfrozen. The caller's enabled state is restored, also
+    on a fault."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        events = artifact.read_rows(path, STREAM_MAGIC, STREAM_HEADER, _events)
+        yield
         gc.freeze()
         gc.unfreeze()
-        return events
     finally:
         if enabled:
             gc.enable()
+
+
+def read_stream(path) -> list[AnomalyEvent]:
+    """The events of a stream file, in file order, built under `_building`."""
+    with _building():
+        return artifact.read_rows(path, STREAM_MAGIC, STREAM_HEADER, _events)
 
 
 def write_verdicts(verdicts: Iterable[RuleVerdict], path) -> None:

@@ -1,14 +1,18 @@
 """How chids opens, decodes, rejects and formats its own files.
 
-Every file chids writes is ASCII text, and every file it reads may be gzip.
-`open_text` turns an I/O fault into IoError (exit 3), and damaged gzip data
-or bytes that are not ASCII into DataError (exit 4); `parsing` reports a
-fault raised while parsing as a DataError. Each names the file, and no
-other code puts a file's name into an error. `read_lines` reads each file
-of lines, and `finite` parses each number in one and `count` each count;
-`read_rows` reads the rows of a tab-separated table a block at a time,
-`table_text` formats each tab-separated table chids writes, a block of rows
-at a time, and `write_text` writes a file piece by piece.
+Every file chids writes is ASCII text but the dataset cache, whose arrays
+follow a text header, and every file it reads may be gzip. `open_text` and
+`open_binary` turn an I/O fault into IoError (exit 3), and damaged gzip
+data or text bytes that are not ASCII into DataError (exit 4); `parsing`
+reports a fault raised while parsing as a DataError. Each names the file,
+and no other code puts a file's name into an error. `read_lines` reads
+each file of lines, and `finite` parses each number in one and `count` each
+count; `read_rows` reads the rows of a tab-separated table a block at a
+time, `table_text` formats each tab-separated table chids writes, a block
+of rows at a time, and `write_text` writes a file piece by piece.
+`write_binary` writes arrays straight from their buffers, and `read_into`
+reads them back straight into theirs, after `bytes_left` has said whether
+the file holds them.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 import itertools
 import json
 import math
+import os
 import zlib
 from contextlib import contextmanager
 
@@ -32,19 +37,22 @@ BLOCK_ROWS = 1024
 # its transient copies stay a few KB whatever the file's length.
 _BLOCK_ROWS = 32
 # What `parsing` reports as a malformed file, and `read_rows` rebuilds row
-# by row to name the row that raised it.
-_PARSE_FAULTS = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
+# by row to name the row that raised it. `json.loads` raises RecursionError
+# on arrays nested too deep.
+_PARSE_FAULTS = (AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError,
+                 ValueError)
+# Bytes a binary read moves at a time: a gzip file copies each piece once.
+_READ_BYTES = 1 << 14
 
 
 @contextmanager
-def open_text(path, mode: str = "r"):
-    """Open the chids file `path` as ASCII text, mode "r" or "w". A file
-    read that starts with the gzip magic is decompressed."""
+def open_binary(path, mode: str = "r"):
+    """Open the chids file `path` as bytes, mode "r" or "w". A file read
+    that starts with the gzip magic is decompressed."""
     try:
         with open(path, mode + "b") as raw:
             packed = mode == "r" and raw.peek(2)[:2] == GZIP_MAGIC
-            with io.TextIOWrapper(gzip.GzipFile(fileobj=raw) if packed else raw,
-                                  encoding="ascii") as fh:
+            with gzip.GzipFile(fileobj=raw) if packed else raw as fh:
                 yield fh
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # BadGzipFile is an OSError
         raise DataError(f"{path}: damaged gzip data: {exc}") from None
@@ -52,6 +60,13 @@ def open_text(path, mode: str = "r"):
         raise IoError(f"cannot {'write' if 'w' in mode else 'read'} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not ASCII text: {exc.reason}") from None
+
+
+@contextmanager
+def open_text(path, mode: str = "r"):
+    """Open the chids file `path` as ASCII text, like `open_binary`."""
+    with open_binary(path, mode) as fh, io.TextIOWrapper(fh, encoding="ascii") as text:
+        yield text
 
 
 class parsing:
@@ -86,6 +101,39 @@ def write_text(path, text) -> None:
     of the pieces of it, written one at a time."""
     with open_text(path, "w") as fh:
         fh.writelines([text] if isinstance(text, str) else text)
+
+
+def write_binary(path, pieces) -> None:
+    """Write the chids file `path` from `pieces`, each bytes or a contiguous
+    array, written one at a time straight from its buffer."""
+    with open_binary(path, "w") as fh:
+        fh.writelines(pieces)
+
+
+def bytes_left(fh) -> int:
+    """How many bytes `fh`, from `open_binary`, holds after its position: a
+    plain file's size says; a gzip file is decompressed to its end to count
+    them, a piece at a time, and then read again up to the position."""
+    here = fh.tell()
+    if not isinstance(fh, gzip.GzipFile):
+        return os.fstat(fh.fileno()).st_size - here
+    n = 0
+    while piece := fh.read(_READ_BYTES):
+        n += len(piece)
+    fh.seek(here)
+    return n
+
+
+def read_into(fh, arr) -> None:
+    """Fill the contiguous array `arr` with the next bytes of `fh`, read
+    straight into its buffer; a file that ends first is a DataError."""
+    view = memoryview(arr.reshape(-1).view("u1"))
+    at = 0
+    while at < len(view):
+        got = fh.readinto(view[at:at + _READ_BYTES])
+        if not got:
+            raise DataError(f"the file ends {len(view) - at} bytes early")
+        at += got
 
 
 def json_text(obj) -> str:

@@ -38,7 +38,7 @@ class FeatureSchema:
 
     Every feature is numeric or nominal, and no domain repeats a symbol.
     Domains grow in first-sighting order during ingest; a cache read keeps
-    them fixed and rejects symbols outside them.
+    them fixed and rejects codes outside them.
     """
 
     def __init__(self, features: Sequence[tuple[str, str]], domains: dict[str, list[str]] | None = None):
@@ -48,6 +48,8 @@ class FeatureSchema:
             raise ValueError("duplicate feature names")
         if any(kind not in (NUMERIC, NOMINAL) for _, kind in self.features):
             raise ValueError(f"feature kinds must be {NUMERIC!r} or {NOMINAL!r}")
+        if not all(isinstance(name, str) for name in self.names):
+            raise ValueError("feature names must be strings")
         self.numeric_names: tuple[str, ...] = tuple(n for n, k in self.features if k == NUMERIC)
         self.nominal_names: tuple[str, ...] = tuple(n for n, k in self.features if k == NOMINAL)
         # name -> (kind, column slot within the numeric or nominal matrix)
@@ -57,6 +59,8 @@ class FeatureSchema:
         if domains:
             for name, syms in domains.items():
                 if name in self.domains:
+                    if not (isinstance(syms, list) and all(isinstance(sym, str) for sym in syms)):
+                        raise ValueError(f"feature {name}: domain is not a list of strings")
                     if len(set(syms)) != len(syms):
                         raise ValueError(f"feature {name}: domain repeats a symbol")
                     self.domains[name] = list(syms)
@@ -296,35 +300,29 @@ def _read_records(
     fh,
     schema: FeatureSchema,
     *,
-    cache: bool = False,
     labels_optional: bool = False,
     error_budget: int = 0,
-    line_no: int = 0,
     chunk_lines: int = _CHUNK_ROWS,
 ) -> Dataset:
-    """Parse the record lines left in `fh` into a Dataset, one chunk at a time.
+    """Parse the raw record lines left in `fh` into a Dataset, one chunk at a time.
 
-    Every non-blank line maps to a text id, and only a new text is parsed.
-    Raw record lines repeat, so a raw line's id is that of its text. A cache
-    was deduplicated before it was written, so each of its lines is a new
-    text of its own and no text is kept. A new text is split once; the
-    chunk's new texts are then converted column by column, with fields
+    Every non-blank line maps to the id of its text, and only a new text is
+    parsed: raw record lines repeat. A new text is split once; the chunk's
+    new texts are then converted column by column, with fields
     whitespace-stripped and nominal symbols coded straight into the schema's
     domains in first-sighting order. Each chunk's good rows are written into
     the next rows of numeric and nominal arrays that grow in place, so no
     second copy of the rows is made, and the text table is dropped before
     the dataset is assembled.
 
-    Raw lines grow the domains and need the label field; with
-    `labels_optional`, lines without it and labels outside DEFAULT_TAXONOMY
-    are unlabeled records. A cache keeps its domains fixed (an unseen symbol
-    raises UnknownNominalSymbol), allows lines without the label field and
-    rejects unknown labels. Every other bad text is dropped. Its error is
-    kept on `dataset.parse_errors` for each of its lines, in line order, and
-    the (error_budget + 1)-th raises DatasetParseError.
+    Lines need the label field; with `labels_optional`, lines without it
+    and labels outside DEFAULT_TAXONOMY are unlabeled records. Every other
+    bad text is dropped. Its error is kept on `dataset.parse_errors` for
+    each of its lines, in line order, and the (error_budget + 1)-th raises
+    DatasetParseError.
 
-    The dataset holds one row per good text, in first-occurrence order. For
-    raw lines, `line_rows` gives the row of every good line.
+    The dataset holds one row per good text, in first-occurrence order, and
+    `line_rows` gives the row of every good line.
     """
     n = len(schema.names)
     num_idx = [schema.names.index(name) for name in schema.numeric_names]
@@ -337,9 +335,10 @@ def _read_records(
     errors: list[tuple[int, str]] = []
     text_id: dict[str, int] = {}  # raw line text -> text id, in first-occurrence order
     n_texts = 0
-    line_texts = np.empty(0, dtype=np.int64)  # raw lines: the text id of every non-blank line
+    line_texts = np.empty(0, dtype=np.int64)  # the text id of every non-blank line
     n_lines = 0
     text_error: dict[int, str] = {}  # text id of a bad text -> its message
+    line_no = 0
     while True:
         try:
             lines = list(itertools.islice(fh, chunk_lines))
@@ -350,25 +349,24 @@ def _read_records(
         if not lines:
             break
         seen = []  # (line number, text id) of every non-blank line
-        rows, nos, ids = [], [], []  # fields, line number and text id of each new text
+        rows, ids = [], []  # fields and text id of each new text
         for raw in lines:
             line_no += 1
             if raw.isspace():
                 continue
-            t = n_texts if cache else text_id.setdefault(raw, n_texts)
+            t = text_id.setdefault(raw, n_texts)
             seen.append((line_no, t))
             if t < n_texts:
                 continue
             n_texts += 1
             fields = raw.split(",")
             if len(fields) != n + 1:
-                if len(fields) == n and (cache or labels_optional):
+                if len(fields) == n and labels_optional:
                     fields.append(None)
                 else:
                     text_error[t] = f"expected {n + 1} fields, got {len(fields)}"
                     continue
             rows.append(fields)
-            nos.append(line_no)
             ids.append(t)
         cols = list(zip(*rows)) if rows else [()] * (n + 1)
 
@@ -415,37 +413,27 @@ def _read_records(
                 stop = start + len(keep)
                 numeric[start:stop] = numeric[start:start + len(ids)][keep]
                 cols = [[col[i] for i in keep] for col in cols]
-                nos = [nos[i] for i in keep]
         for j, (name, k) in enumerate(zip(schema.nominal_names, nom_idx)):
-            sym_code = {}
-            for raw in dict.fromkeys(cols[k]):
-                c = schema.code(name, raw.strip(), add=not cache)
-                if c < 0:
-                    no = nos[cols[k].index(raw)]
-                    raise UnknownNominalSymbol(
-                        f"line {no}: feature {name}: unknown symbol {raw.strip()!r}"
-                    )
-                sym_code[raw] = c
+            sym_code = {raw: schema.code(name, raw.strip(), add=True)
+                        for raw in dict.fromkeys(cols[k])}
             nominal[start:stop, j] = list(map(sym_code.__getitem__, cols[k]))
         n_rows = stop
         labels += map(label_of.__getitem__, cols[n])
         class_codes += map(code_of.__getitem__, cols[n])
-        if not cache:
-            _room(line_texts, n_lines + len(seen))
-            line_texts[n_lines:n_lines + len(seen)] = [t for _, t in seen]
-            n_lines += len(seen)
+        _room(line_texts, n_lines + len(seen))
+        line_texts[n_lines:n_lines + len(seen)] = [t for _, t in seen]
+        n_lines += len(seen)
 
     del text_id  # read to the end: the texts go before the dataset is assembled
     for arr, size in ((numeric, n_rows), (nominal, n_rows), (line_texts, n_lines)):
         arr.resize((size, *arr.shape[1:]), refcheck=False)
     ds = Dataset(schema, numeric, nominal, np.array(labels, dtype=object),
                  np.array(class_codes, dtype=np.int32))
-    if not cache:
-        if text_error:  # a good line's row counts the good texts before its own
-            bad_text = np.zeros(n_texts, dtype=bool)
-            bad_text[list(text_error)] = True
-            line_texts = (np.cumsum(~bad_text) - 1)[line_texts[~bad_text[line_texts]]]
-        ds.line_rows = line_texts
+    if text_error:  # a good line's row counts the good texts before its own
+        bad_text = np.zeros(n_texts, dtype=bool)
+        bad_text[list(text_error)] = True
+        line_texts = (np.cumsum(~bad_text) - 1)[line_texts[~bad_text[line_texts]]]
+    ds.line_rows = line_texts
     ds.parse_errors = errors
     return ds
 
@@ -472,69 +460,121 @@ def load_dataset(path, error_budget: int = 100, labels_optional: bool = False) -
     return ds
 
 
-CACHE_MAGIC = "#chids-dataset v1"
+_CACHE_TAG = b"#chids-dataset"  # the first word of a dataset cache of any version
+CACHE_MAGIC = _CACHE_TAG + b" v2\n"
+_HEADER_KEYS = {"schema", "rows", "labels"}
 
 
 def save_cache(ds: Dataset, path) -> None:
-    """Write a dataset to the versioned delimited cache format.
+    """Write a dataset to the versioned binary cache format.
 
-    Rows are record lines: floats via repr, so they read back exactly, and
-    nominal values as their symbols. Each block of `artifact.BLOCK_ROWS`
-    rows is built column by column and written as one piece; within it, a
-    numeric column formats each distinct value (by bit pattern, so `-0.0`
-    keeps its sign) once.
+    After the magic line, one ASCII JSON line holds the schema, the row
+    count and the table of distinct labels in first-occurrence order. Three
+    little-endian arrays follow: the numeric values (`<f8`, rows x numeric
+    features), the nominal codes (`<i4`, rows x nominal features) and each
+    row's index into the label table (`<i4`, -1 for an unlabeled row). The
+    value arrays are written straight from their buffers, so every value,
+    `-0.0` included, reads back bit for bit; the label indices are built
+    and written `artifact.BLOCK_ROWS` rows at a time.
     """
-    schema = ds.schema
+    blocks = range(0, len(ds), artifact.BLOCK_ROWS)
+    table: dict = {None: -1}  # label -> its index in the header's table
+    for start in blocks:
+        for label in ds.labels[start:start + artifact.BLOCK_ROWS].tolist():
+            table.setdefault(label, len(table) - 1)
+    header = {"schema": ds.schema.to_json_obj(), "rows": len(ds), "labels": list(table)[1:]}
 
     def pieces():
-        yield CACHE_MAGIC + "\n"
-        yield "#schema " + json.dumps(schema.to_json_obj(), separators=(",", ":")) + "\n"
-        for start in range(0, len(ds), artifact.BLOCK_ROWS):
-            stop = start + artifact.BLOCK_ROWS
-            cols = []
-            for name in schema.names:
-                kind, j = schema.slot[name]
-                if kind == NUMERIC:
-                    col = ds.numeric[start:stop, j]
-                    bits, codes = np.unique(col.view(np.int64), return_inverse=True)
-                    texts = list(map(repr, bits.view(np.float64).tolist()))
-                    cols.append(map(texts.__getitem__, codes.tolist()))
-                else:
-                    cols.append(map(schema.domains[name].__getitem__, ds.nominal[start:stop, j].tolist()))
-            labels = ds.labels[start:stop].tolist()
-            if None in labels:  # unlabeled rows end with their last feature
-                rows = (r if lab is None else r + (lab,) for r, lab in zip(zip(*cols), labels))
-            else:
-                rows = zip(*cols, labels)
-            yield "".join([",".join(r) + "\n" for r in rows])
+        yield CACHE_MAGIC
+        yield (json.dumps(header, separators=(",", ":")) + "\n").encode("ascii")
+        yield np.ascontiguousarray(ds.numeric, dtype="<f8")
+        yield np.ascontiguousarray(ds.nominal, dtype="<i4")
+        for start in blocks:
+            labels = ds.labels[start:start + artifact.BLOCK_ROWS].tolist()
+            yield np.array(list(map(table.__getitem__, labels)), dtype="<i4")
 
-    artifact.write_text(path, pieces())
+    artifact.write_binary(path, pieces())
+
+
+def _outside(values: np.ndarray, low, high):
+    """The index of the first of `values` outside [low, high], or None. Two
+    reductions, which copy nothing, check the bounds; nan passes neither."""
+    if values.size and not (values.min() >= low and values.max() <= high):
+        return tuple(np.argwhere(~((values >= low) & (values <= high)))[0])
+    return None
 
 
 def load_cache(path) -> Dataset:
     """Read a cache written by save_cache. Its domains are fixed, unlabeled
-    rows are allowed, and the first bad line raises DatasetParseError."""
-    with artifact.open_text(path) as fh, artifact.parsing(path, 1) as guard:
-        magic = fh.readline().rstrip("\n")
+    rows are allowed, and anything save_cache would not have written
+    raises DataError.
+
+    The header is checked first: its keys, the schema (as line 2), the row
+    count and every label, which must be in the taxonomy. The bytes left
+    are then counted against what the row count needs, before any array
+    is sized from it, and each array is read straight into its buffer.
+    Every numeric value must be finite, every nominal code inside its
+    domain and every label index inside the table.
+    """
+    with artifact.open_binary(path) as fh, artifact.parsing(path, 1) as guard:
+        magic = fh.readline(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
+            if magic.startswith(_CACHE_TAG + b" v1"):
+                raise DataError("a version 1 dataset cache: `chids preprocess` rewrites it")
             raise DataError(f"not a chids dataset cache (got {magic!r})")
         guard.line = 2
-        schema_line = fh.readline().rstrip("\n")
-        if not schema_line.startswith("#schema "):
-            raise DataError("missing schema header")
-        schema = FeatureSchema.from_json_obj(json.loads(schema_line[len("#schema "):]))
-        guard.line = None  # a bad record names its own line
-        return _read_records(fh, schema, cache=True, line_no=2)
+        header = json.loads(fh.readline().decode("ascii"))
+        if not isinstance(header, dict) or header.keys() != _HEADER_KEYS:
+            raise DataError(f"the header is not an object with the keys {sorted(_HEADER_KEYS)}")
+        schema = FeatureSchema.from_json_obj(header["schema"])
+        n, table = header["rows"], header["labels"]
+        if type(n) is not int or n < 0:
+            raise DataError(f"rows {n!r} is not a count")
+        if not isinstance(table, list) or not all(isinstance(label, str) for label in table):
+            raise DataError("labels is not a list of strings")
+        table = [_label(label) for label in table]
+        table_codes = [int(DEFAULT_TAXONOMY.classify(label)) for label in table]
+
+        guard.line = None  # the arrays have no lines
+        shape = (len(schema.numeric_names), len(schema.nominal_names))
+        need = n * (8 * shape[0] + 4 * shape[1] + 4)
+        have = artifact.bytes_left(fh)
+        if have != need:
+            raise DataError(f"{n} rows take {need} bytes after the header, not {have}")
+        numeric = np.empty((n, shape[0]), dtype="<f8")
+        nominal = np.empty((n, shape[1]), dtype="<i4")
+        label_index = np.empty(n, dtype="<i4")
+        for arr in (numeric, nominal, label_index):
+            artifact.read_into(fh, arr)
+
+        big = np.finfo(np.float64).max
+        if (at := _outside(numeric, -big, big)) is not None:
+            raise DataError(f"record {at[0]}: feature {schema.numeric_names[at[1]]}: "
+                            f"{float(numeric[at])!r} is not a finite number")
+        for j, name in enumerate(schema.nominal_names):
+            size = len(schema.domains[name])
+            if (at := _outside(nominal[:, j], 0, size - 1)) is not None:
+                raise DataError(f"record {at[0]}: feature {name}: code {nominal[at[0], j]} "
+                                f"is outside its domain of {size}")
+        if (at := _outside(label_index, -1, len(table) - 1)) is not None:
+            raise DataError(f"record {at[0]}: label index {label_index[at]} "
+                            f"is outside the table of {len(table)}")
+    # index -1, an unlabeled row, takes the last entry
+    labels = np.array([*table, None], dtype=object)[label_index]
+    codes = np.array([*table_codes, -1], dtype=np.int32)[label_index]
+    return Dataset(schema, numeric, nominal, labels, codes)
 
 
 def load_records(path) -> Dataset:
-    """`detect`'s input: a dataset cache, or raw record lines read with
-    optional labels (a label outside the taxonomy reads as absent), where
-    the first bad line is fatal. Either may be gzip."""
+    """`detect`'s input: a dataset cache, told by its first bytes, or raw
+    record lines read with optional labels (a label outside the taxonomy
+    reads as absent), where the first bad line is fatal. Either may be
+    gzip."""
     try:
-        first = artifact.read_lines(path, lambda lines: next(lines, ""))
-    except DataError:  # undecodable: the raw reader names the bad line
-        first = ""
-    if first == CACHE_MAGIC:
+        with artifact.open_binary(path) as fh:
+            head = fh.read(len(_CACHE_TAG))
+    except DataError:  # damaged gzip: the raw reader names the bad line
+        head = b""
+    if head == _CACHE_TAG:
         return load_cache(path)
     return load_dataset(path, error_budget=0, labels_optional=True)

@@ -15,12 +15,14 @@ compare.
 `Generator(PCG64(seed))`, the draw the split made before chids had a port
 of it.
 The `*_text_oracle` formatters build a whole file as one string, the way the
-block-wise writers did before they wrote a block at a time.
+block-wise writers did before they wrote a block at a time, and
+`cache_bytes_oracle` builds a dataset cache one value at a time.
 """
 
 import io
 import json
 import math
+import struct
 from collections import Counter
 from fractions import Fraction
 from sys import intern
@@ -42,7 +44,7 @@ from chids.anomaly import (
     RULE_RETRANSMISSION,
 )
 from chids.errors import DataError
-from chids.kdd import CACHE_MAGIC, NUMERIC, AttackClass, Dataset, KddRecord, _read_records
+from chids.kdd import CACHE_MAGIC, NOMINAL, NUMERIC, AttackClass, Dataset, KddRecord, _read_records
 from chids.pipeline import OUTCOMES
 
 # The rule each attack scenario of `anomaly.generate_stream` is built to violate.
@@ -467,11 +469,12 @@ def read_stream_oracle(path) -> list:
 
 def read_records_oracle(lines, schema, **options) -> Dataset:
     """What the record reader makes of `lines` when no line can see another:
-    each line is read alone, under its own line number, on the one shared
-    `schema` (so domains still grow in line order), with no error budget;
-    the rows and errors are concatenated in line order."""
+    each line is read alone, under its own line number (after as many blank
+    lines as precede it), on the one shared `schema` (so domains still grow
+    in line order), with no error budget; the rows and errors are
+    concatenated in line order."""
     parts = [
-        _read_records(io.StringIO(line), schema, line_no=k,
+        _read_records(io.StringIO("\n" * k + line), schema,
                       error_budget=len(lines), **options)
         for k, line in enumerate(lines)
     ]
@@ -496,26 +499,31 @@ def table_text_oracle(header, rows, magic=None) -> str:
     return text
 
 
-def cache_text_oracle(ds: Dataset) -> str:
-    """A whole dataset cache, each value formatted on its own: the magic
-    line, the `#schema` line, then one line per row with every float via
-    repr, every nominal code as its symbol and the label, which an
-    unlabeled row leaves out."""
+def cache_bytes_oracle(ds: Dataset) -> bytes:
+    """A whole dataset cache, each value packed on its own: the magic line,
+    the JSON header line (schema, row count, distinct labels in first
+    appearance), then every numeric value as a little-endian double, row
+    by row, every nominal code as a little-endian int32, and every row's
+    label index, -1 for an unlabeled row."""
     schema = ds.schema
-    text = CACHE_MAGIC + "\n"
-    text += "#schema " + json.dumps(schema.to_json_obj(), separators=(",", ":")) + "\n"
-    for i in range(len(ds)):
-        fields = []
-        for name in schema.names:
-            kind, j = schema.slot[name]
-            if kind == NUMERIC:
-                fields.append(repr(float(ds.numeric[i, j])))
-            else:
-                fields.append(schema.domains[name][int(ds.nominal[i, j])])
-        if ds.labels[i] is not None:
-            fields.append(ds.labels[i])
-        text += ",".join(fields) + "\n"
-    return text
+    table = []
+    for label in ds.labels:
+        if label is not None and label not in table:
+            table.append(label)
+    header = {"schema": {"features": [list(f) for f in schema.features],
+                         "domains": schema.domains},
+              "rows": len(ds), "labels": table}
+    out = bytearray(CACHE_MAGIC + json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
+    for kind, fmt in ((NUMERIC, "<d"), (NOMINAL, "<i")):
+        for i in range(len(ds)):
+            for name in schema.names:
+                k, j = schema.slot[name]
+                if k == kind:
+                    cell = ds.numeric[i, j] if kind == NUMERIC else ds.nominal[i, j]
+                    out += struct.pack(fmt, cell.item())
+    for label in ds.labels:
+        out += struct.pack("<i", -1 if label is None else table.index(label))
+    return bytes(out)
 
 
 _STAGE_OF_OUTCOME = {"passed_normal": "anomaly", "classified_attack": "misuse",

@@ -641,6 +641,43 @@ class TestStreamReaderOracle:
         assert not any(id(obj) in ids for obj in young)
 
 
+class TestGeneratorGc:
+    """`generate_stream` builds its events with the cyclic GC paused, as
+    `read_stream` does, and leaves the caller's GC state as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("limit", [None, 50], ids=["clean", "max-events-fails"])
+    def test_gc_state_is_restored(self, monkeypatch, enabled, limit):
+        from chids import anomaly
+        from chids.errors import InvalidOperation
+
+        if limit is not None:
+            monkeypatch.setattr(anomaly, "MAX_EVENTS", limit)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if limit is None:
+                assert len(generate_stream("sybil", 0)) > 50
+            else:
+                with pytest.raises(InvalidOperation, match="more than 50 events"):
+                    generate_stream("sybil", 0)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_events_leave_in_the_oldest_generation(self):
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            events = generate_stream("replay", 0, RuleConfig(repetition_limit=2000))
+            young = gc.get_objects(generation=0) + gc.get_objects(generation=1)
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert len(events) > 4000
+        ids = set(map(id, events))
+        assert not any(id(obj) in ids for obj in young)
+
+
 class TestRuleConfigValidation:
     def test_bounds_checked(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import io
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from chids import artifact
 from chids.artifact import BLOCK_ROWS
 from chids.cli import main
 from chids.config import RunConfig, render_config
+from chids.kdd import CACHE_MAGIC
 
 SRC = Path(chids.__file__).parent
 
@@ -33,17 +35,24 @@ def _calls():
                     yield (path.name, getattr(top, "name", None)), node
 
 
+# calls that open, read or write a file by its name or handle
+_FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "tofile",
+               "fromfile", "memmap"}
+
+
 def test_only_artifact_opens_chids_files():
+    # numpy's save* and load* read and write files too, and gzip.open is an open
     found = []
     for where, node in _calls():
         f = node.func
         if isinstance(f, ast.Name):
-            called = f.id
+            owner, called = None, f.id
         elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) != "artifact":
-            called = f.attr
+            owner, called = getattr(f.value, "id", None), f.attr
         else:
             continue
-        if called in ("open", "read_text", "write_text"):
+        if called in _FILE_CALLS or (owner in ("np", "numpy")
+                                     and called.startswith(("save", "load"))):
             found.append(f"{where[0]}:{node.lineno} {called}")
     assert found == []
 
@@ -217,7 +226,7 @@ def test_every_defaulted_parameter_has_a_program_caller():
 
 
 def test_only_artifact_writes_chids_files():
-    # every file chids writes goes through artifact.write_text
+    # every file chids writes goes through artifact.write_text or write_binary
     found = []
     for where, node in _calls():
         f = node.func
@@ -225,8 +234,8 @@ def test_only_artifact_writes_chids_files():
         modes = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
         modes += [k.value.value for k in node.keywords
                   if k.arg == "mode" and isinstance(k.value, ast.Constant)]
-        if called == "open_text" and "w" in modes:
-            found.append(f"{where[0]}:{node.lineno} open_text(..., 'w')")
+        if called in ("open_text", "open_binary") and "w" in modes:
+            found.append(f"{where[0]}:{node.lineno} {called}(..., 'w')")
     assert found == []
 
 
@@ -277,13 +286,28 @@ READERS = {
 
 
 def damage(raw: bytes, kind: str, i: int, j: int, k: int, token: str) -> bytes:
-    """Truncate, insert non-ASCII bytes, or swap, drop or replace one field
-    of one line (fields split at the line's most common separator)."""
+    """Truncate, insert non-ASCII bytes, overwrite 8 bytes of the payload
+    with `token`'s float bits (the empty token's are zeros), or swap, drop
+    or replace one field of one line (fields split at the line's most
+    common separator). A dataset cache's payload is its arrays, and its
+    only line that may be edited is the header; any other file is all
+    payload and all lines."""
     if kind == "truncate":
         return raw[: i % (len(raw) + 1)]
     if kind == "non-ascii":
         i %= len(raw) + 1
         return raw[:i] + b"\xe9\xff" + raw[i:]
+    head = raw.index(b"\n", len(CACHE_MAGIC)) + 1 if raw.startswith(CACHE_MAGIC) else 0
+    if kind == "bits":
+        at = head + i % max(len(raw) - head - 7, 1)
+        return raw[:at] + struct.pack("<d", float(token or 0)) + raw[at + 8:]
+    if head:
+        return raw[:len(CACHE_MAGIC)] + damage_lines(raw[len(CACHE_MAGIC):head - 1], kind, 0, j, k,
+                                                    token) + b"\n" + raw[head:]
+    return damage_lines(raw, kind, i, j, k, token)
+
+
+def damage_lines(raw: bytes, kind: str, i: int, j: int, k: int, token: str) -> bytes:
     lines = raw.decode("ascii").split("\n")
     n = i % len(lines)
     sep = max(" \t,:=", key=lines[n].count)
@@ -302,7 +326,7 @@ def damage(raw: bytes, kind: str, i: int, j: int, k: int, token: str) -> bytes:
 @pytest.mark.parametrize("name", sorted(READERS))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(["truncate", "non-ascii", "swap", "drop", "replace"]),
+    kind=st.sampled_from(["truncate", "non-ascii", "bits", "swap", "drop", "replace"]),
     i=st.integers(0, 2**16),
     j=st.integers(0, 64),
     k=st.integers(0, 64),

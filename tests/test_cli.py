@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chids.cli import main
@@ -155,9 +156,14 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize("defect", ["empty", "unlabeled"])
     def test_training_set_without_records_or_labels_exit_6(self, workdir, tmp_path, kind, defect,
                                                             capsys):
-        magic, schema, first, *rest = (workdir / "train.cache").read_text().splitlines()
-        rows = [] if defect == "empty" else [first.rsplit(",", 1)[0], *rest]
-        (tmp_path / "train.cache").write_text("\n".join([magic, schema, *rows]) + "\n")
+        from chids import kdd
+
+        ds = kdd.load_cache(workdir / "train.cache")
+        if defect == "empty":
+            ds = ds.take([])
+        else:  # the first record loses its label
+            ds.labels[0], ds.class_codes[0] = None, -1
+        kdd.save_cache(ds, tmp_path / "train.cache")
         code, out, err = run_cli(["train", "--out", str(tmp_path), "--set", f"model.kind={kind}"],
                                  capsys)
         assert code == 6 and out == "" and len(err.splitlines()) == 2  # progress, then the error
@@ -526,7 +532,8 @@ class TestGzippedCache:
 
 class TestPinnedOutputs:
     # Taken before caches were written column by column and detect input
-    # went through the chunked reader; both must keep these bytes. The
+    # went through the chunked reader; both must keep these bytes. The four
+    # cache pins were taken again when caches became binary (v2). The
     # summary, and the run below, were taken before raw lines were parsed
     # once per distinct text and dispositions were held as columns. The rank
     # files and transform were taken before discretization ran on the block
@@ -535,10 +542,10 @@ class TestPinnedOutputs:
         "rank_igr_full.tsv": "23974843e19782029a49206b68b567cae31c5842ef52d43d657ffd2b087863d5",
         "rank_selected.tsv": "3a6bb259edac7c3050b56365177ffb8cb94d5b46af9a4814695eb7044c2c284f",
         "transform.json": "96807279acbd4ea512d9a09f5ba638be5299a02093860d683bac8d1a7b755c1d",
-        "train_full.cache": "a8a12dffd0d156302e1ac51bad5b3329a5a9fb025e6d6ebc2c303389b6dcf972",
-        "test_full.cache": "73a655e8fd0d8f32a2e86d967829c5f86ef983be914d7d8ad2c9b6586a8f77d3",
-        "train.cache": "c76e80f09d7adf7b00edd90b1f7cf6108c1546ae0e0d6e98d7cc8cc1c5251e1c",
-        "test.cache": "43b3654c20ad9a358ad8b28644478fd37dbea7bb9b16cec87bd9837fdb616842",
+        "train_full.cache": "0f1244f799b62d7c4c2f5d11ae9cb3ff4cc98fe42272f6176debc7949bf057ae",
+        "test_full.cache": "4dd98d14b22d5921ff119c2343d8bedf040973bedf0b5c5556b9e9e82515c956",
+        "train.cache": "84cf744a00eedf867ed75eeca570276b4e12a42c26255efe75d0e50c7198cdfb",
+        "test.cache": "2898b9bcce560fbcff817c85a7e84afd133dcfa551c710f4c2e152505ac19ecd",
         "dispositions.tsv": "c73b343348e591472245fc6a42e416c78e74a84f60e2fcdbac37b36212affff3",
         "alerts.log": "cc903754924e5e072de5225a066bc513fdd11693739dfaafdce6a7b4f974cb8b",
         "detect_summary.txt": "ad8b90f503874de1a33c7fcf885e88764eb4986532628002b222d9762bcacc3a",
@@ -1041,6 +1048,31 @@ def test_bad_train_timing_exit_4(workdir, tmp_path, text, capsys):
     assert not (out / "report").exists()
 
 
+def _edit_cache(edit):
+    """An edit of a dataset cache's bytes: `edit(header, numeric, nominal,
+    label_index)` changes the parsed header line or copies of the arrays in
+    place, and the cache is written back from them."""
+    def damage(raw: bytes) -> bytes:
+        magic, header, payload = raw.split(b"\n", 2)
+        header = json.loads(header)
+        n = header["rows"]
+        kinds = [kind for _, kind in header["schema"]["features"]]
+        arrays, at = [], 0
+        for dtype, width in (("<f8", kinds.count("numeric")), ("<i4", kinds.count("nominal")),
+                             ("<i4", None)):
+            shape = (n,) if width is None else (n, width)
+            arrays.append(np.frombuffer(payload, dtype, int(np.prod(shape)), at).reshape(shape).copy())
+            at += arrays[-1].nbytes
+        edit(header, *arrays)
+        return b"\n".join([magic, json.dumps(header).encode()]) + b"\n" + b"".join(
+            a.tobytes() for a in arrays)
+    return damage
+
+
+def _set(array, at, value):
+    array[at] = value
+
+
 def _damage_line(no, edit):
     """An edit of a file's bytes that rewrites its line `no` (from 1)."""
     def damage(raw: bytes) -> bytes:
@@ -1051,13 +1083,13 @@ def _damage_line(no, edit):
 
 
 class TestRecordErrorsNameTheFile:
-    """A bad record line in a dataset cache or in raw record input exits 4
-    with one line naming the file and the line."""
+    """A bad record in a dataset cache, or a bad line in raw record input,
+    exits 4 with one line naming the file and the record or line."""
 
     @pytest.mark.parametrize("name, damage, command, needle", [
-        ("test.cache", _damage_line(6, lambda ln: ln + b",x"), "evaluate", "line 6: expected"),
-        ("test.cache", _damage_line(5, lambda ln: re.sub(rb",[a-z_0-9]+,", b",zzz,", ln, count=1)),
-         "evaluate", "line 5: feature service: unknown symbol 'zzz'"),
+        ("test.cache", lambda raw: raw + b"\0", "evaluate", "bytes after the header, not"),
+        ("test.cache", _edit_cache(lambda h, num, nom, idx: _set(nom, (3, 0), 99)),
+         "evaluate", "record 3: feature service: code 99 is outside its domain"),
         ("sample.kdd", _damage_line(6, lambda ln: b"0,tcp"), "detect", "line 6: expected"),
         ("sample.kdd", _damage_line(2, lambda ln: ln + b"\xe9"), "detect", "not ASCII"),
     ], ids=["cache-extra-field", "cache-unknown-symbol", "raw-short-line", "raw-non-ascii"])
@@ -1075,6 +1107,88 @@ class TestRecordErrorsNameTheFile:
         assert code == 4
         assert err.startswith(f"chids: {target}: ") and needle in err
         assert len(err.splitlines()) == 1
+
+
+def _rename_feature(header, *_):
+    features = header["schema"]["features"]
+    features[1] = features[0]
+
+
+# damage to test.cache -> what its one error line must say
+DAMAGED_CACHES = {
+    "v1-magic": (lambda raw: raw.replace(b" v2\n", b" v1\n", 1),
+                 "line 1: a version 1 dataset cache: `chids preprocess` rewrites it"),
+    "not-json": (lambda raw: raw.replace(b"\n{", b"\n{{", 1), "line 2: malformed file (JSONDecodeError"),
+    "nested-too-deep": (lambda raw: raw.replace(b"\n{", b"\n" + b"[" * 100_000, 1),
+                        "line 2: malformed file (RecursionError"),
+    "missing-key": (_edit_cache(lambda h, *_: h.pop("labels")),
+                    "line 2: the header is not an object with the keys"),
+    "repeated-feature": (_edit_cache(_rename_feature), "line 2: malformed file (ValueError: duplicate"),
+    "name-not-string": (_edit_cache(lambda h, *_: h["schema"]["features"][0].__setitem__(0, 5)),
+                        "line 2: malformed file (ValueError: feature names must be strings)"),
+    "symbol-not-string": (_edit_cache(lambda h, *_: h["schema"]["domains"]["service"].append(None)),
+                          "line 2: malformed file (ValueError: feature service: domain is not a list"),
+    "rows-negative": (_edit_cache(lambda h, *_: h.update(rows=-1)), "line 2: rows -1 is not a count"),
+    "rows-huge": (_edit_cache(lambda h, *_: h.update(rows=10**15)),
+                  "1000000000000000 rows take 32000000000000000 bytes after the header, not"),
+    "short": (lambda raw: raw[:-1], "bytes after the header, not"),
+    "extra": (lambda raw: raw + b"\0", "bytes after the header, not"),
+    "nan": (_edit_cache(lambda h, num, nom, idx: _set(num, (3, 0), np.nan)),
+            "record 3: feature duration: nan is not a finite number"),
+    "inf": (_edit_cache(lambda h, num, nom, idx: _set(num, (5, 2), -np.inf)),
+            "record 5: feature count: -inf is not a finite number"),
+    "code-negative": (_edit_cache(lambda h, num, nom, idx: _set(nom, (0, 0), -1)),
+                      "record 0: feature service: code -1 is outside its domain"),
+    "code-domain-size": (_edit_cache(lambda h, num, nom, idx: _set(
+        nom, (7, 0), len(h["schema"]["domains"]["service"]))), "record 7: feature service: code"),
+    "label-index": (_edit_cache(lambda h, num, nom, idx: _set(idx, 4, len(h["labels"]))),
+                    "record 4: label index"),
+    "label-unknown": (_edit_cache(lambda h, *_: h["labels"].__setitem__(0, "quantum_worm.")),
+                      "line 2: unknown label 'quantum_worm'"),
+}
+
+
+class TestDamagedCache:
+    """A dataset cache that save_cache would not have written exits 4 with
+    one line naming the file, and no array is sized from an unchecked
+    header. Its schema is duration, service, src_bytes and count."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "detect"])
+    @pytest.mark.parametrize("case", sorted(DAMAGED_CACHES))
+    def test_exit_4_names_file(self, workdir, tmp_path, case, command, capsys):
+        out = _detect_dir(workdir, tmp_path)
+        target = out / "test.cache"
+        damage, needle = DAMAGED_CACHES[case]
+        raw = (workdir / "test.cache").read_bytes()
+        assert raw.split(b"\n", 2)[1].startswith(
+            b'{"schema":{"features":[["duration","numeric"],["service","nominal"],'
+            b'["src_bytes","numeric"],["count","numeric"]]')
+        target.write_bytes(damage(raw))
+        args = {"evaluate": ["evaluate"], "detect": ["detect", "--input", str(target)]}[command]
+        code, _, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 4, err
+        assert err.startswith(f"chids: {target}: ") and needle in err, err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+    def test_a_huge_row_count_allocates_nothing(self, workdir, tmp_path, packed):
+        import tracemalloc
+
+        from chids.errors import DataError
+        from chids.kdd import load_cache
+
+        damage, needle = DAMAGED_CACHES["rows-huge"]
+        raw = damage((workdir / "test.cache").read_bytes())
+        target = tmp_path / "huge.cache"
+        target.write_bytes(gzip.compress(raw) if packed else raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=needle):
+                load_cache(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestOnlyLineEndsEndALine:

@@ -1,6 +1,8 @@
+import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from synthdata import write_corpus
@@ -15,6 +17,7 @@ from chids.config import (
     render_config,
 )
 from chids.errors import ConfigError
+from chids.kdd import CACHE_MAGIC
 
 
 class TestParsing:
@@ -176,9 +179,22 @@ def stage_argvs(key, setting, out, corpus):
 
 
 def non_finite_numbers(out):
-    """(file, token) of each `nan` or `inf` number in a file under `out`."""
-    return [(p.name, m.group()) for p in sorted(out.rglob("*")) if p.is_file()
-            for m in NON_FINITE.finditer(p.read_text())]
+    """(file, token) of each `nan` or `inf` number in a file under `out`: in
+    its text, or in the numeric block of a dataset cache."""
+    found = []
+    for p in sorted(out.rglob("*")):
+        if not p.is_file():
+            continue
+        raw = p.read_bytes()
+        if raw.startswith(CACHE_MAGIC):
+            _, header, payload = raw.split(b"\n", 2)
+            header = json.loads(header)
+            width = [kind for _, kind in header["schema"]["features"]].count("numeric")
+            values = np.frombuffer(payload, "<f8", header["rows"] * width)
+            found += [(p.name, repr(v)) for v in values[~np.isfinite(values)].tolist()]
+        else:
+            found += [(p.name, m.group()) for m in NON_FINITE.finditer(raw.decode())]
+    return found
 
 
 class TestEdgeValueSweep:

@@ -1,15 +1,18 @@
 import gzip
 import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import synthdata
-from oracles import cache_text_oracle, iter_records, record, serialize_record
+from oracles import cache_bytes_oracle, iter_records, record, serialize_record
 from test_anomaly import traced
 from chids.artifact import BLOCK_ROWS
 from chids.errors import (
@@ -28,9 +31,11 @@ from chids.kdd import (
     Dataset,
     FeatureSchema,
     KddRecord,
+    _label,
     classify_label,
     load_cache,
     load_dataset,
+    load_records,
     parse_record,
     save_cache,
 )
@@ -230,14 +235,15 @@ class TestReaderMemory:
         assert peak - current < current
 
     def test_cache_read_holds_no_more_than_concatenated_parts(self, tmp_path, synth_corpus_path):
-        # the arrays grow by a chunk, or by an eighth once that is more, so a
-        # 2,000-row cache costs what the reader that concatenated per-chunk
-        # parts cost (1.278 MB); growing them by half cost 1.44 MB
+        # each array is read straight into its buffer and checked without a
+        # copy, so the peak is the result plus the label indices and a few
+        # small parts (the text reader's peak was 1.278 MB past its result)
         path = tmp_path / "part.cache"
         save_cache(load_dataset(synth_corpus_path).take(np.arange(2000)), path)
         ds, current, peak = traced(lambda: load_cache(path))
         assert len(ds) == 2000
-        assert peak - current < 1.3e6
+        held = ds.numeric.nbytes + ds.nominal.nbytes + ds.labels.nbytes + ds.class_codes.nbytes
+        assert peak <= held + 64 * 1024
 
 
 class TestCache:
@@ -267,8 +273,9 @@ class TestCache:
 
 
 class TestCacheWriter:
-    """`save_cache` formats each distinct value of a numeric column once per
-    block; its bytes are those of the value-by-value reference."""
+    """`save_cache` writes each value array straight from its buffer and the
+    label indices a block at a time; its bytes are those of the
+    value-by-value reference."""
 
     @staticmethod
     def edge_dataset(n):
@@ -295,7 +302,7 @@ class TestCacheWriter:
         ds = self.edge_dataset(n)
         cache = tmp_path / "edge.cache"
         save_cache(ds, cache)
-        assert cache.read_bytes() == cache_text_oracle(ds).encode()
+        assert cache.read_bytes() == cache_bytes_oracle(ds)
         back = load_cache(cache)
         assert back.numeric.tobytes() == ds.numeric.tobytes()  # -0.0 keeps its sign
         assert list(back.labels) == list(ds.labels)
@@ -325,25 +332,21 @@ class TestCacheWriter:
 
 
 class TestStrictLoad:
-    """The reader with fixed domains and no error budget, as a cache is read."""
-
-    @staticmethod
-    def read_strict(text, schema):
-        from chids.kdd import _read_records
-
-        return _read_records(io.StringIO(text), schema, cache=True, error_budget=0)
+    """A cache is read on the domains it was written with."""
 
     def test_strict_load_rejects_unknown_symbols(self, tmp_path):
         p = tmp_path / "mini.kdd"
         p.write_text(make_line(service="http") + "\n")
-        schema = load_dataset(p).schema  # learns http
-        assert len(self.read_strict(make_line(service="http") + "\n", schema)) == 1
-        with pytest.raises(UnknownNominalSymbol):
-            self.read_strict(make_line(service="gopher") + "\n", schema)
-
-    def test_strict_load_aborts_on_first_bad_line(self):
-        with pytest.raises(DatasetParseError):
-            self.read_strict("x,y\n" + make_line() + "\n", FeatureSchema.default())
+        ds = load_dataset(p)  # learns http, the only service
+        cache = tmp_path / "mini.cache"
+        save_cache(ds, cache)
+        assert len(load_cache(cache)) == 1
+        service = ds.schema.nominal_names.index("service")
+        nominal = ds.nominal.copy()
+        nominal[0, service] = 1  # a symbol the domain does not hold
+        save_cache(Dataset(ds.schema, ds.numeric, nominal, ds.labels, ds.class_codes), cache)
+        with pytest.raises(DataError, match="record 0: feature service: code 1 is outside"):
+            load_cache(cache)
 
     def test_unlabeled_round_trip(self):
         s = FeatureSchema.default()
@@ -454,24 +457,19 @@ _POOL = (
 @settings(max_examples=40, deadline=None)
 @given(lines=st.lists(st.sampled_from(_POOL), max_size=30))
 def test_reader_matches_line_by_line_oracle(lines):
-    # the three ways the program reads records: raw lines with labels
-    # (preprocess), raw lines with optional labels (detect), and a cache,
-    # whose domains were learnt before it was written (here from all of _POOL)
+    # the two ways the program reads raw records: with labels (preprocess)
+    # and with optional labels (detect)
     from chids.kdd import _read_records
     from oracles import read_records_oracle
 
-    domains = _read_records(io.StringIO("".join(_POOL)), FeatureSchema.default(),
-                            labels_optional=True, error_budget=len(_POOL)).schema.domains
-    for options, learnt in (({}, None), ({"labels_optional": True}, None),
-                            ({"cache": True}, domains)):
-        want = read_records_oracle(lines, FeatureSchema(FEATURE_TABLE, learnt), **options)
+    for options in ({}, {"labels_optional": True}):
+        want = read_records_oracle(lines, FeatureSchema.default(), **options)
         for chunk_lines in (1, 3, 256):
             got = _read_records(
-                io.StringIO("".join(lines)), FeatureSchema(FEATURE_TABLE, learnt),
+                io.StringIO("".join(lines)), FeatureSchema.default(),
                 error_budget=len(lines), chunk_lines=chunk_lines, **options,
             )
-            rows = got if got.line_rows is None else got.take(got.line_rows)
-            assert (got.line_rows is None) == ("cache" in options)
+            rows = got.take(got.line_rows)
             assert np.array_equal(rows.numeric, want.numeric)
             assert np.array_equal(rows.nominal, want.nominal)
             assert list(rows.labels) == list(want.labels)
@@ -489,13 +487,23 @@ class TestCacheFormat:
                                     allow_unlabeled=True))
         return Dataset.from_records(records, s)
 
+    @staticmethod
+    def header_and_payload(cache):
+        magic, header, payload = cache.read_bytes().split(b"\n", 2)
+        return magic + b"\n", json.loads(header), payload
+
     def test_rows_are_serialized_records(self, tmp_path):
         ds = self.mixed_dataset()
         cache = tmp_path / "mixed.cache"
         save_cache(ds, cache)
-        rows = cache.read_text().splitlines()[2:]
-        assert rows == [serialize_record(r) for r in iter_records(ds)]
+        magic, header, payload = self.header_and_payload(cache)
+        assert magic == b"#chids-dataset v2\n"
+        assert header == {"schema": json.loads(json.dumps(ds.schema.to_json_obj())), "rows": 3,
+                          "labels": ["normal", "neptune"]}
+        index = np.array([0, 1, -1], dtype="<i4")
+        assert payload == ds.numeric.tobytes() + ds.nominal.tobytes() + index.tobytes()
         back = load_cache(cache)
+        assert list(iter_records(back)) == list(iter_records(ds))
         assert list(back.labels) == ["normal", "neptune", None]
         assert back.class_codes.tolist() == [0, 1, -1]
         assert np.array_equal(back.numeric, ds.numeric)
@@ -509,30 +517,80 @@ class TestCacheFormat:
     def test_bad_schema_header_is_fatal_naming_line_2(self, tmp_path, edit):
         cache = tmp_path / "mixed.cache"
         save_cache(self.mixed_dataset(), cache)
-        magic, header, *rows = cache.read_text().splitlines(keepends=True)
-        obj = json.loads(header[len("#schema "):])
-        edit(obj)
-        cache.write_text(magic + "#schema " + json.dumps(obj) + "\n" + "".join(rows))
+        magic, header, payload = self.header_and_payload(cache)
+        edit(header["schema"])
+        cache.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(DataError) as exc:
             load_cache(cache)
         assert exc.value.exit_code == 4
         assert str(exc.value).startswith(f"{cache}: line 2: ")
 
-    def test_bad_line_is_fatal_with_its_number(self, tmp_path):
+    def test_bad_value_is_fatal_with_its_record(self, tmp_path):
+        ds = self.mixed_dataset()
+        numeric = ds.numeric.copy()
+        src_bytes = ds.schema.numeric_names.index("src_bytes")
+        numeric[1, src_bytes] = numeric[2, 0] = np.nan
         cache = tmp_path / "bad.cache"
-        save_cache(self.mixed_dataset(), cache)
-        with open(cache, "a") as fh:
-            fh.write(make_line(src_bytes="oops") + "\n")
-        with pytest.raises(DatasetParseError, match="line 6: feature 4"):
+        save_cache(Dataset(ds.schema, numeric, ds.nominal, ds.labels, ds.class_codes), cache)
+        with pytest.raises(DataError, match="record 1: feature src_bytes: nan is not a finite"):
             load_cache(cache)
 
     def test_unknown_symbol_and_label_rejected(self, tmp_path):
         cache = tmp_path / "bad.cache"
-        save_cache(self.mixed_dataset(), cache)
-        good = cache.read_text()
-        cache.write_text(good + make_line(service="gopher") + "\n")
-        with pytest.raises(UnknownNominalSymbol, match="gopher"):
+        ds = self.mixed_dataset()
+        nominal = ds.nominal.copy()
+        nominal[2, ds.schema.nominal_names.index("service")] = -1
+        save_cache(Dataset(ds.schema, ds.numeric, nominal, ds.labels, ds.class_codes), cache)
+        with pytest.raises(DataError, match="record 2: feature service: code -1 is outside"):
             load_cache(cache)
-        cache.write_text(good + make_line(label="quantum_worm") + "\n")
-        with pytest.raises(DatasetParseError, match="unknown label"):
+        labels = ds.labels.copy()
+        labels[1] = "quantum_worm."
+        save_cache(Dataset(ds.schema, ds.numeric, ds.nominal, labels, ds.class_codes), cache)
+        with pytest.raises(UnknownLabel, match="line 2: unknown label 'quantum_worm'"):
             load_cache(cache)
+
+
+# Numeric values at the edges of float64, and labels in raw form.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+_RAW_LABELS = (None, "normal", "Smurf.", " NEPTUNE. ", "satan", "back.")
+
+
+@st.composite
+def cache_datasets(draw):
+    """A dataset of 0-300 rows, 0-5 numeric and 0-3 nominal columns, with
+    edge floats, non-ASCII symbols and raw labels."""
+    n = draw(st.integers(0, 300))
+    n_num, n_nom = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    features = [(f"x{j}", "numeric") for j in range(n_num)] + [(f"s{j}", "nominal")
+                                                               for j in range(n_nom)]
+    features = draw(st.permutations(features))
+    domains = {f"s{j}": draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+               for j in range(n_nom)}
+    schema = FeatureSchema(features, domains)
+    values = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    numeric = draw(arrays(np.float64, (n, n_num), elements=values))
+    nominal = np.zeros((n, n_nom), dtype=np.int32)
+    for j, name in enumerate(schema.nominal_names):
+        nominal[:, j] = draw(arrays(np.int32, n, elements=st.integers(0, len(domains[name]) - 1)))
+    labels = draw(st.lists(st.sampled_from(_RAW_LABELS), min_size=n, max_size=n))
+    codes = [-1 if lab is None else int(classify_label(lab)) for lab in labels]
+    return Dataset(schema, numeric, nominal, labels, codes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ds=cache_datasets())
+def test_cache_round_trip_is_bit_exact(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        cache, again, packed = Path(tmp) / "a.cache", Path(tmp) / "b.cache", Path(tmp) / "a.gz"
+        save_cache(ds, cache)
+        save_cache(ds, again)
+        assert cache.read_bytes() == again.read_bytes() == cache_bytes_oracle(ds)
+        packed.write_bytes(gzip.compress(cache.read_bytes()))
+        for back in (load_cache(cache), load_records(packed)):
+            assert back.schema.features == ds.schema.features
+            assert back.schema.domains == ds.schema.domains
+            assert back.numeric.tobytes() == ds.numeric.tobytes()
+            assert back.nominal.tobytes() == ds.nominal.tobytes()
+            assert list(back.labels) == [None if lab is None else _label(lab) for lab in ds.labels]
+            assert back.class_codes.tolist() == ds.class_codes.tolist()
+            assert back.line_rows is None
