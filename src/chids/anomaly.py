@@ -74,6 +74,39 @@ def _verdict(index: int, ts: float, rule: str, detail: str = "") -> RuleVerdict:
     return RuleVerdict(index, ts, rule, RULE_TAGS[rule], detail)
 
 
+# A message keeps up to SMALL sightings as events, past it as counts: up to
+# about 4, scanning the events costs no more time than keeping counts.
+SMALL = 4
+
+
+class _Counts:
+    """The retained sightings of a message that passed SMALL of them, as
+    counts: `n` sightings, the sightings per digest and the receptions per
+    source, with no zero entries."""
+
+    __slots__ = ("n", "digests", "rx")
+
+    def __init__(self, events: tuple[AnomalyEvent, ...]):
+        self.n, self.digests, self.rx = 0, {}, {}
+        for e in events:
+            self.shift(e, 1)
+
+    def shift(self, e: AnomalyEvent, by: int) -> int:
+        """Count a sighting in (`by` 1) or out (-1); the sightings left."""
+        self.n += by
+        _shift(self.digests, e.digest, by)
+        if e.kind == RECEPTION:
+            _shift(self.rx, e.source, by)
+        return self.n
+
+
+def _shift(counts: dict[str, int], key: str, by: int) -> None:
+    if left := counts.get(key, 0) + by:
+        counts[key] = left
+    else:
+        del counts[key]
+
+
 class StreamEngine:
     """Online evaluator with sliding-window state.
 
@@ -97,10 +130,16 @@ class StreamEngine:
     forward only removes a key, and a key armed later has a later deadline,
     so neither can lower the earliest deadline below the bound.
 
-    Sightings are appended to `_touch` and to their message's list in time
-    order, so each message's list is a subsequence of `_touch`: each
-    eviction from `_touch` removes exactly its own sighting, the first of
-    its message's list.
+    Each retained sighting is its event in `_touch`, in time order, and is
+    also held in its message's record in `_sightings`, in one of two forms.
+    Up to SMALL sightings are the events themselves: a lone one is the
+    event, and more are an exactly sized tuple in time order, which the
+    rules scan. A message that passes SMALL sightings switches to
+    `_Counts`, which the rules read in constant time, and keeps it until
+    its last sighting leaves. Each message's events are a subsequence of
+    `_touch`, so each eviction from `_touch` removes exactly its own
+    sighting: the first event of the small form, or one from the counts.
+    So the cost per event does not grow with a message's repeats.
     """
 
     def __init__(self, cfg: RuleConfig | None = None):
@@ -110,8 +149,8 @@ class StreamEngine:
         self._last_rx: dict[str, float] = {}
         self._pending: dict[tuple[str, str], tuple[float, int]] = {}
         self._expiry = inf  # no armed deadline falls before it
-        # a retained sighting is its event, in its message's list and in `_touch`
-        self._sightings: dict[str, list[AnomalyEvent]] = {}
+        # a retained sighting is its event in `_touch` and in its message's record
+        self._sightings: dict[str, AnomalyEvent | tuple[AnomalyEvent, ...] | _Counts] = {}
         self._touch: deque[AnomalyEvent] = deque()
         self._collisions: deque = deque()
 
@@ -157,12 +196,13 @@ class StreamEngine:
         touch = self._touch
         sightings = self._sightings
         while touch and touch[0].ts <= horizon:
-            msg = touch.popleft().msg_id
+            old = touch.popleft()
+            msg = old.msg_id
             seen = sightings[msg]
-            if len(seen) == 1:
+            if type(seen) is tuple:
+                sightings[msg] = seen[1] if len(seen) == 2 else seen[1:]
+            elif seen is old or not seen.shift(old, -1):  # a lone event, or no count left
                 del sightings[msg]
-            else:
-                del seen[0]
 
         if kind == RECEPTION:
             prev = self._last_rx.get(source)
@@ -197,24 +237,26 @@ class StreamEngine:
         repeats = 1
         others = 0
         if seen is None:  # first sighting: nothing earlier to compare with
-            # `[]` grown by one append holds four slots, room for the forward
-            # that usually follows; `[event]` holds one and would grow to eight
-            sightings[msg_id] = seen = []
-        else:
+            sightings[msg_id] = event
+        elif (form := type(seen)) is _Counts:
+            if seen.n > seen.digests.get(digest, 0):
+                out.append(_verdict(i, ts, RULE_INTEGRITY, msg_id))
+            if kind == RECEPTION:
+                rx = seen.rx
+                repeats += rx.get(source, 0)
+                others = len(rx) - (source in rx)
+            seen.shift(event, 1)
+        else:  # scanned with this sighting, which matches itself
+            seen = seen + (event,) if form is tuple else (seen, event)
             for e in seen:
                 if e.digest != digest:
                     out.append(_verdict(i, ts, RULE_INTEGRITY, msg_id))
                     break
             if kind == RECEPTION:
-                other_sources = set()
-                for e in seen:
-                    if e.kind == RECEPTION:
-                        if e.source == source:
-                            repeats += 1
-                        else:
-                            other_sources.add(e.source)
-                others = len(other_sources)
-        seen.append(event)
+                sources = [e.source for e in seen if e.kind == RECEPTION]
+                repeats = sources.count(source)
+                others = len(set(sources)) - 1
+            sightings[msg_id] = seen if len(seen) <= SMALL else _Counts(seen)
         touch.append(event)
         rssi_bad = rssi < cfg.rssi_min or rssi > cfg.rssi_max
         if kind == RECEPTION:

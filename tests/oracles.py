@@ -17,13 +17,16 @@ of it.
 The `*_text_oracle` formatters build a whole file as one string, the way the
 block-wise writers did before they wrote a block at a time, and
 `cache_bytes_oracle` builds a dataset cache one value at a time.
+`StreamEngineOracle` is the rule engine as it was before it kept a record
+per message: a list of each message's retained sightings, scanned whole
+for every new sighting.
 """
 
 import io
 import json
 import math
 import struct
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from sys import intern
 
@@ -32,16 +35,20 @@ import numpy as np
 from chids import artifact, kernels
 from chids.anomaly import (
     COLLISION,
+    FORWARD,
     RECEPTION,
     STREAM_HEADER,
     STREAM_MAGIC,
     AnomalyEvent,
+    RULE_DELAY,
     RULE_INTEGRITY,
     RULE_INTERVAL,
     RULE_JAMMING,
     RULE_RADIO_RANGE,
     RULE_REPETITION,
     RULE_RETRANSMISSION,
+    RULE_TAGS,
+    RuleVerdict,
 )
 from chids.errors import DataError
 from chids.kdd import CACHE_MAGIC, NOMINAL, NUMERIC, AttackClass, Dataset, KddRecord, _read_records
@@ -441,6 +448,96 @@ def replay_verdicts(events, cfg):
             out.append((i, "jamming"))
 
     return sorted(out)
+
+
+class StreamEngineOracle:
+    """The rule engine as it was before per-message records: each message's
+    retained sightings are a plain list, and every new sighting scans the
+    whole list, for the integrity rule and, for a reception, again for the
+    repetition and source-count rules. The armed forwards are scanned for
+    expiry at every event. Events must be valid; this engine does not check
+    them."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self._index = -1
+        self._last_rx = {}
+        self._pending = {}
+        self._sightings = {}
+        self._touch = deque()
+        self._collisions = deque()
+
+    def state_size(self):
+        return (len(self._last_rx) + len(self._pending) + len(self._touch)
+                + sum(map(len, self._sightings.values())) + len(self._collisions))
+
+    def process(self, event):
+        self._index = i = self._index + 1
+        ts, source, neighbor, kind, msg_id, digest, rssi = event
+        cfg = self.cfg
+        out = []
+
+        def verdict(index, at, rule, detail):
+            out.append(RuleVerdict(index, at, rule, RULE_TAGS[rule], detail))
+
+        pending = self._pending
+        for key, (armed_ts, armed_i) in list(pending.items()):
+            if not ts > armed_ts + cfg.retransmission_deadline:
+                break
+            verdict(armed_i, armed_ts, RULE_RETRANSMISSION, f"{key[0]}:{key[1]}")
+            del pending[key]
+
+        horizon = ts - cfg.window
+        while self._touch and self._touch[0].ts <= horizon:
+            msg = self._touch.popleft().msg_id
+            del self._sightings[msg][0]
+            if not self._sightings[msg]:
+                del self._sightings[msg]
+
+        if kind == RECEPTION:
+            prev = self._last_rx.get(source)
+            if prev is not None:
+                dt = ts - prev
+                if dt < cfg.interval_lower or dt > cfg.interval_upper:
+                    verdict(i, ts, RULE_INTERVAL, f"dt={dt:.6g}")
+            self._last_rx[source] = ts
+            pending.setdefault((neighbor, msg_id), (ts, i))
+        elif kind == FORWARD:
+            armed = pending.pop((neighbor, msg_id), None)
+            if armed is not None and ts - armed[0] > cfg.delay_window:
+                verdict(i, ts, RULE_DELAY, f"lag={ts - armed[0]:.6g}")
+        else:
+            collisions = self._collisions
+            collisions.append(ts)
+            while collisions and collisions[0] <= horizon:
+                collisions.popleft()
+            if len(collisions) > cfg.collision_limit:
+                verdict(i, ts, RULE_JAMMING, f"n={len(collisions)}")
+            return out
+
+        seen = self._sightings.setdefault(msg_id, [])
+        if any(e.digest != digest for e in seen):
+            verdict(i, ts, RULE_INTEGRITY, msg_id)
+        repeats = 1
+        other_sources = set()
+        if kind == RECEPTION:
+            for e in seen:
+                if e.kind == RECEPTION:
+                    if e.source == source:
+                        repeats += 1
+                    else:
+                        other_sources.add(e.source)
+        seen.append(event)
+        self._touch.append(event)
+        rssi_bad = rssi < cfg.rssi_min or rssi > cfg.rssi_max
+        if kind == RECEPTION:
+            if repeats > cfg.repetition_limit:
+                verdict(i, ts, RULE_REPETITION, f"n={repeats}")
+            if rssi_bad or (repeats == 1 and len(other_sources) + 1 > cfg.max_sources_per_message):
+                verdict(i, ts, RULE_RADIO_RANGE, "rssi" if rssi_bad else "sources")
+        elif rssi_bad:
+            verdict(i, ts, RULE_RADIO_RANGE, "rssi")
+        return out
 
 
 def read_stream_oracle(path) -> list:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SCENARIO_RULE, read_stream_oracle, replay_verdicts
+from oracles import SCENARIO_RULE, StreamEngineOracle, read_stream_oracle, replay_verdicts
 from chids.anomaly import (
     COLLISION,
     EVENT_KINDS,
@@ -26,11 +27,13 @@ from chids.anomaly import (
     RuleConfig,
     StreamEngine,
     RuleVerdict,
+    SMALL,
     evaluate_stream,
     generate_stream,
     read_stream,
     write_stream,
     write_verdicts,
+    _Counts,
 )
 from chids.errors import ChidsError, DataError, UnknownScenario, UnorderedStream
 
@@ -367,17 +370,24 @@ class TestMemoryFootprint:
 
         engine, current, _ = traced(replay)
         assert engine.state_size() > 2 * len(events)  # nothing has expired
-        assert current / engine.state_size() < 100
+        assert current / engine.state_size() < 35
 
 
 class TestStateSize:
     """`state_size()` counts the retained sightings through `_touch`; it
-    equals the sum over every piece of engine state after each event."""
+    equals the sum over every piece of engine state after each event. A
+    message's record holds one sighting if it is the event itself, else a
+    tuple's events or the counts' `n`."""
 
     @staticmethod
     def brute_force(engine):
+        def retained(record):
+            if isinstance(record, _Counts):
+                return record.n
+            return 1 if isinstance(record, AnomalyEvent) else len(record)
+
         return (len(engine._last_rx) + len(engine._pending) + len(engine._touch)
-                + sum(len(d) for d in engine._sightings.values()) + len(engine._collisions))
+                + sum(map(retained, engine._sightings.values())) + len(engine._collisions))
 
     @pytest.mark.parametrize("window", [0.5, 2.0, 10.0])
     def test_equals_sum_after_every_event(self, window):
@@ -389,6 +399,105 @@ class TestStateSize:
             for e in events:
                 engine.process(e)
                 assert engine.state_size() == self.brute_force(engine)
+
+
+@st.composite
+def repeated_sightings(draw):
+    """A config with a small window and repetition limit, and a stream of
+    1-3 messages from 1-3 sources with 1-2 digests, dense enough that a
+    message passes SMALL retained sightings and has them evicted again."""
+    cfg = RuleConfig(window=draw(st.sampled_from((1.0, 2.0, 4.0))),
+                     repetition_limit=draw(st.integers(1, 4)),
+                     max_sources_per_message=draw(st.integers(1, 3)))
+    n_msgs, n_sources, n_digests = (draw(st.integers(1, 3)) for _ in range(3))
+    event = st.tuples(
+        st.sampled_from((0.0, 0.0, 0.05, 0.1, 0.1, 0.25, 1.0, 5.0)),
+        st.sampled_from((RECEPTION, RECEPTION, FORWARD, COLLISION)),
+        st.integers(0, n_msgs - 1), st.integers(0, n_sources - 1), st.integers(0, n_digests - 1),
+        st.sampled_from((-60.0, -60.0, -60.0, -100.0)))
+    t = 0.0
+    events = []
+    n = draw(st.integers(1, 100))
+    for step, kind, msg, src, digest, rssi in draw(st.lists(event, min_size=n, max_size=n)):
+        t += step
+        events.append(ev(t, kind, f"s{src}", f"n{src % 2}", f"m{msg}", f"d{digest}", rssi))
+    return cfg, events
+
+
+class TestEngineOracle:
+    """The engine's per-message records give the verdicts and the state
+    size of the reference engine, which scans each message's sightings,
+    after every event: the full verdicts, in order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(repeated_sightings())
+    def test_matches_the_scanning_engine(self, case):
+        cfg, events = case
+        engine, oracle = StreamEngine(cfg), StreamEngineOracle(cfg)
+        for e in events:
+            assert engine.process(e) == oracle.process(e)
+            assert engine.state_size() == oracle.state_size()
+
+    def test_a_message_passes_small_and_drops_to_none(self):
+        cfg = RuleConfig(window=2.0, repetition_limit=2)
+        events = [ev(k / 8, source=f"s{k % 3}", digest=f"d{k % 2}") for k in range(3 * SMALL)]
+        events.append(ev(20.0, source="s1"))  # every earlier sighting leaves
+        engine, oracle = StreamEngine(cfg), StreamEngineOracle(cfg)
+        forms = set()
+        for e in events:
+            assert engine.process(e) == oracle.process(e)
+            assert engine.state_size() == oracle.state_size()
+            forms.add(type(engine._sightings["m1"]).__name__)
+        assert forms == {"AnomalyEvent", "tuple", "_Counts"}
+        assert engine._sightings["m1"] is events[-1]  # the counts left with their last sighting
+
+
+def best_cpu_time(fn, *args):
+    """The least CPU time of three calls of `fn(*args)`, each with the
+    cyclic GC paused: a full collection walks the whole test process."""
+    best = float("inf")
+    enabled = gc.isenabled()
+    for _ in range(3):
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.process_time()
+            fn(*args)
+            best = min(best, time.process_time() - t0)
+        finally:
+            if enabled:
+                gc.enable()
+    return best
+
+
+# one message seen again every 0.1 ms, all within the window
+REPEATS = {
+    "one_source": lambda k: ev(k * 1e-4),
+    "new_source_each_time": lambda k: ev(k * 1e-4, source=f"s{k}"),
+    "alternating_digests": lambda k: ev(k * 1e-4, digest=f"d{k % 2}"),
+}
+
+
+class TestScaling:
+    """A message repeated within the window costs time linear in its
+    repeats: 4N sightings take under 8 times as long as N. Scanning every
+    retained sighting of the message made it about 15 times."""
+
+    N = 2000
+
+    @pytest.mark.parametrize("shape", REPEATS)
+    def test_repeated_sightings(self, shape):
+        def cost(n):
+            return best_cpu_time(evaluate_stream, [REPEATS[shape](k) for k in range(n)], CFG)
+
+        assert cost(4 * self.N) < 8 * cost(self.N)
+
+    def test_replay_scenario(self):
+        def cost(n):
+            cfg = RuleConfig(interval_lower=1e-300, repetition_limit=n)
+            return best_cpu_time(evaluate_stream, generate_stream("replay", 0, cfg), cfg)
+
+        assert cost(4 * self.N) < 8 * cost(self.N)
 
 
 class TestExpiry:
