@@ -162,12 +162,7 @@ def cmd_train(cfg: RunConfig) -> int:
     train = kdd.load_cache(_need(out / TRAIN_CACHE, "chids preprocess"))
     _err(f"training {cfg.model_kind} on {len(train)} records")
     t0 = time.perf_counter()
-    if cfg.model_kind == "part":
-        model = learner.train_part(train, cfg.tree_params())
-    elif cfg.model_kind == "tree":
-        model = learner.build_tree(train, cfg.tree_params())
-    else:
-        model = learner.train_majority_baseline(train)
+    model = learner.train_part(train, cfg.tree_params())
     elapsed = time.perf_counter() - t0
     learner.save_model(model, out / MODEL_FILE)
     artifact.write_text(out / TRAIN_TIMING, f"timing train_s {elapsed:.6f}\n")

@@ -17,7 +17,7 @@ from .rule_config import RuleConfig
 from .sections import (CHI2, DEFAULT_PRUNE, FEATURE_TABLE, IGR, AttackClass, PipelineConfig,
                        SplitSpec, TreeParams)
 
-MODEL_KINDS = ("part", "tree", "majority")
+MODEL_KINDS = ("part",)
 SELECT_METHODS = (CHI2, IGR)
 DETECT_MODES = ("all", "none", "oracle")
 
@@ -40,7 +40,6 @@ class RunConfig:
     model_kind: str = "part"
     part_min_leaf: int = TreeParams.min_leaf
     part_confidence: float = TreeParams.confidence
-    part_prune: bool = TreeParams.prune
 
     rules_interval_lower: float = RuleConfig.interval_lower
     rules_interval_upper: float = RuleConfig.interval_upper
@@ -117,24 +116,18 @@ class RunConfig:
 
 # key -> RunConfig field; a key is its field's name with the first `_` as `.`
 _FIELDS = {f.name.replace("_", ".", 1): f for f in fields(RunConfig)}
-_TRUE, _FALSE = ("true", "1", "yes", "on"), ("false", "0", "no", "off")
 
 
 def _coerce(key: str, kind: type, raw: str):
-    """`raw` parsed as a value of `kind`: a tuple is a comma list, a bool one
-    of the true/false words, any other type its own constructor's input."""
+    """`raw` parsed as a value of `kind`: a tuple is a comma list, any other
+    type (str, int or float) its own constructor's input."""
     raw = raw.strip()
     if kind is tuple:
         return tuple(s.strip() for s in raw.split(",") if s.strip())
-    if kind is bool:
-        if raw.lower() in _TRUE + _FALSE:
-            return raw.lower() in _TRUE
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            pass
-    raise ConfigError(f"bad value for {key}: {raw!r} (expected {kind.__name__})")
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"bad value for {key}: {raw!r} (expected {kind.__name__})") from None
 
 
 def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
@@ -172,7 +165,5 @@ def render_config(cfg: RunConfig) -> str:
         v = getattr(cfg, f.name)
         if isinstance(v, tuple):
             v = ",".join(v)
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
         lines.append(f"{key} = {v}")
     return "\n".join(lines) + "\n"

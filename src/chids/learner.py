@@ -1,7 +1,7 @@
-"""Misuse classifiers: a gain-ratio decision-tree builder, a PART-style
-decision-list learner that repeatedly grows partial pruned trees and keeps
-the best-coverage leaf as the next rule, a majority baseline, and versioned
-text serialization for all three.
+"""The misuse classifier: a PART decision-list learner (Frank and Witten,
+ICML 1998) that repeatedly grows a partial pruned gain-ratio tree and keeps
+its best-coverage leaf as the next rule, and the versioned text file of the
+rule list it learns.
 
 All training is deterministic: candidate splits are examined in schema
 order, split ties break on feature index then threshold, leaf ties break on
@@ -33,6 +33,8 @@ class Leaf:
 
 
 class Split:
+    """An inner node of a `DecisionTree`; it goes with that class."""
+
     __slots__ = ("feature", "kind", "threshold", "symbols", "children", "majority_child", "dist")
 
     def __init__(self, feature, kind, threshold, symbols, children, majority_child, dist):
@@ -70,9 +72,9 @@ class _ModelBase:
 
 
 class MajorityModel(_ModelBase):
-    """Predicts the majority training class unconditionally."""
-
-    kind = "majority"
+    """Predicts one class unconditionally. No chids code builds one: the
+    benchmark wraps `predict_dataset` here by name, until it reads an
+    in-program trace and this class moves into the tests."""
 
     def __init__(self, klass: AttackClass, features):
         super().__init__(features)
@@ -84,9 +86,11 @@ class MajorityModel(_ModelBase):
 
 
 class DecisionTree(_ModelBase):
-    kind = "tree"
+    """A tree of `Split` and `Leaf` nodes. No chids code builds one: the
+    benchmark wraps `predict_dataset` here by name, until it reads an
+    in-program trace and this class moves into the tests."""
 
-    def __init__(self, root, features):
+    def __init__(self, root: Split | Leaf, features):
         super().__init__(features)
         self.root = root
 
@@ -184,8 +188,7 @@ class _Candidate(NamedTuple):
 
 
 class _Grower:
-    """Shared machinery for full trees and PART partial trees over one
-    training dataset."""
+    """PART's partial trees over one training dataset."""
 
     def __init__(self, ds: Dataset, params: TreeParams):
         self.ds = ds
@@ -270,66 +273,42 @@ class _Grower:
         codes = self.ds.nominal[idx, j]
         return [idx[codes == c] for c in range(len(symbols))], symbols
 
-    def _subtree_errors(self, node) -> float:
-        if isinstance(node, Leaf):
-            return self._pessimistic(node.dist, node.klass)
-        return sum(self._subtree_errors(ch) for ch in node.children)
+    def expand(self, idx, used_nominal, path):
+        """Grow the partial tree below the node over `idx`. Returns the
+        node's leaf, or None if it stays a split, and (path, leaf, order)
+        for every leaf made in this subtree.
 
-    def expand(self, idx, used_nominal, path, partial):
-        """Grow the node over `idx`; returns (node, leaves) where leaves are
-        (path, leaf, order) for every leaf made in this subtree.
-
-        A full tree (`partial` false) expands every child in branch order.
-        A PART partial tree expands children lowest class-entropy first and
-        stops at the first child that does not settle into a leaf. Once all
-        children are expanded, the node collapses into a leaf when its
-        pessimistic error is no worse than its subtree's (subtree
-        replacement). Partial trees always collapse this way; full trees
-        only when `params.prune` is on."""
+        Children are expanded lowest class entropy first, up to the first
+        one that stays a split. Once every child is a leaf, the node
+        collapses into a leaf when its pessimistic error is no worse than
+        theirs (subtree replacement)."""
         counts = self._node_counts(idx)
         klass = self.leaf_class(counts)
         if np.count_nonzero(counts) <= 1 or idx.size < 2 * self.params.min_leaf:
             return self._make_leaf(counts, klass, path)
         key = (idx.tobytes(), used_nominal)
-        if key in self._splits:
-            cand = self._splits[key]
-        else:
-            cand = self._choose(self._candidates(idx, counts, used_nominal))
-            if partial:  # a full tree meets each row set once
-                self._splits[key] = cand
+        if key not in self._splits:
+            self._splits[key] = self._choose(self._candidates(idx, counts, used_nominal))
+        cand = self._splits[key]
         if cand is None:
             return self._make_leaf(counts, klass, path)
         subsets, symbols = self._partition(idx, cand)
         used = used_nominal | {cand.feature} if cand.kind == NOMINAL else used_nominal
-        order = range(len(subsets))
-        if partial:  # lowest class entropy first
-            entropy = [kernels.entropy_vec(self._node_counts(s)) if s.size else 0.0 for s in subsets]
-            order = sorted(order, key=lambda i: (entropy[i], i))
-        children: list = [None] * len(subsets)
+        entropy = [kernels.entropy_vec(self._node_counts(s)) if s.size else 0.0 for s in subsets]
+        errors = [0.0] * len(subsets)  # each child leaf's pessimistic error, 0 if empty
         leaves: list = []
-        for i in order:
-            sub = subsets[i]
-            if sub.size == 0:
-                children[i] = Leaf(np.zeros(N_CLASSES, dtype=np.int64), klass)
+        for i in sorted(range(len(subsets)), key=lambda i: (entropy[i], i)):
+            if subsets[i].size == 0:
                 continue
-            children[i], sub_leaves = self.expand(
-                sub, used, path + [self._branch_test(cand, symbols, i)], partial)
+            leaf, sub_leaves = self.expand(
+                subsets[i], used, path + [self._branch_test(cand, symbols, i)])
             leaves.extend(sub_leaves)
-            if partial and not isinstance(children[i], Leaf):
-                break
-        else:  # every child was expanded
-            if (partial or self.params.prune) and (
-                self._pessimistic(counts, klass)
-                <= sum(self._subtree_errors(ch) for ch in children) + 0.1
-            ):
-                return self._make_leaf(counts, klass, path)
-        for i, ch in enumerate(children):
-            if ch is None:  # unexpanded stub; never a rule candidate
-                sub_counts = self._node_counts(subsets[i])
-                children[i] = Leaf(sub_counts, self.leaf_class(sub_counts))
-        majority = int(np.argmax([s.size for s in subsets]))
-        node = Split(cand.feature, cand.kind, cand.threshold, symbols, children, majority, counts)
-        return node, leaves
+            if leaf is None:
+                return None, leaves
+            errors[i] = self._pessimistic(leaf.dist, leaf.klass)
+        if self._pessimistic(counts, klass) <= sum(errors) + 0.1:
+            return self._make_leaf(counts, klass, path)
+        return None, leaves
 
     def _make_leaf(self, counts, klass, path):
         leaf = Leaf(counts, klass)
@@ -353,7 +332,7 @@ class _Grower:
 
     def extract_rule(self, idx) -> Rule:
         """Best-coverage leaf of one partial tree over `idx`, as a rule."""
-        _, leaves = self.expand(idx, frozenset(), [], partial=True)
+        _, leaves = self.expand(idx, frozenset(), [])
         viable = [(p, l, o) for p, l, o in leaves if int(l.dist.sum()) > 0]
         path, leaf, _ = min(viable, key=lambda t: (-int(t[1].dist.sum()), t[2]))
         cov = int(leaf.dist.sum())
@@ -388,23 +367,6 @@ def _merge_tests(path) -> tuple[RuleTest, ...]:
     return tuple(tests)
 
 
-def _check_training_set(train: Dataset) -> None:
-    """Every trainer needs at least one record, and every record labeled."""
-    if len(train) == 0:
-        raise InvalidOperation("training set has no records")
-    if (train.class_codes < 0).any():
-        raise InvalidOperation("training set contains unlabeled records")
-
-
-def build_tree(train: Dataset, params: TreeParams | None = None) -> DecisionTree:
-    """Gain-ratio decision tree over the whole training set (pruned by
-    pessimistic error unless params.prune is off)."""
-    _check_training_set(train)
-    params = params or TreeParams()
-    root = _Grower(train, params).expand(np.arange(len(train)), frozenset(), [], partial=False)[0]
-    return DecisionTree(root, train.schema.features)
-
-
 def _rule_mask(ds: Dataset, idx: np.ndarray, rule: Rule) -> np.ndarray:
     """Which rows of `idx` pass every test of `rule`."""
     m = np.ones(idx.size, dtype=bool)
@@ -422,7 +384,10 @@ def _rule_mask(ds: Dataset, idx: np.ndarray, rule: Rule) -> np.ndarray:
 def train_part(train: Dataset, params: TreeParams | None = None) -> RuleSet:
     """Separate-and-conquer loop: extract the best partial-tree rule, drop
     the records it covers, repeat until nothing is left."""
-    _check_training_set(train)
+    if len(train) == 0:
+        raise InvalidOperation("training set has no records")
+    if (train.class_codes < 0).any():
+        raise InvalidOperation("training set contains unlabeled records")
     params = params or TreeParams()
     g = _Grower(train, params)
     residual = np.arange(len(train))
@@ -437,12 +402,6 @@ def train_part(train: Dataset, params: TreeParams | None = None) -> RuleSet:
         residual = residual[~covered]
     default = g.leaf_class(g.class_totals)
     return RuleSet(rules, default, train.schema.features)
-
-
-def train_majority_baseline(train: Dataset) -> MajorityModel:
-    _check_training_set(train)
-    counts = np.bincount(train.class_codes, minlength=N_CLASSES)
-    return MajorityModel(AttackClass(int(np.argmax(counts))), train.schema.features)
 
 
 # --- serialization -------------------------------------------------------
@@ -475,12 +434,6 @@ _RULE_RE = re.compile(r"^rule IF (.+) THEN (\w+) cov=(\d+) err=(\d+)$")
 _OPS = {NOMINAL: ("==",), NUMERIC: ("<=", ">")}
 
 
-def _feature_kind(feat: str, kinds: dict[str, str]) -> str:
-    if feat not in kinds:
-        raise DataError(f"feature {feat!r} is not on the features line")
-    return kinds[feat]
-
-
 def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     m = _RULE_RE.match(line)
     if not m:
@@ -493,7 +446,9 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     if cond != "TRUE":
         for part in cond.split(" AND "):
             feat, op, val = part.split(" ", 2)
-            kind = _feature_kind(feat, kinds)
+            if feat not in kinds:
+                raise DataError(f"feature {feat!r} is not on the features line")
+            kind = kinds[feat]
             if op not in _OPS.get(kind, ()):
                 raise DataError(f"bad operator for {kind} feature in rule: {part!r}")
             value = _symbol(val) if kind == NOMINAL else artifact.finite(val)
@@ -501,131 +456,35 @@ def _parse_rule(line: str, kinds: dict[str, str]) -> Rule:
     return Rule(tuple(tests), AttackClass.from_tag(tag), cov, err)
 
 
-def _tree_lines(root):
-    """The lines of a tree, depth first, each node one space deeper than its parent."""
-    todo = [(root, 0)]
-    while todo:
-        node, depth = todo.pop()
-        pad = " " * depth
-        dist = ",".join(str(int(v)) for v in node.dist)
-        if isinstance(node, Leaf):
-            yield f"{pad}leaf {node.klass.tag} dist={dist}"
-            continue
-        if node.kind == NUMERIC:
-            test = f"numeric {node.feature} {node.threshold!r}"
-        else:
-            test = f"nominal {node.feature} {','.join(_fmt_value(s) for s in node.symbols)}"
-        yield f"{pad}split {test} majority={node.majority_child} dist={dist}"
-        todo += [(child, depth + 1) for child in reversed(node.children)]
-
-
-# fields of a tree line, its head included
-_NODE_FIELDS = {"leaf": 3, "split": 6}
-
-
 def _after(text: str, head: str, sep: str) -> str:
-    """What follows `head` and `sep` in `text`, such as `kind part` or `dist=1,0,0,0,0`."""
+    """What follows `head` and `sep` in `text`, such as `kind part` or `default dos`."""
     name, found, value = text.partition(sep)
     if name != head or not found:
         raise DataError(f"expected {head + sep!r}, got {text!r}")
     return value
 
 
-def _parse_node(line: str, depth: int, kinds: dict[str, str]):
-    """The node on `line`, written at `depth`, and the number of its
-    children; a split's children are left for the caller to add."""
-    if not line:
-        raise DataError("expected a tree node, got the end of the file")
-    body = line[depth:]
-    if line[:depth] != " " * depth or body.startswith(" "):
-        raise DataError(f"bad tree indentation: {line!r}")
-    parts = body.split(" ")
-    if len(parts) != _NODE_FIELDS.get(parts[0]):
-        raise DataError(f"expected `leaf` and 2 fields or `split` and 5: {line!r}")
-    dist = [artifact.count(v) for v in _after(parts[-1], "dist", "=").split(",")]
-    if len(dist) != N_CLASSES:
-        raise DataError(f"dist= must be {N_CLASSES} counts: {line!r}")
-    if parts[0] == "leaf":
-        return Leaf(dist, AttackClass.from_tag(parts[1])), 0
-    _, kind, feature = parts[0], parts[1], parts[2]
-    if _feature_kind(feature, kinds) != kind:
-        raise DataError(f"{kind} split on {kinds[feature]} feature: {line!r}")
-    majority = artifact.count(_after(parts[-2], "majority", "="))
-    if kind == NUMERIC:
-        threshold = artifact.finite(parts[3])
-        n_children, symbols = 2, None
-    else:
-        symbols = tuple(map(_symbol, parts[3].split(",")))
-        threshold = None
-        n_children = len(symbols)
-    if majority >= n_children:
-        raise DataError(f"majority={majority} is not one of the {n_children} children: {line!r}")
-    return Split(feature, kind, threshold, symbols, [], majority, dist), n_children
-
-
-# Levels a model tree may nest: `_Grower.expand` recurses once per level, so
-# under Python's default recursion limit of 1000 it grows no deeper tree.
-_MAX_TREE_DEPTH = 1000
-
-
-def _parse_tree(lines, kinds: dict[str, str]):
-    """Parse the tree on `lines`, written depth first, each node one space
-    deeper than its parent."""
-    open_splits = []  # (split, children it takes) of each split whose children are being read
-    while True:
-        if len(open_splits) > _MAX_TREE_DEPTH:
-            raise DataError(f"tree nested deeper than {_MAX_TREE_DEPTH} levels")
-        node, n_children = _parse_node(next(lines, ""), len(open_splits), kinds)
-        if n_children:
-            open_splits.append((node, n_children))
-            continue
-        while open_splits:  # hang the node, and each split it completes, on its parent
-            parent, n_children = open_splits[-1]
-            parent.children.append(node)
-            if len(parent.children) < n_children:
-                break
-            node = open_splits.pop()[0]
-        else:
-            return node
-
-
-def save_model(model, path) -> None:
+def save_model(model: RuleSet, path) -> None:
     """Versioned structured-text model file (round-trippable)."""
-    if isinstance(model, MajorityModel):
-        body = [f"default {model.klass.tag}"]
-    elif isinstance(model, RuleSet):
-        body = [f"default {model.default.tag}"] + [_fmt_rule(rule) for rule in model.rules]
-    elif isinstance(model, DecisionTree):
-        body = _tree_lines(model.root)
-    else:
-        raise DataError(f"unknown model type {type(model).__name__}")
-    head = [MODEL_MAGIC, f"kind {model.kind}",
-            f"features {','.join(f'{n}:{k}' for n, k in model.features)}"]
-    artifact.write_text(path, (line + "\n" for part in (head, body) for line in part))
+    lines = [MODEL_MAGIC, f"kind {model.kind}",
+             f"features {','.join(f'{n}:{k}' for n, k in model.features)}",
+             f"default {model.default.tag}"] + [_fmt_rule(rule) for rule in model.rules]
+    artifact.write_text(path, (line + "\n" for line in lines))
 
 
-def load_model(path):
+def load_model(path) -> RuleSet:
     return artifact.read_lines(path, _parse_model)
 
 
-def _parse_model(lines):
+def _parse_model(lines) -> RuleSet:
     if next(lines, None) != MODEL_MAGIC:
         raise DataError("not a chids model file")
     kind = _after(next(lines, ""), "kind", " ")
+    if kind != RuleSet.kind:
+        raise DataError(f"unknown model kind {kind!r}: `chids train` rewrites the file")
     pairs = [p.split(":") for p in _after(next(lines, ""), "features", " ").split(",")]
     features = FeatureSchema(pairs).features  # each a known kind, no name twice
     kinds = dict(features)
     body = (line for line in lines if line.strip())
-    if kind == "tree":
-        model = DecisionTree(_parse_tree(body, kinds), features)
-    elif kind in ("majority", "part"):
-        default = AttackClass.from_tag(_after(next(body, ""), "default", " "))
-        if kind == "majority":
-            model = MajorityModel(default, features)
-        else:
-            model = RuleSet([_parse_rule(line, kinds) for line in body], default, features)
-    else:
-        raise DataError(f"unknown model kind {kind!r}")
-    for line in body:
-        raise DataError(f"{line!r} after the end of the model")
-    return model
+    default = AttackClass.from_tag(_after(next(body, ""), "default", " "))
+    return RuleSet([_parse_rule(line, kinds) for line in body], default, features)

@@ -109,9 +109,11 @@ POLICIES = (POLICY_ALERT_UNRESOLVED, POLICY_TRUST_MISUSE)
 
 @dataclass(frozen=True)
 class TreeParams:
+    """The `part.*` section: the settings of PART's partial trees, which are
+    always pruned by subtree replacement."""
+
     min_leaf: int = 2          # smallest admissible branch size
     confidence: float = 0.25   # pessimistic-error confidence factor
-    prune: bool = True         # full trees only: PART partial trees always prune
 
     def __post_init__(self):
         if not self.min_leaf >= 1:

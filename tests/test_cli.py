@@ -152,7 +152,7 @@ class TestTrainEvaluate:
         assert code == 5
         assert "chids preprocess" in err
 
-    @pytest.mark.parametrize("kind", ["part", "tree", "majority"])
+    @pytest.mark.parametrize("kind", ["part"])
     @pytest.mark.parametrize("defect", ["empty", "unlabeled"])
     def test_training_set_without_records_or_labels_exit_6(self, workdir, tmp_path, kind, defect,
                                                             capsys):
@@ -693,48 +693,19 @@ def noisy_run(tmp_path_factory, synth_corpus_path):
 
 class TestPinnedModels:
     # Taken before the full tree and PART's partial trees were grown by one
-    # recursion; every model kind must keep these bytes.
-    SHA256 = {
-        "part": "82b65ec9c18fa84cb068b92cc609ee2003e6401385c6f1fa6d330cf49fe44b00",
-        "tree": "415ec4a2f7d2b56d8c0b161ec6b510415499d1a747a42b96e58249a14166c0b9",
-        "tree-unpruned": "d178d8b11b2f8055917e27b543937ff3beaca3f14365c1bd272ac4582ccd1699",
-        "majority": "1efc9d265d93fe16694322c985d57f371037889e6e7350826ff836526d7635d8",
-    }
-    SETTINGS = {
-        "part": [],
-        "tree": ["model.kind=tree"],
-        "tree-unpruned": ["model.kind=tree", "part.prune=false"],
-        "majority": ["model.kind=majority"],
-    }
-
-    def model_bytes(self, run: Path, tmp_path: Path, name: str) -> bytes:
-        out = tmp_path / name
-        shutil.copytree(run, out)
-        args = ["train", "--out", str(out), "--seed", "3"]
-        for setting in self.SETTINGS[name]:
-            args += ["--set", setting]
-        assert main(args) == 0
-        return (out / "model.txt").read_bytes()
+    # recursion; PART must keep these bytes.
+    SHA256 = {"part": "82b65ec9c18fa84cb068b92cc609ee2003e6401385c6f1fa6d330cf49fe44b00"}
 
     @pytest.mark.parametrize("name", list(SHA256))
     def test_model_bytes(self, noisy_run, tmp_path, name, capsys):
-        raw = self.model_bytes(noisy_run, tmp_path, name)
+        out = tmp_path / name
+        shutil.copytree(noisy_run, out)
+        assert main(["train", "--out", str(out), "--seed", "3"]) == 0
         capsys.readouterr()
-        assert hashlib.sha256(raw).hexdigest() == self.SHA256[name]
-
-    def test_prune_changes_the_tree(self, noisy_run, tmp_path, capsys):
-        pruned = self.model_bytes(noisy_run, tmp_path, "tree")
-        unpruned = self.model_bytes(noisy_run, tmp_path, "tree-unpruned")
-        capsys.readouterr()
-        assert pruned != unpruned
+        assert hashlib.sha256((out / "model.txt").read_bytes()).hexdigest() == self.SHA256[name]
 
 
 class TestModelFileHardening:
-    TREE = (
-        "#chids-model v1\nkind tree\nfeatures count:numeric\n"
-        "split numeric count {threshold} majority=0 dist={dist}\n"
-        " leaf normal dist=3,0,0,0,0\n leaf dos dist=0,2,0,0,0\n"
-    )
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -746,22 +717,12 @@ class TestModelFileHardening:
             lambda text: "".join(text.splitlines(True)[:3]),
             lambda text: re.sub(r"count (<=|>) \S+", "count <= abc", text, count=1),
             lambda text: text.replace("THEN dos", "THEN worm", 1),
-            lambda text: TestModelFileHardening.TREE.format(threshold="abc", dist="3,2,0,0,0"),
-            lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,x,0,0,0"),
-            lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,2,0,0,0")
-            .rsplit("\n", 2)[0],
             lambda text: re.sub(r"count (<=|>)", r"nosuch \1", text, count=1),
             lambda text: re.sub(r"count (<=|>) \S+", "count == 5", text, count=1),
             lambda text: re.sub(r"service == \S+", "service <= 3", text, count=1),
-            lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,2,0,0,0")
-            .replace("split numeric count", "split numeric nosuch"),
-            lambda text: TestModelFileHardening.TREE.format(threshold="1.5", dist="3,2,0,0,0")
-            .replace("count:numeric", "count:nominal"),
         ],
         ids=["cut16", "cut30", "cut60", "cut100", "three-lines", "text-threshold",
-             "unknown-class", "tree-threshold", "tree-dist", "tree-missing-child",
-             "unknown-feature", "eq-on-numeric", "le-on-nominal", "tree-unknown-feature",
-             "tree-kind-mismatch"],
+             "unknown-class", "unknown-feature", "eq-on-numeric", "le-on-nominal"],
     )
     def test_evaluate_exit_4(self, workdir, tmp_path, corrupt, capsys):
         out = tmp_path / "run"
@@ -774,48 +735,22 @@ class TestModelFileHardening:
         assert "model.txt" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
-
-class TestDeepModelTree:
-    """A model tree may nest as deep as `learner._MAX_TREE_DEPTH`, which no
-    grown tree reaches; `evaluate` and `detect` run such a tree, and exit 4
-    naming the file on a deeper one."""
-
-    @staticmethod
-    def run(workdir, synth_corpus_path, tmp_path, depth, capsys):
-        # a chain of numeric splits whose thresholds lie below every
-        # normalized value: each sends every record one level deeper
-        features = (workdir / "model.txt").read_text().splitlines()[2]
-        assert "count:numeric" in features
-        lines = ["#chids-model v1", "kind tree", features]
-        for d in range(depth):
-            lines += [" " * d + f"split numeric count {d - depth}.0 majority=1 dist=1,1,0,0,0",
-                      " " * (d + 1) + "leaf normal dist=1,0,0,0,0"]
-        lines.append(" " * depth + "leaf dos dist=0,1,0,0,0")
+    @pytest.mark.parametrize("kind", ["tree", "majority"])
+    def test_removed_model_kind_exit_4(self, workdir, synth_corpus_path, tmp_path, kind,
+                                       capsys):
+        # model files of the two learners PART replaced; the body does not matter
         out = tmp_path / "run"
         out.mkdir()
-        for f in ("test.cache", "transform.json"):
-            shutil.copy(workdir / f, out / f)
-        (out / "model.txt").write_text("\n".join(lines) + "\n")
+        for name in ("test.cache", "transform.json"):
+            shutil.copy(workdir / name, out / name)
+        text = (workdir / "model.txt").read_text()
+        (out / "model.txt").write_text(text.replace("kind part\n", f"kind {kind}\n", 1))
         sample = tmp_path / "sample.kdd"
-        sample.write_text("".join(Path(synth_corpus_path).read_text().splitlines(True)[:200]))
-        return [run_cli(args + ["--out", str(out)], capsys)
-                for args in (["evaluate"], ["detect", "--input", str(sample)])]
-
-    def test_deepest_tree_runs(self, workdir, synth_corpus_path, tmp_path, capsys):
-        from chids.learner import _MAX_TREE_DEPTH, load_model, save_model
-
-        runs = self.run(workdir, synth_corpus_path, tmp_path, _MAX_TREE_DEPTH, capsys)
-        assert [code for code, _, _ in runs] == [0, 0]
-        model = tmp_path / "run" / "model.txt"
-        save_model(load_model(model), tmp_path / "again.txt")
-        assert (tmp_path / "again.txt").read_bytes() == model.read_bytes()
-        rows = (tmp_path / "run" / "dispositions.tsv").read_text().splitlines()[2:]
-        assert len(rows) == 200 and all(row.endswith("\tdos") for row in rows)
-
-    def test_deeper_tree_exit_4(self, workdir, synth_corpus_path, tmp_path, capsys):
-        for code, _, err in self.run(workdir, synth_corpus_path, tmp_path, 1200, capsys):
-            assert code == 4
-            assert "model.txt" in err and "nested deeper than" in err
+        sample.write_text("".join(Path(synth_corpus_path).read_text().splitlines(True)[:20]))
+        for args in (["evaluate"], ["detect", "--input", str(sample)]):
+            code, _, err = run_cli(args + ["--out", str(out)], capsys)
+            assert code == 4, args
+            assert "model.txt" in err and "chids train" in err and "line 2" in err
             assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
@@ -1264,7 +1199,6 @@ select.k = 4
 model.kind = part
 part.min_leaf = 2
 part.confidence = 0.25
-part.prune = true
 rules.interval_lower = 0.5
 rules.interval_upper = 30.0
 rules.retransmission_deadline = 2.0

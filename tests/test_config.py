@@ -37,8 +37,6 @@ class TestParsing:
     def test_bad_value_type(self):
         with pytest.raises(ConfigError):
             parse_config_lines(["seed = banana"])
-        with pytest.raises(ConfigError):
-            parse_config_lines(["part.prune = maybe"])
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
@@ -75,6 +73,8 @@ class TestValidation:
         for key, value in (
             ("select.method", "pca"),
             ("model.kind", "svm"),
+            ("model.kind", "tree"),  # PART is the only misuse learner
+            ("model.kind", "majority"),
             ("pipeline.policy", "ignore"),
             ("detect.mode", "psychic"),
             ("detect.mode", "stream"),  # --events supplies the flags
@@ -86,6 +86,14 @@ class TestValidation:
     def test_every_select_method_has_a_scorer(self):
         # config names the methods without loading ranking, which scores them
         assert SELECT_METHODS == tuple(ranking.SCORERS)
+
+    def test_part_prune_is_an_unknown_key_exit_2(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("part.prune = true\n")
+        for argv in (["config", "--set", "part.prune=true"], ["config", "--config", str(conf)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "unknown config key 'part.prune'" in err and len(err.splitlines()) == 1
 
     def test_threads_floor(self):
         cfg = apply_setting(RunConfig(), "threads", "0")
@@ -113,7 +121,6 @@ SECTION_SETTINGS = [
     ("rules.max_sources_per_message", "2", 2),
     ("part.min_leaf", "3", 3),
     ("part.confidence", "0.1", 0.1),
-    ("part.prune", "off", False),
     ("pipeline.policy", "trust_misuse", "trust_misuse"),
     ("pipeline.alert_sink", "a.log", "a.log"),
 ]

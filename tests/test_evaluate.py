@@ -15,10 +15,16 @@ from chids.evaluate import (
     metrics_from_confusion,
     render_split_table,
 )
-from chids.kdd import Dataset, FeatureSchema, KddRecord
-from chids.learner import train_majority_baseline, train_part
+from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord
+from chids.learner import MajorityModel, train_part
 
 LABELS = ("normal", "neptune", "satan", "phf", "perl")
+
+
+def majority_baseline(ds) -> MajorityModel:
+    """The constant predictor of the most frequent training class."""
+    klass = AttackClass(int(np.argmax(np.bincount(ds.class_codes, minlength=5))))
+    return MajorityModel(klass, ds.schema.features)
 
 
 def labeled_ds(classes, xs=None) -> Dataset:
@@ -87,7 +93,7 @@ class TestMetrics:
     def test_majority_baseline_analytic_recalls(self):
         classes = [0] * 12 + [1, 1, 2, 3, 4]
         ds = labeled_ds(classes)
-        model = train_majority_baseline(ds)
+        model = majority_baseline(ds)
         cm, _ = evaluate(model, ds)
         m = metrics_from_confusion(cm)
         assert m.per_class_recall["normal"] == pytest.approx(100.0)
@@ -104,13 +110,13 @@ class TestMetrics:
 
     def test_empty_test_set(self):
         ds = labeled_ds([0, 1])
-        model = train_majority_baseline(ds)
+        model = majority_baseline(ds)
         with pytest.raises(EmptyTestSet):
             evaluate(model, labeled_ds([]))
 
     def test_evaluate_records_test_time(self):
         ds = labeled_ds([0, 1] * 20)
-        model = train_majority_baseline(ds)
+        model = majority_baseline(ds)
         _, test_s = evaluate(model, ds)
         assert test_s >= 0.0
 
@@ -141,7 +147,7 @@ class TestEmitReport:
 
     def test_metrics_json_excludes_timings(self, tmp_path):
         ds = labeled_ds([0, 1] * 10)
-        model = train_majority_baseline(ds)
+        model = majority_baseline(ds)
         cm, test_s = evaluate(model, ds)
         emit_report(tmp_path / "rep", confusion=cm, train_s=1.23, test_s=test_s)
         obj = json.loads((tmp_path / "rep" / "metrics.json").read_text())
@@ -152,7 +158,7 @@ class TestEmitReport:
 
     def test_comparison_files_label_sources(self, tmp_path):
         ds = labeled_ds([0, 1] * 10)
-        model = train_majority_baseline(ds)
+        model = majority_baseline(ds)
         cm, test_s = evaluate(model, ds)
         emit_report(tmp_path / "rep", confusion=cm, test_s=test_s)
         text = (tmp_path / "rep" / "detection_rate_bars.tsv").read_text()

@@ -16,15 +16,15 @@ from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord
 from chids.learner import (
     DecisionTree,
     Leaf,
+    MajorityModel,
     Rule,
     RuleSet,
     RuleTest,
+    Split,
     TreeParams,
     _Grower,
-    build_tree,
     load_model,
     save_model,
-    train_majority_baseline,
     train_part,
 )
 
@@ -44,85 +44,30 @@ def xy_dataset(points, classes, nominal_col=None) -> Dataset:
     return Dataset.from_records(records, schema)
 
 
-def depth2_best_accuracy_oracle(points, classes):
-    """Exhaustive search over depth<=2 axis-aligned trees (all midpoints)."""
-    n = len(points)
-
-    def majority_hits(idx):
-        if not idx:
-            return 0
-        counts = {}
-        for i in idx:
-            counts[classes[i]] = counts.get(classes[i], 0) + 1
-        return max(counts.values())
-
-    def candidates(idx, f):
-        vals = sorted(set(points[i][f] for i in idx))
-        return [(a + b) / 2 for a, b in zip(vals, vals[1:])]
-
-    def best_leaf_or_split(idx):
-        best = majority_hits(idx)
-        for f in (0, 1):
-            for t in candidates(idx, f):
-                l = [i for i in idx if points[i][f] <= t]
-                r = [i for i in idx if points[i][f] > t]
-                best = max(best, majority_hits(l) + majority_hits(r))
-        return best
-
-    all_idx = list(range(n))
-    best = majority_hits(all_idx)
-    for f in (0, 1):
-        for t in candidates(all_idx, f):
-            l = [i for i in all_idx if points[i][f] <= t]
-            r = [i for i in all_idx if points[i][f] > t]
-            best = max(best, best_leaf_or_split(l) + best_leaf_or_split(r))
-    return best / n
-
-
 def accuracy(model, ds) -> float:
     return float((model.predict_dataset(ds) == ds.class_codes).mean())
 
 
+def majority_baseline(ds) -> MajorityModel:
+    """The constant predictor of the most frequent training class."""
+    klass = AttackClass(int(np.argmax(np.bincount(ds.class_codes, minlength=5))))
+    return MajorityModel(klass, ds.schema.features)
+
+
+def hand_built_tree(features) -> DecisionTree:
+    """x <= 5 -> normal; else by s: a -> dos, b -> (y <= 2 -> probe, else r2l);
+    a symbol no branch names takes the majority branch, b."""
+    def leaf(klass):
+        return Leaf(np.zeros(5), klass)
+
+    by_y = Split("y", "numeric", 2.0, None, [leaf(AttackClass.PROBE), leaf(AttackClass.R2L)],
+                 0, np.zeros(5))
+    by_s = Split("s", "nominal", None, ("a", "b"), [leaf(AttackClass.DOS), by_y], 1, np.zeros(5))
+    return DecisionTree(Split("x", "numeric", 5.0, None, [leaf(AttackClass.NORMAL), by_s], 1,
+                              np.zeros(5)), features)
+
+
 class TestBuildTree:
-    def test_pure_input_single_leaf(self):
-        ds = xy_dataset([(i, 0) for i in range(6)], [0] * 6)
-        tree = build_tree(ds)
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.klass is AttackClass.NORMAL
-
-    def test_xor_needs_depth_two(self):
-        points = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        classes = [0, 1, 1, 0]
-        # oracle: no depth-1 tree separates this
-        def depth1_best():
-            best = 2 / 4
-            for f in (0, 1):
-                l = [classes[i] for i in range(4) if points[i][f] <= 0.5]
-                r = [classes[i] for i in range(4) if points[i][f] > 0.5]
-                hits = max(l.count(0), l.count(1)) + max(r.count(0), r.count(1))
-                best = max(best, hits / 4)
-            return best
-        assert depth1_best() < 1.0
-        ds = xy_dataset(points, classes)
-        tree = build_tree(ds, TreeParams(min_leaf=1, prune=False))
-        assert accuracy(tree, ds) == 1.0
-        # depth exactly 2: root split plus one more level
-        assert not isinstance(tree.root, Leaf)
-        kids = tree.root.children
-        assert all(not isinstance(k, Leaf) for k in kids)
-        assert all(isinstance(g, Leaf) for k in kids for g in k.children)
-
-    def test_14_record_toy_matches_depth2_oracle(self):
-        points = [
-            (1, 1), (2, 8), (3, 2), (4, 9), (5, 5),
-            (7, 1), (8, 2), (9, 3), (10, 1),
-            (7, 8), (8, 9), (9, 7), (10, 8), (6.5, 9),
-        ]
-        classes = [0] * 5 + [1] * 4 + [2] * 5
-        ds = xy_dataset(points, classes)
-        tree = build_tree(ds)
-        assert accuracy(tree, ds) == pytest.approx(depth2_best_accuracy_oracle(points, classes))
-
     def test_leaf_tie_breaks_on_global_frequency(self):
         # node ties 1:1 between classes 0 and 1; class 1 dominates globally
         points = [(0, 0), (1, 0)] + [(10 + i, 0) for i in range(4)]
@@ -171,22 +116,21 @@ class TestBuildTree:
             assert nomc[0].split_info == pytest.approx(entropy_oracle(codes), abs=1e-9)
 
     def test_unseen_symbol_routes_to_majority_child(self):
-        syms = ["a"] * 8 + ["b"] * 3
-        classes = [0] * 8 + [1] * 3
-        points = [(0.0, 0.0)] * 11
-        ds = xy_dataset(points, classes, nominal_col=syms)
-        tree = build_tree(ds, TreeParams(min_leaf=1, prune=False))
-        # the new dataset codes "b" as 0 and "zzz" as 1; "zzz" has no branch
-        # and takes the majority branch, 'a'
-        new = xy_dataset([(0.0, 0.0)] * 2, [0, 0], nominal_col=["b", "zzz"])
-        assert tree.predict_dataset(new).tolist() == [int(AttackClass.DOS), int(AttackClass.NORMAL)]
+        # the dataset codes "b" as 0, "zzz" as 1 and "a" as 2; "zzz" has no
+        # branch and takes the majority branch, b
+        new = xy_dataset([(9.0, 1.0), (9.0, 1.0), (9.0, 3.0), (9.0, 1.0)], [0] * 4,
+                         nominal_col=["b", "zzz", "zzz", "a"])
+        tree = hand_built_tree(new.schema.features)
+        assert tree.predict_dataset(new).tolist() == [
+            int(AttackClass.PROBE), int(AttackClass.PROBE), int(AttackClass.R2L),
+            int(AttackClass.DOS)]
 
     def test_schema_mismatch_raises(self):
         ds = xy_dataset([(0, 0), (1, 1), (2, 2), (3, 3)], [0, 0, 1, 1])
-        tree = build_tree(ds)
+        model = train_part(ds)
         other = xy_dataset([(0, 0)], [0], nominal_col=["a"])
         with pytest.raises(SchemaMismatch):
-            tree.predict_dataset(other)
+            model.predict_dataset(other)
 
 
 class TestPartialTreeRule:
@@ -225,7 +169,7 @@ class TestPartialTreeRule:
             classes = [rng.randrange(3) for _ in range(n)]
             ds = xy_dataset(points, classes)
             g = _Grower(ds, TreeParams())
-            _, leaves = g.expand(np.arange(n), frozenset(), [], partial=True)
+            _, leaves = g.expand(np.arange(n), frozenset(), [])
             covs = [int(l.dist.sum()) for _, l, _ in leaves]
             rule = g.extract_rule(np.arange(n))
             assert rule.coverage == max(c for c in covs if c > 0)
@@ -302,8 +246,7 @@ class TestTrainPart:
             points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
             classes = [0 if p[0] < 5 else 1 for p in points]
             ds = xy_dataset(points, classes)
-            assert accuracy(train_part(ds), ds) >= accuracy(train_majority_baseline(ds), ds)
-            assert accuracy(build_tree(ds), ds) >= accuracy(train_majority_baseline(ds), ds)
+            assert accuracy(train_part(ds), ds) >= accuracy(majority_baseline(ds), ds)
 
 
 class TestPredict:
@@ -344,10 +287,11 @@ class TestPredict:
         rng = random.Random(31)
         n = 80
         points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
-        syms = [rng.choice("ab") for _ in range(n)]
+        syms = [rng.choice(["a", "b", "zzz"]) for _ in range(n)]  # no branch names zzz
         classes = [rng.randrange(3) for _ in range(n)]
         ds = xy_dataset(points, classes, nominal_col=syms)
-        part, tree, majority = train_part(ds), build_tree(ds), train_majority_baseline(ds)
+        part, majority = train_part(ds), majority_baseline(ds)
+        tree = hand_built_tree(ds.schema.features)
         name_to_pos = {name: i for i, name in enumerate(ds.schema.names)}
         plain_rules = [
             ([(t.feature, t.op, t.value) for t in r.tests], int(r.klass)) for r in part.rules
@@ -368,13 +312,13 @@ class TestPredict:
 class TestMajorityBaseline:
     def test_majority_of_training(self):
         ds = xy_dataset([(i, 0) for i in range(10)], [0] * 6 + [1] * 4)
-        model = train_majority_baseline(ds)
+        model = majority_baseline(ds)
         assert model.klass is AttackClass.NORMAL
         assert set(model.predict_dataset(ds).tolist()) == {0}
 
     def test_never_detects_attacks(self):
         ds = xy_dataset([(i, 0) for i in range(10)], [0] * 6 + [1] * 4)
-        model = train_majority_baseline(ds)
+        model = majority_baseline(ds)
         attacks = xy_dataset([(0, 0)], [2])
         assert model.predict_dataset(attacks).tolist() == [0]
 
@@ -398,8 +342,6 @@ class TestSerialization:
         classes = [rng.randrange(4) for _ in range(n)]
         ds = xy_dataset(points, classes, nominal_col=syms)
         self.roundtrip(train_part(ds), tmp_path, ds)
-        self.roundtrip(build_tree(ds), tmp_path, ds)
-        self.roundtrip(train_majority_baseline(ds), tmp_path, ds)
 
     def test_rule_text_shape(self, tmp_path):
         rules = (
@@ -420,35 +362,6 @@ class TestSerialization:
         assert "default dos" in text
 
 
-_TREE_FILE = [
-    "#chids-model v1",
-    "kind tree",
-    "features x:numeric,y:numeric",
-    "split numeric x 0.5 majority=0 dist=2,2,0,0,0",
-    " leaf normal dist=2,0,0,0,0",
-    " split numeric y 0.5 majority=0 dist=0,2,0,0,0",
-    "  leaf dos dist=0,1,0,0,0",
-    "  leaf dos dist=0,1,0,0,0",
-]
-
-
-class TestTreeFileLineNumbers:
-    def test_well_formed_file_loads(self, tmp_path):
-        (tmp_path / "m.txt").write_text("\n".join(_TREE_FILE) + "\n")
-        assert isinstance(load_model(tmp_path / "m.txt"), DecisionTree)
-
-    @pytest.mark.parametrize("blank_before, want", [(False, "line 6"), (True, "line 7")])
-    def test_bad_indentation_names_the_file_line(self, tmp_path, blank_before, want):
-        lines = list(_TREE_FILE)
-        lines[5] = " " + lines[5]  # over-indented by one
-        if blank_before:
-            lines.insert(4, "")
-        (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"m.txt: {want}: bad tree indentation: "):
-            load_model(tmp_path / "m.txt")
-
-
-_MAJORITY_FILE = ["#chids-model v1", "kind majority", "features x:numeric,y:numeric", "default dos"]
 _PART_FILE = [
     "#chids-model v1",
     "kind part",
@@ -468,50 +381,25 @@ class TestModelFileChecks:
     # each file reads without error unless its keywords and its length are checked
     @pytest.mark.parametrize("lines, lineno", [
         (_edited(_PART_FILE, 1, "kinds part"), 2),
+        (_edited(_PART_FILE, 1, "kind tree"), 2),
+        (_edited(_PART_FILE, 1, "kind majority"), 2),
         (_edited(_PART_FILE, 2, "feature x:numeric,y:numeric"), 3),
         (_edited(_PART_FILE, 3, "fallback dos"), 4),
-        (_edited(_MAJORITY_FILE, 3, "class dos"), 4),
-        (_edited(_MAJORITY_FILE, 4, "default normal"), 5),
-        (_edited(_MAJORITY_FILE, 4, "rule IF TRUE THEN normal cov=1 err=0"), 5),
-        (_edited(_TREE_FILE, 8, "leaf normal dist=2,0,0,0,0"), 9),
-        (_edited(_TREE_FILE, 8, "  leaf dos dist=0,1,0,0,0"), 9),
-        (_edited(_TREE_FILE, 3, "split numeric x 0.5 majority=9 dist=2,2,0,0,0"), 4),
-        (_edited(_TREE_FILE, 3, "split numeric x 0.5 majority=-1 dist=2,2,0,0,0"), 4),
-        (_edited(_TREE_FILE, 4, " leaf normal dist=2,0,0,0,0,0,0"), 5),
-        (_edited(_TREE_FILE, 4, " leaf normal dist=3,0,0,-1,0"), 5),
         (_edited(_PART_FILE, 3, "default xyz"), 4),
-        (_edited(_MAJORITY_FILE, 3, "default xyz"), 4),
         (_edited(_PART_FILE, 4, "rule IF x <= 0.5 THEN xyz cov=2 err=0"), 5),
-        (_edited(_TREE_FILE, 4, " leaf xyz dist=2,0,0,0,0"), 5),
         (_edited(_PART_FILE, 4, "rule IF x <= nan THEN normal cov=2 err=0"), 5),
         (_edited(_PART_FILE, 4, "rule IF x > inf THEN normal cov=2 err=0"), 5),
         (_edited(_PART_FILE, 4, "rule IF x <= -inf THEN normal cov=2 err=0"), 5),
-        (_edited(_TREE_FILE, 3, "split numeric x nan majority=0 dist=2,2,0,0,0"), 4),
-        (_edited(_TREE_FILE, 5, " split numeric y inf majority=0 dist=0,2,0,0,0"), 6),
-        (_edited(_MAJORITY_FILE, 2, "features x:numeric,y:bogus"), 3),
+        (_edited(_PART_FILE, 2, "features x:numeric,y:bogus"), 3),
         (_edited(_PART_FILE, 2, "features x:numeric,x:numeric"), 3),
         (_edited(_PART_FILE, 2, "features x:numeric:nominal,y:numeric"), 3),
-        (_edited(_TREE_FILE, 6, "  leaf dos foo bar dist=0,1,0,0,0"), 7),
-        (_edited(_TREE_FILE, 6, "  leaf dos size=0,1,0,0,0"), 7),
-        (_edited(_TREE_FILE, 3, "split numeric x 0.5 size=0 dist=2,2,0,0,0"), 4),
-        (_edited(_TREE_FILE, 3, "splat numeric x 0.5 majority=0 dist=2,2,0,0,0"), 4),
         (_edited(_PART_FILE, 4, "rule IF x <= 0.5 THEN normal cov=1 err=5"), 5),
-        (_edited(_TREE_FILE, 3, "split numeric x 0.5 majority=0\x0c dist=2,2,0,0,0"), 4),
-        (_edited(_TREE_FILE, 4, " leaf normal dist=2,0,0,0,0\x0c"), 5),
-        (_edited(_TREE_FILE, 4, " leaf normal dist=+2,0,0,0,0"), 5),
-        (_edited(_TREE_FILE, 4, " leaf normal dist=1_0,0,0,0,0"), 5),
         (_edited(_edited(_PART_FILE, 2, "features x:numeric,s:nominal"), 4,
                  "rule IF s == a\x1cb THEN normal cov=2 err=0"), 5),
-        (_edited(_edited(_TREE_FILE, 2, "features x:numeric,y:numeric,s:nominal"), 3,
-                 "split nominal s a,b\x1c majority=0 dist=2,2,0,0,0"), 4),
-    ], ids=["kind", "features", "default-part", "default-majority", "after-majority-default",
-            "after-majority-rule", "after-tree-root", "after-tree-leaf", "majority-9",
-            "majority-minus-1", "dist-7-values", "dist-negative", "class-default-part",
-            "class-default-majority", "class-rule", "class-leaf", "nan-rule", "inf-rule",
-            "minus-inf-rule", "nan-split", "inf-split", "feature-kind", "feature-twice",
-            "feature-three-parts", "leaf-extra-fields", "leaf-no-dist", "split-no-majority",
-            "split-head", "err-above-cov", "majority-formfeed", "dist-ends-in-formfeed",
-            "dist-plus-sign", "dist-underscore", "rule-symbol-x1c", "split-symbol-x1c"])
+    ], ids=["kind", "kind-tree", "kind-majority", "features", "default-part",
+            "class-default-part", "class-rule", "nan-rule", "inf-rule", "minus-inf-rule",
+            "feature-kind", "feature-twice", "feature-three-parts", "err-above-cov",
+            "rule-symbol-x1c"])
     def test_malformed_model_names_the_file_line(self, tmp_path, lines, lineno):
         path = tmp_path / "m.txt"
         path.write_text("\n".join(lines) + "\n")
@@ -540,19 +428,3 @@ class TestPessimisticErrors:
                 total = e + extra
                 assert total >= prev - 1e-9  # estimated totals grow with e
                 prev = total
-
-    def test_pruning_shrinks_noisy_trees(self):
-        rng = random.Random(41)
-        n = 300
-        points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
-        classes = [0 if p[0] < 5 else rng.randrange(2) for p in points]
-        ds = xy_dataset(points, classes)
-
-        def count_nodes(node):
-            if isinstance(node, Leaf):
-                return 1
-            return 1 + sum(count_nodes(c) for c in node.children)
-
-        full = build_tree(ds, TreeParams(prune=False))
-        pruned = build_tree(ds, TreeParams(prune=True))
-        assert count_nodes(pruned.root) <= count_nodes(full.root)
