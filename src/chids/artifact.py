@@ -4,8 +4,9 @@ Every file chids writes is ASCII text but the dataset cache, whose arrays
 follow a text header, and every file it reads may be gzip. `open_text` and
 `open_binary` turn an I/O fault into IoError (exit 3), and damaged gzip
 data or text bytes that are not ASCII into DataError (exit 4); `parsing`
-reports a fault raised while parsing as a DataError. Each names the file,
-and no other code puts a file's name into an error. `read_lines` reads
+reports a fault raised while parsing as a DataError, and `naming` prefixes
+a chids error raised by later checks of what a file held. Each names the
+file, and no other code puts a file's name into an error. `read_lines` reads
 each file of lines, and `finite` parses each number in one and `count` each
 count; `read_rows` reads the rows of a tab-separated table a block at a
 time, `table_text` formats each tab-separated table chids writes, a block
@@ -94,6 +95,18 @@ class parsing:
             exc.args = (f"{where}: {exc}",)
         elif isinstance(exc, _PARSE_FAULTS) and not isinstance(exc, UnicodeDecodeError):
             raise DataError(f"{where}: malformed file ({kind.__name__}: {exc})") from None
+
+
+@contextmanager
+def naming(path):
+    """Context manager that names `path` in a chids error raised inside; the
+    error keeps its type and exit code, and any other fault passes on as it
+    is. For checks of what a file held after it was read and closed."""
+    try:
+        yield
+    except ChidsError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def write_text(path, text) -> None:

@@ -159,8 +159,11 @@ def cmd_train(cfg: RunConfig) -> int:
     from . import kdd, learner
 
     out = _outdir(cfg)
-    train = kdd.load_cache(_need(out / TRAIN_CACHE, "chids preprocess"))
-    _err(f"training {cfg.model_kind} on {len(train)} records")
+    train_path = _need(out / TRAIN_CACHE, "chids preprocess")
+    train = kdd.load_cache(train_path)
+    with artifact.parsing(train_path, 2):  # the header, whose domains a rule may name
+        learner.check_symbols(train.schema)
+    _err(f"training part on {len(train)} records")
     t0 = time.perf_counter()
     model = learner.train_part(train, cfg.tree_params())
     elapsed = time.perf_counter() - t0
@@ -292,7 +295,10 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     if events_path is not None:  # event k is associated with record k
         from . import anomaly  # the anomaly stage runs only on an event stream
 
-        verdicts = anomaly.evaluate_stream(anomaly.read_stream(events_path), cfg.rule_config())
+        events = anomaly.read_stream(events_path)
+        with artifact.naming(events_path):  # the engine names the event it rejects
+            verdicts = anomaly.evaluate_stream(events, cfg.rule_config())
+        del events  # the pipeline reads only the verdicts
         flagged = np.zeros(n, dtype=bool)
         flagged[[v.event_index for v in verdicts if v.event_index < n]] = True
         per_rule = Counter(v.rule for v in verdicts)

@@ -17,7 +17,6 @@ from .rule_config import RuleConfig
 from .sections import (CHI2, DEFAULT_PRUNE, FEATURE_TABLE, IGR, AttackClass, PipelineConfig,
                        SplitSpec, TreeParams)
 
-MODEL_KINDS = ("part",)
 SELECT_METHODS = (CHI2, IGR)
 DETECT_MODES = ("all", "none", "oracle")
 
@@ -37,7 +36,6 @@ class RunConfig:
     select_method: str = CHI2
     select_k: int = 4
 
-    model_kind: str = "part"
     part_min_leaf: int = TreeParams.min_leaf
     part_confidence: float = TreeParams.confidence
 
@@ -80,8 +78,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.select_method not in SELECT_METHODS:
             raise ConfigError(f"select.method must be one of {SELECT_METHODS}")
-        if self.model_kind not in MODEL_KINDS:
-            raise ConfigError(f"model.kind must be one of {MODEL_KINDS}")
         if self.detect_mode not in DETECT_MODES:
             raise ConfigError(f"detect.mode must be one of {DETECT_MODES}")
         if self.seed < 0:

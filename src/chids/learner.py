@@ -418,6 +418,13 @@ def _symbol(text: str) -> str:
     return text
 
 
+def check_symbols(schema: FeatureSchema) -> None:
+    """Raise DataError for a nominal symbol of `schema` no model file can hold."""
+    for symbols in schema.domains.values():
+        for text in symbols:
+            _symbol(text)
+
+
 def _fmt_value(v) -> str:
     return repr(v) if isinstance(v, float) else _symbol(str(v))
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import artifact
 from .errors import DataError, InfeasibleSplit, SchemaMismatch, UnknownFeatureName
 from .kdd import AttackClass, Dataset
-from .sections import DEFAULT_PRUNE, SplitSpec  # DEFAULT_PRUNE stays importable beside the pruning
+from .sections import SplitSpec
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,9 @@ def write_rank_report(scores, path) -> None:
 
 def read_rank_report(path) -> list[FeatureScore]:
     """The rows of a rank table; its `#` lines are comments. The k-th row
-    has rank k, a feature no row before names, and no higher score than the
-    row before, so ranking the rows again keeps their order."""
+    has rank k, a feature no row before names, a method of SCORERS, and no
+    higher score than the row before, so ranking the rows again keeps their
+    order."""
     def parse(lines):
         if next(lines, None) != RANK_HEADER:
             raise DataError(f"expected {RANK_HEADER!r}")
@@ -171,6 +172,8 @@ def read_rank_report(path) -> list[FeatureScore]:
                 continue
             place, feature, method, score = ln.split("\t")
             row = FeatureScore(feature, len(scores), artifact.finite(score), method)
+            if method not in SCORERS:
+                raise DataError(f"method {method!r}, expected one of {tuple(SCORERS)}")
             if place != str(len(scores) + 1):
                 raise DataError(f"rank {place!r}, expected {len(scores) + 1}")
             if scores and row.score > scores[-1].score:

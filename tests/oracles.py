@@ -19,12 +19,14 @@ block-wise writers did before they wrote a block at a time, and
 `cache_bytes_oracle` builds a dataset cache one value at a time.
 `StreamEngineOracle` is the rule engine as it was before it kept a record
 per message: a list of each message's retained sightings, scanned whole
-for every new sighting.
+for every new sighting. `non_finite_numbers` scans the files a command
+wrote for a number that is not finite.
 """
 
 import io
 import json
 import math
+import re
 import struct
 from collections import Counter, deque
 from fractions import Fraction
@@ -647,3 +649,31 @@ def alerts_text_oracle(run) -> str:
     return "".join(f"alert\trecord={i}\tstage={stage}\toutcome={outcome}\tclass={tag}\n"
                    for i, outcome, stage, tag in disposition_rows_oracle(run)
                    if outcome in ("classified_attack", "unresolved_alert"))
+
+
+# a `nan` or `inf` standing alone
+NON_FINITE = re.compile(r"(?<![\w.])[-+]?(nan|inf|infinity)(?![\w.])", re.IGNORECASE)
+# where chids writes a name, not a number: a rank row's feature, and a
+# model's feature entries, rule features and nominal symbols
+_NAMES = re.compile(r"^\d+\t[^\t\n]*(?=\t(?:chi2|igr)\t)|\b(?:IF|AND) \S+|== \S+"
+                    r"|[^\s,:]+:(?:numeric|nominal)", re.MULTILINE)
+
+
+def non_finite_numbers(paths):
+    """(file, token) of each `nan` or `inf` number in the files among
+    `paths`: in a text file's fields that are not names, or in the numeric
+    block of a dataset cache."""
+    found = []
+    for p in sorted(paths):
+        if not p.is_file():
+            continue
+        raw = p.read_bytes()
+        if raw.startswith(CACHE_MAGIC):
+            _, header, payload = raw.split(b"\n", 2)
+            header = json.loads(header)
+            width = [kind for _, kind in header["schema"]["features"]].count(NUMERIC)
+            values = np.frombuffer(payload, "<f8", header["rows"] * width)
+            found += [(p.name, repr(v)) for v in values[~np.isfinite(values)].tolist()]
+        else:
+            found += [(p.name, m.group()) for m in NON_FINITE.finditer(_NAMES.sub("", raw.decode()))]
+    return found

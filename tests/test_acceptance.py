@@ -21,7 +21,6 @@ from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord, load_datas
 from chids.learner import TreeParams, _Grower, train_part
 from chids.pipeline import CLASSIFIED_ATTACK, OUTCOMES, PASSED_NORMAL, run_pipeline
 from chids.preprocess import (
-    DEFAULT_PRUNE,
     SplitSpec,
     apply_normalizer,
     dedupe,
@@ -40,6 +39,7 @@ from chids.ranking import (
     score_features,
     select_top_k,
 )
+from chids.sections import DEFAULT_PRUNE
 from test_anomaly import pairs, random_stream
 from test_cli import SPLIT_OVERRIDES, _hash_artifacts
 

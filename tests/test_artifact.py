@@ -3,18 +3,21 @@ and no damage to one of them ends a command with a traceback."""
 
 import ast
 import contextlib
+import gzip
 import io
+import re
 import shutil
 import struct
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chids
-from oracles import table_text_oracle
+from oracles import non_finite_numbers, table_text_oracle
 from chids import artifact
 from chids.artifact import BLOCK_ROWS
 from chids.cli import main
@@ -251,7 +254,7 @@ def test_table_text_matches_the_whole_table_reference(tmp_path, n, magic):
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory, synth_corpus_path):
-    """Every artifact a run writes: caches, model, report bundle, an event
+    """Every file a command reads: caches, model, report bundle, an event
     stream, a raw record sample and a config file."""
     out = tmp_path_factory.mktemp("fuzz") / "run"
     common = ["--out", str(out), "--seed", "1"]
@@ -270,79 +273,269 @@ def run_dir(tmp_path_factory, synth_corpus_path):
     return out
 
 
-# damaged file -> the command that reads it
+SAMPLE = ["--input", "{out}/sample.kdd"]
+# damaged file -> each command that reads it; no command reads rank_selected.tsv
 READERS = {
-    "test.cache": ["evaluate"],
-    "train_full.cache": ["detect", "--input", "{out}/train_full.cache"],
-    "model.txt": ["evaluate"],
-    "stream_sybil.tsv": ["detect", "--input", "{out}/sample.kdd", "--events", "{out}/stream_sybil.tsv"],
-    "manifest.json": ["report"],
-    "transform.json": ["detect", "--input", "{out}/sample.kdd"],
-    "rank_igr_full.tsv": ["report"],
-    "report/confusion.tsv": ["report"],
-    "train_timing.txt": ["evaluate"],
-    "run.conf": ["config", "--config", "{out}/run.conf"],
+    "sample.kdd": [["detect", *SAMPLE], ["preprocess", "--dataset", "{out}/sample.kdd",
+                                         "--set", "split.train_size=10", "--set", "split.test_size=5"]],
+    "train.cache": [["train"]],
+    "test.cache": [["evaluate"], ["detect", "--input", "{out}/test.cache"]],
+    "train_full.cache": [["detect", "--input", "{out}/train_full.cache"]],
+    "model.txt": [["evaluate"], ["detect", *SAMPLE]],
+    "transform.json": [["detect", *SAMPLE]],
+    "manifest.json": [["report"], ["evaluate"]],
+    "rank_igr_full.tsv": [["report"], ["evaluate"]],
+    "report/confusion.tsv": [["report"]],
+    "train_timing.txt": [["evaluate"]],
+    "stream_sybil.tsv": [["detect", *SAMPLE, "--events", "{out}/stream_sybil.tsv"]],
+    "run.conf": [["config", "--config", "{out}/run.conf"]],
 }
+# What an exit 2-4 message names after the file: the line of a file read by
+# lines; the magic line, the header line or a record of a dataset cache, or
+# the payload's length; the line or the event of a stream. A JSON file is
+# parsed whole. Any file may be refused whole, by the opener.
+_CACHE = r"line [12]: |record \d+: |rows take \d+ bytes after the header"
+WHERE = {name: _CACHE if name.endswith(".cache") else "" if name.endswith(".json") else r"line \d+"
+         for name in READERS} | {"stream_sybil.tsv": r"line \d+: |event \d+: "}
+_OPENER = "not ASCII text|damaged gzip data"
+# a config value that `validate` refuses is named by its key, not by the file
+_KEY = "|".join(re.escape(ln.split(" = ")[0]) for ln in render_config(RunConfig()).splitlines()[1:])
+# the lines a command prints to stderr before it fails
+PROGRESS = re.compile(r"chids: (loading|dedupe:|selected features|training) |.*: skipped \d+ bad line")
+
+# What a token is replaced or extended by: the empty token, non-finite
+# numbers as Python and JSON spell them, the edges of a float, a 23-digit
+# integer, a control character, non-ASCII letters and digits, and numbers
+# Python reads that chids never writes
+TOKENS = ("", "nan", "inf", "-inf", "NaN", "Infinity", "1e999", "-1", "-0", "1e308", "1e-320",
+          "1" * 23, "\x1c", "é", " 1", "0x10", "1_0", "+1", "١")
+BYTE_KINDS = ("truncate", "non-ascii", "bits", "flip")
+LINE_KINDS = ("delete", "duplicate", "swap-lines", "cut", "append")
+FIELD_KINDS = ("swap", "drop")  # a field is split at the line's most common separator
+TOKEN_KINDS = ("replace", "extend", "copy")  # a token is split at any separator
+WRAPS = ("plain", "plain", "gzip", "cr", "crlf")  # after the damage; plain twice as often
+_TOKEN_SEPS = re.compile(rb'([\t\n ,:"{}\[\]]+)')
 
 
-def damage(raw: bytes, kind: str, i: int, j: int, k: int, token: str) -> bytes:
-    """Truncate, insert non-ASCII bytes, overwrite 8 bytes of the payload
-    with `token`'s float bits (the empty token's are zeros), or swap, drop
-    or replace one field of one line (fields split at the line's most
-    common separator). A dataset cache's payload is its arrays, and its
-    only line that may be edited is the header; any other file is all
-    payload and all lines."""
-    if kind == "truncate":
-        return raw[: i % (len(raw) + 1)]
-    if kind == "non-ascii":
-        i %= len(raw) + 1
-        return raw[:i] + b"\xe9\xff" + raw[i:]
-    head = raw.index(b"\n", len(CACHE_MAGIC)) + 1 if raw.startswith(CACHE_MAGIC) else 0
-    if kind == "bits":
-        at = head + i % max(len(raw) - head - 7, 1)
-        return raw[:at] + struct.pack("<d", float(token or 0)) + raw[at + 8:]
-    if head:
-        return raw[:len(CACHE_MAGIC)] + damage_lines(raw[len(CACHE_MAGIC):head - 1], kind, 0, j, k,
-                                                    token) + b"\n" + raw[head:]
-    return damage_lines(raw, kind, i, j, k, token)
+class Pin(NamedTuple):
+    """`command` (or each that reads `file`) exits `code`, with `text` in its error."""
+    file: str
+    code: int
+    text: str
+    command: str | None = None
 
 
-def damage_lines(raw: bytes, kind: str, i: int, j: int, k: int, token: str) -> bytes:
-    lines = raw.decode("ascii").split("\n")
-    n = i % len(lines)
-    sep = max(" \t,:=", key=lines[n].count)
-    fields = lines[n].split(sep)
-    a, b = j % len(fields), k % len(fields)
-    if kind == "swap":
-        fields[a], fields[b] = fields[b], fields[a]
-    elif kind == "drop":
-        del fields[a]
+class Mutation(NamedTuple):
+    """One damage: `kind` at byte or line `i` (from 0), with field or token
+    `j`, and second line `k` (`swap-lines`), second field `k` (`swap`) or
+    token `k` of the whole file (`copy`); then the file's line ends are
+    made CR or CRLF, or the file is gzipped (`wrap`). A pinned example
+    damages its `pin`'s file only."""
+    kind: str
+    i: int = 0
+    j: int = 0
+    k: int = 0
+    token: str = ""
+    wrap: str = "plain"
+    pin: Pin | None = None
+
+
+def damage(raw: bytes, m: Mutation) -> bytes:
+    """`raw` damaged by `m`. A dataset cache's lines are its magic and its
+    header; the arrays after them are bytes, damaged only by a byte kind."""
+    cache = raw.startswith(CACHE_MAGIC)
+    head = raw.index(b"\n", len(CACHE_MAGIC)) + 1 if cache else len(raw)
+    if m.kind in BYTE_KINDS:
+        raw = damage_bytes(raw, m, head if cache else 0)
     else:
-        fields[a] = token
-    lines[n] = sep.join(fields)
-    return "\n".join(lines).encode("ascii")
+        raw = damage_lines(raw[:head], m) + raw[head:]
+    if m.wrap in ("cr", "crlf") and not cache:  # a cache's line ends are bytes of its arrays
+        raw = raw.replace(b"\n", b"\r" if m.wrap == "cr" else b"\r\n")
+    return gzip.compress(raw, mtime=0) if m.wrap == "gzip" else raw
+
+
+def damage_bytes(raw: bytes, m: Mutation, payload: int) -> bytes:
+    """Cut at byte i, insert non-ASCII bytes there, flip its bits, or
+    overwrite 8 bytes of the payload with `token`'s float bits (the bits of
+    a token that is no float are zeros)."""
+    if m.kind == "bits":
+        at = payload + m.i % max(len(raw) - payload - 7, 1)
+        try:
+            bits = struct.pack("<d", float(m.token))
+        except ValueError:
+            bits = bytes(8)
+        return raw[:at] + bits + raw[at + 8:]
+    at = m.i % (len(raw) + 1)
+    if m.kind == "truncate":
+        return raw[:at]
+    if m.kind == "non-ascii":
+        return raw[:at] + b"\xe9\xff" + raw[at:]
+    return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:] if at < len(raw) else raw
+
+
+def damage_lines(text: bytes, m: Mutation) -> bytes:
+    """Delete, duplicate or swap line i, cut the text before it, or add a
+    line after the last; swap or drop a field of line i; or replace a token
+    of it by `token` or by another token of the text, or add `token` after
+    it as a field of its own."""
+    lines = text.split(b"\n")  # the last item is what follows the last line end
+    a, b = m.i % len(lines), m.k % len(lines)
+    token = m.token.encode()
+    if m.kind in LINE_KINDS:
+        if m.kind == "delete":
+            del lines[a]
+        elif m.kind == "duplicate":
+            lines.insert(a, lines[a])
+        elif m.kind == "swap-lines":
+            lines[a], lines[b] = lines[b], lines[a]
+        elif m.kind == "cut":
+            lines[a:] = [b""]
+        else:  # a line after the last
+            lines[-1:] = [lines[-1] + token, b""]
+        return b"\n".join(lines)
+    sep = max(b" \t,:=", key=lines[a].count).to_bytes(1, "big")
+    if m.kind in FIELD_KINDS:
+        fields = lines[a].split(sep)
+        f, g = m.j % len(fields), m.k % len(fields)
+        if m.kind == "swap":
+            fields[f], fields[g] = fields[g], fields[f]
+        else:
+            del fields[f]
+        lines[a] = sep.join(fields)
+        return b"\n".join(lines)
+    parts = _TOKEN_SEPS.split(lines[a])  # tokens at the even places, separators between
+    at = [n for n in range(0, len(parts), 2) if parts[n]]
+    if at:
+        n = at[m.j % len(at)]
+        if m.kind == "replace":
+            parts[n] = token
+        elif m.kind == "extend":
+            parts[n] += sep + token
+        else:
+            every = [t for t in _TOKEN_SEPS.split(text)[::2] if t]
+            parts[n] = every[m.k % len(every)]
+        lines[a] = b"".join(parts)
+    return b"\n".join(lines)
+
+
+M, P = Mutation, Pin
+# Each damage a hand-written case once pinned, and the damage each fault
+# found by the sweep showed, with the check it reaches. Lines count from 0
+# here and from 1 in the messages.
+PINNED = [
+    # model.txt: cut short; a text threshold; an unknown class, feature or operator
+    M("truncate", 16, pin=P("model.txt", 4, "line 2: expected 'kind '")),
+    M("truncate", 30, pin=P("model.txt", 4, "line 3: expected 'features '")),
+    M("truncate", 60, pin=P("model.txt", 4, "line 3: malformed file")),
+    M("truncate", 100, pin=P("model.txt", 4, "line 4: expected 'default '")),
+    M("replace", 7, 4, token="0x10", pin=P("model.txt", 4, "line 8: malformed file")),
+    M("replace", 7, 6, token="nan", pin=P("model.txt", 4, "line 8: unknown class 'nan'")),
+    M("replace", 7, 2, token="nan", pin=P("model.txt", 4, "line 8: feature 'nan' is not on")),
+    M("copy", 7, 3, 18, pin=P("model.txt", 4, "line 8: bad operator for numeric")),
+    M("copy", 4, 3, 81, pin=P("model.txt", 4, "line 5: bad operator for nominal")),
+    # rank_igr_full.tsv, row 2: its fields, rank, score, feature and method
+    M("drop", 2, 2, pin=P("rank_igr_full.tsv", 4, "line 3: malformed file")),
+    M("replace", 2, 3, token="0x10", pin=P("rank_igr_full.tsv", 4, "line 3: malformed file")),
+    M("replace", 2, 0, token="nan", pin=P("rank_igr_full.tsv", 4, "line 3: rank 'nan'")),
+    M("replace", 2, 0, token="+1", pin=P("rank_igr_full.tsv", 4, "line 3: rank '+1'")),
+    M("replace", 2, 3, token="1e308", pin=P("rank_igr_full.tsv", 4, "line 3: score 1e308 above")),
+    M("copy", 2, 1, 5, pin=P("rank_igr_full.tsv", 4, "line 3: feature 'logged_in' ranked twice")),
+    M("replace", 2, 3, token="nan", pin=P("rank_igr_full.tsv", 4, "line 3: 'nan' is not a finite")),
+    M("replace", 2, 2, token="inf", pin=P("rank_igr_full.tsv", 4, "line 3: method 'inf'")),
+    M("non-ascii", 10, pin=P("rank_igr_full.tsv", 4, "not ASCII text")),
+    # report/confusion.tsv: four or six counts, no count, the header, rows swapped
+    M("drop", 3, 5, pin=P("report/confusion.tsv", 4, "line 4: want 'probe' and 5 counts")),
+    M("extend", 2, 5, token="-0", pin=P("report/confusion.tsv", 4, "line 3: want 'dos' and 5")),
+    M("replace", 5, 5, token="1e308", pin=P("report/confusion.tsv", 4, "line 6: '1e308' is not")),
+    M("replace", 0, 0, token="nan", pin=P("report/confusion.tsv", 4, "line 1: want 5 rows")),
+    M("swap-lines", 1, k=2, pin=P("report/confusion.tsv", 4, "line 2: want 'normal' and 5")),
+    # train_timing.txt: its value, its key, none or two lines
+    M("replace", 0, 2, token="nan", pin=P("train_timing.txt", 4, "line 1: 'nan' is not a finite")),
+    M("replace", 0, 2, token="-1", pin=P("train_timing.txt", 4, "line 1: expected one line")),
+    M("replace", 0, 2, token="0x10", pin=P("train_timing.txt", 4, "line 1: malformed file")),
+    M("truncate", 0, pin=P("train_timing.txt", 4, "line 1: expected one line")),
+    M("duplicate", 0, pin=P("train_timing.txt", 4, "line 2: expected one line")),
+    M("replace", 0, 1, token="nan", pin=P("train_timing.txt", 4, "line 1: expected one line")),
+    M("non-ascii", 20, pin=P("train_timing.txt", 4, "not ASCII text")),
+    # sample.kdd, line 6: two fields, 43 fields, a text or nan number
+    M("truncate", 568, pin=P("sample.kdd", 4, "line 6: expected 42 fields, got 2", "detect")),
+    M("extend", 5, 41, token="nan", pin=P("sample.kdd", 4, "line 6: expected 42 fields", "detect")),
+    M("replace", 5, 4, token="0x10", pin=P("sample.kdd", 4, "line 6: feature 4: not a", "detect")),
+    M("replace", 5, 4, token="nan", pin=P("sample.kdd", 4, "line 6: feature 4: not finite", "detect")),
+    # transform.json: a key renamed, a value short, not JSON, n, mu and sigma
+    M("replace", 1, 0, token="nan", pin=P("transform.json", 4, "malformed file (KeyError")),
+    M("delete", 8, pin=P("transform.json", 4, "malformed file (ValueError: stats shape")),
+    M("truncate", 30, pin=P("transform.json", 4, "malformed file (JSONDecodeError")),
+    M("delete", 12, pin=P("transform.json", 4, "malformed file (KeyError: 'n')")),
+    M("replace", 12, 1, token="Infinity", pin=P("transform.json", 4, "(OverflowError")),
+    M("replace", 14, 0, token="nan", pin=P("transform.json", 4, "'nan' is not a finite")),
+    M("replace", 8, 0, token="-inf", pin=P("transform.json", 4, "'-inf' is not a finite")),
+    # manifest.json: a key renamed, not JSON, a count wrong, a class renamed
+    M("replace", 11, 0, token="nan", pin=P("manifest.json", 4, "malformed file (KeyError")),
+    M("replace", 20, 1, token="1e308", pin=P("manifest.json", 4, "malformed file (TypeError")),
+    M("truncate", 1, pin=P("manifest.json", 4, "malformed file (JSONDecodeError")),
+    M("non-ascii", 10, pin=P("manifest.json", 4, "not ASCII text")),
+    M("replace", 20, 1, token="-1", pin=P("manifest.json", 4, "class dos: negative count")),
+    M("replace", 27, 1, token="1" * 23, pin=P("manifest.json", 4, "class normal: train + test")),
+    M("replace", 39, 0, token="nan", pin=P("manifest.json", 4, "split classes")),
+    # stream_sybil.tsv: no header row; the engine's faults name the file
+    M("delete", 1, pin=P("stream_sybil.tsv", 4, "line 2: expected 'ts\\tsource")),
+    M("replace", 2, 0, token="nan", pin=P("stream_sybil.tsv", 4, "stream_sybil.tsv: event 0: non-finite")),
+    M("swap-lines", 2, k=3, pin=P("stream_sybil.tsv", 6, "stream_sybil.tsv: event 1: timestamp")),
+    # train.cache: a symbol no model file can hold
+    M("replace", 1, 12, token="", pin=P("train.cache", 4, "line 2: symbol '' is not serializable")),
+    # run.conf: bytes that are not ASCII
+    M("non-ascii", 10, pin=P("run.conf", 2, "run.conf: not ASCII text")),
+]
+
+
+def pinned(test):
+    """`test` with an explicit example for each PINNED mutation."""
+    for m in PINNED:
+        test = example(m=m)(test)
+    return test
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    kind=st.sampled_from(["truncate", "non-ascii", "bits", "swap", "drop", "replace"]),
-    i=st.integers(0, 2**16),
-    j=st.integers(0, 64),
-    k=st.integers(0, 64),
-    token=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e999", "-1", ""]),
-)
-def test_damaged_artifact_exits_with_a_documented_code(run_dir, name, kind, i, j, k, token):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "run"
-        shutil.copytree(run_dir, out)
-        target = out / name
-        target.write_bytes(damage(target.read_bytes(), kind, i, j, k, token))
-        args = [a.format(out=out) for a in READERS[name]] + ["--out", str(out)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(args)
-    err = err.getvalue()
-    assert code in (0, 2, 3, 4, 5, 6), err
-    assert "Traceback" not in err
-    assert code == 0 or len(err.splitlines()) == 1, err
+@pinned
+@settings(max_examples=32, deadline=None, derandomize=True)
+@given(m=st.builds(Mutation, st.sampled_from(BYTE_KINDS + LINE_KINDS + FIELD_KINDS + TOKEN_KINDS),
+                   st.integers(0, 2**16), st.integers(0, 64), st.integers(0, 2**16),
+                   st.sampled_from(TOKENS), st.sampled_from(WRAPS), st.none()))
+def test_damaged_artifact_exits_with_a_documented_code(run_dir, name, m):
+    """Each command that reads the damaged file exits 0, with only finite
+    numbers in what it wrote, or exits with a documented code, one line
+    naming the file (where the file has lines or records, the one at fault)
+    after its progress lines, and the out directory as it was."""
+    if m.pin and m.pin.file != name:
+        return
+    before = _tree(run_dir)
+    before[name] = damage(before[name], m)
+    for argv in READERS[name]:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            shutil.copytree(run_dir, out)
+            target = out / name
+            target.write_bytes(before[name])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([a.format(out=out) for a in argv] + ["--out", str(out)])
+            err = err.getvalue()
+            assert code in (0, 2, 3, 4, 5, 6) and "Traceback" not in err, (argv, err)
+            if m.pin and m.pin.command in (None, argv[0]):
+                assert code == m.pin.code and m.pin.text in err, (argv, err)
+            after = _tree(out)
+            if code == 0:
+                written = [out / p for p, raw in after.items() if before.get(p) != raw]
+                assert non_finite_numbers(written) == [], argv
+                continue
+            assert after == before, argv
+            *progress, last = err.splitlines()
+            assert all(map(PROGRESS.match, progress)) and not PROGRESS.match(last), err
+            if code in (2, 3, 4) and not re.match(f"chids: ({_KEY})[ :]", last):
+                assert last.startswith(f"chids: {target}: "), (argv, last)
+                assert not WHERE[name] or re.search(f"{WHERE[name]}|{_OPENER}", last), (argv, last)

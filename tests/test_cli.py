@@ -152,10 +152,8 @@ class TestTrainEvaluate:
         assert code == 5
         assert "chids preprocess" in err
 
-    @pytest.mark.parametrize("kind", ["part"])
     @pytest.mark.parametrize("defect", ["empty", "unlabeled"])
-    def test_training_set_without_records_or_labels_exit_6(self, workdir, tmp_path, kind, defect,
-                                                            capsys):
+    def test_training_set_without_records_or_labels_exit_6(self, workdir, tmp_path, defect, capsys):
         from chids import kdd
 
         ds = kdd.load_cache(workdir / "train.cache")
@@ -164,8 +162,7 @@ class TestTrainEvaluate:
         else:  # the first record loses its label
             ds.labels[0], ds.class_codes[0] = None, -1
         kdd.save_cache(ds, tmp_path / "train.cache")
-        code, out, err = run_cli(["train", "--out", str(tmp_path), "--set", f"model.kind={kind}"],
-                                 capsys)
+        code, out, err = run_cli(["train", "--out", str(tmp_path)], capsys)
         assert code == 6 and out == "" and len(err.splitlines()) == 2  # progress, then the error
         assert not (tmp_path / "model.txt").exists()
 
@@ -289,21 +286,23 @@ class TestSimulateDetect:
             assert got == expect, scenario
 
     @pytest.mark.parametrize(
-        "row",
+        "row, want",
         [
-            "nan\ts1\tn1\treception\tm1\td\t-60.0",
-            "3.0\ts1\tn1\treception\tm1\td\tnan",
-            "3.0\ts1\tn1\treception\tm1\td",
-            "3.0\ts1\tn1\treception\tm1\td\t-60.0\textra",
-            "soon\ts1\tn1\treception\tm1\td\t-60.0",
-            "3.0\ts1\tn1\treception\tm1\td\tloud",
-            "# 2.0\ts1\tn1\treception\tm1\td\t-60.0",
+            ("nan\ts1\tn1\treception\tm1\td\t-60.0", 4),
+            ("3.0\ts1\tn1\treception\tm1\td\tnan", 4),
+            ("3.0\ts1\tn1\treception\tm1\td", 4),
+            ("3.0\ts1\tn1\treception\tm1\td\t-60.0\textra", 4),
+            ("soon\ts1\tn1\treception\tm1\td\t-60.0", 4),
+            ("3.0\ts1\tn1\treception\tm1\td\tloud", 4),
+            ("# 2.0\ts1\tn1\treception\tm1\td\t-60.0", 4),
+            ("3.0\ts1\tn1\tzap\tm1\td\t-60.0", 4),
+            ("0.5\ts1\tn1\treception\tm1\td\t-60.0", 6),  # 0.5 s is before the first event
         ],
         ids=["nan-ts", "nan-rssi", "6-columns", "8-columns", "text-ts", "text-rssi",
-             "commented-out"],
+             "commented-out", "unknown-kind", "ts-goes-back"],
     )
     def test_detect_malformed_stream_exit_4(
-        self, workdir, synth_corpus_path, tmp_path, row, capsys
+        self, workdir, synth_corpus_path, tmp_path, row, want, capsys
     ):
         from chids.anomaly import STREAM_MAGIC
 
@@ -318,25 +317,8 @@ class TestSimulateDetect:
             ["detect", "--input", str(sample), "--events", str(stream_path), "--out", str(workdir)],
             capsys,
         )
-        assert code == 4
-        assert "Traceback" not in err and len(err.splitlines()) == 1
-
-
-    def test_detect_stream_without_header_row_exit_4(self, workdir, tmp_path, capsys):
-        from chids.anomaly import STREAM_MAGIC
-
-        stream_path = tmp_path / "headless.tsv"
-        stream_path.write_text(
-            f"{STREAM_MAGIC}\n1.0\ts0\tn0\treception\tm0\td\t-60.0\n"
-            "2.0\ts0\tn0\treception\tm1\td\t-60.0\n"
-        )
-        code, _, err = run_cli(
-            ["detect", "--input", str(workdir / "test.cache"), "--events", str(stream_path),
-             "--out", str(workdir)],
-            capsys,
-        )
-        assert code == 4
-        assert "line 2" in err and len(err.splitlines()) == 1
+        assert code == want
+        assert err.startswith(f"chids: {stream_path}: ") and len(err.splitlines()) == 1
 
 
 def _detect_dir(workdir: Path, tmp_path: Path) -> Path:
@@ -388,27 +370,6 @@ class TestDetectInput:
             capsys,
         )
         assert code == 2 and "labeled" in err
-
-    @pytest.mark.parametrize(
-        "bad",
-        ["0,tcp", "{line},extra", "{numeric}", "{nan}"],
-        ids=["short", "43-fields", "text-number", "nan-number"],
-    )
-    def test_malformed_line_exit_4(self, workdir, synth_corpus_path, tmp_path, bad, capsys):
-        out = _detect_dir(workdir, tmp_path)
-        lines = Path(synth_corpus_path).read_text().splitlines()[:10]
-        fields = lines[0].split(",")
-        bad = bad.format(
-            line=lines[0],
-            numeric=",".join(fields[:4] + ["many"] + fields[5:]),
-            nan=",".join(fields[:4] + ["nan"] + fields[5:]),
-        )
-        sample = tmp_path / "sample.kdd"
-        sample.write_text("\n".join(lines[:5] + [bad] + lines[5:]) + "\n")
-        code, _, err = run_cli(["detect", "--input", str(sample), "--out", str(out)], capsys)
-        assert code == 4
-        assert "line 6" in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_repeated_bad_line_names_first_occurrence(self, workdir, synth_corpus_path, tmp_path,
                                                       capsys):
@@ -706,35 +667,6 @@ class TestPinnedModels:
 
 
 class TestModelFileHardening:
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda text: text[:16],
-            lambda text: text[:30],
-            lambda text: text[:60],
-            lambda text: text[:100],
-            lambda text: "".join(text.splitlines(True)[:3]),
-            lambda text: re.sub(r"count (<=|>) \S+", "count <= abc", text, count=1),
-            lambda text: text.replace("THEN dos", "THEN worm", 1),
-            lambda text: re.sub(r"count (<=|>)", r"nosuch \1", text, count=1),
-            lambda text: re.sub(r"count (<=|>) \S+", "count == 5", text, count=1),
-            lambda text: re.sub(r"service == \S+", "service <= 3", text, count=1),
-        ],
-        ids=["cut16", "cut30", "cut60", "cut100", "three-lines", "text-threshold",
-             "unknown-class", "unknown-feature", "eq-on-numeric", "le-on-nominal"],
-    )
-    def test_evaluate_exit_4(self, workdir, tmp_path, corrupt, capsys):
-        out = tmp_path / "run"
-        out.mkdir()
-        shutil.copy(workdir / "test.cache", out / "test.cache")
-        text = (workdir / "model.txt").read_text()
-        (out / "model.txt").write_text(corrupt(text))
-        code, _, err = run_cli(["evaluate", "--out", str(out)], capsys)
-        assert code == 4
-        assert "model.txt" in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
-
     @pytest.mark.parametrize("kind", ["tree", "majority"])
     def test_removed_model_kind_exit_4(self, workdir, synth_corpus_path, tmp_path, kind,
                                        capsys):
@@ -755,27 +687,6 @@ class TestModelFileHardening:
 
 
 class TestRankFileHardening:
-    @pytest.mark.parametrize("command", ["evaluate", "report"])
-    @pytest.mark.parametrize(
-        "row", ["1\tcount", "1\tcount\tigr\tzz", "zz\tcount\tigr\t0.5", "3\tcount\tigr\t0.5",
-                "2\tcount\tigr\t1.5", "2\tserror_rate\tigr\t0.9999999999999999",
-                "2\tcount\tigr\tnan", "2\tcount\tigr\t-inf"],
-        ids=["two-fields", "text-score", "text-rank", "wrong-rank", "rising-score", "duplicate-feature",
-             "nan-score", "minus-inf-score"],
-    )
-    def test_bad_row_exit_4(self, workdir, tmp_path, command, row, capsys):
-        out = tmp_path / "run"
-        out.mkdir()
-        for name in ("model.txt", "test.cache", "manifest.json"):
-            shutil.copy(workdir / name, out / name)
-        lines = (workdir / "rank_igr_full.tsv").read_text().splitlines(True)
-        lines[2] = row + "\n"
-        (out / "rank_igr_full.tsv").write_text("".join(lines))
-        code, _, err = run_cli([command, "--out", str(out)], capsys)
-        assert code == 4
-        assert "rank_igr_full.tsv" in err and "line 3" in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
-
     @pytest.mark.parametrize("command", ["evaluate", "report"])
     def test_missing_header_exit_4(self, workdir, tmp_path, command, capsys):
         # without the check the best-ranked feature was read as the header
@@ -823,13 +734,7 @@ class TestReportHardening:
         (lambda lines: ["x\ty"], "want 5 rows"),
         (lambda lines: lines[:-1], "want 5 rows"),
         (lambda lines: lines + lines[-1:], "want 5 rows"),
-        (lambda lines: lines[:3] + [lines[3].rsplit("\t", 1)[0]] + lines[4:], "line 4"),
-        (lambda lines: lines[:2] + [lines[2] + "\t0"] + lines[3:], "line 3"),
-        (lambda lines: lines[:5] + [lines[5].rsplit("\t", 1)[0] + "\t1.5"], "line 6"),
-        (lambda lines: ["actual\tnormal\tdos\tprobe\tr2l\tu2r"] + lines[1:], "line 1"),
-        (lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:], "line 2"),
-    ], ids=["header-only", "four-rows", "six-rows", "four-counts", "six-counts", "float-cell",
-            "wrong-header", "swapped-rows"])
+    ], ids=["header-only", "four-rows", "six-rows"])
     def test_bad_confusion_exit_4(self, evaluated, edit, needle, capsys):
         path = evaluated / "report" / "confusion.tsv"
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
@@ -864,123 +769,6 @@ class TestReportHardening:
         before = path.read_bytes()
         assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
         assert path.read_bytes() == before
-
-
-def _set_normalization_n(value):
-    """An edit of transform.json that sets `normalization.n`, or drops it for None."""
-    def edit(raw: bytes) -> bytes:
-        obj = json.loads(raw)
-        del obj["normalization"]["n"]
-        if value is not None:
-            obj["normalization"]["n"] = value
-        return json.dumps(obj).encode("ascii")
-    return edit
-
-
-def _set_first_stat(key, text):
-    """An edit of transform.json that sets the first `normalization.<key>` value to `text`."""
-    def edit(raw: bytes) -> bytes:
-        obj = json.loads(raw)
-        obj["normalization"][key][0] = text
-        return json.dumps(obj).encode("ascii")
-    return edit
-
-
-def _set_split(tag, key=None, value=None):
-    """An edit of manifest.json that sets `split.per_class[tag][key]` to
-    `value`; with no key it drops the class, or adds it when it is absent."""
-    def edit(raw: bytes) -> bytes:
-        obj = json.loads(raw)
-        per_class = obj["split"]["per_class"]
-        if key is not None:
-            per_class[tag][key] = value
-        elif tag in per_class:
-            del per_class[tag]
-        else:
-            per_class[tag] = {"available": 0, "train": 0, "test": 0}
-        return json.dumps(obj).encode("ascii")
-    return edit
-
-
-class TestDamagedArtifacts:
-    """A damaged chids file exits with its documented code and one line
-    naming the file, never with a traceback."""
-
-    @pytest.mark.parametrize("name, damage, command, want", [
-        ("manifest.json", lambda raw: b"{}", "report", 4),
-        ("manifest.json", lambda raw: b"{}", "evaluate", 4),
-        ("manifest.json", lambda raw: b"[1]", "report", 4),
-        ("manifest.json", lambda raw: b"{", "report", 4),
-        ("manifest.json", lambda raw: b'{"split": {"per_class": {"normal": 5}}}', "report", 4),
-        ("manifest.json", lambda raw: b'{"split": {"per_class": [1]}}', "report", 4),
-        ("manifest.json", lambda raw: raw[:10] + b"\xe9" + raw[10:], "report", 4),
-        ("manifest.json", _set_split("dos", "available", -4), "report", 4),
-        ("manifest.json", _set_split("probe", "test", -1), "report", 4),
-        ("manifest.json", _set_split("normal", "train", 1000000000), "report", 4),
-        ("manifest.json", _set_split("normal", "train", 1000000000), "evaluate", 4),
-        ("manifest.json", _set_split("u2r"), "report", 4),
-        ("manifest.json", _set_split("worm"), "report", 4),
-        ("transform.json", lambda raw: b"{}", "detect", 4),
-        ("transform.json", lambda raw: b"[1]", "detect", 4),
-        ("transform.json", lambda raw: b"xx", "detect", 4),
-        ("transform.json", _set_normalization_n(None), "detect", 4),
-        ("transform.json", _set_normalization_n(float("inf")), "detect", 4),
-        ("transform.json", _set_first_stat("sigma", "nan"), "detect", 4),
-        ("transform.json", _set_first_stat("sigma", "inf"), "detect", 4),
-        ("transform.json", _set_first_stat("mu", "inf"), "detect", 4),
-        ("transform.json", _set_first_stat("mu", "-inf"), "detect", 4),
-        ("train_timing.txt", lambda raw: b"timing train_s abc\n", "evaluate", 4),
-        ("train_timing.txt", lambda raw: b"timing train_s 0.5\xe9\n", "evaluate", 4),
-        ("rank_igr_full.tsv", lambda raw: raw[:10] + b"\xe9" + raw[10:], "evaluate", 4),
-        ("run.conf", lambda raw: b"seed = 3\xe9\n", "config", 2),
-        ("run.conf", lambda raw: b"\x89PNG\r\n\x1a\n\x00\x00\xff", "config", 2),
-    ], ids=["manifest-empty-report", "manifest-empty-evaluate", "manifest-array",
-            "manifest-truncated", "manifest-int-row", "manifest-array-rows", "manifest-non-ascii",
-            "manifest-negative-available", "manifest-negative-test", "manifest-overdrawn-report",
-            "manifest-overdrawn-evaluate", "manifest-missing-class", "manifest-extra-class",
-            "transform-empty", "transform-array", "transform-not-json", "transform-no-n",
-            "transform-infinite-n", "transform-nan-sigma", "transform-inf-sigma",
-            "transform-inf-mu", "transform-minus-inf-mu", "timing-text", "timing-non-ascii", "rank-non-ascii",
-            "config-non-ascii", "config-binary"])
-    def test_exit_code_names_file(
-        self, workdir, synth_corpus_path, tmp_path, name, damage, command, want, capsys
-    ):
-        out = tmp_path / "run"
-        out.mkdir()
-        for f in ("model.txt", "test.cache", "manifest.json", "transform.json",
-                  "rank_igr_full.tsv", "train_timing.txt"):
-            shutil.copy(workdir / f, out / f)
-        sample = tmp_path / "sample.kdd"
-        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:10]) + "\n")
-        target = out / name
-        target.write_bytes(damage(target.read_bytes() if target.exists() else b""))
-        args = {
-            "report": ["report"],
-            "evaluate": ["evaluate"],
-            "detect": ["detect", "--input", str(sample)],
-            "config": ["config", "--config", str(target)],
-        }[command]
-        code, _, err = run_cli(args + ["--out", str(out)], capsys)
-        assert code == want
-        assert name in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("text", [
-    "timing train_s nan\n", "timing train_s -3\n", "timing train_s inf\n", "",
-    "timing train_s 1.5\ntiming train_s 2.5\n", "timing test_s 1.5\n",
-], ids=["nan", "negative", "inf", "empty", "two-lines", "other-key"])
-def test_bad_train_timing_exit_4(workdir, tmp_path, text, capsys):
-    out = tmp_path / "run"
-    out.mkdir()
-    for f in ("model.txt", "test.cache"):
-        shutil.copy(workdir / f, out / f)
-    (out / "train_timing.txt").write_text(text)
-    code, stdout, err = run_cli(["evaluate", "--out", str(out)], capsys)
-    assert code == 4
-    assert stdout == "" and err.startswith(f"chids: {out / 'train_timing.txt'}: ")
-    assert len(err.splitlines()) == 1
-    assert not (out / "report").exists()
 
 
 def _edit_cache(edit):
@@ -1196,7 +984,6 @@ split.minority = probe,r2l,u2r
 prune = is_host_login,num_outbound_cmds,urgent,su_attempted,land,num_failed_logins
 select.method = chi2
 select.k = 4
-model.kind = part
 part.min_leaf = 2
 part.confidence = 0.25
 rules.interval_lower = 0.5

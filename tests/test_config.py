@@ -1,10 +1,8 @@
-import json
-import re
 import shutil
 
-import numpy as np
 import pytest
 
+from oracles import non_finite_numbers
 from synthdata import write_corpus
 from chids import ranking
 from chids.cli import main
@@ -17,7 +15,6 @@ from chids.config import (
     render_config,
 )
 from chids.errors import ConfigError
-from chids.kdd import CACHE_MAGIC
 
 
 class TestParsing:
@@ -72,9 +69,6 @@ class TestValidation:
     def test_bad_enums_rejected(self):
         for key, value in (
             ("select.method", "pca"),
-            ("model.kind", "svm"),
-            ("model.kind", "tree"),  # PART is the only misuse learner
-            ("model.kind", "majority"),
             ("pipeline.policy", "ignore"),
             ("detect.mode", "psychic"),
             ("detect.mode", "stream"),  # --events supplies the flags
@@ -87,13 +81,16 @@ class TestValidation:
         # config names the methods without loading ranking, which scores them
         assert SELECT_METHODS == tuple(ranking.SCORERS)
 
-    def test_part_prune_is_an_unknown_key_exit_2(self, tmp_path, capsys):
+    # keys of the learners PART replaced: `model.kind` had `part` its only value
+    @pytest.mark.parametrize("key, value", [("part.prune", "true"), ("model.kind", "part")],
+                             ids=["part.prune", "model.kind"])
+    def test_part_prune_is_an_unknown_key_exit_2(self, tmp_path, key, value, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("part.prune = true\n")
-        for argv in (["config", "--set", "part.prune=true"], ["config", "--config", str(conf)]):
+        conf.write_text(f"{key} = {value}\n")
+        for argv in (["config", "--set", f"{key}={value}"], ["config", "--config", str(conf)]):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert "unknown config key 'part.prune'" in err and len(err.splitlines()) == 1
+            assert f"unknown config key {key!r}" in err and len(err.splitlines()) == 1
 
     def test_threads_floor(self):
         cfg = apply_setting(RunConfig(), "threads", "0")
@@ -150,7 +147,6 @@ class TestSections:
 KEYS = [ln.split(" = ")[0] for ln in render_config(RunConfig()).splitlines()[1:]]
 EDGE_VALUES = ("0", "-1", "1e-300", "1e308", "inf", "-inf", "nan", "")
 SPLIT = ["--set", "split.train_size=200", "--set", "split.test_size=80"]
-NON_FINITE = re.compile(r"(?<![\w.])[-+]?(nan|inf|infinity)(?![\w.])", re.IGNORECASE)
 
 
 def exit_code(argv) -> int:
@@ -185,25 +181,6 @@ def stage_argvs(key, setting, out, corpus):
     return []
 
 
-def non_finite_numbers(out):
-    """(file, token) of each `nan` or `inf` number in a file under `out`: in
-    its text, or in the numeric block of a dataset cache."""
-    found = []
-    for p in sorted(out.rglob("*")):
-        if not p.is_file():
-            continue
-        raw = p.read_bytes()
-        if raw.startswith(CACHE_MAGIC):
-            _, header, payload = raw.split(b"\n", 2)
-            header = json.loads(header)
-            width = [kind for _, kind in header["schema"]["features"]].count("numeric")
-            values = np.frombuffer(payload, "<f8", header["rows"] * width)
-            found += [(p.name, repr(v)) for v in values[~np.isfinite(values)].tolist()]
-        else:
-            found += [(p.name, m.group()) for m in NON_FINITE.finditer(raw.decode())]
-    return found
-
-
 class TestEdgeValueSweep:
     @pytest.mark.parametrize("key", KEYS)
     def test_no_edge_value_exits_1(self, key, sweep_run, tmp_path, capsys):
@@ -221,6 +198,6 @@ class TestEdgeValueSweep:
             for argv in argvs:
                 codes.append(exit_code(argv))
                 if codes[-1] == 0:
-                    assert non_finite_numbers(out) == [], (value, argv)
+                    assert non_finite_numbers(out.rglob("*")) == [], (value, argv)
             assert set(codes) <= {0, 2, 3, 4, 5, 6}, (value, codes)
         capsys.readouterr()

@@ -21,7 +21,6 @@ from chids.errors import DataError, InfeasibleSplit, SchemaMismatch, UnknownFeat
 from chids.kdd import AttackClass, Dataset, FeatureSchema, load_dataset
 from chids.pcg64 import Permuter
 from chids.preprocess import (
-    DEFAULT_PRUNE,
     NormalizationStats,
     SplitSpec,
     apply_normalizer,
@@ -31,6 +30,7 @@ from chids.preprocess import (
     select_features,
     stratified_split,
 )
+from chids.sections import DEFAULT_PRUNE
 import synthdata
 from test_kdd import make_line
 
