@@ -13,7 +13,6 @@ Exit codes: 0 ok, 1 internal, 2 usage/config, 3 I/O, 4 malformed data,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import operator
 import sys
@@ -25,7 +24,7 @@ from . import artifact
 from .config import RunConfig, apply_setting, load_config, render_config
 from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact
 from .rule_config import SCENARIOS
-from .sections import AttackClass
+from .sections import FEATURE_TABLE, AttackClass
 
 # Each cmd_* imports the stage modules it runs when it starts, so a command
 # compiles and loads only those: `config` and `simulate` load no numpy, and
@@ -36,7 +35,6 @@ TRAIN_FULL = "train_full.cache"
 TEST_FULL = "test_full.cache"
 TRAIN_CACHE = "train.cache"
 TEST_CACHE = "test.cache"
-MANIFEST_TXT = "manifest.txt"
 MANIFEST_JSON = "manifest.json"
 TRANSFORM_JSON = "transform.json"
 MODEL_FILE = "model.txt"
@@ -50,7 +48,7 @@ VERDICTS_TSV = "verdicts_{}.tsv"
 REPORT_DIR = "report"
 # every file a command writes in the out directory, besides detect's alerts
 OUT_FILES = (
-    TRAIN_FULL, TEST_FULL, TRAIN_CACHE, TEST_CACHE, MANIFEST_TXT, MANIFEST_JSON, TRANSFORM_JSON,
+    TRAIN_FULL, TEST_FULL, TRAIN_CACHE, TEST_CACHE, MANIFEST_JSON, TRANSFORM_JSON,
     MODEL_FILE, TRAIN_TIMING, RANK_FULL, RANK_SELECTED, DISPOSITIONS, DETECT_SUMMARY, REPORT_DIR,
     *(name.format(s) for name in (STREAM_TSV, VERDICTS_TSV) for s in SCENARIOS),
 )
@@ -101,14 +99,16 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     _err(f"loading {cfg.dataset}")
     ds = kdd.load_dataset(cfg.dataset)
+    if ds.parse_errors:
+        _err(f"{cfg.dataset}: skipped {len(ds.parse_errors)} bad line(s)")
     dres = preprocess.dedupe(ds)
     _err(
         f"dedupe: {dres.n_input} -> {dres.n_output} "
         f"(reduction {dres.reduction_rate * 100:.2f}%)"
     )
     split = preprocess.stratified_split(dres.dataset, cfg.split_spec())
-    del ds  # the split holds every record it needs; keep only the dedupe counts
-    dres = dataclasses.replace(dres, dataset=None)
+    dedupe = {"input": dres.n_input, "output": dres.n_output}
+    del ds, dres  # the split holds every record it needs; keep only the dedupe counts
 
     # Rank the full feature set for the descending-curve report. Pruning
     # only drops columns, so the same cut points score the pruned set.
@@ -138,19 +138,10 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         "normalization": stats.to_json_obj(),
     }
     artifact.write_text(out / TRANSFORM_JSON, artifact.json_text(transform))
-    extra = {
-        "features.pruned": ",".join(cfg.prune),
-        "features.selected": ",".join(selected),
-        "select.method": cfg.select_method,
-        "select.k": cfg.select_k,
-    }
-    artifact.write_text(out / MANIFEST_TXT, preprocess.render_manifest(split.manifest, dres, extra))
     artifact.write_text(out / MANIFEST_JSON, artifact.json_text({
-        "dedupe": {"input": dres.n_input, "output": dres.n_output},
-        "split": split.manifest.to_json_obj(),
-        "selected": list(selected),
+        "dedupe": dedupe, "split": split.manifest, "selected": list(selected),
     }))
-    for name in (TRAIN_CACHE, TEST_CACHE, TRAIN_FULL, TEST_FULL, MANIFEST_TXT, TRANSFORM_JSON):
+    for name in (TRAIN_CACHE, TEST_CACHE, TRAIN_FULL, TEST_FULL, MANIFEST_JSON, TRANSFORM_JSON):
         _out(out / name)
     return 0
 
@@ -190,10 +181,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         train_s=_read_if_present(out / TRAIN_TIMING, artifact.read_lines, _train_seconds),
         test_s=test_s,
     )
-    report = ev.metrics_from_confusion(cm)
+    metrics = ev.metrics_from_confusion(cm)
     _err(
-        f"detection rate {report.detection_rate:.2f}%  "
-        f"false alarms {report.false_alarm_rate:.2f}%  "
+        f"detection rate {metrics['detection_rate_pct']:.2f}%  "
+        f"false alarms {metrics['false_alarm_rate_pct']:.2f}%  "
         f"test time {test_s:.3f}s"
     )
     for p in written:
@@ -252,11 +243,18 @@ def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
 
 
 def _transform(text: str):
-    """The selected features and normalization of a transform.json."""
+    """The selected features and normalization of a version 1
+    transform.json, whose `selected` lists distinct schema features."""
     from . import preprocess
 
     obj = json.loads(text)
-    return list(obj["selected"]), preprocess.NormalizationStats.from_json_obj(obj["normalization"])
+    if obj["version"] != 1:
+        raise DataError(f"version {obj['version']!r}, expected 1: `chids preprocess` rewrites it")
+    selected, names = obj["selected"], {name for name, _ in FEATURE_TABLE}
+    if not (isinstance(selected, list) and all(isinstance(n, str) and n in names for n in selected)
+            and len(set(selected)) == len(selected)):
+        raise DataError(f"selected {selected!r}: expected a list of distinct schema features")
+    return selected, preprocess.NormalizationStats.from_json_obj(obj["normalization"])
 
 
 def _alert_sink(cfg: RunConfig, input_path: str, events_path: str | None) -> Path:

@@ -6,7 +6,6 @@ rates derived from them, timing capture, and deterministic report emission
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
@@ -67,52 +66,20 @@ class ConfusionMatrix:
         return artifact.read_lines(path, parse)
 
 
-# MetricsReport field -> metrics.json key
-_METRICS_KEYS = {
-    "detection_rate": "detection_rate_pct",
-    "false_alarm_rate": "false_alarm_rate_pct",
-    "multiclass_accuracy": "multiclass_accuracy_pct",
-    "n_records": "n_records",
-    "n_attacks": "n_attacks",
-    "n_normals": "n_normals",
-    "n_detected_attacks": "n_detected_attacks",
-    "n_false_alarms": "n_false_alarms",
-    "per_class_recall": "per_class_recall_pct",
-    "per_class_precision": "per_class_precision_pct",
-}
-
-
-@dataclass
-class MetricsReport:
-    """Binary attack-vs-normal rates plus the five-class view.
-
-    detection_rate counts an attack as detected whenever it is predicted as
-    ANY non-normal class, even the wrong one; multiclass_accuracy is the
-    stricter diagonal rate. Both are percentages in [0, 100].
-    """
-
-    detection_rate: float
-    false_alarm_rate: float
-    multiclass_accuracy: float
-    n_records: int
-    n_attacks: int
-    n_normals: int
-    n_detected_attacks: int
-    n_false_alarms: int
-    per_class_recall: dict[str, float]
-    per_class_precision: dict[str, float]
-
-    def to_json_obj(self) -> dict:
-        return {key: getattr(self, name) for name, key in _METRICS_KEYS.items()}
-
-
 def _pct(num: int, den: int) -> float:
     # int / int is correctly rounded: the float nearest the exact percentage
     return 100 * num / den if den else 0.0
 
 
-def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
-    """All rates recomputed from the matrix alone (integer arithmetic)."""
+def metrics_from_confusion(cm: ConfusionMatrix) -> dict:
+    """The metrics.json of the matrix: binary attack-vs-normal rates plus the
+    five-class view, all recomputed from the matrix alone (integer
+    arithmetic).
+
+    The detection rate counts an attack as detected whenever it is predicted
+    as ANY non-normal class, even the wrong one; the multiclass accuracy is
+    the stricter diagonal rate. Both are percentages in [0, 100].
+    """
     c = cm.counts
     normal = int(AttackClass.NORMAL)
     n_records = int(c.sum())
@@ -128,18 +95,18 @@ def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
         kk = int(k)
         recall[k.tag] = _pct(int(c[kk, kk]), int(c[kk].sum()))
         precision[k.tag] = _pct(int(c[kk, kk]), int(c[:, kk].sum()))
-    return MetricsReport(
-        detection_rate=_pct(detected, n_attacks),
-        false_alarm_rate=_pct(false_alarms, n_normals),
-        multiclass_accuracy=_pct(correct, n_records),
-        n_records=n_records,
-        n_attacks=n_attacks,
-        n_normals=n_normals,
-        n_detected_attacks=detected,
-        n_false_alarms=false_alarms,
-        per_class_recall=recall,
-        per_class_precision=precision,
-    )
+    return {
+        "detection_rate_pct": _pct(detected, n_attacks),
+        "false_alarm_rate_pct": _pct(false_alarms, n_normals),
+        "multiclass_accuracy_pct": _pct(correct, n_records),
+        "n_records": n_records,
+        "n_attacks": n_attacks,
+        "n_normals": n_normals,
+        "n_detected_attacks": detected,
+        "n_false_alarms": false_alarms,
+        "per_class_recall_pct": recall,
+        "per_class_precision_pct": precision,
+    }
 
 
 def evaluate(model, test: Dataset) -> tuple[ConfusionMatrix, float]:
@@ -172,18 +139,18 @@ REFERENCE_SYSTEMS = (
 )
 
 
-def render_metrics_table(report: MetricsReport) -> str:
+def render_metrics_table(metrics: dict) -> str:
     lines = ["== evaluation =="]
-    lines.append(f"records            {report.n_records}")
-    lines.append(f"attacks            {report.n_attacks}")
-    lines.append(f"normals            {report.n_normals}")
-    lines.append(f"detection rate     {report.detection_rate:.2f}%")
-    lines.append(f"false alarm rate   {report.false_alarm_rate:.2f}%")
-    lines.append(f"multiclass acc     {report.multiclass_accuracy:.2f}%")
+    lines.append(f"records            {metrics['n_records']}")
+    lines.append(f"attacks            {metrics['n_attacks']}")
+    lines.append(f"normals            {metrics['n_normals']}")
+    lines.append(f"detection rate     {metrics['detection_rate_pct']:.2f}%")
+    lines.append(f"false alarm rate   {metrics['false_alarm_rate_pct']:.2f}%")
+    lines.append(f"multiclass acc     {metrics['multiclass_accuracy_pct']:.2f}%")
     for tag in CLASS_TAGS:
         lines.append(
-            f"class {tag:<8} recall {report.per_class_recall[tag]:6.2f}%  "
-            f"precision {report.per_class_precision[tag]:6.2f}%"
+            f"class {tag:<8} recall {metrics['per_class_recall_pct'][tag]:6.2f}%  "
+            f"precision {metrics['per_class_precision_pct'][tag]:6.2f}%"
         )
     return "\n".join(lines) + "\n"
 
@@ -223,17 +190,17 @@ def emit_report(
         artifact.write_text(p, text)
         written.append(str(p))
 
-    report = None if confusion is None else metrics_from_confusion(confusion)
+    metrics = None if confusion is None else metrics_from_confusion(confusion)
     sections = []
     if split_per_class:
         sections.append(render_split_table(split_per_class))
-    if report is not None:
-        sections.append(render_metrics_table(report))
+    if metrics is not None:
+        sections.append(render_metrics_table(metrics))
         sections.append("== confusion ==\n" + confusion.to_tsv())
     put("report.txt", "\n".join(sections) if sections else "== empty ==\n")
 
-    if report is not None:
-        put("metrics.json", artifact.json_text(report.to_json_obj()))
+    if metrics is not None:
+        put("metrics.json", artifact.json_text(metrics))
         times = (("train_s", train_s), ("test_s", test_s))
         timings = [f"timing {key} {seconds:.6f}\n" for key, seconds in times if seconds is not None]
         if timings:  # a report re-rendered from confusion.tsv has no times
@@ -245,8 +212,8 @@ def emit_report(
             rows += [("this-run", "-", repr(value), "measured") for value in measured]
             put(name, artifact.table_text(BARS_HEADER, rows))
 
-        bars("detection_rate_bars.tsv", 0, [report.detection_rate])
-        bars("false_alarm_bars.tsv", 1, [report.false_alarm_rate])
+        bars("detection_rate_bars.tsv", 0, [metrics["detection_rate_pct"]])
+        bars("false_alarm_bars.tsv", 1, [metrics["false_alarm_rate_pct"]])
         # measured test time lives in timings.txt; the plot file stays deterministic
         bars("test_time_bars.tsv", 3)
 

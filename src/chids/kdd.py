@@ -451,13 +451,8 @@ def load_dataset(path, error_budget: int = 100, labels_optional: bool = False) -
     as unlabeled records instead of bad lines.
     """
     with artifact.open_text(path) as fh, artifact.parsing(path):
-        ds = _read_records(fh, FeatureSchema.default(), labels_optional=labels_optional,
-                           error_budget=error_budget)
-    if ds.parse_errors:
-        import logging
-
-        logging.getLogger(__name__).warning("%s: skipped %d bad line(s)", path, len(ds.parse_errors))
-    return ds
+        return _read_records(fh, FeatureSchema.default(), labels_optional=labels_optional,
+                             error_budget=error_budget)
 
 
 _CACHE_TAG = b"#chids-dataset"  # the first word of a dataset cache of any version

@@ -5,7 +5,7 @@ data only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,35 +57,11 @@ def dedupe(ds: Dataset) -> DedupeResult:
     return DedupeResult(ds.take(keep), n_input, keep.size)
 
 
-@dataclass
-class SplitManifest:
-    """Reproducibility record for one split."""
-
-    seed: int
-    train_size: int
-    test_size: int
-    minority_classes: tuple[str, ...]
-    rounding_rule: str
-    per_class: dict[str, dict[str, int]] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "minority_classes": list(self.minority_classes),
-            "rounding_rule": self.rounding_rule,
-            "per_class": self.per_class,
-            "notes": self.notes,
-        }
-
-
 @dataclass(frozen=True)
 class SplitResult:
     train: Dataset
     test: Dataset
-    manifest: SplitManifest
+    manifest: dict  # the split's census, as manifest.json holds it under `split`
 
 
 def _round_half_up_two_thirds(n: int) -> int:
@@ -170,22 +146,24 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> SplitResult:
     rng = Permuter(spec.seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
-    manifest = SplitManifest(
-        seed=spec.seed,
-        train_size=spec.train_size,
-        test_size=spec.test_size,
-        minority_classes=tuple(c.tag for c in minority),
-        rounding_rule="minority train = round-half-up(2n/3); majority = largest-remainder proportional fill",
-    )
+    manifest = {
+        "seed": spec.seed,
+        "train_size": spec.train_size,
+        "test_size": spec.test_size,
+        "minority_classes": [c.tag for c in minority],
+        "rounding_rule": "minority train = round-half-up(2n/3); majority = largest-remainder proportional fill",
+        "per_class": {},
+        "notes": [],
+    }
     for c in AttackClass:
         pool = np.flatnonzero(ds.class_codes == int(c))
         pool = pool[rng.permutation(pool.size)]
         t, s = train_quota[c], test_quota[c]
         train_idx.append(pool[:t])
         test_idx.append(pool[t:t + s])
-        manifest.per_class[c.tag] = {"available": int(hist[c]), "train": t, "test": s}
+        manifest["per_class"][c.tag] = {"available": int(hist[c]), "train": t, "test": s}
     if spec.test_size == 0:
-        manifest.notes.append("test_size=0: minority classes fully enumerated into train")
+        manifest["notes"].append("test_size=0: minority classes fully enumerated into train")
 
     train = ds.take(np.sort(np.concatenate(train_idx)))
     test = ds.take(np.sort(np.concatenate(test_idx)))
@@ -272,31 +250,3 @@ def apply_normalizer(ds: Dataset, stats: NormalizationStats) -> Dataset:
     numeric = (ds.numeric - stats.mu) / safe
     numeric[:, stats.sigma == 0.0] = 0.0
     return Dataset(ds.schema, numeric, ds.nominal, ds.labels, ds.class_codes, ds.taxonomy)
-
-
-def render_manifest(
-    manifest: SplitManifest,
-    dedupe_result: DedupeResult | None = None,
-    extra: dict | None = None,
-) -> str:
-    """Structured text report for a preprocessing run (deterministic)."""
-    lines = ["#chids-manifest v1"]
-    if dedupe_result is not None:
-        lines.append(f"dedupe.input = {dedupe_result.n_input}")
-        lines.append(f"dedupe.output = {dedupe_result.n_output}")
-        lines.append(f"dedupe.reduction_rate_pct = {dedupe_result.reduction_rate * 100:.2f}")
-    lines.append(f"split.seed = {manifest.seed}")
-    lines.append(f"split.train_size = {manifest.train_size}")
-    lines.append(f"split.test_size = {manifest.test_size}")
-    lines.append(f"split.minority_classes = {','.join(manifest.minority_classes)}")
-    lines.append(f"split.rounding_rule = {manifest.rounding_rule}")
-    for tag, row in manifest.per_class.items():
-        lines.append(
-            f"split.class.{tag} = available={row['available']} train={row['train']} test={row['test']}"
-        )
-    for note in manifest.notes:
-        lines.append(f"split.note = {note}")
-    if extra:
-        for key in extra:
-            lines.append(f"{key} = {extra[key]}")
-    return "\n".join(lines) + "\n"

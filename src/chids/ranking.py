@@ -13,7 +13,7 @@ import numpy as np
 from . import artifact, kernels
 from .errors import DataError
 from .kdd import NUMERIC, Dataset, N_CLASSES
-from .sections import CHI2, IGR
+from .sections import CHI2, FEATURE_TABLE, IGR
 
 RANK_HEADER = "rank\tfeature\tmethod\tscore"
 
@@ -160,9 +160,11 @@ def write_rank_report(scores, path) -> None:
 
 def read_rank_report(path) -> list[FeatureScore]:
     """The rows of a rank table; its `#` lines are comments. The k-th row
-    has rank k, a feature no row before names, a method of SCORERS, and no
-    higher score than the row before, so ranking the rows again keeps their
-    order."""
+    has rank k, a schema feature no row before names, a method of SCORERS,
+    and no higher score than the row before, so ranking the rows again keeps
+    their order."""
+    features = {name for name, _ in FEATURE_TABLE}
+
     def parse(lines):
         if next(lines, None) != RANK_HEADER:
             raise DataError(f"expected {RANK_HEADER!r}")
@@ -178,6 +180,8 @@ def read_rank_report(path) -> list[FeatureScore]:
                 raise DataError(f"rank {place!r}, expected {len(scores) + 1}")
             if scores and row.score > scores[-1].score:
                 raise DataError(f"score {score} above the score of rank {len(scores)}")
+            if feature not in features:
+                raise DataError(f"feature {feature!r} is not a schema feature")
             if any(s.feature == feature for s in scores):
                 raise DataError(f"feature {feature!r} ranked twice")
             scores.append(row)

@@ -85,7 +85,7 @@ def test_c1_dedup_exactness(kdd10_dedup):
 def test_c2_split_fidelity(kdd10_dedup):
     _, res, _ = kdd10_dedup
     split = stratified_split(res.dataset, SplitSpec(seed=0))
-    pc = split.manifest.per_class
+    pc = split.manifest["per_class"]
     assert len(split.train) == 20000 and len(split.test) == 10000
     for tag, train_ref, test_ref in (("probe", 1421, 709), ("r2l", 667, 332), ("u2r", 35, 17)):
         assert abs(pc[tag]["train"] - train_ref) <= 1
@@ -133,8 +133,8 @@ def test_c4_headline_numbers(kdd10_dedup):
         train_times.append(time.perf_counter() - t0)
         cm, test_s = evaluate(model, test_n)
         report = metrics_from_confusion(cm)
-        drs.append(report.detection_rate)
-        fars.append(report.false_alarm_rate)
+        drs.append(report["detection_rate_pct"])
+        fars.append(report["false_alarm_rate_pct"])
         test_times.append(test_s)
     mean_dr = sum(drs) / len(drs)
     mean_far = sum(fars) / len(fars)
@@ -265,9 +265,9 @@ def test_c5_metrics_oracle_equivalence():
         predicted = [rng.randrange(5) for _ in range(n)]
         m = metrics_from_confusion(ConfusionMatrix.from_predictions(actual, predicted))
         dr, far, det, fa = oracles.binary_rates_oracle(actual, predicted)
-        assert abs(m.detection_rate - dr) <= 1e-9
-        assert abs(m.false_alarm_rate - far) <= 1e-9
-        assert (m.n_detected_attacks, m.n_false_alarms) == (det, fa)
+        assert abs(m["detection_rate_pct"] - dr) <= 1e-9
+        assert abs(m["false_alarm_rate_pct"] - far) <= 1e-9
+        assert (m["n_detected_attacks"], m["n_false_alarms"]) == (det, fa)
     ok("C5.metrics", "120 random confusion matrices within 1e-9")
 
 

@@ -442,6 +442,8 @@ PINNED = [
     M("copy", 2, 1, 5, pin=P("rank_igr_full.tsv", 4, "line 3: feature 'logged_in' ranked twice")),
     M("replace", 2, 3, token="nan", pin=P("rank_igr_full.tsv", 4, "line 3: 'nan' is not a finite")),
     M("replace", 2, 2, token="inf", pin=P("rank_igr_full.tsv", 4, "line 3: method 'inf'")),
+    M("replace", 2, 1, token="not_a_feature",
+      pin=P("rank_igr_full.tsv", 4, "line 3: feature 'not_a_feature' is not a schema feature")),
     M("non-ascii", 10, pin=P("rank_igr_full.tsv", 4, "not ASCII text")),
     # report/confusion.tsv: four or six counts, no count, the header, rows swapped
     M("drop", 3, 5, pin=P("report/confusion.tsv", 4, "line 4: want 'probe' and 5 counts")),
@@ -462,7 +464,8 @@ PINNED = [
     M("extend", 5, 41, token="nan", pin=P("sample.kdd", 4, "line 6: expected 42 fields", "detect")),
     M("replace", 5, 4, token="0x10", pin=P("sample.kdd", 4, "line 6: feature 4: not a", "detect")),
     M("replace", 5, 4, token="nan", pin=P("sample.kdd", 4, "line 6: feature 4: not finite", "detect")),
-    # transform.json: a key renamed, a value short, not JSON, n, mu and sigma
+    # transform.json: a key renamed, a value short, not JSON, n, mu and sigma,
+    # the version, a selected feature
     M("replace", 1, 0, token="nan", pin=P("transform.json", 4, "malformed file (KeyError")),
     M("delete", 8, pin=P("transform.json", 4, "malformed file (ValueError: stats shape")),
     M("truncate", 30, pin=P("transform.json", 4, "malformed file (JSONDecodeError")),
@@ -470,6 +473,9 @@ PINNED = [
     M("replace", 12, 1, token="Infinity", pin=P("transform.json", 4, "(OverflowError")),
     M("replace", 14, 0, token="nan", pin=P("transform.json", 4, "'nan' is not a finite")),
     M("replace", 8, 0, token="-inf", pin=P("transform.json", 4, "'-inf' is not a finite")),
+    M("replace", 33, 1, token="2", pin=P("transform.json", 4, "version 2, expected 1: `chids")),
+    M("replace", 29, 0, token="nan",
+      pin=P("transform.json", 4, "'nan', 'count', 'duration']: expected a list of distinct")),
     # manifest.json: a key renamed, not JSON, a count wrong, a class renamed
     M("replace", 11, 0, token="nan", pin=P("manifest.json", 4, "malformed file (KeyError")),
     M("replace", 20, 1, token="1e308", pin=P("manifest.json", 4, "malformed file (TypeError")),

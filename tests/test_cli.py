@@ -45,15 +45,13 @@ class TestPreprocess:
     def test_artifacts_exist(self, workdir):
         for name in (
             "train.cache", "test.cache", "train_full.cache", "test_full.cache",
-            "manifest.txt", "manifest.json", "transform.json",
-            "rank_igr_full.tsv", "rank_selected.tsv",
+            "manifest.json", "transform.json", "rank_igr_full.tsv", "rank_selected.tsv",
         ):
             assert (workdir / name).exists(), name
 
     def test_manifest_reports_counts(self, workdir):
-        text = (workdir / "manifest.txt").read_text()
-        assert "dedupe.input" in text and "split.seed = 3" in text
         obj = json.loads((workdir / "manifest.json").read_text())
+        assert "input" in obj["dedupe"] and obj["split"]["seed"] == 3
         per_class = obj["split"]["per_class"]
         assert sum(r["train"] for r in per_class.values()) == 1200
         assert sum(r["test"] for r in per_class.values()) == 600
@@ -529,11 +527,10 @@ class TestPinnedOutputs:
         "detect_summary.txt": "a924fe8326c72180cf60f8a61d22d5b138d3daca0a7703ed2c4532c7268dd759",
     }
 
-    # The manifest and the report bundle, taken before every chids table was
-    # formatted by artifact.table_text. `chids report` must write the same
-    # report bytes as `chids evaluate`.
+    # The report bundle, taken before every chids table was formatted by
+    # artifact.table_text. `chids report` must write the same report bytes
+    # as `chids evaluate`.
     REPORT_SHA256 = {
-        "manifest.txt": "65b588eb72d928d053a105a3beec5ba8473dee136b22f5025184d39d5137a0ad",
         "report/confusion.tsv": "7ea5c281771f69ff5ab98952f7a8003c449f27b0910297a0e8b6288a56f4ad26",
         "report/rank_curve.tsv": "58b8819b11fab4dce6b41a3e881be5aa9c0e380eae4775a134dbee0fc8113791",
         "report/detection_rate_bars.tsv":
@@ -922,9 +919,8 @@ class TestOnlyLineEndsEndALine:
     @pytest.mark.parametrize("name, damage, command, needle", [
         ("model.txt", _damage_line(5, lambda ln: b"\x1c" + ln), "evaluate", "line 5: bad rule line"),
         ("model.txt", _damage_line(5, lambda ln: ln + b"\x0c"), "evaluate", "line 5: bad rule line"),
-        ("rank_igr_full.tsv", lambda raw: _damage_line(5, lambda ln: b"9" + ln)(
-            _damage_line(3, lambda ln: ln.replace(b"\t", b"\t\x0c", 1))(raw)),
-         "report", "line 5: rank '9"),
+        ("rank_igr_full.tsv", _damage_line(3, lambda ln: ln.replace(b"\t", b"\t\x0c", 1)),
+         "report", "line 3: feature '\\x0c"),
         ("report/confusion.tsv", _damage_line(3, lambda ln: ln.replace(b"\t", b"\x1c\t", 1)),
          "report", "line 3: want 'dos'"),
         ("train_timing.txt", lambda raw: b"timing train_s 1.5\x0c\n", "evaluate",
@@ -1189,11 +1185,16 @@ class TestEachCommandLoadsOnlyItsStages:
         (["train"], {"chids.anomaly", "chids.preprocess", "chids.pipeline", "logging",
                      "concurrent.futures", "numpy.random"}),
         (["evaluate"], {"chids.anomaly", "chids.preprocess", "fractions", "numpy.random"}),
-    ], ids=["config", "simulate", "preprocess", "train", "evaluate"])
+        # a skipped line is reported by cli._err, as every diagnostic is
+        (["preprocess", "--dataset", "CORPUS_AND_BAD_LINE", *SPLIT_OVERRIDES], {"logging"}),
+    ], ids=["config", "simulate", "preprocess", "train", "evaluate", "preprocess-bad-line"])
     def test_fresh_interpreter(self, workdir, synth_corpus_path, tmp_path, command, absent):
         out = tmp_path / "run"
         shutil.copytree(workdir, out)
-        command = [str(synth_corpus_path) if arg == "CORPUS" else arg for arg in command]
+        bad = tmp_path / "bad.kdd"
+        bad.write_text(Path(synth_corpus_path).read_text() + "not,a,record\n")
+        corpora = {"CORPUS": str(synth_corpus_path), "CORPUS_AND_BAD_LINE": str(bad)}
+        command = [corpora.get(arg, arg) for arg in command]
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-c", _RUN_AND_LIST_MODULES, *command, "--out", str(out)],

@@ -44,21 +44,21 @@ class TestMetrics:
         actual = [1] * 10
         predicted = [1] * 6 + [2] * 3 + [0]
         m = metrics_from_confusion(cm_from(actual, predicted))
-        assert m.detection_rate == pytest.approx(90.0)
+        assert m["detection_rate_pct"] == pytest.approx(90.0)
 
     def test_false_alarm_simple(self):
         actual = [0] * 200
         predicted = [0] * 199 + [3]
         m = metrics_from_confusion(cm_from(actual, predicted))
-        assert m.false_alarm_rate == pytest.approx(0.5)
+        assert m["false_alarm_rate_pct"] == pytest.approx(0.5)
 
     def test_cross_class_confusion_counts_as_detected(self):
         # actual probe predicted dos is still a detected attack
         actual = [2, 2, 2, 0]
         predicted = [1, 1, 2, 0]
         m = metrics_from_confusion(cm_from(actual, predicted))
-        assert m.detection_rate == pytest.approx(100.0)
-        assert m.multiclass_accuracy == pytest.approx(50.0)
+        assert m["detection_rate_pct"] == pytest.approx(100.0)
+        assert m["multiclass_accuracy_pct"] == pytest.approx(50.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rates_match_recount_oracle(self, seed):
@@ -68,10 +68,10 @@ class TestMetrics:
         predicted = [rng.randrange(5) for _ in range(n)]
         m = metrics_from_confusion(cm_from(actual, predicted))
         dr, far, det, fa = binary_rates_oracle(actual, predicted)
-        assert m.detection_rate == pytest.approx(dr, abs=1e-9)
-        assert m.false_alarm_rate == pytest.approx(far, abs=1e-9)
-        assert m.n_detected_attacks == det
-        assert m.n_false_alarms == fa
+        assert m["detection_rate_pct"] == pytest.approx(dr, abs=1e-9)
+        assert m["false_alarm_rate_pct"] == pytest.approx(far, abs=1e-9)
+        assert m["n_detected_attacks"] == det
+        assert m["n_false_alarms"] == fa
 
     def test_rates_bounded(self):
         rng = random.Random(77)
@@ -80,9 +80,9 @@ class TestMetrics:
             actual = [rng.randrange(5) for _ in range(n)]
             predicted = [rng.randrange(5) for _ in range(n)]
             m = metrics_from_confusion(cm_from(actual, predicted))
-            assert 0.0 <= m.detection_rate <= 100.0
-            assert 0.0 <= m.false_alarm_rate <= 100.0
-            assert 0.0 <= m.multiclass_accuracy <= 100.0
+            assert 0.0 <= m["detection_rate_pct"] <= 100.0
+            assert 0.0 <= m["false_alarm_rate_pct"] <= 100.0
+            assert 0.0 <= m["multiclass_accuracy_pct"] <= 100.0
 
     def test_percentage_is_the_exact_one_rounded_once(self):
         # int true division is correctly rounded, as the exact rational is
@@ -96,10 +96,10 @@ class TestMetrics:
         model = majority_baseline(ds)
         cm, _ = evaluate(model, ds)
         m = metrics_from_confusion(cm)
-        assert m.per_class_recall["normal"] == pytest.approx(100.0)
+        assert m["per_class_recall_pct"]["normal"] == pytest.approx(100.0)
         for tag in ("dos", "probe", "r2l", "u2r"):
-            assert m.per_class_recall[tag] == pytest.approx(0.0)
-        assert m.detection_rate == pytest.approx(0.0)
+            assert m["per_class_recall_pct"][tag] == pytest.approx(0.0)
+        assert m["detection_rate_pct"] == pytest.approx(0.0)
 
     def test_confusion_total_and_counts(self):
         actual = [0, 1, 2, 3, 4, 0]

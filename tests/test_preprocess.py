@@ -177,7 +177,7 @@ class TestStratifiedSplit:
             }
         )
         res = stratified_split(ds, SplitSpec(train_size=700, test_size=300, seed=1))
-        pc = res.manifest.per_class
+        pc = res.manifest["per_class"]
         assert pc["probe"]["train"] == 60 and pc["probe"]["test"] == 30
         assert pc["r2l"]["train"] == 30 and pc["r2l"]["test"] == 15
         assert pc["u2r"]["train"] == 7 and pc["u2r"]["test"] == 3
@@ -220,7 +220,7 @@ class TestStratifiedSplit:
         # two majority classes, no minority records
         ds = self.classful_dataset({AttackClass.NORMAL: 64, AttackClass.DOS: 36})
         res = stratified_split(ds, SplitSpec(train_size=50, test_size=25, seed=0))
-        pc = res.manifest.per_class
+        pc = res.manifest["per_class"]
         train_alloc = largest_remainder_oracle(50, {0: 64, 1: 36})
         test_alloc = largest_remainder_oracle(25, {0: 64, 1: 36})
         assert pc["normal"]["train"] == train_alloc[0]
@@ -282,7 +282,7 @@ class TestSeededPermutation:
             res = stratified_split(ds, spec)
         except InfeasibleSplit:  # the two rounded fills overrun a class
             assume(False)
-        want_train, want_test = stratified_split_oracle(codes, seed, res.manifest.per_class)
+        want_train, want_test = stratified_split_oracle(codes, seed, res.manifest["per_class"])
         assert res.train.numeric[:, 0].astype(int).tolist() == want_train
         assert res.test.numeric[:, 0].astype(int).tolist() == want_test
 
