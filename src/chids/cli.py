@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages so each can be driven and audited
-independently: preprocess -> train -> evaluate, plus detect (end-to-end
-hybrid run on a record stream), simulate (synthetic event scenarios) and
-report (re-render the report bundle from stored artifacts).
+independently: preprocess -> train -> evaluate (which writes the report
+bundle), plus detect (end-to-end hybrid run on a record stream) and
+simulate (synthetic event scenarios).
 
 stdout carries only data and artifact paths; diagnostics go to stderr.
 Exit codes: 0 ok, 1 internal, 2 usage/config, 3 I/O, 4 malformed data,
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import artifact
 from .config import RunConfig, apply_setting, load_config, render_config
-from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact
+from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact, bad_lines
 from .rule_config import SCENARIOS
 from .sections import FEATURE_TABLE, AttackClass
 
@@ -80,6 +80,8 @@ def _build_config(args) -> RunConfig:
 
 
 def _outdir(cfg: RunConfig) -> Path:
+    """The out directory, made if missing: only the commands that need no
+    earlier artifact there (preprocess, simulate) make it."""
     p = Path(cfg.out)
     p.mkdir(parents=True, exist_ok=True)
     return p
@@ -100,7 +102,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     _err(f"loading {cfg.dataset}")
     ds = kdd.load_dataset(cfg.dataset)
     if ds.parse_errors:
-        _err(f"{cfg.dataset}: skipped {len(ds.parse_errors)} bad line(s)")
+        _err(f"{cfg.dataset}: skipped {bad_lines(ds.parse_errors)}")
     dres = preprocess.dedupe(ds)
     _err(
         f"dedupe: {dres.n_input} -> {dres.n_output} "
@@ -138,9 +140,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         "normalization": stats.to_json_obj(),
     }
     artifact.write_text(out / TRANSFORM_JSON, artifact.json_text(transform))
-    artifact.write_text(out / MANIFEST_JSON, artifact.json_text({
-        "dedupe": dedupe, "split": split.manifest, "selected": list(selected),
-    }))
+    artifact.write_text(out / MANIFEST_JSON, artifact.json_text({"dedupe": dedupe, "split": split.manifest}))
     for name in (TRAIN_CACHE, TEST_CACHE, TRAIN_FULL, TEST_FULL, MANIFEST_JSON, TRANSFORM_JSON):
         _out(out / name)
     return 0
@@ -149,7 +149,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     from . import kdd, learner
 
-    out = _outdir(cfg)
+    out = Path(cfg.out)
     train_path = _need(out / TRAIN_CACHE, "chids preprocess")
     train = kdd.load_cache(train_path)
     with artifact.parsing(train_path, 2):  # the header, whose domains a rule may name
@@ -168,20 +168,19 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     from . import evaluate as ev, kdd, learner, ranking
 
-    out = _outdir(cfg)
+    out = Path(cfg.out)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
     test = kdd.load_cache(_need(out / TEST_CACHE, "chids preprocess"))
     cm, test_s = ev.evaluate(model, test)
-    written = ev.emit_report(
+    metrics, written = ev.emit_report(
         out / REPORT_DIR,
-        confusion=cm,
+        cm,
+        test_s,
         split_per_class=_read_if_present(
             out / MANIFEST_JSON, artifact.read_parsed, _split_per_class),
         rank_scores=_read_if_present(out / RANK_FULL, ranking.read_rank_report),
         train_s=_read_if_present(out / TRAIN_TIMING, artifact.read_lines, _train_seconds),
-        test_s=test_s,
     )
-    metrics = ev.metrics_from_confusion(cm)
     _err(
         f"detection rate {metrics['detection_rate_pct']:.2f}%  "
         f"false alarms {metrics['false_alarm_rate_pct']:.2f}%  "
@@ -277,7 +276,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     from . import kdd, learner, pipeline, preprocess
 
     alerts_path = _alert_sink(cfg, input_path, events_path)
-    out = _outdir(cfg)
+    out = Path(cfg.out)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
     selected, stats = artifact.read_parsed(
         _need(out / TRANSFORM_JSON, "chids preprocess"), _transform
@@ -332,23 +331,6 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    from . import evaluate as ev, ranking
-
-    out = _outdir(cfg)
-    manifest_file = _need(out / MANIFEST_JSON, "chids preprocess")
-    confusion = _read_if_present(out / REPORT_DIR / "confusion.tsv", ev.ConfusionMatrix.from_tsv)
-    written = ev.emit_report(
-        out / REPORT_DIR,
-        split_per_class=artifact.read_parsed(manifest_file, _split_per_class),
-        confusion=confusion,
-        rank_scores=_read_if_present(out / RANK_FULL, ranking.read_rank_report),
-    )
-    for p in written:
-        _out(p)
-    return 0
-
-
 def cmd_config(cfg: RunConfig) -> int:
     sys.stdout.write(render_config(cfg))
     return 0
@@ -386,9 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
     _add_common(p)
 
-    p = sub.add_parser("report", help="re-render the report bundle from stored artifacts")
-    _add_common(p)
-
     p = sub.add_parser("config", help="print the effective configuration")
     _add_common(p)
     return ap
@@ -408,8 +387,6 @@ def main(argv=None) -> int:
             return cmd_detect(cfg, args.input, args.events)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.scenario)
-        if args.command == "report":
-            return cmd_report(cfg)
         if args.command == "config":
             return cmd_config(cfg)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -53,9 +53,15 @@ class DatasetParseError(DataError):
 
     def __init__(self, errors):
         self.errors = list(errors)
-        head = "; ".join(f"line {ln}: {msg}" for ln, msg in self.errors[:5])
-        more = f" (+{len(self.errors) - 5} more)" if len(self.errors) > 5 else ""
-        super().__init__(f"{len(self.errors)} bad line(s): {head}{more}")
+        super().__init__(bad_lines(self.errors))
+
+
+def bad_lines(errors) -> str:
+    """`N bad line(s): line a: reason; ...` for (line, reason) pairs, naming
+    the first five lines and counting the rest as `(+k more)`."""
+    head = "; ".join(f"line {ln}: {msg}" for ln, msg in errors[:5])
+    more = f" (+{len(errors) - 5} more)" if len(errors) > 5 else ""
+    return f"{len(errors)} bad line(s): {head}{more}"
 
 
 class MissingArtifact(ChidsError):

@@ -6,13 +6,12 @@ rates derived from them, timing capture, and deterministic report emission
 from __future__ import annotations
 
 import time
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import artifact, ranking
-from .errors import DataError, EmptyTestSet
+from .errors import EmptyTestSet
 from .kdd import AttackClass, Dataset, N_CLASSES
 
 CLASS_TAGS = tuple(c.tag for c in AttackClass)
@@ -24,46 +23,20 @@ SPLIT_HEADER = "category\tavailable\ttrain\ttrain_pct\ttest\ttest_pct"
 class ConfusionMatrix:
     """counts[actual, predicted] over the five classes."""
 
-    def __init__(self, counts=None):
-        self.counts = (
-            np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-            if counts is None
-            else np.asarray(counts, dtype=np.int64).reshape(N_CLASSES, N_CLASSES)
-        )
-        if (self.counts < 0).any():
-            raise ValueError("negative confusion counts")
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
 
     @classmethod
     def from_predictions(cls, actual, predicted) -> "ConfusionMatrix":
         actual = np.asarray(actual, dtype=np.int64)
         predicted = np.asarray(predicted, dtype=np.int64)
-        m = cls()
-        np.add.at(m.counts, (actual, predicted), 1)
-        return m
+        counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+        np.add.at(counts, (actual, predicted), 1)
+        return cls(counts)
 
     def to_tsv(self) -> str:
         rows = ([tag, *map(str, counts)] for tag, counts in zip(CLASS_TAGS, self.counts.tolist()))
         return "".join(artifact.table_text(CONFUSION_HEADER, rows))
-
-    @classmethod
-    def from_tsv(cls, path) -> "ConfusionMatrix":
-        """Read a `to_tsv` file: the header, then one row per class in class
-        order, of the class's tag and N_CLASSES integer counts."""
-        def parse(lines):
-            if next(lines, None) != CONFUSION_HEADER:
-                raise DataError(f"want {N_CLASSES} rows of counts under {CONFUSION_HEADER!r}")
-            rows = []
-            for tag, ln in zip_longest(CLASS_TAGS, lines):
-                if tag is None or ln is None:
-                    got = len(rows) if ln is None else "more"
-                    raise DataError(f"want {N_CLASSES} rows of counts, got {got}")
-                label, *cells = ln.split("\t")
-                if label != tag or len(cells) != N_CLASSES:
-                    raise DataError(f"want {tag!r} and {N_CLASSES} counts, got {ln!r}")
-                rows.append([artifact.count(v) for v in cells])
-            return cls(rows)
-
-        return artifact.read_lines(path, parse)
 
 
 def _pct(num: int, den: int) -> float:
@@ -168,13 +141,14 @@ def render_split_table(manifest_per_class: dict) -> str:
 
 def emit_report(
     outdir,
-    confusion: ConfusionMatrix | None = None,
+    confusion: ConfusionMatrix,
+    test_s: float,
     split_per_class: dict | None = None,
     rank_scores=None,
     train_s: float | None = None,
-    test_s: float | None = None,
-) -> list[str]:
-    """Write the report bundle into `outdir`; returns the written paths.
+) -> tuple[dict, list[str]]:
+    """Write the report bundle into `outdir`; returns the metrics.json dict
+    and the written paths.
 
     Every metric is derived from `confusion`, so the files cannot disagree.
     Deterministic content and timings are kept apart: metrics.json and the
@@ -190,36 +164,27 @@ def emit_report(
         artifact.write_text(p, text)
         written.append(str(p))
 
-    metrics = None if confusion is None else metrics_from_confusion(confusion)
-    sections = []
-    if split_per_class:
-        sections.append(render_split_table(split_per_class))
-    if metrics is not None:
-        sections.append(render_metrics_table(metrics))
-        sections.append("== confusion ==\n" + confusion.to_tsv())
-    put("report.txt", "\n".join(sections) if sections else "== empty ==\n")
+    metrics = metrics_from_confusion(confusion)
+    table = confusion.to_tsv()
+    sections = [render_split_table(split_per_class)] if split_per_class else []
+    sections += [render_metrics_table(metrics), "== confusion ==\n" + table]
+    put("report.txt", "\n".join(sections))
+    put("metrics.json", artifact.json_text(metrics))
+    times = (("train_s", train_s), ("test_s", test_s))
+    put("timings.txt", "".join(f"timing {key} {seconds:.6f}\n"
+                               for key, seconds in times if seconds is not None))
 
-    if metrics is not None:
-        put("metrics.json", artifact.json_text(metrics))
-        times = (("train_s", train_s), ("test_s", test_s))
-        timings = [f"timing {key} {seconds:.6f}\n" for key, seconds in times if seconds is not None]
-        if timings:  # a report re-rendered from confusion.tsv has no times
-            put("timings.txt", "".join(timings))
+    def bars(name: str, column: int, measured=()):
+        rows = [(system, str(feats), repr(values[column]), "published")
+                for system, feats, *values in REFERENCE_SYSTEMS]
+        rows += [("this-run", "-", repr(value), "measured") for value in measured]
+        put(name, artifact.table_text(BARS_HEADER, rows))
 
-        def bars(name: str, column: int, measured=()):
-            rows = [(system, str(feats), repr(values[column]), "published")
-                    for system, feats, *values in REFERENCE_SYSTEMS]
-            rows += [("this-run", "-", repr(value), "measured") for value in measured]
-            put(name, artifact.table_text(BARS_HEADER, rows))
-
-        bars("detection_rate_bars.tsv", 0, [metrics["detection_rate_pct"]])
-        bars("false_alarm_bars.tsv", 1, [metrics["false_alarm_rate_pct"]])
-        # measured test time lives in timings.txt; the plot file stays deterministic
-        bars("test_time_bars.tsv", 3)
-
+    bars("detection_rate_bars.tsv", 0, [metrics["detection_rate_pct"]])
+    bars("false_alarm_bars.tsv", 1, [metrics["false_alarm_rate_pct"]])
+    # measured test time lives in timings.txt; the plot file stays deterministic
+    bars("test_time_bars.tsv", 3)
     if rank_scores is not None:
         put("rank_curve.tsv", ranking.rank_table(rank_scores))
-
-    if confusion is not None:
-        put("confusion.tsv", confusion.to_tsv())
-    return written
+    put("confusion.tsv", table)
+    return metrics, written

@@ -12,6 +12,7 @@ import gzip
 import itertools
 import json
 import math
+import re
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,6 +32,8 @@ from .errors import (
 from .sections import FEATURE_TABLE, NOMINAL, NUMERIC, AttackClass
 
 N_CLASSES = len(AttackClass)
+# a nominal symbol a model file can hold: not empty, no whitespace or comma
+SYMBOL_RE = re.compile(r"[^\s,]+")
 
 
 class FeatureSchema:
@@ -316,10 +319,11 @@ def _read_records(
     the dataset is assembled.
 
     Lines need the label field; with `labels_optional`, lines without it
-    and labels outside DEFAULT_TAXONOMY are unlabeled records. Every other
-    bad text is dropped. Its error is kept on `dataset.parse_errors` for
-    each of its lines, in line order, and the (error_budget + 1)-th raises
-    DatasetParseError.
+    and labels outside DEFAULT_TAXONOMY are unlabeled records. A text with
+    a nominal symbol new to its domain that SYMBOL_RE refuses is bad, and
+    none of its symbols enters a domain. Every bad text is dropped. Its
+    error is kept on `dataset.parse_errors` for each of its lines, in line
+    order, and the (error_budget + 1)-th raises DatasetParseError.
 
     The dataset holds one row per good text, in first-occurrence order, and
     `line_rows` gives the row of every good line.
@@ -403,6 +407,16 @@ def _read_records(
                 for i, r in enumerate(cols[n]):
                     if r == raw:
                         text_error.setdefault(ids[i], f"unknown label {lab!r}")
+
+        # a symbol new to its domain must be one a model file can hold
+        for name, k in zip(schema.nominal_names, nom_idx):
+            for raw in dict.fromkeys(cols[k]):
+                sym = raw.strip()
+                if schema.code(name, sym) < 0 and not SYMBOL_RE.fullmatch(sym):
+                    bad = f"feature {k}: symbol {sym!r} is empty or has whitespace in it"
+                    for i, r in enumerate(cols[k]):
+                        if r == raw:
+                            text_error.setdefault(ids[i], bad)
 
         if text_error:
             errors += [(no, text_error[t]) for no, t in seen if t in text_error]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import artifact, kernels
 from .errors import DataError, InvalidOperation, SchemaMismatch
-from .kdd import NOMINAL, NUMERIC, AttackClass, Dataset, FeatureSchema, N_CLASSES
+from .kdd import NOMINAL, NUMERIC, SYMBOL_RE, AttackClass, Dataset, FeatureSchema, N_CLASSES
 from .sections import TreeParams
 
 
@@ -407,13 +407,12 @@ def train_part(train: Dataset, params: TreeParams | None = None) -> RuleSet:
 # --- serialization -------------------------------------------------------
 
 MODEL_MAGIC = "#chids-model v1"
-_SYMBOL_RE = re.compile(r"[^\s,]+")
 
 
 def _symbol(text: str) -> str:
     """`text`, a nominal symbol as a model file holds it: neither written
     nor read if it has whitespace or a comma."""
-    if not _SYMBOL_RE.fullmatch(text):
+    if not SYMBOL_RE.fullmatch(text):
         raise DataError(f"symbol {text!r} is not serializable (whitespace or comma)")
     return text
 

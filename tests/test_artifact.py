@@ -254,8 +254,8 @@ def test_table_text_matches_the_whole_table_reference(tmp_path, n, magic):
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory, synth_corpus_path):
-    """Every file a command reads: caches, model, report bundle, an event
-    stream, a raw record sample and a config file."""
+    """Every file a command reads: caches, model, rank file, timing, an
+    event stream, a raw record sample and a config file."""
     out = tmp_path_factory.mktemp("fuzz") / "run"
     common = ["--out", str(out), "--seed", "1"]
     for args in (
@@ -283,9 +283,8 @@ READERS = {
     "train_full.cache": [["detect", "--input", "{out}/train_full.cache"]],
     "model.txt": [["evaluate"], ["detect", *SAMPLE]],
     "transform.json": [["detect", *SAMPLE]],
-    "manifest.json": [["report"], ["evaluate"]],
-    "rank_igr_full.tsv": [["report"], ["evaluate"]],
-    "report/confusion.tsv": [["report"]],
+    "manifest.json": [["evaluate"]],
+    "rank_igr_full.tsv": [["evaluate"]],
     "train_timing.txt": [["evaluate"]],
     "stream_sybil.tsv": [["detect", *SAMPLE, "--events", "{out}/stream_sybil.tsv"]],
     "run.conf": [["config", "--config", "{out}/run.conf"]],
@@ -445,12 +444,6 @@ PINNED = [
     M("replace", 2, 1, token="not_a_feature",
       pin=P("rank_igr_full.tsv", 4, "line 3: feature 'not_a_feature' is not a schema feature")),
     M("non-ascii", 10, pin=P("rank_igr_full.tsv", 4, "not ASCII text")),
-    # report/confusion.tsv: four or six counts, no count, the header, rows swapped
-    M("drop", 3, 5, pin=P("report/confusion.tsv", 4, "line 4: want 'probe' and 5 counts")),
-    M("extend", 2, 5, token="-0", pin=P("report/confusion.tsv", 4, "line 3: want 'dos' and 5")),
-    M("replace", 5, 5, token="1e308", pin=P("report/confusion.tsv", 4, "line 6: '1e308' is not")),
-    M("replace", 0, 0, token="nan", pin=P("report/confusion.tsv", 4, "line 1: want 5 rows")),
-    M("swap-lines", 1, k=2, pin=P("report/confusion.tsv", 4, "line 2: want 'normal' and 5")),
     # train_timing.txt: its value, its key, none or two lines
     M("replace", 0, 2, token="nan", pin=P("train_timing.txt", 4, "line 1: 'nan' is not a finite")),
     M("replace", 0, 2, token="-1", pin=P("train_timing.txt", 4, "line 1: expected one line")),
@@ -459,11 +452,13 @@ PINNED = [
     M("duplicate", 0, pin=P("train_timing.txt", 4, "line 2: expected one line")),
     M("replace", 0, 1, token="nan", pin=P("train_timing.txt", 4, "line 1: expected one line")),
     M("non-ascii", 20, pin=P("train_timing.txt", 4, "not ASCII text")),
-    # sample.kdd, line 6: two fields, 43 fields, a text or nan number
+    # sample.kdd, line 6: two fields, 43 fields, a text or nan number, an
+    # empty service
     M("truncate", 568, pin=P("sample.kdd", 4, "line 6: expected 42 fields, got 2", "detect")),
     M("extend", 5, 41, token="nan", pin=P("sample.kdd", 4, "line 6: expected 42 fields", "detect")),
     M("replace", 5, 4, token="0x10", pin=P("sample.kdd", 4, "line 6: feature 4: not a", "detect")),
     M("replace", 5, 4, token="nan", pin=P("sample.kdd", 4, "line 6: feature 4: not finite", "detect")),
+    M("replace", 5, 2, token="", pin=P("sample.kdd", 4, "line 6: feature 2: symbol ''", "detect")),
     # transform.json: a key renamed, a value short, not JSON, n, mu and sigma,
     # the version, a selected feature
     M("replace", 1, 0, token="nan", pin=P("transform.json", 4, "malformed file (KeyError")),
@@ -477,13 +472,13 @@ PINNED = [
     M("replace", 29, 0, token="nan",
       pin=P("transform.json", 4, "'nan', 'count', 'duration']: expected a list of distinct")),
     # manifest.json: a key renamed, not JSON, a count wrong, a class renamed
-    M("replace", 11, 0, token="nan", pin=P("manifest.json", 4, "malformed file (KeyError")),
-    M("replace", 20, 1, token="1e308", pin=P("manifest.json", 4, "malformed file (TypeError")),
+    M("replace", 5, 0, token="nan", pin=P("manifest.json", 4, "malformed file (KeyError")),
+    M("replace", 14, 1, token="1e308", pin=P("manifest.json", 4, "malformed file (TypeError")),
     M("truncate", 1, pin=P("manifest.json", 4, "malformed file (JSONDecodeError")),
     M("non-ascii", 10, pin=P("manifest.json", 4, "not ASCII text")),
-    M("replace", 20, 1, token="-1", pin=P("manifest.json", 4, "class dos: negative count")),
-    M("replace", 27, 1, token="1" * 23, pin=P("manifest.json", 4, "class normal: train + test")),
-    M("replace", 39, 0, token="nan", pin=P("manifest.json", 4, "split classes")),
+    M("replace", 14, 1, token="-1", pin=P("manifest.json", 4, "class dos: negative count")),
+    M("replace", 21, 1, token="1" * 23, pin=P("manifest.json", 4, "class normal: train + test")),
+    M("replace", 33, 0, token="nan", pin=P("manifest.json", 4, "split classes")),
     # stream_sybil.tsv: no header row; the engine's faults name the file
     M("delete", 1, pin=P("stream_sybil.tsv", 4, "line 2: expected 'ts\\tsource")),
     M("replace", 2, 0, token="nan", pin=P("stream_sybil.tsv", 4, "stream_sybil.tsv: event 0: non-finite")),

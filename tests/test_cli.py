@@ -129,6 +129,47 @@ class TestPreprocess:
         assert code == 4 and "values too large to normalize" in err
         assert list(out.iterdir()) == []
 
+    def test_skipped_lines_are_named(self, synth_corpus_path, tmp_path, capsys):
+        from test_kdd import make_line
+
+        corpus = Path(synth_corpus_path).read_text()
+        n = corpus.count("\n")
+        bad = ["not,a,record", make_line(src_bytes="oops"), make_line(label="quantum_worm."),
+               make_line(service=""), "1,2", "x", "y"]
+        (tmp_path / "bad.kdd").write_text(corpus + "\n".join(bad) + "\n")
+        code, _, err = run_cli(["preprocess", "--dataset", str(tmp_path / "bad.kdd"),
+                                "--out", str(tmp_path / "run")] + SPLIT_OVERRIDES, capsys)
+        assert code == 0
+        assert f"chids: {tmp_path / 'bad.kdd'}: skipped 7 bad line(s): " + "; ".join([
+            f"line {n + 1}: expected 42 fields, got 3",
+            f"line {n + 2}: feature 4: not a number: 'oops'",
+            f"line {n + 3}: unknown label 'quantum_worm'",
+            f"line {n + 4}: feature 2: symbol '' is empty or has whitespace in it",
+            f"line {n + 5}: expected 42 fields, got 2",
+        ]) + " (+2 more)\n" in err
+
+    def test_unwritable_symbols_stay_out_of_the_caches(self, synth_corpus_path, tmp_path, capsys):
+        # a model file cannot hold an empty symbol or one with whitespace in
+        # it, so `train` would refuse a cache whose domains held one
+        from chids.kdd import load_cache
+
+        lines = Path(synth_corpus_path).read_text().splitlines()
+        bad = range(0, len(lines), 60)  # preprocess skips at most 100 bad lines
+        for k in bad:
+            fields = lines[k].split(",")
+            fields[2] = "" if k % 120 else "ht\x1ctp"
+            lines[k] = ",".join(fields)
+        (tmp_path / "sym.kdd").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code, _, err = run_cli(["preprocess", "--dataset", str(tmp_path / "sym.kdd"),
+                                "--out", str(out), "--set", "prune=", "--set", "select.k=41"]
+                               + SPLIT_OVERRIDES, capsys)
+        assert code == 0 and f"skipped {len(bad)} bad line(s): line 1: " in err
+        for name in ("train.cache", "test.cache", "train_full.cache", "test_full.cache"):
+            services = load_cache(out / name).schema.domains["service"]
+            assert "" not in services and "ht\x1ctp" not in services, name
+        assert run_cli(["train", "--out", str(out)], capsys)[0] == 0
+
 
 class TestTrainEvaluate:
     def test_model_written(self, workdir):
@@ -168,6 +209,16 @@ class TestTrainEvaluate:
         code, _, err = run_cli(["evaluate", "--out", str(tmp_path / "fresh2")], capsys)
         assert code == 5
         assert "chids train" in err
+
+    @pytest.mark.parametrize("command", [["train"], ["evaluate"], ["detect", "--input", "CORPUS"]],
+                             ids=["train", "evaluate", "detect"])
+    def test_missing_out_dir_is_not_made(self, synth_corpus_path, tmp_path, command, capsys):
+        # only preprocess and simulate, which read nothing there, make it
+        out = tmp_path / "missing"
+        argv = [str(synth_corpus_path) if a == "CORPUS" else a for a in command]
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 5 and "missing artifact" in err
+        assert not out.exists()
 
 
 class TestSimulateDetect:
@@ -528,8 +579,7 @@ class TestPinnedOutputs:
     }
 
     # The report bundle, taken before every chids table was formatted by
-    # artifact.table_text. `chids report` must write the same report bytes
-    # as `chids evaluate`.
+    # artifact.table_text.
     REPORT_SHA256 = {
         "report/confusion.tsv": "7ea5c281771f69ff5ab98952f7a8003c449f27b0910297a0e8b6288a56f4ad26",
         "report/rank_curve.tsv": "58b8819b11fab4dce6b41a3e881be5aa9c0e380eae4775a134dbee0fc8113791",
@@ -542,18 +592,10 @@ class TestPinnedOutputs:
         "report/report.txt": "a6558ae5298ce38d274d8da16335a0d173b69586dec9ecdbfa6398c43695c109",
     }
 
-    def test_manifest_and_report(self, workdir, evaluated, capsys):
-        def hashes():
-            return {
-                name: hashlib.sha256(
-                    ((evaluated if name.startswith("report/") else workdir) / name).read_bytes()
-                ).hexdigest()
-                for name in self.REPORT_SHA256
-            }
-
-        after_evaluate = hashes()
-        assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
-        assert after_evaluate == hashes() == self.REPORT_SHA256
+    def test_manifest_and_report(self, evaluated):
+        got = {name: hashlib.sha256((evaluated / name).read_bytes()).hexdigest()
+               for name in self.REPORT_SHA256}
+        assert got == self.REPORT_SHA256
 
     def test_caches_and_detect_outputs(self, workdir, synth_corpus_path, tmp_path, capsys):
         out = _detect_dir(workdir, tmp_path)
@@ -684,7 +726,7 @@ class TestModelFileHardening:
 
 
 class TestRankFileHardening:
-    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize("command", ["evaluate"])
     def test_missing_header_exit_4(self, workdir, tmp_path, command, capsys):
         # without the check the best-ranked feature was read as the header
         out = tmp_path / "run"
@@ -699,22 +741,6 @@ class TestRankFileHardening:
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
-class TestReportCommand:
-    def test_report_rerenders(self, workdir, capsys):
-        code, _, _ = run_cli(["evaluate", "--out", str(workdir)], capsys)
-        assert code == 0
-        code, out, _ = run_cli(["report", "--out", str(workdir)], capsys)
-        assert code == 0
-        assert (workdir / "report" / "rank_curve.tsv").exists()
-
-    def test_report_keeps_the_timings(self, evaluated, capsys):
-        timings = evaluated / "report" / "timings.txt"
-        before = timings.read_bytes()
-        assert before.startswith(b"timing test_s ")
-        assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
-        assert timings.read_bytes() == before
-
-
 @pytest.fixture
 def evaluated(workdir, tmp_path, capsys):
     """A private copy of the trained directory with a fresh report/."""
@@ -724,48 +750,6 @@ def evaluated(workdir, tmp_path, capsys):
         shutil.copy(workdir / name, out / name)
     assert run_cli(["evaluate", "--out", str(out)], capsys)[0] == 0
     return out
-
-
-class TestReportHardening:
-    @pytest.mark.parametrize("edit, needle", [
-        (lambda lines: ["x\ty"], "want 5 rows"),
-        (lambda lines: lines[:-1], "want 5 rows"),
-        (lambda lines: lines + lines[-1:], "want 5 rows"),
-    ], ids=["header-only", "four-rows", "six-rows"])
-    def test_bad_confusion_exit_4(self, evaluated, edit, needle, capsys):
-        path = evaluated / "report" / "confusion.tsv"
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        code, _, err = run_cli(["report", "--out", str(evaluated)], capsys)
-        assert code == 4
-        assert "confusion.tsv" in err and needle in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
-
-    def test_rates_follow_the_confusion_table(self, evaluated, capsys):
-        # a well-formed table whose dos records are all predicted normal
-        path = evaluated / "report" / "confusion.tsv"
-        lines = path.read_text().splitlines()
-        counts = [[int(v) for v in ln.split("\t")[1:]] for ln in lines[1:]]
-        assert sum(counts[1][1:]) > 0
-        counts[1] = [sum(counts[1])] + [0] * 4
-        lines[2] = "\t".join(["dos", *map(str, counts[1])])
-        path.write_text("\n".join(lines) + "\n")
-        assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
-        attacks = sum(map(sum, counts[1:]))
-        detected = sum(sum(row[1:]) for row in counts[1:])
-        metrics = json.loads((evaluated / "report" / "metrics.json").read_text())
-        assert (metrics["n_attacks"], metrics["n_detected_attacks"]) == (attacks, detected)
-        assert metrics["per_class_recall_pct"]["dos"] == 0.0
-        rate = metrics["detection_rate_pct"]
-        assert rate == pytest.approx(100 * detected / attacks) and rate < 100
-        report = (evaluated / "report" / "report.txt").read_text()
-        assert f"detection rate     {rate:.2f}%\n" in report
-        assert "dos\t" + "\t".join(map(str, counts[1])) + "\n" in report
-
-    def test_rerender_keeps_metrics_bytes(self, evaluated, capsys):
-        path = evaluated / "report" / "metrics.json"
-        before = path.read_bytes()
-        assert run_cli(["report", "--out", str(evaluated)], capsys)[0] == 0
-        assert path.read_bytes() == before
 
 
 def _edit_cache(edit):
@@ -920,12 +904,10 @@ class TestOnlyLineEndsEndALine:
         ("model.txt", _damage_line(5, lambda ln: b"\x1c" + ln), "evaluate", "line 5: bad rule line"),
         ("model.txt", _damage_line(5, lambda ln: ln + b"\x0c"), "evaluate", "line 5: bad rule line"),
         ("rank_igr_full.tsv", _damage_line(3, lambda ln: ln.replace(b"\t", b"\t\x0c", 1)),
-         "report", "line 3: feature '\\x0c"),
-        ("report/confusion.tsv", _damage_line(3, lambda ln: ln.replace(b"\t", b"\x1c\t", 1)),
-         "report", "line 3: want 'dos'"),
+         "evaluate", "line 3: feature '\\x0c"),
         ("train_timing.txt", lambda raw: b"timing train_s 1.5\x0c\n", "evaluate",
          "line 1: '1.5\\x0c' is not a finite number"),
-    ], ids=["model-x1c", "model-trailing-ff", "rank-ff-in-feature", "confusion-x1c", "timing-ff"])
+    ], ids=["model-x1c", "model-trailing-ff", "rank-ff-in-feature", "timing-ff"])
     def test_error_names_the_line(self, workdir, evaluated, name, damage, command, needle, capsys):
         shutil.copy(workdir / "train_timing.txt", evaluated / "train_timing.txt")
         path = evaluated / name
@@ -1100,6 +1082,24 @@ class TestConfigCommand:
         code, out, _ = run_cli(["config"], capsys)
         assert code == 0 and out == DEFAULT_CONFIG
 
+    def test_readme_layout_lists_every_command(self):
+        import argparse
+
+        from chids.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        layout = (Path(__file__).parents[1] / "README.md").read_text().split("\n## Layout\n", 1)[1]
+        rows = re.findall(r"^\| `([a-z]+)` \|", layout, re.M)
+        listed = re.search(r"cli\.py +subcommands: ([a-z ]+);", layout).group(1).split()
+        assert sorted(rows) == sorted(listed) == sorted(sub.choices)
+
+    def test_report_is_not_a_command(self, tmp_path, capsys):
+        # evaluate writes the report bundle; nothing re-renders it
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2 and "invalid choice: 'report'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_readme_lists_every_key(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
@@ -1257,14 +1257,3 @@ class TestDetectNormalizesRawInput:
         assert got["raw"] == got["cache"]
         classes = Counter(ln.split("\t")[3] for ln in got["raw"].splitlines()[2:])
         assert sum(classes.values()) == 5800 and classes["dos"] < 5800 / 2
-
-
-class TestReportPreservesConfusion:
-    def test_rerendered_report_keeps_confusion_section(self, workdir, capsys):
-        assert main(["evaluate", "--out", str(workdir)]) == 0
-        before = (workdir / "report" / "report.txt").read_text()
-        assert main(["report", "--out", str(workdir)]) == 0
-        capsys.readouterr()
-        after = (workdir / "report" / "report.txt").read_text()
-        assert "== confusion ==" in after
-        assert after == before

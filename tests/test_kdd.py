@@ -395,6 +395,26 @@ class TestColumnarReader:
             (5, "feature 4: not finite"),
         ]
 
+    def test_unwritable_symbol_makes_a_bad_line(self, tmp_path):
+        # a model file holds no empty symbol and none with whitespace in it;
+        # the bad line's other new symbols (icmp, REJ) enter no domain
+        p = tmp_path / "sym.kdd"
+        other = make_line().replace(",tcp,", ",icmp,").replace(",SF,", ",REJ,")
+        p.write_text("\n".join([
+            make_line(),
+            other.replace(",http,", ",,"),
+            other.replace(",http,", ",ht\x1ctp,"),
+            other.replace(",http,", ", smtp ,"),
+        ]) + "\n")
+        ds = load_dataset(p)
+        assert ds.parse_errors == [
+            (2, "feature 2: symbol '' is empty or has whitespace in it"),
+            (3, "feature 2: symbol 'ht\\x1ctp' is empty or has whitespace in it"),
+        ]
+        domains = ds.schema.domains
+        assert (domains["protocol_type"], domains["service"], domains["flag"]) == (
+            ["tcp", "icmp"], ["http", "smtp"], ["SF", "REJ"])
+
     def test_non_ascii_input_is_a_data_error(self, tmp_path):
         p = tmp_path / "latin.kdd"
         p.write_bytes((make_line() + "\n" + make_line(service="h\xe9") + "\n").encode("latin-1"))
@@ -451,6 +471,8 @@ _POOL = (
     make_line(service="domain", src_bytes="nan") + "\n",
     make_line(service="auth", src_bytes="oops") + "\n",
     "0,tcp,http\n",
+    make_line(service="") + "\n",  # a symbol no model file can hold
+    make_line(service="ht\x1ctp", label="smurf.") + "\n",
 )
 
 
