@@ -15,7 +15,6 @@ import gc
 import random
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice, repeat
 from math import inf, isfinite
 from sys import intern
@@ -61,8 +60,7 @@ class AnomalyEvent(NamedTuple):
     rssi: float
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(NamedTuple):
     event_index: int
     ts: float
     rule: str

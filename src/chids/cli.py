@@ -98,7 +98,6 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
     if not cfg.dataset:
         raise ConfigError("no dataset path (set `dataset` in the config or pass --dataset)")
-    out = _outdir(cfg)
     _err(f"loading {cfg.dataset}")
     ds = kdd.load_dataset(cfg.dataset)
     if ds.parse_errors:
@@ -121,10 +120,11 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     selected = ranking.select_top_k(scores, cfg.select_k)
     _err(f"selected features ({cfg.select_method}, k={cfg.select_k}): {', '.join(selected)}")
 
-    # fitting the normalization is the last check of the data: no file is
-    # written before it passes
+    # fitting the normalization is the last check of the data: no file,
+    # nor the out directory, is made before it passes
     train_s = preprocess.select_features(train_p, selected)
     stats = preprocess.fit_normalizer(train_s)
+    out = _outdir(cfg)
     kdd.save_cache(split.train, out / TRAIN_FULL)
     kdd.save_cache(split.test, out / TEST_FULL)
     ranking.write_rank_report(igr_scores, out / RANK_FULL)

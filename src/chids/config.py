@@ -63,8 +63,9 @@ class RunConfig:
         )
 
     def _section(self, prefix: str, cls):
-        """`cls` built from this config's `<prefix>_<field>` values."""
-        return cls(**{f.name: getattr(self, f"{prefix}_{f.name}") for f in fields(cls)})
+        """`cls` built from this config's `<prefix>_<field>` values, one per
+        name that `cls` annotates."""
+        return cls(**{name: getattr(self, f"{prefix}_{name}") for name in cls.__annotations__})
 
     def tree_params(self) -> TreeParams:
         return self._section("part", TreeParams)

@@ -186,5 +186,7 @@ def emit_report(
     bars("test_time_bars.tsv", 3)
     if rank_scores is not None:
         put("rank_curve.tsv", ranking.rank_table(rank_scores))
+    else:  # no ranking, no curve: an earlier run's must not pass for this one's
+        (outdir / "rank_curve.tsv").unlink(missing_ok=True)
     put("confusion.tsv", table)
     return metrics, written

@@ -172,7 +172,8 @@ def parse_record(
 
     Labels are lower-cased and stripped of a trailing period. In strict mode
     a nominal symbol outside the schema's domain is an error; otherwise it is
-    appended to the domain.
+    appended to the domain, unless SYMBOL_RE refuses it, as the raw reader
+    does.
     """
     fields = line.rstrip("\r\n").split(",")
     n = len(schema.names)
@@ -194,9 +195,12 @@ def parse_record(
                 raise NumericParseError(index, raw)
             values.append(v)
         else:
-            if strict and schema.code(name, raw) < 0:
-                raise UnknownNominalSymbol(f"feature {name}: unknown symbol {raw!r}")
-            schema.code(name, raw, add=True)
+            if schema.code(name, raw) < 0:
+                if strict:
+                    raise UnknownNominalSymbol(f"feature {name}: unknown symbol {raw!r}")
+                if not SYMBOL_RE.fullmatch(raw):
+                    raise DataError(f"feature {index}: symbol {raw!r} is empty or has whitespace in it")
+                schema.code(name, raw, add=True)
             values.append(raw)
     return KddRecord(tuple(values), label)
 

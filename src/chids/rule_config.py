@@ -9,7 +9,6 @@ builds none of the classifier's settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, isfinite
 
 # synthetic event scenarios (`chids simulate --scenario`)
@@ -25,10 +24,15 @@ SCENARIOS = (
 )
 
 
-@dataclass(frozen=True)
 class RuleConfig:
     """Thresholds for the seven rules. The defaults suit the synthetic
-    harness; deployments are expected to tune them."""
+    harness; deployments are expected to tune them.
+
+    Built by keyword, checked at construction and immutable, with value
+    equality, hash and repr over its annotated fields, as a frozen
+    dataclass would be; written out so that the first-line filter loads no
+    `dataclasses`. The class attributes are the defaults.
+    """
 
     interval_lower: float = 0.5
     interval_upper: float = 30.0
@@ -41,7 +45,12 @@ class RuleConfig:
     window: float = 10.0
     max_sources_per_message: int = 1
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        unknown = values.keys() - self.__annotations__
+        if unknown:
+            raise TypeError(f"RuleConfig() got unexpected keyword arguments {sorted(unknown)}")
+        for name in self.__annotations__:
+            object.__setattr__(self, name, values.get(name, getattr(RuleConfig, name)))
         for name in ("interval_lower", "interval_upper", "rssi_min", "rssi_max"):
             if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -55,3 +64,22 @@ class RuleConfig:
         for name in ("repetition_limit", "collision_limit", "max_sources_per_message"):
             if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive int")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__annotations__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is RuleConfig else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__annotations__)
+        return f"RuleConfig({fields})"

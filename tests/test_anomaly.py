@@ -806,28 +806,49 @@ class TestRuleConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be a positive int"):
             RuleConfig(**{name: value})
 
+    def test_a_frozen_record_of_its_fields(self):
+        # what a frozen dataclass gave: class attributes that are the defaults
+        # (RunConfig reads them), keyword construction, value equality, hash,
+        # repr and no assignment
+        names = tuple(RuleConfig.__annotations__)
+        assert len(names) == 10
+        cfg = RuleConfig(window=2.0, repetition_limit=7)
+        assert RuleConfig.window == 10.0 and RuleConfig().window == 10.0
+        assert (cfg.window, cfg.repetition_limit, cfg.rssi_min) == (2.0, 7, RuleConfig.rssi_min)
+        assert cfg == RuleConfig(repetition_limit=7, window=2.0) and hash(cfg) == hash(
+            RuleConfig(repetition_limit=7, window=2.0))
+        assert cfg != RuleConfig() and cfg != tuple(getattr(cfg, n) for n in names)
+        assert repr(RuleConfig()) == "RuleConfig(" + ", ".join(
+            f"{n}={getattr(RuleConfig, n)!r}" for n in names) + ")"
+        for change in (lambda: setattr(cfg, "window", 1.0), lambda: delattr(cfg, "window"),
+                       lambda: setattr(cfg, "other", 1)):
+            with pytest.raises(AttributeError):
+                change()
+        assert cfg.window == 2.0
+        with pytest.raises(TypeError):
+            RuleConfig(windw=2.0)
+
 
 # Every rules.* key at each edge value: every config RuleConfig accepts
 # generates each scenario's stream and evaluates it, or is refused as too
 # large (InvalidOperation). Prints the refused (key, value, scenario) triples.
 _EVERY_CONFIG_ENDS = """
 import resource
-from dataclasses import fields
 from chids.anomaly import SCENARIOS, RuleConfig, evaluate_stream, generate_stream
 from chids.errors import InvalidOperation
 
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a runaway stream fails, not the host
-for f in fields(RuleConfig):
+for name in RuleConfig.__annotations__:
     for value in (0, -1, 1e-300, 1e308, 10**9):
         try:
-            cfg = RuleConfig(**{f.name: value})
+            cfg = RuleConfig(**{name: value})
         except ValueError:
             continue
         for scenario in SCENARIOS:
             try:
                 evaluate_stream(generate_stream(scenario, 0, cfg), cfg)
             except InvalidOperation:
-                print(f.name, value, scenario)
+                print(name, value, scenario)
 """
 
 
@@ -853,3 +874,22 @@ class TestLightweightImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_stream_replay_loads_no_introspection(self, tmp_path):
+        # reading a stream and replaying it, verdicts included, needs no
+        # `dataclasses`, and so none of the modules it loads
+        path = tmp_path / "s.tsv"
+        write_stream(generate_stream("selective-forwarding", 0), path)
+        child = ("import sys\n"
+                 "from chids.anomaly import StreamEngine, read_stream\n"
+                 "engine = StreamEngine()\n"
+                 "n = sum(len(engine.process(e)) for e in read_stream(sys.argv[1]))\n"
+                 "print(n, *sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+                 ".intersection(sys.modules)))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", child, str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        verdicts, *loaded = proc.stdout.split()
+        assert int(verdicts) > 0
+        assert loaded == []

@@ -69,6 +69,17 @@ class TestPreprocess:
         assert code == 3
         assert "nope.kdd" in err
 
+    @pytest.mark.parametrize("lines, exit_code", [(None, 3), (["not,a,record"] * 3, 6)],
+                             ids=["missing", "no-records"])
+    def test_a_failed_run_makes_no_out_directory(self, tmp_path, lines, exit_code, capsys):
+        dataset = tmp_path / "in.kdd"
+        if lines is not None:
+            dataset.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o" / "deeper"
+        code, _, _ = run_cli(["preprocess", "--dataset", str(dataset), "--out", str(out)], capsys)
+        assert code == exit_code
+        assert not (tmp_path / "o").exists()
+
     def test_no_dataset_config_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["preprocess", "--out", str(tmp_path / "o")], capsys)
         assert code == 2
@@ -127,7 +138,7 @@ class TestPreprocess:
                                 "--out", str(out), "--set", "prune=", "--set", "select.k=41"]
                                + SPLIT_OVERRIDES, capsys)
         assert code == 4 and "values too large to normalize" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_skipped_lines_are_named(self, synth_corpus_path, tmp_path, capsys):
         from test_kdd import make_line
@@ -752,6 +763,17 @@ def evaluated(workdir, tmp_path, capsys):
     return out
 
 
+def test_evaluate_without_ranking_drops_an_old_rank_curve(evaluated, capsys):
+    # the curve comes from rank_igr_full.tsv: with that file gone, a rerun
+    # leaves no earlier run's curve beside its fresh report
+    assert (evaluated / "report" / "rank_curve.tsv").exists()
+    (evaluated / "rank_igr_full.tsv").unlink()
+    code, out, _ = run_cli(["evaluate", "--out", str(evaluated)], capsys)
+    assert code == 0
+    assert not (evaluated / "report" / "rank_curve.tsv").exists()
+    assert "rank_curve.tsv" not in out and "confusion.tsv" in out
+
+
 def _edit_cache(edit):
     """An edit of a dataset cache's bytes: `edit(header, numeric, nominal,
     label_index)` changes the parsed header line or copies of the arrays in
@@ -1182,8 +1204,9 @@ class TestEachCommandLoadsOnlyItsStages:
         # the split's seeded permutation is chids's own, so numpy.random stays unloaded
         (["preprocess", "--dataset", "CORPUS", *SPLIT_OVERRIDES], {"numpy.random", "chids.anomaly",
                                                                    "chids.pipeline"}),
+        # PART's pessimistic pruning computes its normal quantile itself
         (["train"], {"chids.anomaly", "chids.preprocess", "chids.pipeline", "logging",
-                     "concurrent.futures", "numpy.random"}),
+                     "concurrent.futures", "numpy.random", "statistics", "fractions", "decimal"}),
         (["evaluate"], {"chids.anomaly", "chids.preprocess", "fractions", "numpy.random"}),
         # a skipped line is reported by cli._err, as every diagnostic is
         (["preprocess", "--dataset", "CORPUS_AND_BAD_LINE", *SPLIT_OVERRIDES], {"logging"}),

@@ -118,6 +118,14 @@ class TestParseRecord:
         with pytest.raises(NumericParseError):
             parse_record(make_line(src_bytes="nan"), FeatureSchema.default())
 
+    @pytest.mark.parametrize("service", ["", "a b", "a\x1cb"], ids=["empty", "space", "x1c"])
+    def test_refuses_a_new_symbol_the_raw_reader_refuses(self, service):
+        s = FeatureSchema.default()
+        with pytest.raises(DataError) as caught:
+            parse_record(make_line(service=service), s)
+        assert str(caught.value) == f"feature 2: symbol {service!r} is empty or has whitespace in it"
+        assert s.domains["service"] == []
+
     def test_strict_mode_rejects_unknown_symbol(self):
         s = FeatureSchema.default()
         parse_record(make_line(service="http"), s)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -410,6 +411,24 @@ class TestModelFileChecks:
 
 
 class TestPessimisticErrors:
+    def test_z_quantile_is_the_standard_library_quantile_to_the_bit(self):
+        from statistics import NormalDist
+
+        from chids.learner import _z_quantile
+
+        # the central region ends where 1 - c - 0.5 passes 0.425, at c = 0.075;
+        # the tail's two pieces meet where sqrt(-log c) passes 5, near
+        # c = exp(-25); the smallest c with 1 - c < 1 is a little above 2**-54
+        edge = 0.075
+        grid = [0.5, 0.25, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0),
+                *(math.exp(-25) * (1 + k / 1000) for k in range(-50, 51)),
+                2.0 ** -53, math.nextafter(2.0 ** -54, 1.0), 1e-16,
+                *(i / 4096 for i in range(1, 2049)), *(10.0 ** (-k / 8) for k in range(3, 129))]
+        grid = [c for c in grid if 0 < c <= 0.5 and 1.0 - c < 1.0]
+        assert min(grid) < 2.0 ** -53 and len(grid) > 2200
+        for c in grid:
+            assert _z_quantile(c) == NormalDist().inv_cdf(1.0 - c), c
+
     def test_zero_error_case_exact_binomial_bound(self):
         from chids.learner import added_errors
 
