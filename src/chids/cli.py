@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import artifact
 from .config import RunConfig, apply_setting, load_config, render_config
-from .errors import ChidsError, ConfigError, DataError, IoError, MissingArtifact, bad_lines
+from .errors import (ChidsError, ConfigError, DataError, IoError, MissingArtifact, UnpairedStream,
+                     bad_lines)
 from .rule_config import SCENARIOS
 from .sections import FEATURE_TABLE, AttackClass
 
@@ -80,10 +81,14 @@ def _build_config(args) -> RunConfig:
 
 
 def _outdir(cfg: RunConfig) -> Path:
-    """The out directory, made if missing: only the commands that need no
-    earlier artifact there (preprocess, simulate) make it."""
+    """The out directory of a command that needs no earlier artifact there
+    (preprocess, simulate), which makes it just before its first write.
+    Checked before any input is read: it, or its nearest existing ancestor,
+    is a directory."""
     p = Path(cfg.out)
-    p.mkdir(parents=True, exist_ok=True)
+    there = next(q for q in (p, *p.parents) if q.exists())
+    if not there.is_dir():
+        raise IoError(f"out directory {p} cannot be made: {there} is not a directory")
     return p
 
 
@@ -98,6 +103,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
     if not cfg.dataset:
         raise ConfigError("no dataset path (set `dataset` in the config or pass --dataset)")
+    out = _outdir(cfg)
     _err(f"loading {cfg.dataset}")
     ds = kdd.load_dataset(cfg.dataset)
     if ds.parse_errors:
@@ -124,7 +130,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     # nor the out directory, is made before it passes
     train_s = preprocess.select_features(train_p, selected)
     stats = preprocess.fit_normalizer(train_s)
-    out = _outdir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     kdd.save_cache(split.train, out / TRAIN_FULL)
     kdd.save_cache(split.test, out / TEST_FULL)
     ranking.write_rank_report(igr_scores, out / RANK_FULL)
@@ -231,6 +237,7 @@ def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
     out = _outdir(cfg)
     events = anomaly.generate_stream(scenario, cfg.seed, cfg.rule_config())
     verdicts = anomaly.evaluate_stream(events, cfg.rule_config())
+    out.mkdir(parents=True, exist_ok=True)
     stream_path = out / STREAM_TSV.format(scenario)
     verdict_path = out / VERDICTS_TSV.format(scenario)
     anomaly.write_stream(events, stream_path)
@@ -293,11 +300,13 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         from . import anomaly  # the anomaly stage runs only on an event stream
 
         events = anomaly.read_stream(events_path)
+        if len(events) != n:
+            raise UnpairedStream(events_path, len(events), input_path, n)
         with artifact.naming(events_path):  # the engine names the event it rejects
             verdicts = anomaly.evaluate_stream(events, cfg.rule_config())
         del events  # the pipeline reads only the verdicts
         flagged = np.zeros(n, dtype=bool)
-        flagged[[v.event_index for v in verdicts if v.event_index < n]] = True
+        flagged[[v.event_index for v in verdicts]] = True
         per_rule = Counter(v.rule for v in verdicts)
         verdict_lines = [f"verdicts.{r} = {per_rule[r]}" for r in anomaly.RULE_IDS]
     elif cfg.detect_mode == "oracle":

@@ -9,11 +9,9 @@ type of the field's default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-
 from . import artifact
 from .errors import ConfigError, DataError
-from .rule_config import RuleConfig
+from .rule_config import RuleConfig, Settings
 from .sections import (CHI2, DEFAULT_PRUNE, FEATURE_TABLE, IGR, AttackClass, PipelineConfig,
                        SplitSpec, TreeParams)
 
@@ -21,8 +19,7 @@ SELECT_METHODS = (CHI2, IGR)
 DETECT_MODES = ("all", "none", "oracle")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Settings):
     dataset: str = ""
     seed: int = 0
     threads: int = 1
@@ -111,8 +108,8 @@ class RunConfig:
                 raise ConfigError(f"{prefix}.{exc}") from None
 
 
-# key -> RunConfig field; a key is its field's name with the first `_` as `.`
-_FIELDS = {f.name.replace("_", ".", 1): f for f in fields(RunConfig)}
+# key -> RunConfig field name; a key is its field's name with the first `_` as `.`
+_FIELDS = {name.replace("_", ".", 1): name for name in RunConfig.__annotations__}
 
 
 def _coerce(key: str, kind: type, raw: str):
@@ -130,8 +127,8 @@ def _coerce(key: str, kind: type, raw: str):
 def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
-    f = _FIELDS[key]
-    return replace(cfg, **{f.name: _coerce(key, type(f.default), raw)})
+    name = _FIELDS[key]
+    return cfg._replace(**{name: _coerce(key, type(getattr(RunConfig, name)), raw)})
 
 
 def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
@@ -158,8 +155,8 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 def render_config(cfg: RunConfig) -> str:
     """Commented flat dump of every knob (valid input for load_config)."""
     lines = ["# chids run configuration (key = value; `#` starts a comment)"]
-    for key, f in _FIELDS.items():
-        v = getattr(cfg, f.name)
+    for key, name in _FIELDS.items():
+        v = getattr(cfg, name)
         if isinstance(v, tuple):
             v = ",".join(v)
         lines.append(f"{key} = {v}")

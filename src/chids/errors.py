@@ -97,6 +97,15 @@ class UnorderedStream(InvalidOperation):
     pass
 
 
+class UnpairedStream(InvalidOperation):
+    """An event stream whose event count is not its record file's: then the
+    two were not captured together, and event k need not be record k's."""
+
+    def __init__(self, events_path, n_events: int, input_path, n_records: int):
+        super().__init__(f"{events_path}: {n_events} events, but {input_path} holds {n_records} "
+                         "records; event k flags record k")
+
+
 class UnknownScenario(InvalidOperation):
     pass
 

@@ -14,8 +14,7 @@ import json
 import math
 import re
 import zlib
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,8 +149,7 @@ def classify_label(label: str) -> AttackClass:
     return DEFAULT_TAXONOMY.classify(_label(label))
 
 
-@dataclass(frozen=True)
-class KddRecord:
+class KddRecord(NamedTuple):
     """One connection sample: 41 typed values plus the raw label.
 
     Numeric values are floats, nominal values their symbol strings. `label`

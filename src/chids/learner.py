@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -47,15 +46,13 @@ class Split:
         self.dist = np.asarray(dist, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class RuleTest:
+class RuleTest(NamedTuple):
     feature: str
     op: str          # "==" (nominal), "<=" or ">" (numeric)
     value: object    # symbol string or float
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     tests: tuple[RuleTest, ...]
     klass: AttackClass
     coverage: int

@@ -5,7 +5,7 @@ calls normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ DISPOSITIONS_MAGIC = "#chids-dispositions v1"
 DISPOSITIONS_HEADER = "record\toutcome\tstage\tclass"
 
 
-@dataclass(frozen=True, eq=False)
-class PipelineRun:
+class PipelineRun(NamedTuple):
     """Every record's disposition as columns: `outcome` indexes OUTCOMES,
     `attack_class` is the AttackClass of a classified attack and -1 for
     every other record."""

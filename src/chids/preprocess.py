@@ -5,7 +5,7 @@ data only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +15,7 @@ from .kdd import AttackClass, Dataset
 from .sections import SplitSpec
 
 
-@dataclass(frozen=True)
-class DedupeResult:
+class DedupeResult(NamedTuple):
     dataset: Dataset
     n_input: int
     n_output: int
@@ -57,8 +56,7 @@ def dedupe(ds: Dataset) -> DedupeResult:
     return DedupeResult(ds.take(keep), n_input, keep.size)
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     train: Dataset
     test: Dataset
     manifest: dict  # the split's census, as manifest.json holds it under `split`

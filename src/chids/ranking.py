@@ -6,7 +6,7 @@ binned feature vs class contingency table, and deterministic top-k selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def discretize(train: Dataset) -> Discretization:
     return Discretization(cuts)
 
 
-@dataclass(frozen=True)
-class FeatureScore:
+class FeatureScore(NamedTuple):
     feature: str
     index: int
     score: float

@@ -2,8 +2,8 @@
 modules share.
 
 The `part.*`, `pipeline.*` and `split.*` sections of a run configuration are
-the frozen classes below. The feature table, the five classes and the scorer
-names are what `config` checks a value against. This module and
+the `rule_config.Settings` records below. The feature table, the five
+classes and the scorer names are what `config` checks a value against. This module and
 `rule_config`, which holds the `rules.*` section, import only the standard
 library and `errors`. So `config` and `cli` load no stage module, and no
 numpy, to build and check a run's settings. Each stage module imports from
@@ -13,9 +13,9 @@ here what it uses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import DataError
+from .rule_config import Settings
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -107,35 +107,32 @@ POLICY_TRUST_MISUSE = "trust_misuse"
 POLICIES = (POLICY_ALERT_UNRESOLVED, POLICY_TRUST_MISUSE)
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class TreeParams(Settings):
     """The `part.*` section: the settings of PART's partial trees, which are
     always pruned by subtree replacement."""
 
     min_leaf: int = 2          # smallest admissible branch size
     confidence: float = 0.25   # pessimistic-error confidence factor
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if not self.min_leaf >= 1:
             raise ValueError("min_leaf must be >= 1")
         if not (0 < self.confidence <= 0.5 and 1.0 - self.confidence < 1.0):  # inv_cdf(1 - c) needs 1 - c < 1
             raise ValueError("confidence must be in (0, 0.5], with 1 - confidence below 1")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Settings):
     policy: str = POLICY_ALERT_UNRESOLVED
     alert_sink: str = "alerts.log"  # file name (or path) emit_alerts writes to
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if not self.alert_sink:
             raise ValueError("alert_sink must not be empty")
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Settings):
     """Sampling plan: minority classes are fully enumerated 2/3-1/3, the rest
     fill the remaining slots proportionally to their deduplicated frequencies."""
 

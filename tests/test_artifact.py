@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import chids
 from oracles import non_finite_numbers, table_text_oracle
 from chids import artifact
+from chids.anomaly import read_stream
 from chids.artifact import BLOCK_ROWS
 from chids.cli import main
 from chids.config import RunConfig, render_config
@@ -267,7 +268,8 @@ def run_dir(tmp_path_factory, synth_corpus_path):
     ):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(args + common) == 0
-    lines = Path(synth_corpus_path).read_text().splitlines()[:20]
+    # one record per event of the stream, which detect --events pairs with it
+    lines = Path(synth_corpus_path).read_text().splitlines()[:len(read_stream(out / "stream_sybil.tsv"))]
     (out / "sample.kdd").write_text("\n".join(lines) + "\n")
     (out / "run.conf").write_text(render_config(RunConfig()))
     return out

@@ -80,6 +80,23 @@ class TestPreprocess:
         assert code == exit_code
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["preprocess", "--dataset", "CORPUS"],
+                                         ["simulate", "--scenario", "sybil"]],
+                             ids=["preprocess", "simulate"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_an_out_that_is_a_file_exits_3_first(self, synth_corpus_path, tmp_path, command,
+                                                 under, capsys):
+        """An --out that names a file, or a path under one, exits 3 naming
+        it as the out directory, before any input is read."""
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "run" if under else afile
+        argv = [str(synth_corpus_path) if arg == "CORPUS" else arg for arg in command]
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 3 and stdout == ""
+        assert err == f"chids: out directory {out} cannot be made: {afile} is not a directory\n"
+        assert afile.read_text() == "kept\n"
+
     def test_no_dataset_config_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["preprocess", "--out", str(tmp_path / "o")], capsys)
         assert code == 2
@@ -295,6 +312,41 @@ class TestSimulateDetect:
         expect_lines = [f"verdicts.{r} = {n}" for r, n in zip(RULE_IDS, per_rule)]
         assert summary.splitlines()[-len(RULE_IDS):] == expect_lines
 
+    @pytest.mark.parametrize("n_lines", [10, 85, 87], ids=["probe", "one-short", "one-over"])
+    def test_detect_refuses_a_stream_of_another_length(self, workdir, synth_corpus_path,
+                                                       tmp_path, n_lines, capsys):
+        """A stream whose event count is not the input's line count exits 6,
+        naming both files and both counts, before detect writes anything."""
+        out = _detect_dir(workdir, tmp_path)
+        assert main(["simulate", "--scenario", "sinkhole", "--out", str(tmp_path)]) == 0
+        stream = tmp_path / "stream_sinkhole.tsv"  # 86 events
+        sample = tmp_path / "sample.kdd"
+        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:n_lines]) + "\n")
+        capsys.readouterr()
+        before = _tree_bytes(out)
+        code, stdout, err = run_cli(["detect", "--input", str(sample), "--events", str(stream),
+                                     "--out", str(out)], capsys)
+        assert code == 6 and stdout == ""
+        assert err == (f"chids: {stream}: 86 events, but {sample} holds {n_lines} records; "
+                       "event k flags record k\n")
+        assert _tree_bytes(out) == before
+
+    def test_detect_counts_a_cache_by_its_records(self, workdir, tmp_path, capsys):
+        from chids import kdd
+        from chids.anomaly import generate_stream, write_stream
+
+        out = _detect_dir(workdir, tmp_path)
+        events = generate_stream("sinkhole", 0)
+        n = len(kdd.load_cache(workdir / "test.cache"))
+        write_stream(events, tmp_path / "short.tsv")
+        code, _, err = run_cli(["detect", "--input", str(workdir / "test.cache"), "--events",
+                                str(tmp_path / "short.tsv"), "--out", str(out)], capsys)
+        assert code == 6 and f"{len(events)} events, but {workdir / 'test.cache'} holds {n} " in err
+        _pad_stream(tmp_path / "short.tsv", n)
+        code, _, _ = run_cli(["detect", "--input", str(workdir / "test.cache"), "--events",
+                              str(tmp_path / "short.tsv"), "--out", str(out)], capsys)
+        assert code == 0 and _summary(out)["records"] == n
+
     # Seed-0 verdict files pinned byte for byte: expired forwards must keep
     # their (ts, event index) order, which set-based checks cannot see.
     SIMULATE_SEED0_SHA256 = {
@@ -371,8 +423,8 @@ class TestSimulateDetect:
             f"{STREAM_MAGIC}\nts\tsource\tneighbor\tkind\tmsg_id\tdigest\trssi\n"
             f"1.0\ts0\tn0\treception\tm0\td\t-60.0\n{row}\n"
         )
-        sample = tmp_path / "sample.kdd"
-        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:10]) + "\n")
+        sample = tmp_path / "sample.kdd"  # one record per event, had the row been well formed
+        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:2]) + "\n")
         code, _, err = run_cli(
             ["detect", "--input", str(sample), "--events", str(stream_path), "--out", str(workdir)],
             capsys,
@@ -388,6 +440,17 @@ def _detect_dir(workdir: Path, tmp_path: Path) -> Path:
     for name in ("model.txt", "transform.json"):
         shutil.copy(workdir / name, out / name)
     return out
+
+
+def _pad_stream(path: Path, n: int) -> None:
+    """Append events to the stream at `path` until it holds `n`: forwards of
+    messages never seen, at its last event's time, on which no rule fires."""
+    from chids.anomaly import FORWARD, AnomalyEvent, read_stream, write_stream
+
+    events = read_stream(path)
+    ts = events[-1].ts
+    write_stream(events + [AnomalyEvent(ts, "pad", "pad", FORWARD, f"pad-{k}", "d", -60.0)
+                           for k in range(n - len(events))], path)
 
 
 def _summary(out: Path) -> dict:
@@ -630,8 +693,10 @@ class TestPinnedOutputs:
     def test_events_outputs(self, workdir, synth_corpus_path, tmp_path, capsys):
         out = _detect_dir(workdir, tmp_path)
         assert main(["simulate", "--scenario", "hello-flood", "--out", str(tmp_path)]) == 0
+        stream = tmp_path / "stream_hello-flood.tsv"
+        _pad_stream(stream, len(Path(synth_corpus_path).read_text().splitlines()))
         assert main(["detect", "--input", str(synth_corpus_path), "--out", str(out),
-                     "--events", str(tmp_path / "stream_hello-flood.tsv")]) == 0
+                     "--events", str(stream)]) == 0
         capsys.readouterr()
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in self.EVENTS_SHA256}
@@ -646,12 +711,15 @@ class TestAlertSink:
     @pytest.fixture
     def sink_run(self, workdir, synth_corpus_path, tmp_path, capsys):
         """A fresh out directory and a function that runs detect --events
-        on a 50-record sample with a given sink."""
+        on the hello-flood stream and as many records, with a given sink."""
+        from chids.anomaly import read_stream
+
         out = _detect_dir(workdir, tmp_path)
-        sample = tmp_path / "sample.kdd"
-        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:50]) + "\n")
         assert main(["simulate", "--scenario", "hello-flood", "--out", str(tmp_path)]) == 0
         events = tmp_path / "stream_hello-flood.tsv"
+        sample = tmp_path / "sample.kdd"
+        n = len(read_stream(events))
+        sample.write_text("\n".join(Path(synth_corpus_path).read_text().splitlines()[:n]) + "\n")
         capsys.readouterr()
 
         def detect(sink):
@@ -1188,15 +1256,17 @@ _RUN_AND_LIST_MODULES = """
 import sys
 from chids.cli import main
 code = main(sys.argv[1:])
-watched = ("numpy", "numpy.random", "logging", "concurrent.futures", "fractions",
-           "chids.anomaly", "chids.preprocess", "chids.pipeline")
-print(code, *[m for m in watched if m in sys.modules])
+print(code, *sys.modules)
 """
 
 
 class TestEachCommandLoadsOnlyItsStages:
     """A command imports the stage modules it runs and no others: on a
     cluster head, every module a command loads is start-up time."""
+
+    # no command loads these: the settings and result records are built
+    # without `dataclasses`
+    NO_COMMAND_LOADS = {"dataclasses"}
 
     @pytest.mark.parametrize("command, absent", [
         (["config"], {"numpy"}),
@@ -1210,14 +1280,27 @@ class TestEachCommandLoadsOnlyItsStages:
         (["evaluate"], {"chids.anomaly", "chids.preprocess", "fractions", "numpy.random"}),
         # a skipped line is reported by cli._err, as every diagnostic is
         (["preprocess", "--dataset", "CORPUS_AND_BAD_LINE", *SPLIT_OVERRIDES], {"logging"}),
-    ], ids=["config", "simulate", "preprocess", "train", "evaluate", "preprocess-bad-line"])
+        # the anomaly stage loads only with an event stream
+        (["detect", "--input", "CORPUS"], {"chids.anomaly", "chids.ranking", "chids.evaluate",
+                                           "numpy.random", "logging", "concurrent.futures"}),
+        (["detect", "--input", "SAMPLE", "--events", "STREAM"],
+         {"chids.ranking", "chids.evaluate", "numpy.random", "logging", "concurrent.futures"}),
+    ], ids=["config", "simulate", "preprocess", "train", "evaluate", "preprocess-bad-line",
+            "detect-input", "detect-events"])
     def test_fresh_interpreter(self, workdir, synth_corpus_path, tmp_path, command, absent):
+        from chids.anomaly import generate_stream, write_stream
+
         out = tmp_path / "run"
         shutil.copytree(workdir, out)
+        lines = Path(synth_corpus_path).read_text().splitlines(True)
         bad = tmp_path / "bad.kdd"
-        bad.write_text(Path(synth_corpus_path).read_text() + "not,a,record\n")
-        corpora = {"CORPUS": str(synth_corpus_path), "CORPUS_AND_BAD_LINE": str(bad)}
-        command = [corpora.get(arg, arg) for arg in command]
+        bad.write_text("".join(lines) + "not,a,record\n")
+        events = generate_stream("sybil", 0)
+        write_stream(events, tmp_path / "stream.tsv")
+        (tmp_path / "sample.kdd").write_text("".join(lines[:len(events)]))
+        inputs = {"CORPUS": str(synth_corpus_path), "CORPUS_AND_BAD_LINE": str(bad),
+                  "SAMPLE": str(tmp_path / "sample.kdd"), "STREAM": str(tmp_path / "stream.tsv")}
+        command = [inputs.get(arg, arg) for arg in command]
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-c", _RUN_AND_LIST_MODULES, *command, "--out", str(out)],
@@ -1226,7 +1309,7 @@ class TestEachCommandLoadsOnlyItsStages:
         assert proc.returncode == 0, proc.stderr
         code, *loaded = proc.stdout.splitlines()[-1].split()
         assert code == "0"
-        assert sorted(absent.intersection(loaded)) == []
+        assert sorted((absent | self.NO_COMMAND_LOADS).intersection(loaded)) == []
 
 
 class TestDetectOnCache:

@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 
 import pytest
@@ -15,6 +16,8 @@ from chids.config import (
     render_config,
 )
 from chids.errors import ConfigError
+from chids.rule_config import RuleConfig
+from chids.sections import POLICY_TRUST_MISUSE, AttackClass, PipelineConfig, SplitSpec, TreeParams
 
 
 class TestParsing:
@@ -139,6 +142,83 @@ class TestSections:
         keys = {ln.split(" = ")[0] for ln in render_config(RunConfig()).splitlines()[1:]}
         in_sections = {k for k in keys if k.split(".")[0] in SECTIONS}
         assert in_sections == {key for key, _, _ in SECTION_SETTINGS}
+
+
+# Each settings record: some non-default fields, and changes its check refuses
+# (SplitSpec has no check, and RunConfig is checked by `validate`, not at
+# construction).
+RECORDS = {
+    RuleConfig: ({"window": 2.0, "repetition_limit": 7},
+                 [{"window": -1.0}, {"delay_window": float("inf")}, {"rssi_min": float("nan")},
+                  {"interval_lower": 5.0, "interval_upper": 1.0}, {"rssi_min": -10.0, "rssi_max": -20.0},
+                  {"repetition_limit": 0}, {"collision_limit": 2.0}]),
+    TreeParams: ({"confidence": 0.1}, [{"min_leaf": 0}, {"confidence": 0.6}, {"confidence": 1e-17}]),
+    PipelineConfig: ({"policy": POLICY_TRUST_MISUSE}, [{"policy": "other"}, {"alert_sink": ""}]),
+    SplitSpec: ({"seed": 3, "minority_classes": (AttackClass.U2R,)}, []),
+    RunConfig: ({"seed": 4, "prune": ("land",), "rules_window": 2.0}, []),
+}
+
+
+def _as_dataclass(cls):
+    """A frozen dataclass with `cls`'s fields and defaults: what each record
+    was built as before."""
+    return dataclasses.make_dataclass(
+        cls.__name__, [(name, object, dataclasses.field(default=getattr(cls, name)))
+                       for name in cls.__annotations__], frozen=True)
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+class TestSettingsRecords:
+    """Every settings record is built by position or keyword, checked at
+    construction and immutable, with a frozen dataclass's equality, hash and
+    repr."""
+
+    def test_a_frozen_record_of_its_fields(self, cls):
+        changed, _ = RECORDS[cls]
+        names = tuple(cls.__annotations__)
+        cfg = cls(**changed)
+        values = tuple(getattr(cfg, name) for name in names)
+        assert values == tuple(changed.get(name, getattr(cls, name)) for name in names)
+        assert cls(*values) == cfg and hash(cls(*values)) == hash(cfg)
+        assert cls(*values[:1], **{n: v for n, v in zip(names[1:], values[1:])}) == cfg
+        assert cfg != cls() and cfg != values
+        assert all(cfg != other() for other in RECORDS if other is not cls)
+        twin = type("Twin", (cls,), {"__annotations__": cls.__annotations__})  # same fields
+        assert twin(**changed) != cfg and cfg != twin(**changed)
+        for change in (lambda: setattr(cfg, names[0], values[0]), lambda: delattr(cfg, names[0]),
+                       lambda: setattr(cfg, "other", 1)):
+            with pytest.raises(AttributeError):
+                change()
+        assert tuple(getattr(cfg, name) for name in names) == values
+
+    def test_a_wrong_argument_is_a_type_error(self, cls):
+        names = tuple(cls.__annotations__)
+        defaults = tuple(getattr(cls, name) for name in names)
+        for args, kwargs in (((defaults[0],), {names[0]: defaults[0]}),  # a field given twice
+                             ((), {"no_such_field": 1}),  # an unknown field
+                             ((*defaults, 1), {})):  # one argument too many
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_hash_and_repr_are_the_dataclass_ones(self, cls):
+        changed, _ = RECORDS[cls]
+        before = _as_dataclass(cls)
+        for kwargs in ({}, changed):
+            assert repr(cls(**kwargs)) == repr(before(**kwargs))
+            assert hash(cls(**kwargs)) == hash(before(**kwargs))
+
+    def test_replace_checks_as_construction_does(self, cls):
+        changed, refused = RECORDS[cls]
+        assert cls()._replace(**changed) == cls(**changed)
+        assert cls(**changed)._replace() == cls(**changed)
+        with pytest.raises(TypeError):
+            cls()._replace(no_such_field=1)
+        for bad in refused:
+            with pytest.raises(ValueError) as built:
+                cls(**bad)
+            with pytest.raises(ValueError) as replaced:
+                cls(**changed)._replace(**bad)
+            assert str(replaced.value) == str(built.value)
 
 
 # Every key `chids config` prints, each edge value, through `config`; a value
