@@ -81,10 +81,10 @@ def _build_config(args) -> RunConfig:
 
 
 def _outdir(cfg: RunConfig) -> Path:
-    """The out directory of a command that needs no earlier artifact there
-    (preprocess, simulate), which makes it just before its first write.
-    Checked before any input is read: it, or its nearest existing ancestor,
-    is a directory."""
+    """The out directory of a command, checked before any input is read: it,
+    or its nearest existing ancestor, is a directory. Preprocess and
+    simulate make it just before their first write; train, evaluate and
+    detect read the earlier commands' artifacts from it."""
     p = Path(cfg.out)
     there = next(q for q in (p, *p.parents) if q.exists())
     if not there.is_dir():
@@ -155,7 +155,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     from . import kdd, learner
 
-    out = Path(cfg.out)
+    out = _outdir(cfg)
     train_path = _need(out / TRAIN_CACHE, "chids preprocess")
     train = kdd.load_cache(train_path)
     with artifact.parsing(train_path, 2):  # the header, whose domains a rule may name
@@ -174,7 +174,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     from . import evaluate as ev, kdd, learner, ranking
 
-    out = Path(cfg.out)
+    out = _outdir(cfg)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
     test = kdd.load_cache(_need(out / TEST_CACHE, "chids preprocess"))
     cm, test_s = ev.evaluate(model, test)
@@ -283,7 +283,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
     from . import kdd, learner, pipeline, preprocess
 
     alerts_path = _alert_sink(cfg, input_path, events_path)
-    out = Path(cfg.out)
+    out = _outdir(cfg)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
     selected, stats = artifact.read_parsed(
         _need(out / TRANSFORM_JSON, "chids preprocess"), _transform

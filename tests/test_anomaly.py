@@ -1,4 +1,5 @@
 import gc
+import gzip
 import hashlib
 import os
 import random
@@ -748,6 +749,101 @@ class TestStreamReaderOracle:
         assert len(events) == 2000
         ids = set(map(id, events))
         assert not any(id(obj) in ids for obj in young)
+
+
+def shared_forwards(events):
+    """Of the forwards whose reception comes earlier, how many there are and
+    how many hold the latest such reception's `msg_id` and `digest` objects."""
+    last, n, shared = {}, 0, 0
+    for e in events:
+        if e.kind == RECEPTION:
+            last[e.msg_id] = e
+        elif e.kind == FORWARD and e.msg_id in last:
+            rx = last[e.msg_id]
+            n += 1
+            shared += e.msg_id is rx.msg_id and e.digest is rx.digest
+    return n, shared
+
+
+class TestSharedIds:
+    """`read_stream` hands a forward its reception's `msg_id` and `digest`
+    objects through a table that never grows; the values are those a plain
+    per-row parse gives, whatever the table shares or misses."""
+
+    def test_forwards_hold_their_receptions_ids(self, tmp_path):
+        p = tmp_path / "stream.tsv"
+        write_stream(dense_traffic(), p)
+        events = read_stream(p)
+        n, shared = shared_forwards(events)
+        assert n > 7000
+        assert shared >= 0.25 * n
+        assert events == read_stream_oracle(p)
+        packed = tmp_path / "stream.tsv.gz"
+        packed.write_bytes(gzip.compress(p.read_bytes()))
+        assert read_stream(packed) == events
+
+    @staticmethod
+    def row(ts, kind, msg, digest, source="s0"):
+        return f"{ts!r}\t{source}\tr0\t{kind}\t{msg}\t{digest}\t-60.0"
+
+    def read_both(self, tmp_path, rows):
+        p = tmp_path / "stream.tsv"
+        p.write_text("\n".join([STREAM_MAGIC, STREAM_HEADER, *rows, ""]))
+        try:
+            events = read_stream(p)
+        except ChidsError as exc:
+            with pytest.raises(type(exc)) as oracle:
+                read_stream_oracle(p)
+            assert str(oracle.value) == str(exc)
+            return None
+        assert events == read_stream_oracle(p)
+        assert all(type(v) is str for e in events for v in e[1:6])
+        return events
+
+    def test_a_changed_digest_shares_the_id_only(self, tmp_path):
+        events = self.read_both(tmp_path, [self.row(0.0, RECEPTION, "m1", "d1"),
+                                           self.row(0.1, FORWARD, "m1", "d1x")])
+        rx, fwd = events
+        assert fwd.msg_id is rx.msg_id and fwd.digest == "d1x"
+
+    def test_unreceived_forwards_and_repeated_receptions(self, tmp_path):
+        rows = [self.row(0.0, FORWARD, "m9", "d9"), self.row(0.1, RECEPTION, "m1", "d1"),
+                self.row(0.2, FORWARD, "m1", "d1"), self.row(0.3, RECEPTION, "m1", "d1", "s1"),
+                self.row(0.4, FORWARD, "m1", "d1", "s1"), self.row(0.5, FORWARD, "m8", "d1"),
+                self.row(0.6, COLLISION, "m1", "d1")]
+        events = self.read_both(tmp_path, rows)
+        assert shared_forwards(events) == (2, 2)  # each forward after its reception
+        assert events[2].msg_id is events[1].msg_id and events[4].msg_id is events[3].msg_id
+
+    @pytest.mark.parametrize("n", [10, 400], ids=["under-1-KiB", "collisions"])
+    def test_slot_collisions_only_miss_shares(self, tmp_path, n):
+        """n receptions, then their forwards in reverse order. A file under
+        1 KiB and one of 31 KiB both get 16 slots, so at most 16 forwards
+        share, and every value is kept."""
+        rows = [self.row(k / 8, RECEPTION, f"m{k}", f"d{k}") for k in range(n)]
+        rows += [self.row(n / 8 + k / 8, FORWARD, f"m{k}", f"d{k}" if k % 3 else "dx")
+                 for k in reversed(range(n))]
+        events = self.read_both(tmp_path, rows)
+        assert ((tmp_path / "stream.tsv").stat().st_size < 1024) == (n == 10)
+        forwards, shared = shared_forwards(events)
+        assert forwards == n and shared <= 16
+
+    @pytest.mark.parametrize("fault", [None, "x"], ids=["blank-row", "faulty-row"])
+    def test_a_block_built_row_by_row(self, tmp_path, fault):
+        """Row 40 makes `read_rows` build its block (rows 33-64) row by row:
+        a blank row is skipped, and a faulty one fails the read as the plain
+        parse fails it, after the block's build has used the table."""
+        rows = []
+        for k in range(48):
+            rows += [self.row(k / 4, RECEPTION, f"m{k}", f"d{k}"),
+                     self.row(k / 4 + 0.1, FORWARD, f"m{k}", f"d{k}")]
+        rows[39] = "\t" * 6 if fault is None else fault + rows[39]
+        events = self.read_both(tmp_path, rows)
+        if fault is None:
+            assert len(events) == 95
+            assert shared_forwards(events) == (47, 47)
+        else:
+            assert events is None
 
 
 class TestGeneratorGc:

@@ -81,13 +81,16 @@ class TestPreprocess:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["preprocess", "--dataset", "CORPUS"],
-                                         ["simulate", "--scenario", "sybil"]],
-                             ids=["preprocess", "simulate"])
+                                         ["simulate", "--scenario", "sybil"],
+                                         ["train"], ["evaluate"], ["detect", "--input", "CORPUS"]],
+                             ids=["preprocess", "simulate", "train", "evaluate", "detect"])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
     def test_an_out_that_is_a_file_exits_3_first(self, synth_corpus_path, tmp_path, command,
                                                  under, capsys):
         """An --out that names a file, or a path under one, exits 3 naming
-        it as the out directory, before any input is read."""
+        it as the out directory, before any input is read. Train, evaluate
+        and detect, which read artifacts from it, do not send the operator
+        back to an earlier command."""
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         out = afile / "run" if under else afile
