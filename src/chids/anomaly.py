@@ -419,15 +419,18 @@ def _building():
 
 def _text_kib(path) -> int:
     """KiB of text in the stream file `path`: its size, or the length a gzip
-    file's trailer gives (mod 2**32), taken as at most 8 times its size. It
-    is 0 when the file cannot be read, and `read_rows` reports the fault."""
+    file's trailer gives (mod 2**32), taken as at most 8 times its size. A
+    trailer under the size, as the last member of a multi-member file may
+    give, counts as 8 times the size. It is 0 when the file cannot be read,
+    and `read_rows` reports the fault."""
     try:
         size = os.path.getsize(path)
         if size >= 4:  # so no FIFO, whose size is 0, is opened
             with artifact.open_binary(path) as fh:
                 if isinstance(fh, gzip.GzipFile):  # the trailer, read from the file beneath
                     fh.fileobj.seek(-4, os.SEEK_END)
-                    size = min(int.from_bytes(fh.fileobj.read(4), "little"), 8 * size)
+                    length = int.from_bytes(fh.fileobj.read(4), "little")
+                    size = 8 * size if length < size else min(length, 8 * size)
     except (OSError, IoError):
         return 0
     return size >> 10

@@ -172,7 +172,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    from . import evaluate as ev, kdd, learner, ranking
+    from . import evaluate as ev, kdd, learner
 
     out = _outdir(cfg)
     model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
@@ -184,7 +184,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         test_s,
         split_per_class=_read_if_present(
             out / MANIFEST_JSON, artifact.read_parsed, _split_per_class),
-        rank_scores=_read_if_present(out / RANK_FULL, ranking.read_rank_report),
         train_s=_read_if_present(out / TRAIN_TIMING, artifact.read_lines, _train_seconds),
     )
     _err(

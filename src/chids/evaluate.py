@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifact, ranking
+from . import artifact
 from .errors import EmptyTestSet
 from .kdd import AttackClass, Dataset, N_CLASSES
 
@@ -144,7 +144,6 @@ def emit_report(
     confusion: ConfusionMatrix,
     test_s: float,
     split_per_class: dict | None = None,
-    rank_scores=None,
     train_s: float | None = None,
 ) -> tuple[dict, list[str]]:
     """Write the report bundle into `outdir`; returns the metrics.json dict
@@ -184,9 +183,5 @@ def emit_report(
     bars("false_alarm_bars.tsv", 1, [metrics["false_alarm_rate_pct"]])
     # measured test time lives in timings.txt; the plot file stays deterministic
     bars("test_time_bars.tsv", 3)
-    if rank_scores is not None:
-        put("rank_curve.tsv", ranking.rank_table(rank_scores))
-    else:  # no ranking, no curve: an earlier run's must not pass for this one's
-        (outdir / "rank_curve.tsv").unlink(missing_ok=True)
     put("confusion.tsv", table)
     return metrics, written

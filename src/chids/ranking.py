@@ -11,9 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import artifact, kernels
-from .errors import DataError
 from .kdd import NUMERIC, Dataset, N_CLASSES
-from .sections import CHI2, FEATURE_TABLE, IGR
+from .sections import CHI2, IGR
 
 RANK_HEADER = "rank\tfeature\tmethod\tscore"
 
@@ -143,47 +142,10 @@ def select_top_k(scores, k: int) -> list[str]:
     return [s.feature for s in ranked[:k]]
 
 
-def rank_table(scores, closing=()) -> str:
-    """Plot-ready descending rank table: rank, feature, method, score; then
-    the `closing` rows."""
-    rows = [(str(r), s.feature, s.method, repr(s.score)) for r, s in enumerate(rank(scores), 1)]
-    return "".join(artifact.table_text(RANK_HEADER, [*rows, *closing]))
-
-
 def write_rank_report(scores, path) -> None:
-    """The rank table of `scores`, closed by a `# mean` comment line."""
+    """Plot-ready descending rank table of `scores`: rank, feature, method,
+    score; closed by a `# mean` comment line."""
     ranked = rank(scores)
     mean = sum(s.score for s in ranked) / len(ranked) if ranked else 0.0
-    artifact.write_text(path, rank_table(ranked, [("# mean", repr(mean))]))
-
-
-def read_rank_report(path) -> list[FeatureScore]:
-    """The rows of a rank table; its `#` lines are comments. The k-th row
-    has rank k, a schema feature no row before names, a method of SCORERS,
-    and no higher score than the row before, so ranking the rows again keeps
-    their order."""
-    features = {name for name, _ in FEATURE_TABLE}
-
-    def parse(lines):
-        if next(lines, None) != RANK_HEADER:
-            raise DataError(f"expected {RANK_HEADER!r}")
-        scores = []
-        for ln in lines:
-            if ln.startswith("#") or not ln.strip():
-                continue
-            place, feature, method, score = ln.split("\t")
-            row = FeatureScore(feature, len(scores), artifact.finite(score), method)
-            if method not in SCORERS:
-                raise DataError(f"method {method!r}, expected one of {tuple(SCORERS)}")
-            if place != str(len(scores) + 1):
-                raise DataError(f"rank {place!r}, expected {len(scores) + 1}")
-            if scores and row.score > scores[-1].score:
-                raise DataError(f"score {score} above the score of rank {len(scores)}")
-            if feature not in features:
-                raise DataError(f"feature {feature!r} is not a schema feature")
-            if any(s.feature == feature for s in scores):
-                raise DataError(f"feature {feature!r} ranked twice")
-            scores.append(row)
-        return scores
-
-    return artifact.read_lines(path, parse)
+    rows = [(str(r), s.feature, s.method, repr(s.score)) for r, s in enumerate(ranked, 1)]
+    artifact.write_text(path, artifact.table_text(RANK_HEADER, [*rows, ("# mean", repr(mean))]))

@@ -871,6 +871,19 @@ class TestSharedIds:
         assert packed.stat().st_size < p.stat().st_size / 2
         assert shared_forwards(read_stream(packed)) == shared_forwards(read_stream(p))
 
+    def test_a_multi_member_gzip_file_shares_as_a_plain_one(self, tmp_path):
+        """The trailer of a two-member file gives the text of its small last
+        member only; the table is sized as if it gave the whole text."""
+        p = tmp_path / "stream.tsv"
+        write_stream(dense_traffic(), p)
+        lines = p.read_bytes().splitlines(True)
+        packed = tmp_path / "stream.tsv.gz"
+        packed.write_bytes(gzip.compress(b"".join(lines[:-50])) + gzip.compress(b"".join(lines[-50:])))
+        events = read_stream(packed)
+        n, shared = shared_forwards(events)
+        assert shared >= 0.45 * n
+        assert events == read_stream(p)
+
     def test_a_gzip_trailer_that_claims_4_gib(self, tmp_path):
         """A trailer is trusted up to 8 slots per KiB stored: a small file
         that claims 4 GiB of text gets a small table, and fails as the plain

@@ -276,7 +276,7 @@ def run_dir(tmp_path_factory, synth_corpus_path):
 
 
 SAMPLE = ["--input", "{out}/sample.kdd"]
-# damaged file -> each command that reads it; no command reads rank_selected.tsv
+# damaged file -> each command that reads it; no command reads the rank tables
 READERS = {
     "sample.kdd": [["detect", *SAMPLE], ["preprocess", "--dataset", "{out}/sample.kdd",
                                          "--set", "split.train_size=10", "--set", "split.test_size=5"]],
@@ -286,7 +286,6 @@ READERS = {
     "model.txt": [["evaluate"], ["detect", *SAMPLE]],
     "transform.json": [["detect", *SAMPLE]],
     "manifest.json": [["evaluate"]],
-    "rank_igr_full.tsv": [["evaluate"]],
     "train_timing.txt": [["evaluate"]],
     "stream_sybil.tsv": [["detect", *SAMPLE, "--events", "{out}/stream_sybil.tsv"]],
     "run.conf": [["config", "--config", "{out}/run.conf"]],
@@ -434,18 +433,6 @@ PINNED = [
     M("replace", 7, 2, token="nan", pin=P("model.txt", 4, "line 8: feature 'nan' is not on")),
     M("copy", 7, 3, 18, pin=P("model.txt", 4, "line 8: bad operator for numeric")),
     M("copy", 4, 3, 81, pin=P("model.txt", 4, "line 5: bad operator for nominal")),
-    # rank_igr_full.tsv, row 2: its fields, rank, score, feature and method
-    M("drop", 2, 2, pin=P("rank_igr_full.tsv", 4, "line 3: malformed file")),
-    M("replace", 2, 3, token="0x10", pin=P("rank_igr_full.tsv", 4, "line 3: malformed file")),
-    M("replace", 2, 0, token="nan", pin=P("rank_igr_full.tsv", 4, "line 3: rank 'nan'")),
-    M("replace", 2, 0, token="+1", pin=P("rank_igr_full.tsv", 4, "line 3: rank '+1'")),
-    M("replace", 2, 3, token="1e308", pin=P("rank_igr_full.tsv", 4, "line 3: score 1e308 above")),
-    M("copy", 2, 1, 5, pin=P("rank_igr_full.tsv", 4, "line 3: feature 'logged_in' ranked twice")),
-    M("replace", 2, 3, token="nan", pin=P("rank_igr_full.tsv", 4, "line 3: 'nan' is not a finite")),
-    M("replace", 2, 2, token="inf", pin=P("rank_igr_full.tsv", 4, "line 3: method 'inf'")),
-    M("replace", 2, 1, token="not_a_feature",
-      pin=P("rank_igr_full.tsv", 4, "line 3: feature 'not_a_feature' is not a schema feature")),
-    M("non-ascii", 10, pin=P("rank_igr_full.tsv", 4, "not ASCII text")),
     # train_timing.txt: its value, its key, none or two lines
     M("replace", 0, 2, token="nan", pin=P("train_timing.txt", 4, "line 1: 'nan' is not a finite")),
     M("replace", 0, 2, token="-1", pin=P("train_timing.txt", 4, "line 1: expected one line")),

@@ -659,7 +659,6 @@ class TestPinnedOutputs:
     # artifact.table_text.
     REPORT_SHA256 = {
         "report/confusion.tsv": "7ea5c281771f69ff5ab98952f7a8003c449f27b0910297a0e8b6288a56f4ad26",
-        "report/rank_curve.tsv": "58b8819b11fab4dce6b41a3e881be5aa9c0e380eae4775a134dbee0fc8113791",
         "report/detection_rate_bars.tsv":
             "d14c41e16d0c087524fdd8833c61ee9e49fe138c777b1d7127bbf43225aa59ac",
         "report/false_alarm_bars.tsv":
@@ -807,22 +806,6 @@ class TestModelFileHardening:
             assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
-class TestRankFileHardening:
-    @pytest.mark.parametrize("command", ["evaluate"])
-    def test_missing_header_exit_4(self, workdir, tmp_path, command, capsys):
-        # without the check the best-ranked feature was read as the header
-        out = tmp_path / "run"
-        out.mkdir()
-        for name in ("model.txt", "test.cache", "manifest.json"):
-            shutil.copy(workdir / name, out / name)
-        lines = (workdir / "rank_igr_full.tsv").read_text().splitlines(True)
-        (out / "rank_igr_full.tsv").write_text("".join(lines[1:]))
-        code, _, err = run_cli([command, "--out", str(out)], capsys)
-        assert code == 4
-        assert "rank_igr_full.tsv: line 1: expected 'rank\\tfeature\\tmethod\\tscore'" in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
-
-
 @pytest.fixture
 def evaluated(workdir, tmp_path, capsys):
     """A private copy of the trained directory with a fresh report/."""
@@ -834,11 +817,15 @@ def evaluated(workdir, tmp_path, capsys):
     return out
 
 
-def test_evaluate_without_ranking_drops_an_old_rank_curve(evaluated, capsys):
-    # the curve comes from rank_igr_full.tsv: with that file gone, a rerun
-    # leaves no earlier run's curve beside its fresh report
-    assert (evaluated / "report" / "rank_curve.tsv").exists()
-    (evaluated / "rank_igr_full.tsv").unlink()
+@pytest.mark.parametrize("damage", ["missing", "headerless"])
+def test_evaluate_reads_no_rank_table(evaluated, damage, capsys):
+    # the rank curve is rank_igr_full.tsv itself: evaluate neither reads it
+    # nor copies it into the report
+    path = evaluated / "rank_igr_full.tsv"
+    if damage == "missing":
+        path.unlink()
+    else:
+        path.write_text("".join(path.read_text().splitlines(True)[1:]))
     code, out, _ = run_cli(["evaluate", "--out", str(evaluated)], capsys)
     assert code == 0
     assert not (evaluated / "report" / "rank_curve.tsv").exists()
@@ -996,11 +983,9 @@ class TestOnlyLineEndsEndALine:
     @pytest.mark.parametrize("name, damage, command, needle", [
         ("model.txt", _damage_line(5, lambda ln: b"\x1c" + ln), "evaluate", "line 5: bad rule line"),
         ("model.txt", _damage_line(5, lambda ln: ln + b"\x0c"), "evaluate", "line 5: bad rule line"),
-        ("rank_igr_full.tsv", _damage_line(3, lambda ln: ln.replace(b"\t", b"\t\x0c", 1)),
-         "evaluate", "line 3: feature '\\x0c"),
         ("train_timing.txt", lambda raw: b"timing train_s 1.5\x0c\n", "evaluate",
          "line 1: '1.5\\x0c' is not a finite number"),
-    ], ids=["model-x1c", "model-trailing-ff", "rank-ff-in-feature", "timing-ff"])
+    ], ids=["model-x1c", "model-trailing-ff", "timing-ff"])
     def test_error_names_the_line(self, workdir, evaluated, name, damage, command, needle, capsys):
         shutil.copy(workdir / "train_timing.txt", evaluated / "train_timing.txt")
         path = evaluated / name
@@ -1280,7 +1265,8 @@ class TestEachCommandLoadsOnlyItsStages:
         # PART's pessimistic pruning computes its normal quantile itself
         (["train"], {"chids.anomaly", "chids.preprocess", "chids.pipeline", "logging",
                      "concurrent.futures", "numpy.random", "statistics", "fractions", "decimal"}),
-        (["evaluate"], {"chids.anomaly", "chids.preprocess", "fractions", "numpy.random"}),
+        (["evaluate"], {"chids.anomaly", "chids.preprocess", "chids.ranking", "fractions",
+                        "numpy.random"}),
         # a skipped line is reported by cli._err, as every diagnostic is
         (["preprocess", "--dataset", "CORPUS_AND_BAD_LINE", *SPLIT_OVERRIDES], {"logging"}),
         # the anomaly stage loads only with an event stream
@@ -1366,3 +1352,73 @@ class TestDetectNormalizesRawInput:
         assert got["raw"] == got["cache"]
         classes = Counter(ln.split("\t")[3] for ln in got["raw"].splitlines()[2:])
         assert sum(classes.values()) == 5800 and classes["dos"] < 5800 / 2
+
+
+class TestMetamorphicRelations:
+    """Outputs that depend on neither row order nor block edges: the model
+    `train` learns from permuted rows, the dispositions `detect --input`
+    gives lines given twice, and the counts `preprocess` takes of permuted
+    lines."""
+
+    def test_train_on_permuted_rows_writes_the_same_model(self, tmp_path):
+        from synthdata import write_corpus
+        from chids.kdd import load_cache, save_cache
+
+        corpus = tmp_path / "c.kdd"
+        write_corpus(corpus, n=3000, seed=7, dup_rate=0.5)
+        out = tmp_path / "run"
+        assert main(["preprocess", "--dataset", str(corpus), "--out", str(out),
+                     "--set", "split.train_size=1200", "--set", "split.test_size=300"]) == 0
+        assert main(["train", "--out", str(out)]) == 0
+        model = (out / "model.txt").read_bytes()
+        train = load_cache(out / "train.cache")
+        for seed in range(4):
+            order = list(range(len(train)))
+            random.Random(seed).shuffle(order)
+            moved = tmp_path / f"moved{seed}"
+            moved.mkdir()
+            save_cache(train.take(order), moved / "train.cache")
+            assert main(["train", "--out", str(moved)]) == 0
+            assert (moved / "model.txt").read_bytes() == model, seed
+
+    def test_detect_on_lines_given_twice_gives_each_disposition_twice(
+        self, workdir, synth_corpus_path, tmp_path
+    ):
+        from chids.artifact import BLOCK_ROWS
+
+        lines = Path(synth_corpus_path).read_text().splitlines(True)[:600]
+        assert len(lines) < BLOCK_ROWS < 2 * len(lines)
+        got = {}
+        for times in (1, 2):
+            (tmp_path / str(times)).mkdir()
+            det = _detect_dir(workdir, tmp_path / str(times))
+            records = tmp_path / f"x{times}.kdd"
+            records.write_text("".join(lines * times))
+            assert main(["detect", "--input", str(records), "--out", str(det)]) == 0
+            rows = [ln.split("\t", 1) for ln in (det / "dispositions.tsv").read_text().splitlines()[2:]]
+            assert [int(record) for record, _ in rows] == list(range(times * len(lines)))
+            got[times] = [disposition for _, disposition in rows]
+        assert got[2] == got[1] * 2
+        assert len(set(got[1])) > 1
+
+    def test_preprocess_on_permuted_lines_keeps_its_counts(self, tmp_path):
+        # every fifth line is followed by a copy in other text, which only
+        # dedupe, not the reader, finds; the permutation scatters the copies
+        from synthdata import synth_lines
+
+        lines = []
+        for k, line in enumerate(synth_lines()):
+            lines += [line, line.replace(",", ", ", 1)] if k % 5 == 0 else [line]
+        counts = []
+        for seed in (None, 1):
+            if seed is not None:
+                random.Random(seed).shuffle(lines)
+            corpus = tmp_path / f"c{seed}.kdd"
+            corpus.write_text("\n".join(lines) + "\n")
+            out = tmp_path / f"run{seed}"
+            assert main(["preprocess", "--dataset", str(corpus), "--out", str(out),
+                         *SPLIT_OVERRIDES]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            counts.append((manifest["dedupe"], manifest["split"]["per_class"]))
+        assert counts[0] == counts[1]
+        assert counts[0][0]["output"] < counts[0][0]["input"]
