@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 import time
 from collections import Counter
@@ -25,7 +24,7 @@ from .config import RunConfig, apply_setting, load_config, render_config
 from .errors import (ChidsError, ConfigError, DataError, IoError, MissingArtifact, UnpairedStream,
                      bad_lines)
 from .rule_config import SCENARIOS
-from .sections import FEATURE_TABLE, AttackClass
+from .sections import FEATURE_TABLE, NUMERIC, AttackClass
 
 # Each cmd_* imports the stage modules it runs when it starts, so a command
 # compiles and loads only those: `config` and `simulate` load no numpy, and
@@ -175,17 +174,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     from . import evaluate as ev, kdd, learner
 
     out = _outdir(cfg)
-    model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
-    test = kdd.load_cache(_need(out / TEST_CACHE, "chids preprocess"))
-    cm, test_s = ev.evaluate(model, test)
-    metrics, written = ev.emit_report(
-        out / REPORT_DIR,
-        cm,
-        test_s,
-        split_per_class=_read_if_present(
-            out / MANIFEST_JSON, artifact.read_parsed, _split_per_class),
-        train_s=_read_if_present(out / TRAIN_TIMING, artifact.read_lines, _train_seconds),
-    )
+    model_path = _need(out / MODEL_FILE, "chids train")
+    model = learner.load_model(model_path)
+    test_path = _need(out / TEST_CACHE, "chids preprocess")
+    test = kdd.load_cache(test_path)
+    with artifact.naming(f"{model_path}, {test_path}"):  # no labeled records, or another schema
+        cm, test_s = ev.evaluate(model, test)
+    metrics, written = ev.emit_report(out / REPORT_DIR, cm, test_s)
     _err(
         f"detection rate {metrics['detection_rate_pct']:.2f}%  "
         f"false alarms {metrics['false_alarm_rate_pct']:.2f}%  "
@@ -194,40 +189,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     for p in written:
         _out(p)
     return 0
-
-
-def _train_seconds(lines) -> float:
-    """The training time in a train_timing.txt: its one line is
-    `timing train_s <v>`, with v a finite number of seconds >= 0."""
-    head, _, text = next(lines, "").rpartition(" ")
-    if head != "timing train_s":
-        raise DataError("expected one line `timing train_s <seconds>`")
-    seconds = artifact.finite(text)
-    if seconds < 0 or next(lines, None) is not None:
-        raise DataError("expected one line `timing train_s <seconds>`, seconds >= 0")
-    return seconds
-
-
-def _split_per_class(text: str) -> dict:
-    """The per-class split census of a manifest.json: one row for each of
-    the five class tags, whose counts are >= 0 and whose train and test
-    together take no more than the class has available."""
-    per_class = json.loads(text)["split"]["per_class"]
-    tags = sorted(c.tag for c in AttackClass)
-    if sorted(per_class) != tags:
-        raise DataError(f"split classes {sorted(per_class)}, expected {tags}")
-    census = {}
-    for tag, row in per_class.items():
-        n = census[tag] = {k: operator.index(row[k]) for k in ("available", "train", "test")}
-        if min(n.values()) < 0:
-            raise DataError(f"class {tag}: negative count in {n}")
-        if n["train"] + n["test"] > n["available"]:
-            raise DataError(f"class {tag}: train + test exceeds available in {n}")
-    return census
-
-
-def _read_if_present(path: Path, read, *args):
-    return read(path, *args) if path.exists() else None
 
 
 def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
@@ -249,7 +210,8 @@ def cmd_simulate(cfg: RunConfig, scenario: str) -> int:
 
 def _transform(text: str):
     """The selected features and normalization of a version 1
-    transform.json, whose `selected` lists distinct schema features."""
+    transform.json, whose `selected` lists distinct schema features and whose
+    normalization is fitted for the numeric ones among them, in schema order."""
     from . import preprocess
 
     obj = json.loads(text)
@@ -259,7 +221,12 @@ def _transform(text: str):
     if not (isinstance(selected, list) and all(isinstance(n, str) and n in names for n in selected)
             and len(set(selected)) == len(selected)):
         raise DataError(f"selected {selected!r}: expected a list of distinct schema features")
-    return selected, preprocess.NormalizationStats.from_json_obj(obj["normalization"])
+    stats = preprocess.NormalizationStats.from_json_obj(obj["normalization"])
+    numeric = tuple(name for name, kind in FEATURE_TABLE if kind == NUMERIC and name in selected)
+    if stats.feature_names != numeric:
+        raise DataError(f"normalization features {list(stats.feature_names)}: expected the "
+                        f"numeric features among selected, {list(numeric)}")
+    return selected, stats
 
 
 def _alert_sink(cfg: RunConfig, input_path: str, events_path: str | None) -> Path:
@@ -283,15 +250,19 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
 
     alerts_path = _alert_sink(cfg, input_path, events_path)
     out = _outdir(cfg)
-    model = learner.load_model(_need(out / MODEL_FILE, "chids train"))
-    selected, stats = artifact.read_parsed(
-        _need(out / TRANSFORM_JSON, "chids preprocess"), _transform
-    )
+    model_path = _need(out / MODEL_FILE, "chids train")
+    model = learner.load_model(model_path)
+    transform_path = _need(out / TRANSFORM_JSON, "chids preprocess")
+    selected, stats = artifact.read_parsed(transform_path, _transform)
     raw = kdd.load_records(input_path)
+    # the files whose features the model meets: a cache brings its own, and
+    # raw lines are the whole schema, of which the transform selects
     if raw.line_rows is None and raw.schema.names == tuple(name for name, _ in model.features):
-        ds = raw  # a cache with the model's features is taken as normalized already
+        ds, sources = raw, input_path  # a cache with the model's features is normalized already
     else:
-        ds = preprocess.apply_normalizer(preprocess.select_features(raw, selected), stats)
+        sources = f"{input_path}, {transform_path}" if raw.line_rows is None else transform_path
+        with artifact.naming(sources):
+            ds = preprocess.apply_normalizer(preprocess.select_features(raw, selected), stats)
     rows = raw.line_rows  # raw lines: one row per distinct text, classified once
     n = len(ds) if rows is None else len(rows)
     verdict_lines: list[str] = []
@@ -317,7 +288,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, events_path: str | None) -> int:
         flagged = np.full(n, cfg.detect_mode == "all")
     n_flagged = int(flagged.sum())
 
-    run = pipeline.run_pipeline(ds, flagged, model, cfg.pipeline_config(), rows)
+    with artifact.naming(f"{model_path}, {sources}"):
+        run = pipeline.run_pipeline(ds, flagged, model, cfg.pipeline_config(), rows)
     n_alerts = pipeline.emit_alerts(run, alerts_path)
     disp_path = out / DISPOSITIONS
     pipeline.write_dispositions(run, disp_path)

@@ -1,6 +1,7 @@
 """Evaluation: five-class confusion matrices, the binary detection/false-alarm
 rates derived from them, timing capture, and deterministic report emission
-(text tables, JSON metrics, tab-separated plot data).
+(text tables, JSON metrics, tab-separated plot data). The report is built
+from the model's predictions on the test split alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .kdd import AttackClass, Dataset, N_CLASSES
 CLASS_TAGS = tuple(c.tag for c in AttackClass)
 CONFUSION_HEADER = "actual\\predicted\t" + "\t".join(CLASS_TAGS)
 BARS_HEADER = "system\tfeatures\tvalue\tsource"
-SPLIT_HEADER = "category\tavailable\ttrain\ttrain_pct\ttest\ttest_pct"
 
 
 class ConfusionMatrix:
@@ -128,31 +128,14 @@ def render_metrics_table(metrics: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_split_table(manifest_per_class: dict) -> str:
-    """Category/samples/ratio table in the shape of the preprocessing census."""
-    tot_train = sum(r["train"] for r in manifest_per_class.values())
-    tot_test = sum(r["test"] for r in manifest_per_class.values())
-    rows = [(tag, str(r["available"]), str(r["train"]), f"{_pct(r['train'], tot_train):.2f}",
-             str(r["test"]), f"{_pct(r['test'], tot_test):.2f}")
-            for tag, r in manifest_per_class.items()]
-    rows.append(("total", "-", str(tot_train), "100.00", str(tot_test), "100.00"))
-    return "".join(artifact.table_text(SPLIT_HEADER, rows, "== split =="))
-
-
-def emit_report(
-    outdir,
-    confusion: ConfusionMatrix,
-    test_s: float,
-    split_per_class: dict | None = None,
-    train_s: float | None = None,
-) -> tuple[dict, list[str]]:
+def emit_report(outdir, confusion: ConfusionMatrix, test_s: float) -> tuple[dict, list[str]]:
     """Write the report bundle into `outdir`; returns the metrics.json dict
     and the written paths.
 
-    Every metric is derived from `confusion`, so the files cannot disagree.
-    Deterministic content and timings are kept apart: metrics.json and the
-    plot files never contain wall-clock numbers, the measured `train_s` and
-    `test_s` go to timings.txt.
+    Every metric is derived from `confusion`, so the files cannot disagree;
+    no other run record is read. Deterministic content and timings are kept
+    apart: report.txt, metrics.json and the plot files never contain
+    wall-clock numbers, and the measured `test_s` goes to timings.txt.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -165,13 +148,9 @@ def emit_report(
 
     metrics = metrics_from_confusion(confusion)
     table = confusion.to_tsv()
-    sections = [render_split_table(split_per_class)] if split_per_class else []
-    sections += [render_metrics_table(metrics), "== confusion ==\n" + table]
-    put("report.txt", "\n".join(sections))
+    put("report.txt", render_metrics_table(metrics) + "\n== confusion ==\n" + table)
     put("metrics.json", artifact.json_text(metrics))
-    times = (("train_s", train_s), ("test_s", test_s))
-    put("timings.txt", "".join(f"timing {key} {seconds:.6f}\n"
-                               for key, seconds in times if seconds is not None))
+    put("timings.txt", f"timing test_s {test_s:.6f}\n")
 
     def bars(name: str, column: int, measured=()):
         rows = [(system, str(feats), repr(values[column]), "published")

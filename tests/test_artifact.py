@@ -276,7 +276,8 @@ def run_dir(tmp_path_factory, synth_corpus_path):
 
 
 SAMPLE = ["--input", "{out}/sample.kdd"]
-# damaged file -> each command that reads it; no command reads the rank tables
+# damaged file -> each command that reads it; no command reads the rank tables,
+# manifest.json or train_timing.txt
 READERS = {
     "sample.kdd": [["detect", *SAMPLE], ["preprocess", "--dataset", "{out}/sample.kdd",
                                          "--set", "split.train_size=10", "--set", "split.test_size=5"]],
@@ -285,8 +286,6 @@ READERS = {
     "train_full.cache": [["detect", "--input", "{out}/train_full.cache"]],
     "model.txt": [["evaluate"], ["detect", *SAMPLE]],
     "transform.json": [["detect", *SAMPLE]],
-    "manifest.json": [["evaluate"]],
-    "train_timing.txt": [["evaluate"]],
     "stream_sybil.tsv": [["detect", *SAMPLE, "--events", "{out}/stream_sybil.tsv"]],
     "run.conf": [["config", "--config", "{out}/run.conf"]],
 }
@@ -433,14 +432,14 @@ PINNED = [
     M("replace", 7, 2, token="nan", pin=P("model.txt", 4, "line 8: feature 'nan' is not on")),
     M("copy", 7, 3, 18, pin=P("model.txt", 4, "line 8: bad operator for numeric")),
     M("copy", 4, 3, 81, pin=P("model.txt", 4, "line 5: bad operator for nominal")),
-    # train_timing.txt: its value, its key, none or two lines
-    M("replace", 0, 2, token="nan", pin=P("train_timing.txt", 4, "line 1: 'nan' is not a finite")),
-    M("replace", 0, 2, token="-1", pin=P("train_timing.txt", 4, "line 1: expected one line")),
-    M("replace", 0, 2, token="0x10", pin=P("train_timing.txt", 4, "line 1: malformed file")),
-    M("truncate", 0, pin=P("train_timing.txt", 4, "line 1: expected one line")),
-    M("duplicate", 0, pin=P("train_timing.txt", 4, "line 2: expected one line")),
-    M("replace", 0, 1, token="nan", pin=P("train_timing.txt", 4, "line 1: expected one line")),
-    M("non-ascii", 20, pin=P("train_timing.txt", 4, "not ASCII text")),
+    # model.txt, test.cache: whole, but one feature is not the other's; exit 6
+    # names both files (detect: the model's and transform.json, or the cache
+    # and transform.json)
+    M("replace", 2, 5, token="dst_bytes", pin=P("model.txt", 6, "dataset schema differs from")),
+    M("replace", 1, 6, token="dst_bytes",
+      pin=P("test.cache", 6, "dataset schema differs from", "evaluate")),
+    M("replace", 1, 6, token="dst_bytes", pin=P("test.cache", 6, "not in schema: ['src_bytes']",
+                                                "detect")),
     # sample.kdd, line 6: two fields, 43 fields, a text or nan number, an
     # empty service
     M("truncate", 568, pin=P("sample.kdd", 4, "line 6: expected 42 fields, got 2", "detect")),
@@ -460,14 +459,12 @@ PINNED = [
     M("replace", 33, 1, token="2", pin=P("transform.json", 4, "version 2, expected 1: `chids")),
     M("replace", 29, 0, token="nan",
       pin=P("transform.json", 4, "'nan', 'count', 'duration']: expected a list of distinct")),
-    # manifest.json: a key renamed, not JSON, a count wrong, a class renamed
-    M("replace", 5, 0, token="nan", pin=P("manifest.json", 4, "malformed file (KeyError")),
-    M("replace", 14, 1, token="1e308", pin=P("manifest.json", 4, "malformed file (TypeError")),
-    M("truncate", 1, pin=P("manifest.json", 4, "malformed file (JSONDecodeError")),
-    M("non-ascii", 10, pin=P("manifest.json", 4, "not ASCII text")),
-    M("replace", 14, 1, token="-1", pin=P("manifest.json", 4, "class dos: negative count")),
-    M("replace", 21, 1, token="1" * 23, pin=P("manifest.json", 4, "class normal: train + test")),
-    M("replace", 33, 0, token="nan", pin=P("manifest.json", 4, "split classes")),
+    # transform.json: a normalization that is not of the selected numeric
+    # features, in schema order
+    M("replace", 29, 0, token="dst_bytes", pin=P("transform.json", 4,
+      "normalization features ['duration', 'src_bytes', 'count']: expected the numeric")),
+    M("swap-lines", 3, k=4, pin=P("transform.json", 4,
+      "normalization features ['src_bytes', 'duration', 'count']: expected the numeric")),
     # stream_sybil.tsv: no header row; the engine's faults name the file
     M("delete", 1, pin=P("stream_sybil.tsv", 4, "line 2: expected 'ts\\tsource")),
     M("replace", 2, 0, token="nan", pin=P("stream_sybil.tsv", 4, "stream_sybil.tsv: event 0: non-finite")),
@@ -500,7 +497,9 @@ def test_damaged_artifact_exits_with_a_documented_code(run_dir, name, m):
     """Each command that reads the damaged file exits 0, with only finite
     numbers in what it wrote, or exits with a documented code, one line
     naming the file (where the file has lines or records, the one at fault)
-    after its progress lines, and the out directory as it was."""
+    after its progress lines, and the out directory as it was. An exit 6 from
+    evaluate or detect, whose files may be whole but not each other's, names
+    the damaged file among them."""
     if m.pin and m.pin.file != name:
         return
     before = _tree(run_dir)
@@ -529,3 +528,68 @@ def test_damaged_artifact_exits_with_a_documented_code(run_dir, name, m):
             if code in (2, 3, 4) and not re.match(f"chids: ({_KEY})[ :]", last):
                 assert last.startswith(f"chids: {target}: "), (argv, last)
                 assert not WHERE[name] or re.search(f"{WHERE[name]}|{_OPENER}", last), (argv, last)
+            if code == 6 and argv[0] in ("evaluate", "detect"):
+                assert re.match(f"chids: ([^:]+, )?{re.escape(str(target))}[,:] ", last), (argv, last)
+
+
+def test_readers_are_the_files_each_command_opens(run_dir, tmp_path, monkeypatch):
+    """Each command opens for reading exactly the files of the run directory
+    whose READERS entry lists it, so the sweep damages every file a command
+    reads and only those."""
+    listed, opened = {}, {}
+    for name, argvs in READERS.items():
+        for argv in argvs:
+            listed.setdefault(argv[0], set()).add(name)
+    real = artifact.open_binary
+    for i, argv in enumerate(sorted({tuple(a) for argvs in READERS.values() for a in argvs})):
+        out = tmp_path / str(i)
+        shutil.copytree(run_dir, out)
+
+        def spy(path, mode="r", reads=opened.setdefault(argv[0], set()), out=out):
+            if mode == "r" and Path(path).parent == out:
+                reads.add(Path(path).name)
+            return real(path, mode)
+
+        monkeypatch.setattr(artifact, "open_binary", spy)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([a.format(out=out) for a in argv] + ["--out", str(out)]) == 0, argv
+    assert opened == listed
+
+
+# The damage that evaluate refused in the split census and the training
+# time while it copied them into its report; no command reads either file
+UNREAD = [
+    ("train_timing.txt", M("replace", 0, 2, token="nan")),
+    ("train_timing.txt", M("replace", 0, 2, token="-1")),
+    ("train_timing.txt", M("replace", 0, 2, token="0x10")),
+    ("train_timing.txt", M("truncate", 0)),
+    ("train_timing.txt", M("duplicate", 0)),
+    ("train_timing.txt", M("replace", 0, 1, token="nan")),
+    ("train_timing.txt", M("non-ascii", 20)),
+    ("manifest.json", M("replace", 5, 0, token="nan")),
+    ("manifest.json", M("replace", 14, 1, token="1e308")),
+    ("manifest.json", M("truncate", 1)),
+    ("manifest.json", M("non-ascii", 10)),
+    ("manifest.json", M("replace", 14, 1, token="-1")),
+    ("manifest.json", M("replace", 21, 1, token="1" * 23)),
+    ("manifest.json", M("replace", 33, 0, token="nan")),
+]
+
+
+@pytest.mark.parametrize("name, m", UNREAD + [("train_timing.txt", None), ("manifest.json", None)])
+def test_evaluate_reads_no_split_census_or_training_time(run_dir, tmp_path, name, m):
+    """evaluate exits 0 and writes the same report, but for its one timing
+    line, whether these files are damaged, missing or whole."""
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    target = out / name
+    if m is None:
+        target.unlink()
+    else:
+        target.write_bytes(damage(target.read_bytes(), m))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["evaluate", "--out", str(out)]) == 0
+    got, want = _tree(out / "report"), _tree(run_dir / "report")
+    assert re.fullmatch(rb"timing test_s \d+\.\d{6}\n", got.pop("timings.txt"))
+    del want["timings.txt"]
+    assert got == want

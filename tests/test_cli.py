@@ -236,6 +236,23 @@ class TestTrainEvaluate:
         assert code == 6 and out == "" and len(err.splitlines()) == 2  # progress, then the error
         assert not (tmp_path / "model.txt").exists()
 
+    @pytest.mark.parametrize("defect", ["empty", "unlabeled"])
+    def test_test_set_without_records_or_labels_names_the_cache(self, workdir, tmp_path, defect,
+                                                                 capsys):
+        from chids import kdd
+
+        ds = kdd.load_cache(workdir / "test.cache")
+        if defect == "empty":
+            ds = ds.take([])
+        else:  # the first record loses its label
+            ds.labels[0], ds.class_codes[0] = None, -1
+        kdd.save_cache(ds, tmp_path / "test.cache")
+        shutil.copy(workdir / "model.txt", tmp_path)
+        code, out, err = run_cli(["evaluate", "--out", str(tmp_path)], capsys)
+        assert code == 6 and out == "" and not (tmp_path / "report").exists()
+        assert err.startswith(f"chids: {tmp_path / 'model.txt'}, {tmp_path / 'test.cache'}: test "
+                              "split ") and len(err.splitlines()) == 1
+
     def test_evaluate_without_model_hints_train(self, tmp_path, capsys):
         code, _, err = run_cli(["evaluate", "--out", str(tmp_path / "fresh2")], capsys)
         assert code == 5
@@ -656,7 +673,8 @@ class TestPinnedOutputs:
     }
 
     # The report bundle, taken before every chids table was formatted by
-    # artifact.table_text.
+    # artifact.table_text; report.txt's since it lost the split census, which
+    # was its first section and is manifest.json's alone.
     REPORT_SHA256 = {
         "report/confusion.tsv": "7ea5c281771f69ff5ab98952f7a8003c449f27b0910297a0e8b6288a56f4ad26",
         "report/detection_rate_bars.tsv":
@@ -665,7 +683,7 @@ class TestPinnedOutputs:
             "c1b7e0ab3b2d4d753f4ea305b8487dca71bed11dcc74bcef967fd14f9dd436e6",
         "report/test_time_bars.tsv":
             "e31d30f581d41d51cbeb8dfd8162422b53c864406dace062cf26ccc06917fb5d",
-        "report/report.txt": "a6558ae5298ce38d274d8da16335a0d173b69586dec9ecdbfa6398c43695c109",
+        "report/report.txt": "833cc9c6f5f7eac417528830bd14c14ea294e0272a404e2d237af7620fe846fd",
     }
 
     def test_manifest_and_report(self, evaluated):
@@ -811,7 +829,7 @@ def evaluated(workdir, tmp_path, capsys):
     """A private copy of the trained directory with a fresh report/."""
     out = tmp_path / "run"
     out.mkdir()
-    for name in ("model.txt", "test.cache", "manifest.json", "rank_igr_full.tsv"):
+    for name in ("model.txt", "test.cache", "rank_igr_full.tsv"):
         shutil.copy(workdir / name, out / name)
     assert run_cli(["evaluate", "--out", str(out)], capsys)[0] == 0
     return out
@@ -983,11 +1001,8 @@ class TestOnlyLineEndsEndALine:
     @pytest.mark.parametrize("name, damage, command, needle", [
         ("model.txt", _damage_line(5, lambda ln: b"\x1c" + ln), "evaluate", "line 5: bad rule line"),
         ("model.txt", _damage_line(5, lambda ln: ln + b"\x0c"), "evaluate", "line 5: bad rule line"),
-        ("train_timing.txt", lambda raw: b"timing train_s 1.5\x0c\n", "evaluate",
-         "line 1: '1.5\\x0c' is not a finite number"),
-    ], ids=["model-x1c", "model-trailing-ff", "timing-ff"])
-    def test_error_names_the_line(self, workdir, evaluated, name, damage, command, needle, capsys):
-        shutil.copy(workdir / "train_timing.txt", evaluated / "train_timing.txt")
+    ], ids=["model-x1c", "model-trailing-ff"])
+    def test_error_names_the_line(self, evaluated, name, damage, command, needle, capsys):
         path = evaluated / name
         path.write_bytes(damage(path.read_bytes()))
         code, _, err = run_cli([command, "--out", str(evaluated)], capsys)

@@ -13,7 +13,6 @@ from chids.evaluate import (
     emit_report,
     evaluate,
     metrics_from_confusion,
-    render_split_table,
 )
 from chids.kdd import AttackClass, Dataset, FeatureSchema, KddRecord
 from chids.learner import MajorityModel, train_part
@@ -128,12 +127,8 @@ class TestEmitReport:
         ds = labeled_ds(classes, xs)
         model = train_part(ds)
         cm, test_s = evaluate(model, ds)
-        split = {
-            "normal": {"available": 100, "train": 30, "test": 10},
-            "dos": {"available": 50, "train": 10, "test": 5},
-        }
-        _, w1 = emit_report(tmp_path / "a", confusion=cm, split_per_class=split, test_s=test_s)
-        _, w2 = emit_report(tmp_path / "b", confusion=cm, split_per_class=split, test_s=test_s)
+        _, w1 = emit_report(tmp_path / "a", confusion=cm, test_s=test_s)
+        _, w2 = emit_report(tmp_path / "b", confusion=cm, test_s=test_s)
         for p1, p2 in zip(w1, w2):
             n1, n2 = p1.rsplit("/", 1)[1], p2.rsplit("/", 1)[1]
             assert n1 == n2
@@ -144,12 +139,12 @@ class TestEmitReport:
         ds = labeled_ds([0, 1] * 10)
         model = majority_baseline(ds)
         cm, test_s = evaluate(model, ds)
-        emit_report(tmp_path / "rep", confusion=cm, train_s=1.23, test_s=test_s)
+        emit_report(tmp_path / "rep", confusion=cm, test_s=test_s)
         obj = json.loads((tmp_path / "rep" / "metrics.json").read_text())
         assert "n_records" in obj
         assert not any("time" in k for k in obj)
         timings = (tmp_path / "rep" / "timings.txt").read_text()
-        assert "train_s" in timings and "test_s" in timings
+        assert timings == f"timing test_s {test_s:.6f}\n"
 
     def test_comparison_files_label_sources(self, tmp_path):
         ds = labeled_ds([0, 1] * 10)
@@ -158,13 +153,3 @@ class TestEmitReport:
         emit_report(tmp_path / "rep", confusion=cm, test_s=test_s)
         text = (tmp_path / "rep" / "detection_rate_bars.tsv").read_text()
         assert "published" in text and "measured" in text
-
-    def test_split_table_shape(self):
-        table = render_split_table(
-            {"normal": {"available": 10, "train": 6, "test": 3},
-             "dos": {"available": 4, "train": 2, "test": 1}}
-        )
-        lines = table.splitlines()
-        assert lines[1].startswith("category")
-        assert lines[-1].startswith("total\t-\t8")
-
